@@ -49,7 +49,7 @@ mod simd;
 
 /// Size of the stack-resident byte→class translation buffer. 4 KiB keeps
 /// the buffer comfortably inside L1 alongside the group arrays.
-const CLASS_BLOCK: usize = 4096;
+pub(crate) const CLASS_BLOCK: usize = 4096;
 
 /// Sentinel terminating a group's origin list.
 const NONE: u32 = u32::MAX;

@@ -101,7 +101,7 @@ pub fn ridfa_to_bytes_with_engine(
         }
     }
     if let Some(sfa) = sfa {
-        enc.put_u32s(sfa.table());
+        enc.put_u32s(&sfa.table());
         enc.put_u32s(&sfa.flattened_functions());
     }
     seal(ArtifactKind::RiDfa, &enc.into_payload())

@@ -22,14 +22,41 @@
 //! `(frontier position, byte class)` order — state numbering is therefore
 //! **deterministic**: independent of worker count, scheduling, and of
 //! whether the build ran on a pool at all.
+//!
+//! **The chunk walk.** A run started at the identity state yields the
+//! *exact* function of the bytes it read (Sin'ya et al.), so a chunk can be
+//! cut anywhere and its pieces joined by composition. Every [`SfaCa`] scan
+//! walks its chunk this way:
+//!
+//! * **One premultiplied table.** Entries are `target * stride`, so a step
+//!   is a single indexed load `table[row + class]`; serialization divides
+//!   the rows back out ([`Sfa::table`]), so artifacts are unchanged.
+//! * **Block classification.** Bytes are translated to classes one
+//!   [`CLASS_BLOCK`] at a time through [`ByteClasses::classify_into`] into
+//!   a stack buffer, instead of one class lookup per byte inside the chain.
+//! * **Four exact chains.** A chunk of at least [`SPLIT_MIN`] bytes is cut
+//!   into [`CHAINS`] contiguous quarters, walked as interleaved chains that
+//!   each start at the identity, then joined by three [`Sfa::compose`]
+//!   lookups. The independent dependent-load chains overlap in the
+//!   pipeline (Ko et al.'s dependency-breaking interleave), so the walk is
+//!   no longer bound by one load latency per byte.
+//!
+//! Unlike the reach kernel's strided single-run walk, whose later strides
+//! guess their entry state and need checkpoints and a repair pass, each
+//! chain here computes the exact function of its quarter: nothing is
+//! guessed, so nothing is repaired. The walk allocates nothing — the class
+//! blocks and the join key live on the stack — and counts exactly one
+//! transition per byte. Base automata with more than [`KEY_CAP`] states,
+//! whose join key would not fit the stack buffer, walk unsplit.
 
 use std::collections::HashMap;
 
 use ridfa_automata::alphabet::ByteClasses;
 use ridfa_automata::counter::Counter;
 use ridfa_automata::dfa::Dfa;
-use ridfa_automata::{BitSet, ConstructionBudget, Result, StateId, DEAD};
+use ridfa_automata::{BitSet, ConstructionBudget, Error, Result, StateId, DEAD};
 
+use crate::csdpa::kernel::CLASS_BLOCK;
 use crate::csdpa::ChunkAutomaton;
 use crate::parallel::ThreadPool;
 use crate::ridfa::RiDfa;
@@ -50,6 +77,19 @@ const SEEN_SHARDS: usize = 64;
 /// slices small enough that undiscovered-function buffers stay bounded
 /// even when the budget is about to trip.
 const WAVE_CANDIDATE_BYTES: usize = 4 << 20;
+
+/// Chains interleaved by the chunk walk. Four ~5-cycle dependent-load
+/// chains keep the load ports busy without spilling rows from registers.
+const CHAINS: usize = 4;
+
+/// Shortest chunk the walk splits into [`CHAINS`] quarters: one
+/// classification block per chain. Shorter chunks walk as one chain,
+/// where the three joins and the per-quarter block set-up would not pay.
+const SPLIT_MIN: usize = CHAINS * CLASS_BLOCK;
+
+/// Capacity, in base states, of the stack key the quarter joins compose
+/// into (2 KiB). Base automata with more states walk unsplit.
+const KEY_CAP: usize = 512;
 
 /// 64-bit Rabin-style rolling fingerprint over a function vector
 /// (iterative multiply-accumulate; the seen-table confirms hits with an
@@ -87,7 +127,9 @@ enum Cand {
 /// A Simultaneous Finite Automaton derived from a DFA or an RI-DFA.
 #[derive(Debug, Clone)]
 pub struct Sfa {
-    /// Dense SFA transition table, `table[s * stride + class]`.
+    /// Dense SFA transition table with premultiplied rows: entry
+    /// `table[s * stride + class]` is `target * stride`. Row 0 is the
+    /// identity state, not a dead row.
     table: Vec<StateId>,
     stride: usize,
     byte_classes: ByteClasses,
@@ -195,10 +237,12 @@ impl Sfa {
     /// these guarantee (by induction from the identity) that every state
     /// denotes the function of some word and the space is closed under
     /// composition — so [`compose`](Sfa::compose) on decoded tables can
-    /// never miss its inverse lookup, even on forged input.
+    /// never miss its inverse lookup, even on forged input. `table` is
+    /// indexed by state id, as [`table`](Sfa::table) returns it; the rows
+    /// are premultiplied once validated.
     pub fn from_rid_parts(
         rid: &RiDfa,
-        table: Vec<StateId>,
+        mut table: Vec<StateId>,
         functions_flat: Vec<StateId>,
     ) -> std::result::Result<Sfa, String> {
         let n = rid.num_states();
@@ -257,6 +301,12 @@ impl Sfa {
                 }
             }
         }
+        if !premultiply_in_place(&mut table, stride) {
+            return Err(format!(
+                "SFA table of {} entries exceeds 32-bit row offsets",
+                table.len()
+            ));
+        }
         let mut ids = HashMap::with_capacity(num_states);
         for (s, f) in functions.iter().enumerate() {
             // Duplicate function vectors keep the first id — behaviorally
@@ -277,15 +327,23 @@ impl Sfa {
     /// The SFA state denoting `g ∘ f` (apply `f` first). `key` is a
     /// reusable buffer for the composed function.
     pub fn compose(&self, f: StateId, g: StateId, key: &mut Vec<StateId>) -> StateId {
-        let ff = self.function(f);
+        key.resize(self.function(f).len(), 0);
+        self.compose_in(f, g, key)
+    }
+
+    /// [`compose`](Sfa::compose) into a key of exactly one entry per base
+    /// state, looked up in the inverse map as a slice — so the chunk walk
+    /// can compose into a stack buffer without allocating.
+    fn compose_in(&self, f: StateId, g: StateId, key: &mut [StateId]) -> StateId {
         let gf = self.function(g);
-        key.clear();
         // functions[·][DEAD] is DEAD for every SFA state, so death
         // propagates without a branch.
-        key.extend(ff.iter().map(|&q| gf[q as usize]));
+        for (k, &q) in key.iter_mut().zip(self.function(f)) {
+            *k = gf[q as usize];
+        }
         *self
             .ids
-            .get(key)
+            .get(&*key)
             .expect("SFA function space is closed under composition")
     }
 
@@ -304,9 +362,12 @@ impl Sfa {
         &self.functions[s as usize]
     }
 
-    /// The dense transition table (serialization).
-    pub fn table(&self) -> &[StateId] {
-        &self.table
+    /// The dense transition table indexed by state id,
+    /// `table[s * stride + class]` (serialization). The SFA keeps only the
+    /// premultiplied rows, so this divides each entry back out.
+    pub fn table(&self) -> Vec<StateId> {
+        let stride = self.stride as StateId;
+        self.table.iter().map(|&row| row / stride).collect()
     }
 
     /// Byte classes per transition row (serialization).
@@ -319,30 +380,116 @@ impl Sfa {
         self.functions.iter().flatten().copied().collect()
     }
 
-    /// Heap bytes the SFA keeps resident: the dense table plus the
-    /// function vectors and their inverse-map key clones — the number a
-    /// serving registry books against its residency cap.
+    /// Heap bytes the SFA keeps resident: its one (premultiplied) dense
+    /// table plus the function vectors and their inverse-map key clones —
+    /// the number a serving registry books against its residency cap.
     pub fn resident_bytes(&self) -> usize {
         let entry = std::mem::size_of::<StateId>();
         let function_bytes: usize = self.functions.iter().map(|f| f.len() * entry).sum();
         self.table.len() * entry + 2 * function_bytes
     }
 
-    /// Runs from SFA state `s` over `chunk` (total function — SFA runs
-    /// never die; death is absorbed into the function values).
+    /// Runs from SFA state `s` over `chunk`, one class lookup and one load
+    /// per byte (total function — SFA runs never die; death is absorbed
+    /// into the function values). The byte-serial oracle of the chunk
+    /// walk the [`SfaCa`] scans run.
     pub fn run_from(&self, s: StateId, chunk: &[u8], counter: &mut impl Counter) -> StateId {
         // SFA shares the base automaton's byte classes.
-        let mut cur = s;
+        let mut row = s as usize * self.stride;
         for &byte in chunk {
-            cur = self.table[cur as usize * self.stride + self.class_of(byte) as usize];
+            row = self.table[row + self.byte_classes.get(byte) as usize] as usize;
             counter.incr();
         }
-        cur
+        self.state_of(row)
     }
 
-    fn class_of(&self, byte: u8) -> u8 {
-        self.byte_classes.get(byte)
+    /// The SFA state of `chunk`'s exact function — the chunk walk (see the
+    /// module docs). Counts one transition per byte, like
+    /// [`run_from`](Sfa::run_from) from the identity.
+    fn walk(&self, chunk: &[u8], counter: &mut impl Counter) -> StateId {
+        counter.add(chunk.len() as u64);
+        let n = self.function(self.identity()).len();
+        if chunk.len() < SPLIT_MIN || n > KEY_CAP {
+            return self.state_of(self.walk_row(0, chunk));
+        }
+        let quarters = self.walk_quarters(chunk);
+        let mut key = [0; KEY_CAP];
+        let key = &mut key[..n];
+        quarters[1..].iter().fold(quarters[0], |prefix, &quarter| {
+            self.compose_in(prefix, quarter, key)
+        })
     }
+
+    /// Walks one premultiplied row over `bytes`, classifying one
+    /// [`CLASS_BLOCK`] at a time. Returns the final row.
+    fn walk_row(&self, mut row: usize, bytes: &[u8]) -> usize {
+        let mut classes = [0u8; CLASS_BLOCK];
+        for block in bytes.chunks(CLASS_BLOCK) {
+            let classes = &mut classes[..block.len()];
+            self.byte_classes.classify_into(block, classes);
+            for &class in classes.iter() {
+                row = self.table[row + class as usize] as usize;
+            }
+        }
+        row
+    }
+
+    /// Walks the [`CHAINS`] contiguous quarters of `chunk` as interleaved
+    /// chains, each started at the identity (row 0), and returns the SFA
+    /// state of each quarter. The division remainder (fewer than
+    /// [`CHAINS`] bytes) belongs to the last quarter.
+    fn walk_quarters(&self, chunk: &[u8]) -> [StateId; CHAINS] {
+        let table = &self.table[..];
+        let quarter = chunk.len() / CHAINS;
+        let mut classes = [0u8; CHAINS * CLASS_BLOCK];
+        let mut r = [0usize; CHAINS];
+        for from in (0..quarter).step_by(CLASS_BLOCK) {
+            let len = (quarter - from).min(CLASS_BLOCK);
+            for (j, out) in classes.chunks_exact_mut(CLASS_BLOCK).enumerate() {
+                let start = j * quarter + from;
+                self.byte_classes
+                    .classify_into(&chunk[start..start + len], out);
+            }
+            let (c0, rest) = classes.split_at(CLASS_BLOCK);
+            let (c1, rest) = rest.split_at(CLASS_BLOCK);
+            let (c2, c3) = rest.split_at(CLASS_BLOCK);
+            let steps = c0[..len]
+                .iter()
+                .zip(&c1[..len])
+                .zip(&c2[..len])
+                .zip(&c3[..len]);
+            for (((&a, &b), &c), &d) in steps {
+                r = [
+                    table[r[0] + a as usize] as usize,
+                    table[r[1] + b as usize] as usize,
+                    table[r[2] + c as usize] as usize,
+                    table[r[3] + d as usize] as usize,
+                ];
+            }
+        }
+        r[CHAINS - 1] = self.walk_row(r[CHAINS - 1], &chunk[CHAINS * quarter..]);
+        r.map(|row| self.state_of(row))
+    }
+
+    /// The SFA state whose premultiplied row starts at `row`.
+    fn state_of(&self, row: usize) -> StateId {
+        (row / self.stride) as StateId
+    }
+}
+
+/// Rewrites a state-id table as premultiplied row offsets
+/// (`target * stride`) in place, so construction never holds a second
+/// table its budget did not charge. False, leaving the table untouched,
+/// when some offset would not fit a [`StateId`]. Every target is a state
+/// of the table, so its offset stays below `table.len()`.
+fn premultiply_in_place(table: &mut [StateId], stride: usize) -> bool {
+    if StateId::try_from(table.len()).is_err() {
+        return false;
+    }
+    for entry in table.iter_mut() {
+        *entry *= stride as StateId;
+    }
+    true
 }
 
 /// The shared construction engine: breadth-first waves over the function
@@ -461,6 +608,12 @@ where
         }
         frontier = next_frontier;
     }
+    if !premultiply_in_place(&mut table, stride) {
+        return Err(Error::LimitExceeded {
+            what: WHAT_BYTES,
+            limit: StateId::MAX as usize * entry,
+        });
+    }
     Ok(Sfa {
         table,
         stride,
@@ -472,8 +625,9 @@ where
     })
 }
 
-/// CSDPA chunk automaton wrapping an [`Sfa`]: zero speculation, one run per
-/// chunk, at the cost of the (potentially huge) SFA table.
+/// CSDPA chunk automaton wrapping an [`Sfa`]: zero speculation, one exact
+/// chunk walk per chunk (see the module docs), at the cost of the
+/// (potentially huge) SFA table.
 #[derive(Debug, Clone)]
 pub struct SfaCa<'a> {
     sfa: &'a Sfa,
@@ -500,13 +654,13 @@ impl ChunkAutomaton for SfaCa<'_> {
         counter: &mut impl Counter,
         out: &mut StateId,
     ) {
-        *out = self.sfa.run_from(self.sfa.identity(), chunk, counter);
+        *out = self.sfa.walk(chunk, counter);
     }
 
     fn scan_first_into(&self, chunk: &[u8], counter: &mut impl Counter, out: &mut StateId) {
         // The first chunk also runs from the identity: the start state is
         // applied at join time.
-        *out = self.sfa.run_from(self.sfa.identity(), chunk, counter);
+        *out = self.sfa.walk(chunk, counter);
     }
 
     /// SFA states *are* transition functions, so composition is the
@@ -532,9 +686,7 @@ impl ChunkAutomaton for SfaCa<'_> {
     }
 
     fn accepts_serial(&self, text: &[u8], counter: &mut impl Counter) -> bool {
-        let last = self.sfa.run_from(self.sfa.identity(), text, counter);
-        let q = self.sfa.function(last)[self.sfa.dfa_start as usize];
-        q != DEAD && self.sfa.dfa_finals.contains(q)
+        self.accepts_mapping(&self.sfa.walk(text, counter))
     }
 
     fn num_speculative_starts(&self) -> usize {
@@ -550,15 +702,96 @@ impl ChunkAutomaton for SfaCa<'_> {
 mod tests {
     use super::*;
     use crate::csdpa::{recognize, recognize_counted, Executor};
+    use ridfa_automata::dfa::minimize::minimize;
     use ridfa_automata::dfa::powerset::determinize;
+    use ridfa_automata::dfa::premultiply;
     use ridfa_automata::nfa::glushkov;
     use ridfa_automata::regex::parse;
-    use ridfa_automata::{Error, NoCount};
+    use ridfa_automata::{NoCount, TransitionCount};
 
     fn sfa_for(pattern: &str) -> (Sfa, Dfa) {
         let dfa = determinize(&glushkov::build(&parse(pattern).unwrap()).unwrap());
         let sfa = Sfa::build_limited(&dfa, 1 << 16).unwrap();
         (sfa, dfa)
+    }
+
+    /// The SFA of the minimized DFA (minimization merges `a*`'s states, so
+    /// a word of a's denotes the identity).
+    fn min_sfa_for(pattern: &str) -> Sfa {
+        let dfa = minimize(&determinize(
+            &glushkov::build(&parse(pattern).unwrap()).unwrap(),
+        ));
+        Sfa::build_limited(&dfa, 1 << 16).unwrap()
+    }
+
+    /// Deterministic xorshift text over `alphabet`.
+    fn text_over(alphabet: &[u8], len: usize, seed: u64) -> Vec<u8> {
+        let mut x = seed.wrapping_mul(0x9e37_79b9_7f4a_7c15) | 1;
+        (0..len)
+            .map(|_| {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                alphabet[(x % alphabet.len() as u64) as usize]
+            })
+            .collect()
+    }
+
+    #[test]
+    fn chunk_walk_matches_the_byte_serial_oracle() {
+        // Lengths around the split threshold and far above it, at
+        // unaligned offsets. Walks are compared as functions: the oracle
+        // and the joins may name one function by different ids.
+        let lengths = [0, 1, SPLIT_MIN - 1, SPLIT_MIN, SPLIT_MIN + 3, 1 << 20];
+        for (pattern, alphabet) in [
+            ("(a|b)*abb", &b"ab"[..]),
+            // `z` kills every run wherever it occurs.
+            ("[ab]*a[ab]{3}", b"abz"),
+            // Minimized, every non-empty word of a's denotes the identity,
+            // so chains land back on row 0 — which is live here.
+            ("a*", b"a"),
+            ("a*", b"ab"),
+            // Every run dies on the first byte.
+            ("abc", b"z"),
+            // More base states than the join key holds: walks unsplit.
+            ("a{600}", b"a"),
+        ] {
+            let sfa = min_sfa_for(pattern);
+            for &len in &lengths {
+                let text = text_over(alphabet, len + 3, len as u64);
+                for offset in [0, 1, 3] {
+                    let chunk = &text[offset..offset + len];
+                    let mut walked = TransitionCount::default();
+                    let got = sfa.walk(chunk, &mut walked);
+                    let want = sfa.run_from(sfa.identity(), chunk, &mut NoCount);
+                    assert_eq!(
+                        sfa.function(got),
+                        sfa.function(want),
+                        "{pattern}: {len} bytes at offset {offset}"
+                    );
+                    assert_eq!(walked.get(), len as u64, "one transition per byte");
+                }
+            }
+        }
+        let sfa = min_sfa_for("a*");
+        assert_eq!(sfa.walk(&b"a".repeat(SPLIT_MIN), &mut NoCount), 0);
+        assert!(min_sfa_for("a{600}").function(0).len() > KEY_CAP);
+    }
+
+    #[test]
+    fn chunk_walk_joins_quarters_of_a_decoded_sfa() {
+        // A decoded SFA is validated, not rebuilt: the joins must find
+        // every composed function in its inverse map too.
+        let nfa = glushkov::build(&parse("[ab]*a[ab]{2}").unwrap()).unwrap();
+        let rid = RiDfa::from_nfa(&nfa).minimized();
+        let sfa = Sfa::build_rid_budgeted(&rid, &ConstructionBudget::UNLIMITED).unwrap();
+        let back = Sfa::from_rid_parts(&rid, sfa.table(), sfa.flattened_functions()).unwrap();
+        let text = text_over(b"ab", 4 * SPLIT_MIN + 1, 7);
+        let want = sfa.run_from(sfa.identity(), &text, &mut NoCount);
+        assert_eq!(
+            back.function(back.walk(&text, &mut NoCount)),
+            sfa.function(want)
+        );
     }
 
     #[test]
@@ -577,10 +810,26 @@ mod tests {
     fn sfa_runs_have_zero_speculation() {
         let (sfa, _) = sfa_for("[ab]*a[ab]{3}");
         let ca = SfaCa::new(&sfa);
-        let text = b"abababababab";
-        let out = recognize_counted(&ca, text, 4, Executor::Serial);
-        // One run per chunk: exactly |text| transitions in total.
-        assert_eq!(out.transitions, text.len() as u64);
+        // The short text's chunks walk unsplit; the long text's 256 KiB
+        // chunks take the four-chain walk, which must count the same.
+        for text in [b"abababababab".to_vec(), b"abab".repeat(1 << 18)] {
+            let out = recognize_counted(&ca, &text, 4, Executor::Serial);
+            // One run per chunk: exactly |text| transitions in total.
+            assert_eq!(out.transitions, text.len() as u64);
+            let mut serial = TransitionCount::default();
+            ca.accepts_serial(&text, &mut serial);
+            assert_eq!(serial.get(), text.len() as u64);
+        }
+    }
+
+    #[test]
+    fn resident_bytes_count_one_table_the_functions_and_the_inverse_map() {
+        let (sfa, dfa) = sfa_for("(a|b)*abb");
+        let entry = std::mem::size_of::<StateId>();
+        let table = sfa.num_states() * sfa.stride() * entry;
+        let functions = sfa.num_states() * dfa.num_states() * entry;
+        // The inverse map keeps one key clone per function.
+        assert_eq!(sfa.resident_bytes(), table + 2 * functions);
     }
 
     #[test]
@@ -674,22 +923,23 @@ mod tests {
         let nfa = glushkov::build(&parse("[ab]*a[ab]{2}").unwrap()).unwrap();
         let rid = RiDfa::from_nfa(&nfa).minimized();
         let sfa = Sfa::build_rid_budgeted(&rid, &ConstructionBudget::UNLIMITED).unwrap();
-        let back =
-            Sfa::from_rid_parts(&rid, sfa.table().to_vec(), sfa.flattened_functions()).unwrap();
+        // Serialization divides the premultiplied rows back out.
+        assert_eq!(premultiply(&sfa.table(), sfa.stride()), sfa.table);
+        let back = Sfa::from_rid_parts(&rid, sfa.table(), sfa.flattened_functions()).unwrap();
         assert_eq!(back.table, sfa.table);
         assert_eq!(back.functions, sfa.functions);
         // A forged table entry that disagrees with the base automaton is
         // rejected (this is what makes decoded compose() panic-free).
-        let mut bad_table = sfa.table().to_vec();
+        let mut bad_table = sfa.table();
         bad_table[0] = (sfa.num_states() as StateId).saturating_sub(1);
         if Sfa::from_rid_parts(&rid, bad_table.clone(), sfa.flattened_functions()).is_ok() {
             // Only acceptable if the forgery happened to be a no-op.
-            assert_eq!(bad_table, sfa.table);
+            assert_eq!(bad_table, sfa.table());
         }
         // A non-identity state 0 is rejected outright.
         let mut bad_fns = sfa.flattened_functions();
         bad_fns[0] = bad_fns[0].wrapping_add(1) % rid.num_states() as StateId;
-        assert!(Sfa::from_rid_parts(&rid, sfa.table().to_vec(), bad_fns).is_err());
+        assert!(Sfa::from_rid_parts(&rid, sfa.table(), bad_fns).is_err());
     }
 
     #[test]

@@ -15,10 +15,11 @@ use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
 use ridfa::automata::nfa::glushkov;
+use ridfa::automata::regex::Ast;
 use ridfa::automata::ConstructionBudget;
 use ridfa::core::csdpa::{
     chunk_spans_snapped, plan, recognize, recognize_spans, EnginePlan, Executor, FeasibleRidCa,
-    FeasibleTable, PatternRegistry, RegistryConfig, RidCa,
+    FeasibleTable, PatternRegistry, RegistryConfig, RidCa, Session, StreamScan, StreamSession,
 };
 use ridfa::core::ridfa::RiDfa;
 use ridfa::core::sfa::{Sfa, SfaCa};
@@ -126,6 +127,82 @@ fn all_engines_agree_on_separator_snapped_spans() {
             }
         }
     }
+}
+
+/// Appends samples of `ast` until the text holds at least `min_len`
+/// bytes, so `ast`'s star accepts it; `None` when `ast` samples too few
+/// bytes to get there.
+fn long_sample(ast: &Ast, rng: &mut SmallRng, min_len: usize) -> Option<Vec<u8>> {
+    let mut text = Vec::new();
+    for _ in 0..min_len {
+        if text.len() >= min_len {
+            return Some(text);
+        }
+        sample_into(ast, rng, &mut text);
+    }
+    None
+}
+
+/// Random patterns the long-text test checks (each costs three passes
+/// over three texts of 64 KiB or more).
+const LONG_PATTERNS: usize = 12;
+
+#[test]
+fn long_texts_agree_through_sessions_streams_and_pooled_blocks() {
+    // The random texts above are far shorter than the SFA walk's split
+    // length. These 64 KiB+ texts reach its four-chain walk in session
+    // chunks, stream blocks and pooled spans alike.
+    let mut session = Session::new(2);
+    let mut stream = StreamSession::new(2, 64 << 10);
+    let mut rng = SmallRng::seed_from_u64(0x10C4E);
+    let mut patterns = 0;
+    for seed in 0..CASES {
+        let inner = random_ast(&config(), seed);
+        let Some(accepted) = long_sample(&inner, &mut rng, 64 << 10) else {
+            continue;
+        };
+        let ast = Ast::star(inner);
+        let mut registry = PatternRegistry::new(RegistryConfig {
+            num_workers: 3,
+            ..RegistryConfig::default()
+        });
+        if registry
+            .insert_regex_planned("p", &ast.to_string(), EnginePlan::Sfa)
+            .is_err()
+        {
+            continue; // the function space exploded
+        }
+        let rid = RiDfa::from_nfa(&glushkov::build(&ast).unwrap()).minimized();
+        let sfa = Sfa::build_rid_budgeted(&rid, &ConstructionBudget::UNLIMITED).unwrap();
+        let ca = SfaCa::new(&sfa);
+        // The sample, one byte flipped inside the alphabet (either
+        // verdict), and one byte outside it near the end (rejected).
+        let mut flipped = accepted.clone();
+        let at = rng.gen_range(0..flipped.len());
+        flipped[at] = b"ab\n"[rng.gen_range(0..3usize)];
+        let mut killed = accepted.clone();
+        let at = killed.len() - rng.gen_range(1..64usize);
+        killed[at] = b'c';
+        for text in [accepted, flipped, killed] {
+            let expected = rid.accepts(&text);
+            let chunks = rng.gen_range(1..5usize);
+            let batch = session.recognize(&ca, &text, chunks);
+            assert_eq!(expected, batch.accepted, "session: {ast}, {chunks} chunks");
+            let streamed = stream.recognize_stream(&ca, &text[..]).unwrap();
+            assert_eq!(expected, streamed.accepted, "stream: {ast}");
+            let mut scan = StreamScan::new();
+            for block in text.chunks(128 << 10) {
+                registry.scan_block_pooled("p", &mut scan, block).unwrap();
+            }
+            let pooled = registry.finish_scan("p", &mut scan).unwrap();
+            assert_eq!(expected, pooled, "scan_block_pooled: {ast}");
+        }
+        patterns += 1;
+        if patterns == LONG_PATTERNS {
+            return;
+        }
+    }
+    panic!("only {patterns} of {LONG_PATTERNS} patterns had long SFA cases");
 }
 
 /// One registry per concrete plan, all serving the same pattern — the
