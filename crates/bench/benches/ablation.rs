@@ -6,8 +6,8 @@
 //! 2. **Executor shape** — the paper's one-thread-per-chunk model vs a
 //!    bounded dynamic team.
 //! 3. **SFA comparator** — zero speculation, huge table (reference \[25\]).
-//! 4. **Scan kernel** — per-run vs lockstep vs lockstep with shared
-//!    block classification vs the SIMD kernel, on the longest-interface
+//! 4. **Scan kernel** — per-run vs lockstep with shared block
+//!    classification vs the SIMD kernel, on the longest-interface
 //!    workload (`traffic`, 101 interface states), where fusing the `k`
 //!    passes matters most; plus micro-ablations of the two SIMD
 //!    building blocks (shuffle classification and the strided
@@ -169,7 +169,6 @@ fn bench_kernels(c: &mut Criterion) {
     group.throughput(Throughput::Bytes(text.len() as u64));
     for (label, kernel) in [
         ("per_run", Kernel::PerRun),
-        ("lockstep", Kernel::Lockstep),
         ("lockstep_shared", Kernel::LockstepShared),
         ("simd", Kernel::Simd),
         ("auto", Kernel::Auto),

@@ -25,14 +25,13 @@ use ridfa_automata::nfa::{glushkov, Nfa};
 use ridfa_automata::serialize::binary;
 use ridfa_automata::{regex, serialize, ConstructionBudget};
 use ridfa_core::csdpa::{
-    plan, recognize_counted, resident_footprint, Budget, ChunkAutomaton, ConvergentDfaCa,
-    ConvergentRidCa, CountedOutcome, DfaCa, EnginePlan, Executor, FeasibleTable, Kernel, NfaCa,
-    Outcome, RecognizeError, RegistryConfig, RidCa, Session, StreamError, StreamOutcome,
-    StreamSession,
+    recognize_counted, resident_footprint, Budget, ChunkAutomaton, ConvergentDfaCa,
+    ConvergentRidCa, CountedOutcome, DfaCa, Engine, EnginePlan, Executor, Kernel, NfaCa, Outcome,
+    RecognizeError, RegistryConfig, RidCa, Session, StreamError, StreamOutcome, StreamSession,
 };
+use ridfa_core::parallel::ThreadPool;
 use ridfa_core::ridfa::{ridfa_from_bytes, ridfa_to_bytes, ridfa_to_bytes_with_engine, RiDfa};
 use ridfa_core::serve::{protocol, ServeConfig, Server};
-use ridfa_core::sfa::Sfa;
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -1041,31 +1040,43 @@ fn cmd_compile(opts: &Opts) -> Result<(), CliError> {
                 None if separator.is_none() => ridfa_to_bytes(&rid),
                 None => ridfa_to_bytes_with_engine(&rid, EnginePlan::Auto, None, None, separator),
                 Some(requested) => {
-                    let (plan, sfa, feasible) = compile_engine(&rid, requested, opts)?;
-                    match (&sfa, &feasible) {
-                        (Some(sfa), _) => println!(
-                            "compile: engine {}, {} SFA function states ({} table bytes)",
-                            plan.name(),
-                            sfa.num_states(),
-                            sfa.resident_bytes()
-                        ),
-                        (_, Some(table)) => println!(
-                            "compile: engine {}, feasible table {} classes x {} interface \
-                             positions ({} bytes)",
-                            plan.name(),
-                            table.stride(),
-                            table.interface_len(),
-                            table.resident_bytes()
-                        ),
-                        _ => println!("compile: engine {}", plan.name()),
-                    }
-                    ridfa_to_bytes_with_engine(
-                        &rid,
-                        plan,
-                        feasible.as_ref(),
-                        sfa.as_ref(),
-                        separator,
-                    )
+                    // The registry's own resolution, with no residency cap:
+                    // an explicit `--engine sfa` surfaces a budget failure
+                    // (exit 5) instead of falling back.
+                    let budget =
+                        construction_budget(opts)?.unwrap_or(ConstructionBudget::UNLIMITED);
+                    let pool = ThreadPool::new(default_threads());
+                    let engine =
+                        Engine::resolve(&rid, requested, None, None, &budget, usize::MAX, &pool)
+                            .map_err(|e| CliError::Budget(e.to_string()))?;
+                    let plan = engine.plan();
+                    let (feasible, sfa) = match &engine {
+                        Engine::Sfa(sfa) => {
+                            println!(
+                                "compile: engine {}, {} SFA function states ({} table bytes)",
+                                plan.name(),
+                                sfa.num_states(),
+                                sfa.resident_bytes()
+                            );
+                            (None, Some(sfa))
+                        }
+                        Engine::FeasibleStart(table) => {
+                            println!(
+                                "compile: engine {}, feasible table {} classes x {} interface \
+                                 positions ({} bytes)",
+                                plan.name(),
+                                table.stride(),
+                                table.interface_len(),
+                                table.resident_bytes()
+                            );
+                            (Some(table), None)
+                        }
+                        Engine::Lockstep => {
+                            println!("compile: engine {}", plan.name());
+                            (None, None)
+                        }
+                    };
+                    ridfa_to_bytes_with_engine(&rid, plan, feasible, sfa, separator)
                 }
             }
         }
@@ -1089,49 +1100,6 @@ fn cmd_compile(opts: &Opts) -> Result<(), CliError> {
         bytes.len()
     );
     Ok(())
-}
-
-/// Resolves `--engine` for `ridfa compile`: the same policy the serving
-/// registry applies at insert time ([`plan::select`] with a capped trial
-/// SFA build), run once here so the artifact carries the finished tables.
-/// An explicit `--engine sfa` builds under the full `--max-states` budget
-/// and surfaces the typed failure (exit 5) instead of falling back.
-fn compile_engine(
-    rid: &RiDfa,
-    requested: EnginePlan,
-    opts: &Opts,
-) -> Result<(EnginePlan, Option<Sfa>, Option<FeasibleTable>), CliError> {
-    let budget = construction_budget(opts)?.unwrap_or(ConstructionBudget::UNLIMITED);
-    match requested {
-        EnginePlan::Lockstep => Ok((EnginePlan::Lockstep, None, None)),
-        EnginePlan::Sfa => {
-            let sfa = Sfa::build_rid_budgeted(rid, &budget)
-                .map_err(|e| CliError::Budget(e.to_string()))?;
-            Ok((EnginePlan::Sfa, Some(sfa), None))
-        }
-        EnginePlan::FeasibleStart => Ok((
-            EnginePlan::FeasibleStart,
-            None,
-            Some(FeasibleTable::build(rid)),
-        )),
-        EnginePlan::Auto => {
-            let capped = ConstructionBudget {
-                max_states: budget.max_states.min(plan::SFA_AUTO_MAX_STATES),
-                max_table_bytes: budget.max_table_bytes.min(plan::SFA_AUTO_MAX_TABLE_BYTES),
-            };
-            if let Ok(sfa) = Sfa::build_rid_budgeted(rid, &capped) {
-                return Ok((EnginePlan::Sfa, Some(sfa), None));
-            }
-            match plan::select(None, rid.interface().len()) {
-                EnginePlan::FeasibleStart => Ok((
-                    EnginePlan::FeasibleStart,
-                    None,
-                    Some(FeasibleTable::build(rid)),
-                )),
-                _ => Ok((EnginePlan::Lockstep, None, None)),
-            }
-        }
-    }
 }
 
 /// `ridfa inspect-artifact`: header, checksum and payload validation,

@@ -601,3 +601,36 @@ fn info_honors_max_states() {
         .unwrap();
     assert_eq!(out.status.code(), Some(5));
 }
+
+#[test]
+fn compile_resolves_the_engine_under_a_state_cap() {
+    // [ab]*a[ab]{6}: a 137-state RI-DFA whose SFA has 256 states.
+    let dir = std::env::temp_dir().join(format!("ridfa-compile-engine-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let out = dir.join("mask.rida");
+    let compile = |args: &[&str]| {
+        ridfa()
+            .args(["compile", "--regex", "[ab]*a[ab]{6}", "--out"])
+            .arg(&out)
+            .args(args)
+            .output()
+            .unwrap()
+    };
+    // An explicit SFA request surfaces the budget trip (exit 5) ...
+    let sfa = compile(&["--engine", "sfa", "--max-states", "200"]);
+    assert_eq!(sfa.status.code(), Some(5));
+    // ... while Auto falls back to lockstep under the same cap ...
+    let capped = compile(&["--engine", "auto", "--max-states", "200"]);
+    assert_eq!(capped.status.code(), Some(0));
+    let text = String::from_utf8(capped.stdout).unwrap();
+    assert!(text.contains("compile: engine lockstep"), "{text}");
+    // ... and picks the SFA when nothing caps it.
+    let auto = compile(&["--engine", "auto"]);
+    assert_eq!(auto.status.code(), Some(0));
+    let text = String::from_utf8(auto.stdout).unwrap();
+    assert!(
+        text.contains("engine sfa, 256 SFA function states"),
+        "{text}"
+    );
+    std::fs::remove_dir_all(&dir).unwrap();
+}

@@ -286,7 +286,6 @@ mod tests {
         let plain_rid = RidCa::new(&rid);
         for kernel in [
             Kernel::PerRun,
-            Kernel::Lockstep,
             Kernel::LockstepShared,
             Kernel::Simd,
             Kernel::Auto,

@@ -61,15 +61,12 @@ pub enum Kernel {
     /// reach phase). Cheapest bookkeeping; cost is `k` passes over the
     /// chunk regardless of convergence.
     PerRun,
-    /// Single lockstep pass with convergence merging; bytes are
-    /// classified inline, one lookup per byte, and merging is attempted
-    /// on every byte to the end of the chunk.
-    Lockstep,
-    /// The default fused kernel: [`Kernel::Lockstep`] plus block-wise
-    /// shared byte classification through a stack buffer, plus the
-    /// *partition-stabilization cutover* — when a full block passes with
-    /// no merge and no death, the surviving groups finish with lean
-    /// serial loops instead of paying per-byte dedup bookkeeping.
+    /// The default fused kernel: a single lockstep pass with convergence
+    /// merging, block-wise shared byte classification through a stack
+    /// buffer, and the *partition-stabilization cutover* — when a full
+    /// block passes with no merge and no death, the surviving groups
+    /// finish with lean serial loops instead of paying per-byte dedup
+    /// bookkeeping.
     LockstepShared,
     /// The data-parallel kernel (AVX2, runtime-detected): vectorized
     /// byte classification, a gather-based lockstep step advancing eight
@@ -91,7 +88,6 @@ impl Kernel {
     pub fn name(self) -> &'static str {
         match self {
             Kernel::PerRun => "per-run",
-            Kernel::Lockstep => "lockstep",
             Kernel::LockstepShared => "lockstep-shared",
             Kernel::Simd => "simd",
             Kernel::Auto => "auto",
@@ -290,15 +286,14 @@ pub fn scan_into(
             counter,
             out,
         ),
-        Kernel::Lockstep => lockstep_scan(table, starts, chunk, false, scratch, counter, out),
-        Kernel::LockstepShared => lockstep_scan(table, starts, chunk, true, scratch, counter, out),
+        Kernel::LockstepShared => lockstep_scan(table, starts, chunk, scratch, counter, out),
         Kernel::Simd => {
             if simd::supported(table.ptable.len()) {
                 simd::scan(table, starts, chunk, scratch, counter, out)
             } else {
                 // Feature or table shape unavailable: the fused scalar
                 // kernel is the drop-in oracle (identical mappings).
-                lockstep_scan(table, starts, chunk, true, scratch, counter, out)
+                lockstep_scan(table, starts, chunk, scratch, counter, out)
             }
         }
         Kernel::Auto => {
@@ -394,13 +389,11 @@ fn per_run_scan(
 }
 
 /// The fused strategy: one pass, all runs in lockstep, converged runs
-/// merged. With `shared_classes` the chunk is pre-classified block-wise;
-/// otherwise each byte is classified inline.
+/// merged, with the chunk pre-classified block-wise.
 fn lockstep_scan(
     table: DenseTable<'_>,
     starts: impl Iterator<Item = (u32, StateId)>,
     chunk: &[u8],
-    shared_classes: bool,
     scratch: &mut Scratch,
     counter: &mut impl Counter,
     out: &mut [StateId],
@@ -409,50 +402,36 @@ fn lockstep_scan(
     let stride = table.stride;
     let mut len = seed_groups(scratch, starts, stride);
     let mut consumed = 0;
-    if shared_classes {
-        // Split borrows: the class buffer must be readable while the
-        // group arrays are advanced.
-        let mut class_buf = std::mem::take(&mut scratch.class_buf);
-        // Partition-stabilization cutover: convergence happens in early
-        // bursts (runs die or merge within the first few dozen bytes on
-        // realistic texts). Once no group has merged or died for a full
-        // horizon, the survivors are tracking distinct trajectories and
-        // further convergence is unlikely — stop paying per-byte dedup
-        // bookkeeping and finish each group with the lean loop below.
-        // (The transitions executed stay the same; only bookkeeping is
-        // shed, so lockstep never loses badly to per-run scanning.)
-        const STABLE_HORIZON: usize = 256;
-        let mut since_change = 0;
-        'blocks: while consumed < chunk.len() && len > 1 {
-            if scratch.interrupt.as_ref().is_some_and(|p| p.should_stop()) {
-                break 'blocks;
-            }
-            let block = &chunk[consumed..(consumed + CLASS_BLOCK).min(chunk.len())];
-            table.classes.classify_into(block, &mut class_buf);
-            for &class in &class_buf[..block.len()] {
-                let next_len = advance(table.ptable, scratch, len, class, counter);
-                consumed += 1;
-                since_change = if next_len == len { since_change + 1 } else { 0 };
-                len = next_len;
-                if len <= 1 || since_change >= STABLE_HORIZON {
-                    break 'blocks;
-                }
-            }
+    // Split borrows: the class buffer must be readable while the group
+    // arrays are advanced.
+    let mut class_buf = std::mem::take(&mut scratch.class_buf);
+    // Partition-stabilization cutover: convergence happens in early
+    // bursts (runs die or merge within the first few dozen bytes on
+    // realistic texts). Once no group has merged or died for a full
+    // horizon, the survivors are tracking distinct trajectories and
+    // further convergence is unlikely — stop paying per-byte dedup
+    // bookkeeping and finish each group with the lean loop below. (The
+    // transitions executed stay the same; only bookkeeping is shed, so
+    // lockstep never loses badly to per-run scanning.)
+    const STABLE_HORIZON: usize = 256;
+    let mut since_change = 0;
+    'blocks: while consumed < chunk.len() && len > 1 {
+        if scratch.interrupt.as_ref().is_some_and(|p| p.should_stop()) {
+            break 'blocks;
         }
-        scratch.class_buf = class_buf;
-    } else {
-        while consumed < chunk.len() && len > 1 {
-            if scratch.interrupt.as_ref().is_some_and(|p| p.should_stop()) {
-                break;
-            }
-            let segment_end = (consumed + CLASS_BLOCK).min(chunk.len());
-            while consumed < segment_end && len > 1 {
-                let class = table.classes.get(chunk[consumed]);
-                len = advance(table.ptable, scratch, len, class, counter);
-                consumed += 1;
+        let block = &chunk[consumed..(consumed + CLASS_BLOCK).min(chunk.len())];
+        table.classes.classify_into(block, &mut class_buf);
+        for &class in &class_buf[..block.len()] {
+            let next_len = advance(table.ptable, scratch, len, class, counter);
+            consumed += 1;
+            since_change = if next_len == len { since_change + 1 } else { 0 };
+            len = next_len;
+            if len <= 1 || since_change >= STABLE_HORIZON {
+                break 'blocks;
             }
         }
     }
+    scratch.class_buf = class_buf;
 
     if consumed < chunk.len() {
         // Finish the surviving groups with the plain serial loop — one
@@ -654,7 +633,6 @@ mod tests {
                 let expected = oracle(&dfa, chunk);
                 for kernel in [
                     Kernel::PerRun,
-                    Kernel::Lockstep,
                     Kernel::LockstepShared,
                     Kernel::Simd,
                     Kernel::Auto,
@@ -817,7 +795,7 @@ mod tests {
             [(0u32, start), (1u32, start)].into_iter(),
             2,
             b"abab",
-            Kernel::Lockstep,
+            Kernel::LockstepShared,
             &mut scratch,
             &mut counter,
             &mut out,

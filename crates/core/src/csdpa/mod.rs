@@ -51,7 +51,7 @@ pub use convergent::{ConvergentDfaCa, ConvergentRidCa};
 pub use dfa_ca::DfaCa;
 pub use kernel::{Kernel, Scratch};
 pub use nfa_ca::NfaCa;
-pub use plan::{EnginePlan, FeasibleRidCa, FeasibleTable};
+pub use plan::{Engine, EnginePlan, FeasibleRidCa, FeasibleTable};
 pub use recognizer::{
     recognize, recognize_budgeted, recognize_counted, recognize_serial, recognize_spans,
     ChunkStats, CountedOutcome, Executor, Outcome,

@@ -1,20 +1,24 @@
-//! First-class speculation policy: the per-pattern [`EnginePlan`].
+//! First-class speculation policy: the per-pattern [`EnginePlan`] and
+//! the resolved [`Engine`] that carries its tables.
 //!
 //! The paper's core trade-off — *minimize* speculation (RID lockstep)
 //! vs *eliminate* it (SFA) vs *shrink* it (feasible-start pruning à la
-//! PaREM) — used to be wired in: every pattern ran the speculative
-//! lockstep kernel, and `sfa.rs` was an ablation island no selection
-//! path could reach. This module makes the choice explicit and
-//! portable: an [`EnginePlan`] is computed once per pattern (at
-//! registration or compile time, see [`select`]), persisted in the
-//! binary artifact's engine section, and carried everywhere the pattern
-//! travels — registry entries, serve replicas, `inspect-artifact`.
+//! PaREM) — is an explicit, portable, per-pattern choice. An
+//! [`EnginePlan`] names it; [`Engine::resolve`] turns a requested plan
+//! into a concrete [`Engine`] once per pattern, building whatever tables
+//! the plan needs. The serving registry resolves at insert time and
+//! `ridfa compile` at compile time, through this one function, so the
+//! two cannot drift: only the residency headroom they pass differs. The
+//! plan is persisted in the binary artifact's engine section and carried
+//! everywhere the pattern travels — registry entries, serve replicas,
+//! `inspect-artifact`. Inside the crate, an engine's chunk automaton is
+//! one `EngineCa` value, so every registry lane dispatches once.
 //!
 //! Three concrete engines exist:
 //!
-//! * **Lockstep** — the PR 1–3 speculative path: one run per interface
-//!   state through the convergence-merging kernel. Always available;
-//!   the fallback of every other plan.
+//! * **Lockstep** — the speculative path: one run per interface state
+//!   through the convergence-merging kernel. Always available; the
+//!   fallback of every other plan.
 //! * **Sfa** — zero speculation: one deterministic run per chunk over
 //!   the (pre-built, budget-bounded) simultaneous automaton
 //!   ([`crate::sfa::Sfa`]). Only viable when the SFA function space
@@ -29,12 +33,15 @@
 //!   engine differential suite.
 
 use ridfa_automata::counter::Counter;
-use ridfa_automata::{StateId, DEAD};
+use ridfa_automata::{ConstructionBudget, StateId, DEAD};
 
+use crate::parallel::ThreadPool;
 use crate::ridfa::RiDfa;
+use crate::sfa::{Sfa, SfaCa};
 
+use super::budget::InterruptProbe;
 use super::kernel::{self, DenseTable, Kernel, Scratch};
-use super::{ChunkAutomaton, RidCa, RidMapping};
+use super::{ChunkAutomaton, ConvergentRidCa, RidCa, RidMapping};
 
 /// SFA state-count cap for `Auto` plan resolution: a trial SFA build
 /// that exceeds this many function states fails fast and the plan
@@ -54,14 +61,14 @@ pub const FEASIBLE_MIN_INTERFACE: usize = 16;
 
 /// The per-pattern speculation policy. `Auto` only exists *before*
 /// resolution (in CLI flags and freshly parsed artifacts); a registry
-/// entry always carries one of the three concrete engines.
+/// entry always carries one of the three concrete engines (see
+/// [`Engine`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum EnginePlan {
     /// Not yet decided: resolve via [`select`] at registration time.
     #[default]
     Auto,
-    /// Speculative lockstep kernel over the full interface (the PR 1–3
-    /// default path).
+    /// Speculative lockstep kernel over the full interface.
     Lockstep,
     /// Zero-speculation simultaneous automaton (requires prebuilt SFA
     /// tables).
@@ -133,6 +140,95 @@ pub fn select(sfa_states: Option<usize>, interface_len: usize) -> EnginePlan {
         Some(states) if states <= SFA_AUTO_MAX_STATES => EnginePlan::Sfa,
         _ if interface_len >= FEASIBLE_MIN_INTERFACE => EnginePlan::FeasibleStart,
         _ => EnginePlan::Lockstep,
+    }
+}
+
+/// A resolved speculation engine: the concrete plan together with the
+/// tables it scans with. Built once per pattern by
+/// [`resolve`](Engine::resolve).
+#[derive(Debug, Clone)]
+pub enum Engine {
+    /// Speculative lockstep over the full interface (no extra tables).
+    Lockstep,
+    /// Lockstep with feasible-start boundary pruning.
+    FeasibleStart(FeasibleTable),
+    /// The zero-speculation simultaneous automaton.
+    Sfa(Sfa),
+}
+
+impl Engine {
+    /// Resolves `requested` to a concrete engine for `rid`, building
+    /// whatever tables the plan needs and is not already carrying (an
+    /// artifact may carry them).
+    ///
+    /// `Auto` runs a trial SFA build on `pool` under `budget` *capped* by
+    /// [`SFA_AUTO_MAX_STATES`] / [`SFA_AUTO_MAX_TABLE_BYTES`] — a budget
+    /// trip there is the expected "SFA not viable" signal, not an error —
+    /// and keeps the SFA only if its tables fit `headroom` bytes. Otherwise
+    /// it falls back through [`select`]: feasible-start pruning on wide
+    /// interfaces, plain lockstep on narrow ones. An *explicit* `Sfa`
+    /// request builds under the full `budget` and surfaces its failure.
+    pub fn resolve(
+        rid: &RiDfa,
+        requested: EnginePlan,
+        carried_sfa: Option<Sfa>,
+        carried_feasible: Option<FeasibleTable>,
+        budget: &ConstructionBudget,
+        headroom: usize,
+        pool: &ThreadPool,
+    ) -> ridfa_automata::Result<Engine> {
+        let feasible = || carried_feasible.unwrap_or_else(|| FeasibleTable::build(rid));
+        Ok(match requested {
+            EnginePlan::Lockstep => Engine::Lockstep,
+            EnginePlan::FeasibleStart => Engine::FeasibleStart(feasible()),
+            EnginePlan::Sfa => Engine::Sfa(match carried_sfa {
+                Some(sfa) => sfa,
+                None => Sfa::build_rid_parallel(rid, budget, pool)?,
+            }),
+            EnginePlan::Auto => {
+                let capped = ConstructionBudget {
+                    max_states: budget.max_states.min(SFA_AUTO_MAX_STATES),
+                    max_table_bytes: budget.max_table_bytes.min(SFA_AUTO_MAX_TABLE_BYTES),
+                };
+                match Sfa::build_rid_parallel(rid, &capped, pool) {
+                    Ok(sfa) if sfa.resident_bytes() <= headroom => Engine::Sfa(sfa),
+                    _ => match select(None, rid.interface().len()) {
+                        EnginePlan::FeasibleStart => Engine::FeasibleStart(feasible()),
+                        _ => Engine::Lockstep,
+                    },
+                }
+            }
+        })
+    }
+
+    /// The concrete plan (never `Auto`).
+    pub fn plan(&self) -> EnginePlan {
+        match self {
+            Engine::Lockstep => EnginePlan::Lockstep,
+            Engine::FeasibleStart(_) => EnginePlan::FeasibleStart,
+            Engine::Sfa(_) => EnginePlan::Sfa,
+        }
+    }
+
+    /// Heap bytes of the engine's own tables (on top of the RI-DFA's).
+    pub fn resident_bytes(&self) -> usize {
+        match self {
+            Engine::Lockstep => 0,
+            Engine::FeasibleStart(table) => table.resident_bytes(),
+            Engine::Sfa(sfa) => sfa.resident_bytes(),
+        }
+    }
+
+    /// The engine's chunk automaton over `rid`, the RI-DFA's chunk
+    /// automaton built on the same tables (unused by the SFA engine).
+    pub(crate) fn ca<'a>(&'a self, rid: RidCa<'a>) -> EngineCa<'a> {
+        match self {
+            Engine::Lockstep => EngineCa::Lockstep(ConvergentRidCa::from_inner(rid, Kernel::Auto)),
+            Engine::FeasibleStart(table) => {
+                EngineCa::FeasibleStart(FeasibleRidCa::from_inner(rid, table, Kernel::Auto))
+            }
+            Engine::Sfa(sfa) => EngineCa::Sfa(SfaCa::new(sfa)),
+        }
     }
 }
 
@@ -328,7 +424,7 @@ impl ChunkAutomaton for FeasibleRidCa<'_> {
         self.inner.scan_first_into(chunk, counter, out)
     }
 
-    fn arm_interrupt(&self, scratch: &mut Scratch, probe: Option<&super::budget::InterruptProbe>) {
+    fn arm_interrupt(&self, scratch: &mut Scratch, probe: Option<&InterruptProbe>) {
         self.inner.arm_interrupt(scratch, probe)
     }
 
@@ -369,6 +465,164 @@ impl ChunkAutomaton for FeasibleRidCa<'_> {
 
     fn name(&self) -> &'static str {
         "rid+feasible"
+    }
+}
+
+/// The chunk automaton of a resolved [`Engine`]: one type for all three
+/// engines, delegating every call to the engine's own chunk automaton,
+/// so a caller that serves any engine dispatches once.
+pub(crate) enum EngineCa<'a> {
+    Lockstep(ConvergentRidCa<'a>),
+    FeasibleStart(FeasibleRidCa<'a>),
+    Sfa(SfaCa<'a>),
+}
+
+/// A mapping slot of [`EngineCa`]: the RID shape of the lockstep and
+/// feasible-start engines, or the single state of the SFA engine. A slot
+/// takes the shape of whatever is written into it.
+#[derive(Debug)]
+pub(crate) enum EngineMapping {
+    Rid(RidMapping),
+    Sfa(StateId),
+}
+
+impl Default for EngineMapping {
+    fn default() -> EngineMapping {
+        EngineMapping::Rid(RidMapping::default())
+    }
+}
+
+impl EngineMapping {
+    fn rid(&self) -> &RidMapping {
+        match self {
+            EngineMapping::Rid(m) => m,
+            EngineMapping::Sfa(_) => unreachable!("an SFA mapping given to a RID engine"),
+        }
+    }
+
+    fn sfa(&self) -> &StateId {
+        match self {
+            EngineMapping::Sfa(s) => s,
+            EngineMapping::Rid(_) => unreachable!("a RID mapping given to the SFA engine"),
+        }
+    }
+
+    fn rid_mut(&mut self) -> &mut RidMapping {
+        if let EngineMapping::Sfa(_) = self {
+            *self = EngineMapping::default();
+        }
+        match self {
+            EngineMapping::Rid(m) => m,
+            EngineMapping::Sfa(_) => unreachable!("converted above"),
+        }
+    }
+
+    fn sfa_mut(&mut self) -> &mut StateId {
+        if let EngineMapping::Rid(_) = self {
+            *self = EngineMapping::Sfa(0);
+        }
+        match self {
+            EngineMapping::Sfa(s) => s,
+            EngineMapping::Rid(_) => unreachable!("converted above"),
+        }
+    }
+}
+
+/// Runs `$rid` with `$ca` bound to the lockstep or feasible-start chunk
+/// automaton, or `$sfa` with it bound to the SFA one (`$rid` for all
+/// three when no `$sfa` is given).
+macro_rules! dispatch {
+    ($self:expr, |$ca:ident| $rid:expr, $sfa:expr) => {
+        match $self {
+            EngineCa::Lockstep($ca) => $rid,
+            EngineCa::FeasibleStart($ca) => $rid,
+            EngineCa::Sfa($ca) => $sfa,
+        }
+    };
+    ($self:expr, |$ca:ident| $any:expr) => {
+        dispatch!($self, |$ca| $any, $any)
+    };
+}
+
+impl ChunkAutomaton for EngineCa<'_> {
+    type Mapping = EngineMapping;
+    type Scratch = Scratch;
+    type ComposeScratch = (Vec<StateId>, Vec<StateId>);
+
+    fn scan_into(
+        &self,
+        chunk: &[u8],
+        scratch: &mut Scratch,
+        counter: &mut impl Counter,
+        out: &mut EngineMapping,
+    ) {
+        dispatch!(
+            self,
+            |ca| ca.scan_into(chunk, scratch, counter, out.rid_mut()),
+            ca.scan_into(chunk, &mut (), counter, out.sfa_mut())
+        )
+    }
+
+    fn scan_first_into(&self, chunk: &[u8], counter: &mut impl Counter, out: &mut EngineMapping) {
+        dispatch!(
+            self,
+            |ca| ca.scan_first_into(chunk, counter, out.rid_mut()),
+            ca.scan_first_into(chunk, counter, out.sfa_mut())
+        )
+    }
+
+    fn arm_interrupt(&self, scratch: &mut Scratch, probe: Option<&InterruptProbe>) {
+        dispatch!(
+            self,
+            |ca| ca.arm_interrupt(scratch, probe),
+            ca.arm_interrupt(&mut (), probe)
+        )
+    }
+
+    fn compose_into(
+        &self,
+        left: &EngineMapping,
+        right: &EngineMapping,
+        scratch: &mut (Vec<StateId>, Vec<StateId>),
+        out: &mut EngineMapping,
+    ) {
+        dispatch!(
+            self,
+            |ca| ca.compose_into(left.rid(), right.rid(), scratch, out.rid_mut()),
+            ca.compose_into(left.sfa(), right.sfa(), &mut scratch.0, out.sfa_mut())
+        )
+    }
+
+    fn accepts_mapping(&self, mapping: &EngineMapping) -> bool {
+        dispatch!(
+            self,
+            |ca| ca.accepts_mapping(mapping.rid()),
+            ca.accepts_mapping(mapping.sfa())
+        )
+    }
+
+    fn mapping_is_dead(&self, mapping: &EngineMapping) -> bool {
+        dispatch!(
+            self,
+            |ca| ca.mapping_is_dead(mapping.rid()),
+            ca.mapping_is_dead(mapping.sfa())
+        )
+    }
+
+    fn accepts_serial(&self, text: &[u8], counter: &mut impl Counter) -> bool {
+        dispatch!(self, |ca| ca.accepts_serial(text, counter))
+    }
+
+    fn num_speculative_starts(&self) -> usize {
+        dispatch!(self, |ca| ca.num_speculative_starts())
+    }
+
+    fn effective_kernel(&self, chunk_len: usize) -> Option<Kernel> {
+        dispatch!(self, |ca| ca.effective_kernel(chunk_len))
+    }
+
+    fn name(&self) -> &'static str {
+        dispatch!(self, |ca| ca.name())
     }
 }
 
@@ -469,5 +723,42 @@ mod tests {
         );
         assert_eq!(select(None, 0), EnginePlan::Lockstep);
         assert_eq!(select(None, 1), EnginePlan::Lockstep);
+    }
+
+    #[test]
+    fn resolve_keeps_the_trial_sfa_only_within_headroom_and_caps() {
+        use ridfa_automata::nfa::glushkov;
+        use ridfa_automata::regex::parse;
+        // 137 RI-DFA states, 8 interface states, a 256-state SFA.
+        let nfa = glushkov::build(&parse("[ab]*a[ab]{6}").unwrap()).unwrap();
+        let rid = RiDfa::from_nfa(&nfa).minimized();
+        let pool = ThreadPool::new(1);
+        let unlimited = ConstructionBudget::UNLIMITED;
+        let capped = ConstructionBudget::with_max_states(200);
+        let resolve = |plan, budget: &ConstructionBudget, headroom| {
+            Engine::resolve(&rid, plan, None, None, budget, headroom, &pool)
+        };
+
+        let auto = resolve(EnginePlan::Auto, &unlimited, usize::MAX).unwrap();
+        let Engine::Sfa(sfa) = &auto else {
+            panic!("expected the SFA engine, got {:?}", auto.plan());
+        };
+        assert_eq!(sfa.num_states(), 256);
+        assert_eq!(auto.resident_bytes(), sfa.resident_bytes());
+        // No room for the SFA tables, or a state cap below the SFA's
+        // size: Auto falls back to lockstep (the interface is narrow).
+        let no_room = resolve(EnginePlan::Auto, &unlimited, sfa.resident_bytes() - 1).unwrap();
+        assert_eq!(no_room.plan(), EnginePlan::Lockstep);
+        assert_eq!(no_room.resident_bytes(), 0);
+        let under_cap = resolve(EnginePlan::Auto, &capped, usize::MAX).unwrap();
+        assert_eq!(under_cap.plan(), EnginePlan::Lockstep);
+        // An explicit SFA request surfaces the cap instead.
+        assert!(resolve(EnginePlan::Sfa, &capped, usize::MAX).is_err());
+        // Explicit plans ignore headroom and build what they need.
+        let feasible = resolve(EnginePlan::FeasibleStart, &unlimited, 0).unwrap();
+        let Engine::FeasibleStart(table) = &feasible else {
+            panic!("expected feasible-start, got {:?}", feasible.plan());
+        };
+        assert_eq!(*table, FeasibleTable::build(&rid));
     }
 }

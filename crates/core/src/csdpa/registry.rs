@@ -4,8 +4,10 @@
 //! A [`PatternRegistry`] maps pattern ids to [`RiDfa`]s — built fresh
 //! (under a [`ConstructionBudget`]) or loaded from binary artifacts —
 //! together with the precomputed tables a chunk automaton needs
-//! (premultiplied rows, interface positions) and a pinned warm
-//! [`Session`]/[`StreamSession`] pair per pattern. Every session runs on
+//! (premultiplied rows, interface positions), the pattern's resolved
+//! [`Engine`], and a pinned warm [`Session`]/[`StreamSession`] pair per
+//! pattern. Every lane scans through the engine's one chunk automaton,
+//! whichever engine it is. Every session runs on
 //! the *same* [`ThreadPool`], so `n` resident patterns cost one set of
 //! worker threads, not `n`; concurrent recognitions serialize on the
 //! pool's single scope slot while each pattern's scratch/mapping caches
@@ -32,23 +34,18 @@ use ridfa_automata::dfa::premultiply;
 use ridfa_automata::nfa::{glushkov, Nfa};
 use ridfa_automata::regex;
 use ridfa_automata::serialize::binary::DecodeError;
-use ridfa_automata::{ConstructionBudget, Error, StateId, TransitionCount};
+use ridfa_automata::{ConstructionBudget, Error, NoCount, StateId, TransitionCount};
 
 use crate::parallel::{PoolHealth, ThreadPool};
 use crate::ridfa::{artifact, RiDfa};
-use crate::sfa::{Sfa, SfaCa};
+use crate::sfa::Sfa;
 
-use super::budget::{Budget, RecognizeError, StreamError};
+use super::budget::StreamError;
 use super::chunking::chunk_spans_into;
-use super::kernel::{Kernel, Scratch};
-use super::plan::{
-    EnginePlan, FeasibleRidCa, FeasibleTable, SFA_AUTO_MAX_STATES, SFA_AUTO_MAX_TABLE_BYTES,
-};
+use super::kernel::Scratch;
+use super::plan::{Engine, EngineCa, EngineMapping, EnginePlan, FeasibleTable};
 use super::session::DisjointSlots;
-use super::{
-    ChunkAutomaton, ConvergentRidCa, Outcome, RidCa, RidMapping, Session, StreamOutcome,
-    StreamSession,
-};
+use super::{ChunkAutomaton, Outcome, RidCa, Session, StreamOutcome, StreamSession};
 
 /// Sizing and bounding knobs of a [`PatternRegistry`].
 #[derive(Debug, Clone)]
@@ -102,10 +99,7 @@ pub enum RegistryError {
         /// The configured cap.
         cap: usize,
     },
-    /// A budgeted recognition tripped its deadline/cancellation (or a
-    /// contained panic).
-    Recognize(RecognizeError),
-    /// A budgeted stream tripped its budget or failed on I/O.
+    /// A stream's reader failed ([`StreamError::Io`]).
     Stream(StreamError),
     /// The pattern was evicted and re-inserted (hot reload) while an
     /// incremental scan was in flight: the scan's composed prefix came
@@ -129,7 +123,6 @@ impl fmt::Display for RegistryError {
                 f,
                 "pattern {id:?} needs {bytes} resident bytes, above the cap of {cap}"
             ),
-            RegistryError::Recognize(e) => write!(f, "{e}"),
             RegistryError::Stream(e) => write!(f, "{e}"),
             RegistryError::PatternReloaded { id } => {
                 write!(f, "pattern {id:?} was reloaded mid-scan")
@@ -152,12 +145,6 @@ impl From<DecodeError> for RegistryError {
     }
 }
 
-impl From<RecognizeError> for RegistryError {
-    fn from(e: RecognizeError) -> RegistryError {
-        RegistryError::Recognize(e)
-    }
-}
-
 impl From<StreamError> for RegistryError {
     fn from(e: StreamError) -> RegistryError {
         RegistryError::Stream(e)
@@ -173,7 +160,7 @@ pub struct PatternStats {
     pub accepted: u64,
     /// Requests that ended rejected.
     pub rejected: u64,
-    /// Requests that ended in a typed error (budget, I/O, fault).
+    /// Requests that ended in a typed error (deadline, I/O, fault).
     pub errors: u64,
     /// Input bytes scanned for this pattern.
     pub bytes: u64,
@@ -188,6 +175,23 @@ impl PatternStats {
         self.rejected += other.rejected;
         self.errors += other.errors;
         self.bytes += other.bytes;
+    }
+
+    /// Counts one finished request over `bytes` input bytes.
+    fn record(&mut self, accepted: bool, bytes: u64) {
+        self.requests += 1;
+        self.bytes += bytes;
+        if accepted {
+            self.accepted += 1;
+        } else {
+            self.rejected += 1;
+        }
+    }
+
+    /// Counts one request that ended in a typed error.
+    fn record_error(&mut self) {
+        self.requests += 1;
+        self.errors += 1;
     }
 
     /// The counters accumulated *since* `baseline` (saturating, so a
@@ -206,19 +210,7 @@ impl PatternStats {
 
 struct PatternEntry {
     id: String,
-    rid: RiDfa,
-    /// `RidCa::interface_positions(&rid)`, precomputed at insert.
-    pos: Vec<u32>,
-    /// `premultiply(rid.table, rid.stride)`, precomputed at insert (or
-    /// taken verified from the artifact).
-    ptable: Vec<StateId>,
-    /// The resolved speculation policy (never `Auto` once resident).
-    plan: EnginePlan,
-    /// SFA tables, present iff `plan == EnginePlan::Sfa`.
-    sfa: Option<Sfa>,
-    /// Feasible-start boundary table, present iff
-    /// `plan == EnginePlan::FeasibleStart`.
-    feasible: Option<FeasibleTable>,
+    tables: EntryTables,
     /// Record-separator byte carried from the artifact (chunk-boundary
     /// snapping hint for record-structured workloads).
     separator: Option<u8>,
@@ -238,32 +230,25 @@ struct PatternEntry {
     stats: PatternStats,
 }
 
-impl PatternEntry {
-    /// The lockstep chunk automaton over this entry's cached tables —
-    /// constructed per call (allocation-free borrows), while the
-    /// associated-type session caches keep the warm scratch state across
-    /// calls.
-    fn lockstep_ca(&self) -> ConvergentRidCa<'_> {
-        ConvergentRidCa::from_inner(
-            RidCa::with_tables(&self.rid, &self.pos, &self.ptable),
-            Kernel::Auto,
-        )
-    }
+/// The automaton tables of a resident pattern.
+struct EntryTables {
+    rid: RiDfa,
+    /// `RidCa::interface_positions(&rid)`, precomputed at insert.
+    pos: Vec<u32>,
+    /// `premultiply(rid.table, rid.stride)`, precomputed at insert (or
+    /// taken verified from the artifact).
+    ptable: Vec<StateId>,
+    /// The resolved speculation engine and its tables.
+    engine: Engine,
+}
 
-    /// The feasible-start chunk automaton (plan must be `FeasibleStart`).
-    fn feasible_ca(&self) -> FeasibleRidCa<'_> {
-        FeasibleRidCa::from_inner(
-            RidCa::with_tables(&self.rid, &self.pos, &self.ptable),
-            self.feasible
-                .as_ref()
-                .expect("FeasibleStart entries carry a feasible table"),
-            Kernel::Auto,
-        )
-    }
-
-    /// The SFA chunk automaton (plan must be `Sfa`).
-    fn sfa_ca(&self) -> SfaCa<'_> {
-        SfaCa::new(self.sfa.as_ref().expect("Sfa entries carry SFA tables"))
+impl EntryTables {
+    /// The engine's chunk automaton over the cached tables — built per
+    /// call (allocation-free borrows), while the session caches keep the
+    /// warm scratch state across calls.
+    fn ca(&self) -> EngineCa<'_> {
+        self.engine
+            .ca(RidCa::with_tables(&self.rid, &self.pos, &self.ptable))
     }
 }
 
@@ -293,11 +278,7 @@ pub fn resident_footprint(rid: &RiDfa, premultiplied_len: usize) -> usize {
 struct PooledScanBufs {
     spans: Vec<Range<usize>>,
     scratches: Vec<Scratch>,
-    slots: Vec<(RidMapping, u64)>,
-    /// SFA engine counterparts: SFA scans need no scratch (unit) and the
-    /// per-chunk mapping is a single SFA state.
-    sfa_scratches: Vec<()>,
-    sfa_slots: Vec<(StateId, u64)>,
+    slots: Vec<(EngineMapping, u64)>,
 }
 
 /// Incremental λ-composition state for one in-flight stream (one socket
@@ -308,16 +289,11 @@ struct PooledScanBufs {
 /// zero steady-state allocations.
 #[derive(Default)]
 pub struct StreamScan {
-    mapping: RidMapping,
-    incoming: RidMapping,
-    composed: RidMapping,
+    mapping: EngineMapping,
+    incoming: EngineMapping,
+    composed: EngineMapping,
     scratch: Scratch,
     compose: (Vec<StateId>, Vec<StateId>),
-    /// SFA engine counterparts of `mapping`/`compose` (an SFA prefix is
-    /// one SFA state; composition needs one function buffer).
-    sfa_mapping: StateId,
-    sfa_incoming: StateId,
-    sfa_compose: Vec<StateId>,
     pooled: Option<Box<PooledScanBufs>>,
     started: bool,
     dead: bool,
@@ -448,68 +424,6 @@ impl PatternRegistry {
         self.insert_prepared(id, rid, premultiplied, plan, feasible, sfa, separator)
     }
 
-    /// Resolves `requested` to a concrete engine for `rid`, building
-    /// whatever tables the plan needs and is not already carrying.
-    ///
-    /// `Auto` runs a trial SFA construction on the shared pool under the
-    /// configured budget *capped* by the auto-selection ceilings — a
-    /// typed budget trip there is the expected "SFA not viable" signal,
-    /// not an error — then falls back to feasible-start pruning when the
-    /// interface is wide enough to make boundary seeding the bottleneck,
-    /// and to plain lockstep otherwise. An *explicit* `Sfa` request
-    /// builds under the full configured budget and surfaces failure.
-    fn resolve_plan(
-        &self,
-        rid: &RiDfa,
-        requested: EnginePlan,
-        sfa: Option<Sfa>,
-        feasible: Option<FeasibleTable>,
-        base_bytes: usize,
-    ) -> Result<(EnginePlan, Option<Sfa>, Option<FeasibleTable>), RegistryError> {
-        match requested {
-            EnginePlan::Lockstep => Ok((EnginePlan::Lockstep, None, None)),
-            EnginePlan::Sfa => {
-                let sfa = match sfa {
-                    Some(sfa) => sfa,
-                    None => Sfa::build_rid_parallel(rid, &self.config.budget, &self.pool)?,
-                };
-                Ok((EnginePlan::Sfa, Some(sfa), None))
-            }
-            EnginePlan::FeasibleStart => {
-                let feasible = feasible.unwrap_or_else(|| FeasibleTable::build(rid));
-                Ok((EnginePlan::FeasibleStart, None, Some(feasible)))
-            }
-            EnginePlan::Auto => {
-                let capped = ConstructionBudget {
-                    max_states: self.config.budget.max_states.min(SFA_AUTO_MAX_STATES),
-                    max_table_bytes: self
-                        .config
-                        .budget
-                        .max_table_bytes
-                        .min(SFA_AUTO_MAX_TABLE_BYTES),
-                };
-                // Auto never picks an engine the registry cannot hold:
-                // the SFA tables must fit the residency cap next to the
-                // pattern's base footprint.
-                let headroom = self.config.max_table_bytes.saturating_sub(base_bytes);
-                match Sfa::build_rid_parallel(rid, &capped, &self.pool) {
-                    Ok(sfa) if sfa.resident_bytes() <= headroom => {
-                        return Ok((EnginePlan::Sfa, Some(sfa), None));
-                    }
-                    _ => {}
-                }
-                match super::plan::select(None, rid.interface().len()) {
-                    EnginePlan::FeasibleStart => Ok((
-                        EnginePlan::FeasibleStart,
-                        None,
-                        Some(feasible.unwrap_or_else(|| FeasibleTable::build(rid))),
-                    )),
-                    _ => Ok((EnginePlan::Lockstep, None, None)),
-                }
-            }
-        }
-    }
-
     #[allow(clippy::too_many_arguments)]
     fn insert_prepared(
         &mut self,
@@ -525,13 +439,21 @@ impl PatternRegistry {
             return Err(RegistryError::DuplicatePattern(id.to_string()));
         }
         let base_bytes = resident_footprint(&rid, ptable.len());
-        let (plan, sfa, feasible) =
-            self.resolve_plan(&rid, requested, sfa, feasible, base_bytes)?;
-        let pos = RidCa::interface_positions(&rid);
+        // Auto never picks an engine the registry cannot hold: the SFA
+        // tables must fit the residency cap next to the pattern's base
+        // footprint.
+        let headroom = self.config.max_table_bytes.saturating_sub(base_bytes);
+        let engine = Engine::resolve(
+            &rid,
+            requested,
+            sfa,
+            feasible,
+            &self.config.budget,
+            headroom,
+            &self.pool,
+        )?;
         // Engine tables are resident too: they ride the same LRU ledger.
-        let resident_bytes = base_bytes
-            + sfa.as_ref().map_or(0, Sfa::resident_bytes)
-            + feasible.as_ref().map_or(0, FeasibleTable::resident_bytes);
+        let resident_bytes = base_bytes + engine.resident_bytes();
         if resident_bytes > self.config.max_table_bytes {
             return Err(RegistryError::Oversized {
                 id: id.to_string(),
@@ -551,6 +473,12 @@ impl PatternRegistry {
             self.retire(lru);
             self.evictions += 1;
         }
+        let tables = EntryTables {
+            pos: RidCa::interface_positions(&rid),
+            rid,
+            ptable,
+            engine,
+        };
         let mut session = Session::with_shared_pool(Arc::clone(&self.pool));
         let mut stream =
             StreamSession::with_shared_pool(Arc::clone(&self.pool), self.config.block_size);
@@ -558,47 +486,17 @@ impl PatternRegistry {
         // planning on the warm stream session: block boundaries land on
         // record boundaries, so speculative starts converge immediately.
         stream.set_separator(separator);
-        // Pre-warm both sessions with the *chosen* engine's chunk
-        // automaton, so the first request hits matching warm caches (the
-        // session caches key on the automaton type).
-        match plan {
-            EnginePlan::Sfa => {
-                let ca = SfaCa::new(sfa.as_ref().expect("resolved Sfa plan carries tables"));
-                session.warm(&ca, b"warm");
-                stream.warm(&ca, b"warm");
-            }
-            EnginePlan::FeasibleStart => {
-                let ca = FeasibleRidCa::from_inner(
-                    RidCa::with_tables(&rid, &pos, &ptable),
-                    feasible
-                        .as_ref()
-                        .expect("resolved FeasibleStart plan carries a table"),
-                    Kernel::Auto,
-                );
-                session.warm(&ca, b"warm");
-                stream.warm(&ca, b"warm");
-            }
-            _ => {
-                let ca = ConvergentRidCa::from_inner(
-                    RidCa::with_tables(&rid, &pos, &ptable),
-                    Kernel::Auto,
-                );
-                session.warm(&ca, b"warm");
-                stream.warm(&ca, b"warm");
-            }
-        }
+        // Pre-warm both sessions, so the first request hits warm caches.
+        let ca = tables.ca();
+        session.warm(&ca, b"warm");
+        stream.warm(&ca, b"warm");
         let last_used = self.next_stamp();
         // A re-inserted id continues its retired counters (hot reload
         // must not zero a pattern's stats).
         let stats = self.retired.remove(id).unwrap_or_default();
         self.entries.push(PatternEntry {
             id: id.to_string(),
-            rid,
-            pos,
-            ptable,
-            plan,
-            sfa,
-            feasible,
+            tables,
             separator,
             session,
             stream,
@@ -643,110 +541,9 @@ impl PatternRegistry {
         let stamp = self.next_stamp();
         let entry = self.entry_mut(id)?;
         entry.last_used = stamp;
-        let PatternEntry {
-            rid,
-            pos,
-            ptable,
-            plan,
-            sfa,
-            feasible,
-            session,
-            stats,
-            ..
-        } = entry;
-        let outcome = match plan {
-            EnginePlan::Sfa => session.recognize(
-                &SfaCa::new(sfa.as_ref().expect("Sfa entries carry SFA tables")),
-                text,
-                chunks,
-            ),
-            EnginePlan::FeasibleStart => session.recognize(
-                &FeasibleRidCa::from_inner(
-                    RidCa::with_tables(rid, pos, ptable),
-                    feasible
-                        .as_ref()
-                        .expect("FeasibleStart entries carry a table"),
-                    Kernel::Auto,
-                ),
-                text,
-                chunks,
-            ),
-            _ => session.recognize(
-                &ConvergentRidCa::from_inner(RidCa::with_tables(rid, pos, ptable), Kernel::Auto),
-                text,
-                chunks,
-            ),
-        };
-        stats.requests += 1;
-        stats.bytes += text.len() as u64;
-        if outcome.accepted {
-            stats.accepted += 1;
-        } else {
-            stats.rejected += 1;
-        }
+        let outcome = entry.session.recognize(&entry.tables.ca(), text, chunks);
+        entry.stats.record(outcome.accepted, text.len() as u64);
         Ok(outcome)
-    }
-
-    /// Like [`recognize`](PatternRegistry::recognize) under a [`Budget`]:
-    /// deadline/cancellation trips surface as
-    /// [`RegistryError::Recognize`] and count into
-    /// [`PatternStats::errors`].
-    pub fn recognize_budgeted(
-        &mut self,
-        id: &str,
-        text: &[u8],
-        num_chunks: usize,
-        budget: &Budget,
-    ) -> Result<Outcome, RegistryError> {
-        let chunks = self.effective_chunks(num_chunks);
-        let stamp = self.next_stamp();
-        let entry = self.entry_mut(id)?;
-        entry.last_used = stamp;
-        let PatternEntry {
-            rid,
-            pos,
-            ptable,
-            plan,
-            sfa,
-            feasible,
-            session,
-            stats,
-            ..
-        } = entry;
-        let result = match plan {
-            EnginePlan::Sfa => session.recognize_budgeted(
-                &SfaCa::new(sfa.as_ref().expect("Sfa entries carry SFA tables")),
-                text,
-                chunks,
-                budget,
-            ),
-            EnginePlan::FeasibleStart => session.recognize_budgeted(
-                &FeasibleRidCa::from_inner(
-                    RidCa::with_tables(rid, pos, ptable),
-                    feasible
-                        .as_ref()
-                        .expect("FeasibleStart entries carry a table"),
-                    Kernel::Auto,
-                ),
-                text,
-                chunks,
-                budget,
-            ),
-            _ => session.recognize_budgeted(
-                &ConvergentRidCa::from_inner(RidCa::with_tables(rid, pos, ptable), Kernel::Auto),
-                text,
-                chunks,
-                budget,
-            ),
-        };
-        stats.requests += 1;
-        stats.bytes += text.len() as u64;
-        match &result {
-            Ok(outcome) if outcome.accepted => stats.accepted += 1,
-            Ok(_) => stats.rejected += 1,
-            Err(_) => stats.errors += 1,
-        }
-        Ok(result?)
     }
 
     /// Streaming recognition of `reader` against pattern `id` on the
@@ -759,111 +556,16 @@ impl PatternRegistry {
         let stamp = self.next_stamp();
         let entry = self.entry_mut(id)?;
         entry.last_used = stamp;
-        let PatternEntry {
-            rid,
-            pos,
-            ptable,
-            plan,
-            sfa,
-            feasible,
-            stream,
-            stats,
-            ..
-        } = entry;
-        let result = match plan {
-            EnginePlan::Sfa => stream.recognize_stream(
-                &SfaCa::new(sfa.as_ref().expect("Sfa entries carry SFA tables")),
-                reader,
-            ),
-            EnginePlan::FeasibleStart => stream.recognize_stream(
-                &FeasibleRidCa::from_inner(
-                    RidCa::with_tables(rid, pos, ptable),
-                    feasible
-                        .as_ref()
-                        .expect("FeasibleStart entries carry a table"),
-                    Kernel::Auto,
-                ),
-                reader,
-            ),
-            _ => stream.recognize_stream(
-                &ConvergentRidCa::from_inner(RidCa::with_tables(rid, pos, ptable), Kernel::Auto),
-                reader,
-            ),
-        }
-        .map_err(|e| RegistryError::Stream(StreamError::Io(e)));
-        stats.requests += 1;
-        match &result {
+        match entry.stream.recognize_stream(&entry.tables.ca(), reader) {
             Ok(out) => {
-                stats.bytes += out.bytes;
-                if out.accepted {
-                    stats.accepted += 1;
-                } else {
-                    stats.rejected += 1;
-                }
+                entry.stats.record(out.accepted, out.bytes);
+                Ok(out)
             }
-            Err(_) => stats.errors += 1,
-        }
-        result
-    }
-
-    /// Like [`recognize_stream`](PatternRegistry::recognize_stream) under
-    /// a [`Budget`].
-    pub fn recognize_stream_budgeted<R: Read + Send>(
-        &mut self,
-        id: &str,
-        reader: R,
-        budget: &Budget,
-    ) -> Result<StreamOutcome, RegistryError> {
-        let stamp = self.next_stamp();
-        let entry = self.entry_mut(id)?;
-        entry.last_used = stamp;
-        let PatternEntry {
-            rid,
-            pos,
-            ptable,
-            plan,
-            sfa,
-            feasible,
-            stream,
-            stats,
-            ..
-        } = entry;
-        let result = match plan {
-            EnginePlan::Sfa => stream.recognize_stream_budgeted(
-                &SfaCa::new(sfa.as_ref().expect("Sfa entries carry SFA tables")),
-                reader,
-                budget,
-            ),
-            EnginePlan::FeasibleStart => stream.recognize_stream_budgeted(
-                &FeasibleRidCa::from_inner(
-                    RidCa::with_tables(rid, pos, ptable),
-                    feasible
-                        .as_ref()
-                        .expect("FeasibleStart entries carry a table"),
-                    Kernel::Auto,
-                ),
-                reader,
-                budget,
-            ),
-            _ => stream.recognize_stream_budgeted(
-                &ConvergentRidCa::from_inner(RidCa::with_tables(rid, pos, ptable), Kernel::Auto),
-                reader,
-                budget,
-            ),
-        };
-        stats.requests += 1;
-        match &result {
-            Ok(out) => {
-                stats.bytes += out.bytes;
-                if out.accepted {
-                    stats.accepted += 1;
-                } else {
-                    stats.rejected += 1;
-                }
+            Err(e) => {
+                entry.stats.record_error();
+                Err(RegistryError::Stream(StreamError::Io(e)))
             }
-            Err(_) => stats.errors += 1,
         }
-        result.map_err(RegistryError::Stream)
     }
 
     /// Scans one more block of an in-flight stream (incremental
@@ -893,11 +595,7 @@ impl PatternRegistry {
             scan.started = true;
             scan.epoch = entry.epoch;
         }
-        match entry.plan {
-            EnginePlan::Sfa => scan_block_step_sfa(&entry.sfa_ca(), scan, block, first),
-            EnginePlan::FeasibleStart => scan_block_step(&entry.feasible_ca(), scan, block, first),
-            _ => scan_block_step(&entry.lockstep_ca(), scan, block, first),
-        }
+        scan_block_step(&entry.tables.ca(), scan, block, first);
         Ok(scan.dead)
     }
 
@@ -939,15 +637,7 @@ impl PatternRegistry {
             scan.started = true;
             scan.epoch = entry.epoch;
         }
-        match entry.plan {
-            EnginePlan::Sfa => {
-                scan_block_pooled_step_sfa(&entry.sfa_ca(), scan, block, first, &pool, claimants)
-            }
-            EnginePlan::FeasibleStart => {
-                scan_block_pooled_step(&entry.feasible_ca(), scan, block, first, &pool, claimants)
-            }
-            _ => scan_block_pooled_step(&entry.lockstep_ca(), scan, block, first, &pool, claimants),
-        }
+        scan_block_pooled_step(&entry.tables.ca(), scan, block, first, &pool, claimants);
         Ok(scan.dead)
     }
 
@@ -960,38 +650,13 @@ impl PatternRegistry {
             scan.reset();
             return Err(RegistryError::PatternReloaded { id: id.to_string() });
         }
+        let ca = entry.tables.ca();
         if !scan.started {
             // Zero-length stream: the verdict of the empty text.
-            let mut counter = TransitionCount::default();
-            match entry.plan {
-                EnginePlan::Sfa => {
-                    entry
-                        .sfa_ca()
-                        .scan_first_into(b"", &mut counter, &mut scan.sfa_mapping)
-                }
-                EnginePlan::FeasibleStart => {
-                    entry
-                        .feasible_ca()
-                        .scan_first_into(b"", &mut counter, &mut scan.mapping)
-                }
-                _ => entry
-                    .lockstep_ca()
-                    .scan_first_into(b"", &mut counter, &mut scan.mapping),
-            }
+            ca.scan_first_into(b"", &mut NoCount, &mut scan.mapping);
         }
-        let accepted = !scan.dead
-            && match entry.plan {
-                EnginePlan::Sfa => entry.sfa_ca().accepts_mapping(&scan.sfa_mapping),
-                EnginePlan::FeasibleStart => entry.feasible_ca().accepts_mapping(&scan.mapping),
-                _ => entry.lockstep_ca().accepts_mapping(&scan.mapping),
-            };
-        entry.stats.requests += 1;
-        entry.stats.bytes += scan.bytes;
-        if accepted {
-            entry.stats.accepted += 1;
-        } else {
-            entry.stats.rejected += 1;
-        }
+        let accepted = !scan.dead && ca.accepts_mapping(&scan.mapping);
+        entry.stats.record(accepted, scan.bytes);
         scan.reset();
         Ok(accepted)
     }
@@ -1001,8 +666,7 @@ impl PatternRegistry {
     /// outside the registry's own calls.
     pub fn record_error(&mut self, id: &str) {
         if let Ok(entry) = self.entry_mut(id) {
-            entry.stats.errors += 1;
-            entry.stats.requests += 1;
+            entry.stats.record_error();
         }
     }
 
@@ -1043,7 +707,8 @@ impl PatternRegistry {
 
     /// The resolved engine plan of pattern `id` (never `Auto`).
     pub fn plan(&self, id: &str) -> Option<EnginePlan> {
-        self.index_of(id).map(|i| self.entries[i].plan)
+        self.index_of(id)
+            .map(|i| self.entries[i].tables.engine.plan())
     }
 
     /// Record-separator hint of pattern `id`, if its artifact carried one.
@@ -1085,7 +750,8 @@ impl PatternRegistry {
 
     /// Number of states of pattern `id`'s RI-DFA, for inspection.
     pub fn num_states(&self, id: &str) -> Option<usize> {
-        self.index_of(id).map(|i| self.entries[i].rid.num_states())
+        self.index_of(id)
+            .map(|i| self.entries[i].tables.rid.num_states())
     }
 
     fn effective_chunks(&self, num_chunks: usize) -> usize {
@@ -1113,17 +779,9 @@ impl PatternRegistry {
     }
 }
 
-/// One serial block step of a rid-mapping-shaped engine (lockstep or
-/// feasible-start — they share mapping/scratch/compose types, so the
-/// scan's buffers serve both).
-fn scan_block_step<C>(ca: &C, scan: &mut StreamScan, block: &[u8], first: bool)
-where
-    C: ChunkAutomaton<
-        Mapping = RidMapping,
-        Scratch = Scratch,
-        ComposeScratch = (Vec<StateId>, Vec<StateId>),
-    >,
-{
+/// One serial block step: the first block of a stream seeds the prefix;
+/// later blocks are scanned as interior chunks and composed onto it.
+fn scan_block_step(ca: &EngineCa<'_>, scan: &mut StreamScan, block: &[u8], first: bool) {
     let mut counter = TransitionCount::default();
     if first {
         ca.scan_first_into(block, &mut counter, &mut scan.mapping);
@@ -1141,44 +799,17 @@ where
     scan.dead = ca.mapping_is_dead(&scan.mapping);
 }
 
-/// One serial block step of the SFA engine: the whole prefix is a single
-/// SFA state, composed by inverse table lookup.
-fn scan_block_step_sfa(ca: &SfaCa<'_>, scan: &mut StreamScan, block: &[u8], first: bool) {
-    let mut counter = TransitionCount::default();
-    if first {
-        ca.scan_first_into(block, &mut counter, &mut scan.sfa_mapping);
-    } else {
-        ca.scan_into(block, &mut (), &mut counter, &mut scan.sfa_incoming);
-        let mut out = scan.sfa_mapping;
-        ca.compose_into(
-            &scan.sfa_mapping,
-            &scan.sfa_incoming,
-            &mut scan.sfa_compose,
-            &mut out,
-        );
-        scan.sfa_mapping = out;
-    }
-    scan.transitions += counter.get();
-    scan.dead = ca.mapping_is_dead(&scan.sfa_mapping);
-}
-
-/// One pooled block step of a rid-mapping-shaped engine: span the block
-/// across the pool's claimants, scan in parallel, fold serially.
+/// One pooled block step: span the block across the pool's claimants,
+/// scan in parallel, fold serially.
 #[allow(unsafe_code)]
-fn scan_block_pooled_step<C>(
-    ca: &C,
+fn scan_block_pooled_step(
+    ca: &EngineCa<'_>,
     scan: &mut StreamScan,
     block: &[u8],
     first: bool,
     pool: &ThreadPool,
     claimants: usize,
-) where
-    C: ChunkAutomaton<
-            Mapping = RidMapping,
-            Scratch = Scratch,
-            ComposeScratch = (Vec<StateId>, Vec<StateId>),
-        > + Sync,
-{
+) {
     let bufs = scan.pooled.get_or_insert_with(Default::default);
     if bufs.scratches.len() < claimants {
         bufs.scratches.resize_with(claimants, Scratch::default);
@@ -1193,7 +824,6 @@ fn scan_block_pooled_step<C>(
             spans,
             scratches,
             slots,
-            ..
         } = &mut **bufs;
         let spans = &*spans;
         let slots = DisjointSlots::new(&mut slots[..num_tasks]);
@@ -1228,61 +858,6 @@ fn scan_block_pooled_step<C>(
         }
     }
     scan.dead = ca.mapping_is_dead(&scan.mapping);
-}
-
-/// One pooled block step of the SFA engine.
-#[allow(unsafe_code)]
-fn scan_block_pooled_step_sfa(
-    ca: &SfaCa<'_>,
-    scan: &mut StreamScan,
-    block: &[u8],
-    first: bool,
-    pool: &ThreadPool,
-    claimants: usize,
-) {
-    let bufs = scan.pooled.get_or_insert_with(Default::default);
-    if bufs.sfa_scratches.len() < claimants {
-        bufs.sfa_scratches.resize_with(claimants, Default::default);
-    }
-    chunk_spans_into(block.len(), claimants, &mut bufs.spans);
-    let num_tasks = bufs.spans.len();
-    if bufs.sfa_slots.len() < num_tasks {
-        bufs.sfa_slots.resize_with(num_tasks, Default::default);
-    }
-    {
-        let PooledScanBufs {
-            spans,
-            sfa_scratches,
-            sfa_slots,
-            ..
-        } = &mut **bufs;
-        let spans = &*spans;
-        let slots = DisjointSlots::new(&mut sfa_slots[..num_tasks]);
-        pool.invoke_all_scoped(num_tasks, sfa_scratches, |scratch, t| {
-            let mut counter = TransitionCount::default();
-            // SAFETY: the pool claims each task index exactly once,
-            // so slot `t` has a single writer, and `t < num_tasks`.
-            let (mapping, transitions) = unsafe { slots.get(t) };
-            if t == 0 && first {
-                ca.scan_first_into(&block[spans[t].clone()], &mut counter, mapping);
-            } else {
-                ca.scan_into(&block[spans[t].clone()], scratch, &mut counter, mapping);
-            }
-            *transitions = counter.get();
-        });
-    }
-    for t in 0..num_tasks {
-        let (mapping, transitions) = &mut bufs.sfa_slots[t];
-        scan.transitions += *transitions;
-        if t == 0 && first {
-            scan.sfa_mapping = *mapping;
-        } else {
-            let mut out = scan.sfa_mapping;
-            ca.compose_into(&scan.sfa_mapping, mapping, &mut scan.sfa_compose, &mut out);
-            scan.sfa_mapping = out;
-        }
-    }
-    scan.dead = ca.mapping_is_dead(&scan.sfa_mapping);
 }
 
 #[cfg(test)]
@@ -1442,7 +1017,7 @@ mod tests {
         for id in ["abb", "digits", "word"] {
             assert_ne!(reg.plan(id), Some(EnginePlan::Auto), "{id}");
         }
-        // The SFA engine serves batch, budgeted, stream, and incremental
+        // The SFA engine serves batch, stream, and incremental
         // paths with verdicts identical to the serial oracle.
         use std::io::Cursor;
         for (text, expected) in [
@@ -1482,12 +1057,20 @@ mod tests {
         assert_eq!(reg.plan("lock"), Some(EnginePlan::Lockstep));
         assert_eq!(reg.plan("feas"), Some(EnginePlan::FeasibleStart));
         assert_eq!(reg.plan("sfa"), Some(EnginePlan::Sfa));
+        // One scan state serves every engine in turn, as a connection
+        // slot does when its requests name different patterns.
+        let mut scan = StreamScan::new();
         for text in [&b"bababb"[..], b"abb", b"", b"ba", b"abab", b"zzz"] {
-            let l = reg.recognize("lock", text, 0).unwrap().accepted;
-            let f = reg.recognize("feas", text, 0).unwrap().accepted;
-            let s = reg.recognize("sfa", text, 0).unwrap().accepted;
-            assert_eq!(l, f, "{text:?}");
-            assert_eq!(l, s, "{text:?}");
+            let expected = reg.recognize("lock", text, 0).unwrap().accepted;
+            for id in ["lock", "feas", "sfa"] {
+                assert_eq!(reg.recognize(id, text, 0).unwrap().accepted, expected);
+                for block in text.chunks(2) {
+                    reg.scan_block(id, &mut scan, block).unwrap();
+                }
+                assert_eq!(reg.finish_scan(id, &mut scan).unwrap(), expected);
+                reg.scan_block_pooled(id, &mut scan, text).unwrap();
+                assert_eq!(reg.finish_scan(id, &mut scan).unwrap(), expected);
+            }
         }
     }
 

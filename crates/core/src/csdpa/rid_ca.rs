@@ -31,21 +31,20 @@ pub struct RidCa<'a> {
 
 /// The λ mapping a RID chunk scan (or composition) produces.
 ///
-/// Scans only ever yield the first two shapes; composition introduces the
-/// set-valued shapes, because the interface function can expand one last
-/// active state into several interface states — `λ₂ ⊙ λ₁` maps a start
-/// to a *set* even though each `λᵢ` is single-valued.
+/// Scans yield `Interior` (an interior chunk) and `Prefix` (the first
+/// chunk: the one run from the known initial state, as a one-element set,
+/// or empty if it died). Composition also yields `Composed`, because the
+/// interface function can expand one last active state into several
+/// interface states — `λ₂ ⊙ λ₁` maps a start to a *set* even though each
+/// interior `λᵢ` is single-valued.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum RidMapping {
-    /// First chunk: the single run from the known initial state
-    /// ([`DEAD`](ridfa_automata::DEAD) if it died).
-    First(StateId),
     /// Interior chunk: `lasts[i]` = last active state of the run started
     /// in `interface()[i]` ([`DEAD`](ridfa_automata::DEAD) if it died).
     Interior(Vec<StateId>),
-    /// A composed prefix whose leftmost factor was a first-chunk mapping:
-    /// the set of possible last active states reachable from the known
-    /// initial state (sorted, deduplicated; empty = every run died).
+    /// A first-chunk mapping, or a composed prefix whose leftmost factor
+    /// was one: the set of possible last active states reachable from the
+    /// known initial state (sorted, deduplicated; empty = every run died).
     Prefix(Vec<StateId>),
     /// A composition of interior mappings: row `i` holds the sorted set
     /// of possible last active states of the run started in
@@ -71,7 +70,6 @@ impl RidMapping {
     /// slot between shapes keeps its allocation.
     fn take_vec(&mut self) -> Vec<StateId> {
         match self {
-            RidMapping::First(_) => Vec::new(),
             RidMapping::Interior(v) | RidMapping::Prefix(v) => std::mem::take(v),
             RidMapping::Composed { lasts, .. } => std::mem::take(lasts),
         }
@@ -231,7 +229,7 @@ impl<'a> RidCa<'a> {
                     out.extend_from_slice(&lasts[offsets[idx] as usize..offsets[idx + 1] as usize]);
                 }
             }
-            RidMapping::First(_) | RidMapping::Prefix(_) => {
+            RidMapping::Prefix(_) => {
                 panic!("compose_into: the right factor must derive from interior scans")
             }
         }
@@ -266,7 +264,11 @@ impl ChunkAutomaton for RidCa<'_> {
     }
 
     fn scan_first_into(&self, chunk: &[u8], counter: &mut impl Counter, out: &mut RidMapping) {
-        *out = RidMapping::First(self.rid.run_from(self.rid.start(), chunk, counter));
+        let last = self.rid.run_from(self.rid.start(), chunk, counter);
+        let set = out.prefix_buf();
+        if last != DEAD {
+            set.push(last);
+        }
     }
 
     fn arm_interrupt(&self, scratch: &mut Scratch, probe: Option<&super::budget::InterruptProbe>) {
@@ -285,14 +287,6 @@ impl ChunkAutomaton for RidCa<'_> {
     ) {
         let (plas, pis) = scratch;
         match left {
-            RidMapping::First(last) => {
-                plas.clear();
-                if *last != DEAD {
-                    plas.push(*last);
-                }
-                let set = out.prefix_buf();
-                self.apply_set(plas, right, pis, set);
-            }
             RidMapping::Prefix(prefix) => {
                 let set = out.prefix_buf();
                 self.apply_set(prefix, right, pis, set);
@@ -326,7 +320,6 @@ impl ChunkAutomaton for RidCa<'_> {
 
     fn accepts_mapping(&self, mapping: &RidMapping) -> bool {
         match mapping {
-            RidMapping::First(last) => *last != DEAD && self.rid.is_final(*last),
             RidMapping::Prefix(set) => set.iter().any(|&p| self.rid.is_final(p)),
             RidMapping::Interior(_) | RidMapping::Composed { .. } => {
                 panic!("accepts_mapping: the leftmost factor must be a first-chunk scan")
@@ -336,7 +329,6 @@ impl ChunkAutomaton for RidCa<'_> {
 
     fn mapping_is_dead(&self, mapping: &RidMapping) -> bool {
         match mapping {
-            RidMapping::First(last) => *last == DEAD,
             RidMapping::Prefix(set) => set.is_empty(),
             RidMapping::Interior(lasts) => lasts.iter().all(|&l| l == DEAD),
             RidMapping::Composed { lasts, .. } => lasts.is_empty(),

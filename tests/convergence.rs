@@ -21,12 +21,7 @@ use ridfa::workloads::regen::{random_ast, sample_into, RegenConfig};
 
 const CASES: u64 = 48;
 
-const KERNELS: [Kernel; 4] = [
-    Kernel::PerRun,
-    Kernel::Lockstep,
-    Kernel::LockstepShared,
-    Kernel::Auto,
-];
+const KERNELS: [Kernel; 3] = [Kernel::PerRun, Kernel::LockstepShared, Kernel::Auto];
 
 fn config() -> RegenConfig {
     RegenConfig {
@@ -144,17 +139,15 @@ fn convergence_never_increases_work() {
         let text = random_text(&ast, &mut rng);
         let mut c_plain = TransitionCount::default();
         plain.scan(&text, &mut c_plain);
-        for kernel in [Kernel::Lockstep, Kernel::LockstepShared] {
-            let conv = ConvergentDfaCa::with_kernel(&dfa, kernel);
-            let mut c_conv = TransitionCount::default();
-            conv.scan(&text, &mut c_conv);
-            assert!(
-                c_conv.get() <= c_plain.get(),
-                "seed {seed}, {kernel:?}: {} > plain {}",
-                c_conv.get(),
-                c_plain.get()
-            );
-        }
+        let conv = ConvergentDfaCa::with_kernel(&dfa, Kernel::LockstepShared);
+        let mut c_conv = TransitionCount::default();
+        conv.scan(&text, &mut c_conv);
+        assert!(
+            c_conv.get() <= c_plain.get(),
+            "seed {seed}: {} > plain {}",
+            c_conv.get(),
+            c_plain.get()
+        );
     }
 }
 

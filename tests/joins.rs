@@ -64,12 +64,9 @@ fn legacy_join_rid(rid: &RiDfa, mappings: &[RidMapping]) -> bool {
     let mut pis = Vec::new();
     for (i, mapping) in mappings.iter().enumerate() {
         match mapping {
-            RidMapping::First(last) => {
-                assert_eq!(i, 0, "First mapping only at chunk 1");
-                plas.clear();
-                if *last != DEAD {
-                    plas.push(*last);
-                }
+            RidMapping::Prefix(set) => {
+                assert_eq!(i, 0, "Prefix mapping only at chunk 1");
+                plas.clone_from(set);
             }
             RidMapping::Interior(lasts) => {
                 rid.interface_map(&plas, &mut pis);

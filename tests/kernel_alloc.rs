@@ -81,7 +81,6 @@ fn warm_scans_allocate_nothing() {
 
     for kernel in [
         Kernel::PerRun,
-        Kernel::Lockstep,
         Kernel::LockstepShared,
         Kernel::Simd,
         Kernel::Auto,
