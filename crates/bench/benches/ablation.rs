@@ -22,8 +22,8 @@ use ridfa_automata::{ConstructionBudget, NoCount};
 use ridfa_bench::build_artifacts;
 use ridfa_core::csdpa::kernel::{self, DenseTable, Scratch};
 use ridfa_core::csdpa::{
-    chunk_spans_snapped, plan, recognize, recognize_spans, ConvergentDfaCa, ConvergentRidCa, DfaCa,
-    Executor, FeasibleRidCa, FeasibleTable, Kernel, RidCa,
+    chunk_spans_snapped, plan, recognize, recognize_spans, DfaCa, Executor, FeasibleTable, Kernel,
+    RidCa,
 };
 use ridfa_core::ridfa::RiDfa;
 use ridfa_core::sfa::{Sfa, SfaCa};
@@ -131,9 +131,9 @@ fn bench_convergence(c: &mut Criterion) {
     group.sample_size(10);
     group.throughput(Throughput::Bytes(text.len() as u64));
     let dfa_plain = DfaCa::new(&a.dfa);
-    let dfa_conv = ConvergentDfaCa::new(&a.dfa);
+    let dfa_conv = DfaCa::new(&a.dfa).with_kernel(Kernel::Auto);
     let rid_plain = RidCa::new(&a.rid);
-    let rid_conv = ConvergentRidCa::new(&a.rid);
+    let rid_conv = RidCa::new(&a.rid).with_kernel(Kernel::Auto);
     group.bench_function("dfa_plain", |b| {
         b.iter(|| recognize(&dfa_plain, &text, 32, Executor::Team(threads)).accepted);
     });
@@ -173,7 +173,7 @@ fn bench_kernels(c: &mut Criterion) {
         ("simd", Kernel::Simd),
         ("auto", Kernel::Auto),
     ] {
-        let ca = ConvergentRidCa::with_kernel(&a.rid, kernel);
+        let ca = RidCa::new(&a.rid).with_kernel(kernel);
         group.bench_function(label, |b| {
             b.iter(|| recognize(&ca, &text, chunks, Executor::Team(threads)).accepted);
         });
@@ -256,7 +256,7 @@ fn bench_engines(c: &mut Criterion) {
         let a = build_artifacts(&benchmark);
         let text = (a.accepted)(TEXT_LEN, 42);
         group.throughput(Throughput::Bytes(text.len() as u64));
-        let lockstep = ConvergentRidCa::new(&a.rid);
+        let lockstep = RidCa::new(&a.rid).with_kernel(Kernel::Auto);
         group.bench_function(format!("{}_lockstep", a.name), |b| {
             b.iter(|| recognize(&lockstep, &text, chunks, Executor::Serial).accepted);
         });
@@ -279,7 +279,9 @@ fn bench_engines(c: &mut Criterion) {
             }
         }
         let table = FeasibleTable::build(&a.rid);
-        let pruned = FeasibleRidCa::new(&a.rid, &table);
+        let pruned = RidCa::new(&a.rid)
+            .with_kernel(Kernel::Auto)
+            .with_feasible(&table);
         group.bench_function(format!("{}_feasible", a.name), |b| {
             b.iter(|| recognize(&pruned, &text, chunks, Executor::Serial).accepted);
         });

@@ -21,7 +21,7 @@
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 
-use ridfa_core::csdpa::{recognize, ConvergentRidCa, Executor, Session};
+use ridfa_core::csdpa::{recognize, Executor, Kernel, RidCa, Session};
 use ridfa_core::ridfa::RiDfa;
 use ridfa_workloads::traffic;
 
@@ -31,7 +31,7 @@ const CHUNKS: usize = 4;
 
 fn bench_batch_latency(c: &mut Criterion) {
     let rid = RiDfa::from_nfa(&traffic::nfa()).minimized();
-    let ca = ConvergentRidCa::new(&rid);
+    let ca = RidCa::new(&rid).with_kernel(Kernel::Auto);
     let texts = traffic::request_stream(BATCH, TEXT_LEN, 0);
     let total_bytes: u64 = texts.iter().map(|t| t.len() as u64).sum();
     let threads = std::thread::available_parallelism()

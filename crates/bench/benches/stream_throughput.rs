@@ -22,7 +22,7 @@
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 
-use ridfa_core::csdpa::{recognize, ConvergentRidCa, Executor, StreamSession};
+use ridfa_core::csdpa::{recognize, Executor, Kernel, RidCa, StreamSession};
 use ridfa_core::ridfa::RiDfa;
 use ridfa_workloads::traffic;
 
@@ -30,7 +30,7 @@ const TEXT_LEN: usize = 8 << 20;
 
 fn bench_stream_throughput(c: &mut Criterion) {
     let rid = RiDfa::from_nfa(&traffic::nfa()).minimized();
-    let ca = ConvergentRidCa::new(&rid);
+    let ca = RidCa::new(&rid).with_kernel(Kernel::Auto);
     let text = traffic::text(TEXT_LEN, 1);
     let threads = std::thread::available_parallelism()
         .map_or(4, |n| n.get())

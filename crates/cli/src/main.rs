@@ -25,9 +25,9 @@ use ridfa_automata::nfa::{glushkov, Nfa};
 use ridfa_automata::serialize::binary;
 use ridfa_automata::{regex, serialize, ConstructionBudget};
 use ridfa_core::csdpa::{
-    recognize_counted, resident_footprint, Budget, ChunkAutomaton, ConvergentDfaCa,
-    ConvergentRidCa, CountedOutcome, DfaCa, Engine, EnginePlan, Executor, Kernel, NfaCa, Outcome,
-    RecognizeError, RegistryConfig, RidCa, Session, StreamError, StreamOutcome, StreamSession,
+    recognize_counted, resident_footprint, Budget, ChunkAutomaton, CountedOutcome, DfaCa, Engine,
+    EnginePlan, Executor, Kernel, NfaCa, Outcome, RecognizeError, RegistryConfig, RidCa, Session,
+    StreamError, StreamOutcome, StreamSession,
 };
 use ridfa_core::parallel::ThreadPool;
 use ridfa_core::ridfa::{ridfa_from_bytes, ridfa_to_bytes, ridfa_to_bytes_with_engine, RiDfa};
@@ -446,6 +446,57 @@ fn cmd_info(opts: &Opts) -> Result<(), CliError> {
     Ok(())
 }
 
+/// The chunk automaton a `--variant` names: the paper's classic DFA and
+/// NFA CAs and the RID, the `convergent-*` names picking the adaptive
+/// kernel instead of per-run scans.
+enum Variant {
+    Dfa(Kernel),
+    Nfa,
+    Rid(Kernel),
+}
+
+impl Variant {
+    /// The `--variant` flag, `default` when absent.
+    fn parse(opts: &Opts, default: &str) -> Result<Variant, CliError> {
+        Ok(match opts.get_value("variant")?.unwrap_or(default) {
+            "dfa" => Variant::Dfa(Kernel::PerRun),
+            "nfa" => Variant::Nfa,
+            "rid" => Variant::Rid(Kernel::PerRun),
+            "convergent-dfa" => Variant::Dfa(Kernel::Auto),
+            "convergent-rid" => Variant::Rid(Kernel::Auto),
+            other => {
+                return Err(CliError::Usage(format!(
+                    "unknown variant {other:?} (dfa|nfa|rid|convergent-dfa|convergent-rid)"
+                )))
+            }
+        })
+    }
+}
+
+/// Runs `$body` with `$ca` bound to the chunk automaton of `$variant`
+/// over `$nfa`, building the DFA or RI-DFA it needs under `$opts`'
+/// `--max-states` budget (`?` on a construction failure).
+macro_rules! with_variant {
+    ($variant:expr, $nfa:expr, $opts:expr, |$ca:ident| $body:expr) => {
+        match $variant {
+            Variant::Dfa(kernel) => {
+                let dfa = build_dfa($nfa, $opts)?;
+                let $ca = &DfaCa::new(&dfa).with_kernel(kernel);
+                $body
+            }
+            Variant::Nfa => {
+                let $ca = &NfaCa::new($nfa);
+                $body
+            }
+            Variant::Rid(kernel) => {
+                let rid = build_rid($nfa, $opts)?;
+                let $ca = &RidCa::new(&rid).with_kernel(kernel);
+                $body
+            }
+        }
+    };
+}
+
 /// How a command's recognitions are executed: spawn threads per call, or
 /// dispatch to a warm [`Session`].
 enum Runner {
@@ -537,7 +588,7 @@ impl Runner {
 
 fn cmd_recognize(opts: &Opts) -> Result<(), CliError> {
     let nfa = load_nfa(opts)?;
-    let variant = opts.get_value("variant")?.unwrap_or("rid");
+    let variant = Variant::parse(opts, "rid")?;
     if opts.get_bool("stream") {
         return cmd_recognize_stream(opts, &nfa, variant);
     }
@@ -546,60 +597,9 @@ fn cmd_recognize(opts: &Opts) -> Result<(), CliError> {
     let budget = timeout_budget(opts)?;
     let mut runner = Runner::from_opts(opts)?;
 
-    let accepted = match variant {
-        "rid" => {
-            let rid = build_rid(&nfa, opts)?;
-            run(
-                &RidCa::new(&rid),
-                &text,
-                chunks,
-                &mut runner,
-                budget.as_ref(),
-            )?
-        }
-        "dfa" => {
-            let dfa = build_dfa(&nfa, opts)?;
-            run(
-                &DfaCa::new(&dfa),
-                &text,
-                chunks,
-                &mut runner,
-                budget.as_ref(),
-            )?
-        }
-        "nfa" => run(
-            &NfaCa::new(&nfa),
-            &text,
-            chunks,
-            &mut runner,
-            budget.as_ref(),
-        )?,
-        "convergent-rid" => {
-            let rid = build_rid(&nfa, opts)?;
-            run(
-                &ConvergentRidCa::new(&rid),
-                &text,
-                chunks,
-                &mut runner,
-                budget.as_ref(),
-            )?
-        }
-        "convergent-dfa" => {
-            let dfa = build_dfa(&nfa, opts)?;
-            run(
-                &ConvergentDfaCa::new(&dfa),
-                &text,
-                chunks,
-                &mut runner,
-                budget.as_ref(),
-            )?
-        }
-        other => {
-            return Err(CliError::Usage(format!(
-                "unknown variant {other:?} (dfa|nfa|rid|convergent-dfa|convergent-rid)"
-            )))
-        }
-    };
+    let accepted = with_variant!(variant, &nfa, opts, |ca| {
+        run(ca, &text, chunks, &mut runner, budget.as_ref())?
+    });
     if accepted {
         Ok(())
     } else {
@@ -663,7 +663,7 @@ fn report<CA: ChunkAutomaton>(ca: &CA, text: &[u8], chunks: usize, runner: &mut 
 
 /// The `recognize --stream` path: never loads the text; reads the file or
 /// stdin through a [`StreamSession`] in `--block-size` blocks.
-fn cmd_recognize_stream(opts: &Opts, nfa: &Nfa, variant: &str) -> Result<(), CliError> {
+fn cmd_recognize_stream(opts: &Opts, nfa: &Nfa, variant: Variant) -> Result<(), CliError> {
     if opts.get_bool("pool") {
         return Err(CliError::Usage(
             "--stream manages its own worker pool; drop --pool".into(),
@@ -687,42 +687,9 @@ fn cmd_recognize_stream(opts: &Opts, nfa: &Nfa, variant: &str) -> Result<(), Cli
         session.set_separator(Some(sep));
     }
 
-    let rid;
-    let dfa;
-    let accepted = match variant {
-        "rid" => {
-            rid = build_rid(nfa, opts)?;
-            stream_report(&RidCa::new(&rid), opts, &mut session, budget.as_ref())?
-        }
-        "convergent-rid" => {
-            rid = build_rid(nfa, opts)?;
-            stream_report(
-                &ConvergentRidCa::new(&rid),
-                opts,
-                &mut session,
-                budget.as_ref(),
-            )?
-        }
-        "dfa" => {
-            dfa = build_dfa(nfa, opts)?;
-            stream_report(&DfaCa::new(&dfa), opts, &mut session, budget.as_ref())?
-        }
-        "convergent-dfa" => {
-            dfa = build_dfa(nfa, opts)?;
-            stream_report(
-                &ConvergentDfaCa::new(&dfa),
-                opts,
-                &mut session,
-                budget.as_ref(),
-            )?
-        }
-        "nfa" => stream_report(&NfaCa::new(nfa), opts, &mut session, budget.as_ref())?,
-        other => {
-            return Err(CliError::Usage(format!(
-                "unknown variant {other:?} (dfa|nfa|rid|convergent-dfa|convergent-rid)"
-            )))
-        }
-    };
+    let accepted = with_variant!(variant, nfa, opts, |ca| {
+        stream_report(ca, opts, &mut session, budget.as_ref())?
+    });
     if accepted {
         Ok(())
     } else {
@@ -803,8 +770,18 @@ fn cmd_drive(opts: &Opts) -> Result<(), CliError> {
         report(&DfaCa::new(&dfa), &text, chunks, &mut runner),
         report(&NfaCa::new(&nfa), &text, chunks, &mut runner),
         report(&RidCa::new(&rid), &text, chunks, &mut runner),
-        report(&ConvergentDfaCa::new(&dfa), &text, chunks, &mut runner),
-        report(&ConvergentRidCa::new(&rid), &text, chunks, &mut runner),
+        report(
+            &DfaCa::new(&dfa).with_kernel(Kernel::Auto),
+            &text,
+            chunks,
+            &mut runner,
+        ),
+        report(
+            &RidCa::new(&rid).with_kernel(Kernel::Auto),
+            &text,
+            chunks,
+            &mut runner,
+        ),
     ];
     if verdicts.iter().any(|&v| v != verdicts[0]) {
         return Err(CliError::Internal(
@@ -830,7 +807,7 @@ fn cmd_serve(opts: &Opts) -> Result<(), CliError> {
     let len = opts.get_usize("len", 2048)?;
     let chunks = opts.get_usize("chunks", 4)?;
     let threads = opts.get_usize("threads", default_threads())?;
-    let variant = opts.get_value("variant")?.unwrap_or("convergent-rid");
+    let variant = Variant::parse(opts, "convergent-rid")?;
     let pooled = !opts.get_bool("no-pool");
 
     let nfa = ridfa_workloads::traffic::nfa();
@@ -839,31 +816,9 @@ fn cmd_serve(opts: &Opts) -> Result<(), CliError> {
     let total_bytes: usize = texts.iter().map(Vec::len).sum();
 
     let mut runner = Runner::new(pooled, threads);
-    let rid;
-    let dfa;
-    let accepted = match variant {
-        "rid" => {
-            rid = build_rid(&nfa, opts)?;
-            serve(&RidCa::new(&rid), &texts, chunks, &mut runner)
-        }
-        "convergent-rid" => {
-            rid = build_rid(&nfa, opts)?;
-            serve(&ConvergentRidCa::new(&rid), &texts, chunks, &mut runner)
-        }
-        "dfa" => {
-            dfa = build_dfa(&nfa, opts)?;
-            serve(&DfaCa::new(&dfa), &texts, chunks, &mut runner)
-        }
-        "convergent-dfa" => {
-            dfa = build_dfa(&nfa, opts)?;
-            serve(&ConvergentDfaCa::new(&dfa), &texts, chunks, &mut runner)
-        }
-        other => {
-            return Err(CliError::Usage(format!(
-                "unknown variant {other:?} (dfa|rid|convergent-dfa|convergent-rid)"
-            )))
-        }
-    };
+    let accepted = with_variant!(variant, &nfa, opts, |ca| {
+        serve(ca, &texts, chunks, &mut runner)
+    });
     let expected = texts.len() - texts.len() / 8;
     if accepted != expected {
         return Err(CliError::Internal(format!(
@@ -895,33 +850,13 @@ fn cmd_serve_stream(opts: &Opts) -> Result<(), CliError> {
         ));
     }
     let threads = opts.get_usize("threads", default_threads())?;
-    let variant = opts.get_value("variant")?.unwrap_or("convergent-rid");
+    let variant = Variant::parse(opts, "convergent-rid")?;
 
     let nfa = ridfa_workloads::traffic::nfa();
     let mut session = StreamSession::new(threads.saturating_sub(1).max(1), block_size);
-    let rid;
-    let dfa;
-    match variant {
-        "rid" => {
-            rid = build_rid(&nfa, opts)?;
-            serve_stream(&RidCa::new(&rid), bytes, &mut session)
-        }
-        "convergent-rid" => {
-            rid = build_rid(&nfa, opts)?;
-            serve_stream(&ConvergentRidCa::new(&rid), bytes, &mut session)
-        }
-        "dfa" => {
-            dfa = build_dfa(&nfa, opts)?;
-            serve_stream(&DfaCa::new(&dfa), bytes, &mut session)
-        }
-        "convergent-dfa" => {
-            dfa = build_dfa(&nfa, opts)?;
-            serve_stream(&ConvergentDfaCa::new(&dfa), bytes, &mut session)
-        }
-        other => Err(CliError::Usage(format!(
-            "unknown variant {other:?} (dfa|rid|convergent-dfa|convergent-rid)"
-        ))),
-    }
+    with_variant!(variant, &nfa, opts, |ca| {
+        serve_stream(ca, bytes, &mut session)
+    })
 }
 
 fn serve_stream<CA: ChunkAutomaton>(

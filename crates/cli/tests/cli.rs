@@ -307,6 +307,69 @@ fn stream_recognize_accepts_and_rejects_from_stdin() {
 }
 
 #[test]
+fn every_variant_runs_through_every_command() {
+    let records = SYSLOG.repeat(8);
+    let corrupted = records.replacen("Jan", "Xxx", 1);
+    for variant in ["dfa", "nfa", "rid", "convergent-dfa", "convergent-rid"] {
+        for stream in [&[][..], &["--stream", "--block-size", "64"][..]] {
+            for (input, code, verdict) in [(&records, 0, "ACCEPTED"), (&corrupted, 1, "REJECTED")] {
+                let mut child = ridfa()
+                    .args(["recognize", "--workload", "traffic", "--text", "-"])
+                    .args(["--chunks", "3", "--threads", "2", "--variant", variant])
+                    .args(stream)
+                    .stdin(Stdio::piped())
+                    .stdout(Stdio::piped())
+                    .stderr(Stdio::piped())
+                    .spawn()
+                    .unwrap();
+                child
+                    .stdin
+                    .as_mut()
+                    .unwrap()
+                    .write_all(input.as_bytes())
+                    .unwrap();
+                let out = child.wait_with_output().unwrap();
+                let text = String::from_utf8(out.stdout).unwrap();
+                let err = String::from_utf8(out.stderr).unwrap();
+                assert_eq!(
+                    out.status.code(),
+                    Some(code),
+                    "{variant} {stream:?}: {text}{err}"
+                );
+                assert!(text.contains(verdict), "{variant} {stream:?}: {text}");
+            }
+        }
+        for (args, needle) in [
+            (
+                &["serve", "--requests", "16", "--len", "256"][..],
+                "serve: 16 texts OK",
+            ),
+            (
+                &[
+                    "serve",
+                    "--stream",
+                    "--bytes",
+                    "65536",
+                    "--block-size",
+                    "4096",
+                ][..],
+                "serve --stream: OK",
+            ),
+        ] {
+            let out = ridfa()
+                .args(args)
+                .args(["--threads", "2", "--variant", variant])
+                .output()
+                .unwrap();
+            let text = String::from_utf8(out.stdout).unwrap();
+            let err = String::from_utf8(out.stderr).unwrap();
+            assert!(out.status.success(), "{variant} {args:?}: {text}{err}");
+            assert!(text.contains(needle), "{variant} {args:?}: {text}");
+        }
+    }
+}
+
+#[test]
 fn stream_recognize_reads_files_without_loading() {
     let dir = std::env::temp_dir().join(format!("ridfa-stream-test-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();

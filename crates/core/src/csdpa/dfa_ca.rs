@@ -12,11 +12,14 @@ use super::ChunkAutomaton;
 
 /// CSDPA chunk automaton wrapping a (usually minimal) DFA.
 ///
-/// Interior scans go through the per-run path of the scan [`kernel`]
-/// (premultiplied rows, shared table layout) but never merge runs, so the
-/// executed-transition counts stay exactly the paper's `k × |chunk|`
-/// workload measure. For the convergence-merging variant see
-/// [`ConvergentDfaCa`](super::ConvergentDfaCa).
+/// Interior scans run through the scan [`kernel`] (premultiplied rows,
+/// shared table layout). [`new`](DfaCa::new) scans per run and never
+/// merges runs, so the executed-transition counts stay exactly the
+/// paper's `k × |chunk|` workload measure. [`with_kernel`](DfaCa::with_kernel)
+/// picks another strategy: any other kernel merges runs that converge
+/// to the same state (the state-convergence optimization the paper's
+/// conclusion points at) and charges one transition per merged group.
+/// Mappings are identical under every kernel.
 #[derive(Debug, Clone)]
 pub struct DfaCa<'a> {
     dfa: &'a Dfa,
@@ -24,14 +27,17 @@ pub struct DfaCa<'a> {
     /// owned when built by [`new`](DfaCa::new), borrowed when a registry
     /// or artifact already holds it.
     ptable: std::borrow::Cow<'a, [StateId]>,
+    /// The configured scan strategy of interior chunks.
+    kernel: Kernel,
 }
 
 impl<'a> DfaCa<'a> {
-    /// Wraps `dfa`, premultiplying its table once.
+    /// Wraps `dfa`, premultiplying its table once. Scans per run.
     pub fn new(dfa: &'a Dfa) -> Self {
         DfaCa {
             dfa,
             ptable: std::borrow::Cow::Owned(dfa.premultiplied_table()),
+            kernel: Kernel::PerRun,
         }
     }
 
@@ -39,7 +45,7 @@ impl<'a> DfaCa<'a> {
     /// from an artifact or cached by a pattern registry), making CA
     /// construction allocation-free. `ptable` must equal
     /// `dfa.premultiplied_table()`; length is checked, content is the
-    /// caller's contract.
+    /// caller's contract. Scans per run.
     pub fn with_table(dfa: &'a Dfa, ptable: &'a [StateId]) -> Self {
         assert_eq!(
             ptable.len(),
@@ -49,17 +55,19 @@ impl<'a> DfaCa<'a> {
         DfaCa {
             dfa,
             ptable: std::borrow::Cow::Borrowed(ptable),
+            kernel: Kernel::PerRun,
         }
+    }
+
+    /// Scans interior chunks with `kernel` instead of per run;
+    /// [`Kernel::Auto`] picks per chunk.
+    pub fn with_kernel(self, kernel: Kernel) -> Self {
+        DfaCa { kernel, ..self }
     }
 
     /// The wrapped automaton.
     pub fn dfa(&self) -> &'a Dfa {
         self.dfa
-    }
-
-    /// The premultiplied table, shared with the convergent wrapper.
-    pub(crate) fn ptable(&self) -> &[StateId] {
-        &self.ptable
     }
 
     fn table(&self) -> DenseTable<'_> {
@@ -68,6 +76,17 @@ impl<'a> DfaCa<'a> {
             stride: self.dfa.stride(),
             classes: self.dfa.classes(),
         }
+    }
+
+    /// The kernel an interior chunk of `chunk_len` bytes runs, resolved
+    /// from the live start count — the runs a scan actually starts.
+    fn resolved(&self, chunk_len: usize) -> Kernel {
+        kernel::resolve(
+            self.kernel,
+            self.num_speculative_starts(),
+            chunk_len,
+            self.ptable.len(),
+        )
     }
 }
 
@@ -91,7 +110,7 @@ impl ChunkAutomaton for DfaCa<'_> {
             self.dfa.live_states().map(|s| (s, s)),
             self.dfa.num_states(),
             chunk,
-            Kernel::PerRun,
+            self.resolved(chunk.len()),
             scratch,
             counter,
             out,
@@ -144,21 +163,130 @@ impl ChunkAutomaton for DfaCa<'_> {
         self.dfa.num_live_states()
     }
 
+    fn effective_kernel(&self, chunk_len: usize) -> Option<Kernel> {
+        Some(self.resolved(chunk_len))
+    }
+
     fn name(&self) -> &'static str {
-        "dfa"
+        match self.kernel {
+            Kernel::PerRun => "dfa",
+            _ => "dfa+conv",
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::csdpa::{recognize, Executor};
+    use ridfa_automata::dfa::minimize::minimize;
     use ridfa_automata::dfa::powerset::determinize;
     use ridfa_automata::nfa::glushkov;
     use ridfa_automata::regex::parse;
     use ridfa_automata::{NoCount, TransitionCount};
 
+    const KERNELS: [Kernel; 4] = [
+        Kernel::PerRun,
+        Kernel::LockstepShared,
+        Kernel::Simd,
+        Kernel::Auto,
+    ];
+
     fn ca_dfa(pattern: &str) -> Dfa {
         determinize(&glushkov::build(&parse(pattern).unwrap()).unwrap())
+    }
+
+    fn figure1_min_dfa() -> Dfa {
+        minimize(&determinize(&crate::ridfa::construct::tests::figure1_nfa()))
+    }
+
+    #[test]
+    fn convergent_mapping_equals_plain_mapping() {
+        let dfa = figure1_min_dfa();
+        let plain = DfaCa::new(&dfa);
+        for kernel in KERNELS {
+            let conv = DfaCa::new(&dfa).with_kernel(kernel);
+            for chunk in [&b"cab"[..], b"aab", b"", b"bbbb", b"aabcabaabcab"] {
+                assert_eq!(
+                    plain.scan(chunk, &mut NoCount),
+                    conv.scan(chunk, &mut NoCount),
+                    "{kernel:?} on {chunk:?}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn convergence_reduces_executed_transitions() {
+        let dfa = figure1_min_dfa();
+        let plain = DfaCa::new(&dfa);
+        let conv = DfaCa::new(&dfa).with_kernel(Kernel::LockstepShared);
+        // Long chunk: runs converge, so the lockstep scan does less work.
+        let chunk = b"aabcab".repeat(100);
+        let mut c_plain = TransitionCount::default();
+        plain.scan(&chunk, &mut c_plain);
+        let mut c_conv = TransitionCount::default();
+        conv.scan(&chunk, &mut c_conv);
+        assert!(
+            c_conv.get() < c_plain.get(),
+            "convergent {} vs plain {}",
+            c_conv.get(),
+            c_plain.get()
+        );
+        // Lower bound: at least one transition per byte while alive.
+        assert!(c_conv.get() >= chunk.len() as u64);
+    }
+
+    #[test]
+    fn end_to_end_recognition_agrees() {
+        let dfa = figure1_min_dfa();
+        for kernel in KERNELS {
+            let ca = DfaCa::new(&dfa).with_kernel(kernel);
+            let mut text = b"aabcab".repeat(200);
+            for chunks in [1usize, 3, 8] {
+                assert!(recognize(&ca, &text, chunks, Executor::PerChunk).accepted);
+            }
+            text.push(b'c');
+            assert!(!recognize(&ca, &text, 4, Executor::PerChunk).accepted);
+        }
+    }
+
+    #[test]
+    fn effective_kernel_is_the_kernel_that_ran() {
+        // Two live states whose runs converge after one byte: the start
+        // count decides between per-run and lockstep, so resolving from
+        // any other count reports a kernel the scan did not run.
+        let dfa = minimize(&ca_dfa("(a|b)*b"));
+        assert_eq!(dfa.num_live_states(), 2);
+        let auto = DfaCa::new(&dfa).with_kernel(Kernel::Auto);
+        for len in [0usize, 1, 63, 64, 100, 4095, 4096, 5000] {
+            let chunk: Vec<u8> = (0..len)
+                .map(|i| if i % 3 == 0 { b'b' } else { b'a' })
+                .collect();
+            let reported = auto.effective_kernel(len).unwrap();
+            assert_ne!(reported, Kernel::Auto);
+            let pinned = DfaCa::new(&dfa).with_kernel(reported);
+            let mut ran = TransitionCount::default();
+            let mut expected = TransitionCount::default();
+            let m_auto = auto.scan(&chunk, &mut ran);
+            let m_pinned = pinned.scan(&chunk, &mut expected);
+            assert_eq!(m_auto, m_pinned, "len {len}");
+            assert_eq!(
+                ran.get(),
+                expected.get(),
+                "len {len}: reported {reported:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn name_follows_the_kernel() {
+        let dfa = figure1_min_dfa();
+        assert_eq!(DfaCa::new(&dfa).name(), "dfa");
+        assert_eq!(DfaCa::new(&dfa).effective_kernel(64), Some(Kernel::PerRun));
+        for kernel in [Kernel::LockstepShared, Kernel::Simd, Kernel::Auto] {
+            assert_eq!(DfaCa::new(&dfa).with_kernel(kernel).name(), "dfa+conv");
+        }
     }
 
     #[test]

@@ -164,6 +164,21 @@ pub fn select_with(num_runs: usize, chunk_len: usize, table_entries: usize, simd
     Kernel::LockstepShared
 }
 
+/// The strategy [`scan_into`] actually runs for a `configured` kernel on
+/// a chunk of `chunk_len` bytes with `runs` speculative starts:
+/// [`Kernel::Auto`] goes through [`select`], and a pinned
+/// [`Kernel::Simd`] is demoted to its documented scalar fallback when the
+/// CPU feature or the table shape rules gathers out. Never `Auto`. Chunk
+/// automata report this as their effective kernel, so what a caller is
+/// told ran and what ran come from one decision.
+pub fn resolve(configured: Kernel, runs: usize, chunk_len: usize, table_entries: usize) -> Kernel {
+    match configured {
+        Kernel::Auto => select(runs, chunk_len, table_entries),
+        Kernel::Simd if !simd::supported(table_entries) => Kernel::LockstepShared,
+        pinned => pinned,
+    }
+}
+
 /// The dense transition structure a kernel scan reads. Borrowed from a
 /// [`Dfa`](ridfa_automata::dfa::Dfa) or an
 /// [`RiDfa`](crate::ridfa::RiDfa) — both share the flat
@@ -255,8 +270,10 @@ impl Scratch {
 /// resized to `num_origins` first (no allocation once its capacity has
 /// warmed up).
 ///
-/// `kernel` picks the strategy; [`Kernel::Auto`] defers to [`select`].
-/// Counting semantics per strategy:
+/// `kernel` picks the strategy through [`resolve`], with `num_origins`
+/// as the run count (`starts` is not re-iterable); a caller that starts
+/// fewer runs than it has origins passes its own resolved kernel, which
+/// `resolve` returns unchanged. Counting semantics per strategy:
 ///
 /// * per-run: one increment per executed live transition per run — the
 ///   paper's `k`-pass reach-phase workload measure;
@@ -277,7 +294,7 @@ pub fn scan_into(
     out.clear();
     out.resize(num_origins, DEAD);
     debug_assert!(table.ptable.len().is_multiple_of(table.stride.max(1)));
-    match kernel {
+    match resolve(kernel, num_origins, chunk.len(), table.ptable.len()) {
         Kernel::PerRun => per_run_scan(
             table,
             starts,
@@ -287,30 +304,8 @@ pub fn scan_into(
             out,
         ),
         Kernel::LockstepShared => lockstep_scan(table, starts, chunk, scratch, counter, out),
-        Kernel::Simd => {
-            if simd::supported(table.ptable.len()) {
-                simd::scan(table, starts, chunk, scratch, counter, out)
-            } else {
-                // Feature or table shape unavailable: the fused scalar
-                // kernel is the drop-in oracle (identical mappings).
-                lockstep_scan(table, starts, chunk, scratch, counter, out)
-            }
-        }
-        Kernel::Auto => {
-            // `starts` is not re-iterable, so bound k by `num_origins`
-            // (equal for every caller in this crate: one start per origin).
-            let choice = select(num_origins, chunk.len(), table.ptable.len());
-            scan_into(
-                table,
-                starts,
-                num_origins,
-                chunk,
-                choice,
-                scratch,
-                counter,
-                out,
-            )
-        }
+        Kernel::Simd => simd::scan(table, starts, chunk, scratch, counter, out),
+        Kernel::Auto => unreachable!("resolve never returns Auto"),
     }
 }
 

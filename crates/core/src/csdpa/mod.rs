@@ -9,21 +9,24 @@
 //! possible last active states. The serial **join phase** composes
 //! adjacent mappings and checks acceptance.
 //!
-//! Five CAs implement the common [`ChunkAutomaton`] interface:
+//! Three CAs implement the common [`ChunkAutomaton`] interface:
 //!
-//! | CA | speculative starts | transition cost/byte | paper role |
-//! |----|--------------------|----------------------|------------|
-//! | [`DfaCa`] | all DFA states | 1 per run | classic DFA variant |
-//! | [`NfaCa`] | all NFA states | set-simulation edges | classic NFA variant |
-//! | [`RidCa`] | RI-DFA interface (≈ NFA states) | 1 per run | the paper's RID |
-//! | [`ConvergentDfaCa`] | all DFA states | 1 per *merged group* | DFA + state convergence |
-//! | [`ConvergentRidCa`] | RI-DFA interface | 1 per *merged group* | RID + state convergence |
+//! | CA | speculative starts | kernel | paper role |
+//! |----|--------------------|--------|------------|
+//! | [`DfaCa`] | all DFA states | per-run, or any [`Kernel`] | classic DFA variant |
+//! | [`NfaCa`] | all NFA states | none (set simulation) | classic NFA variant |
+//! | [`RidCa`] | RI-DFA interface (≈ NFA states) | per-run, or any [`Kernel`] | the paper's RID |
 //!
-//! The deterministic CAs execute their interior scans through the
-//! single-pass lockstep [`kernel`], which merges converged runs, shares
-//! the byte→class translation across all runs, and adaptively falls back
-//! to per-run scanning where lockstep bookkeeping cannot pay
-//! ([`kernel::select`]).
+//! The deterministic CAs execute their interior scans through the scan
+//! [`kernel`]. Built with `new`, they scan per run at one transition per
+//! run per byte — the paper's classic variants, whose transition counts
+//! Fig. 7 reports. Built `with_kernel`, they add state convergence: the
+//! single-pass lockstep path merges converged runs and charges one
+//! transition per *merged group*, shares the byte→class translation
+//! across all runs, and adaptively falls back to per-run scanning where
+//! lockstep bookkeeping cannot pay ([`kernel::select`]).
+//! [`RidCa::with_feasible`] adds PaREM-style feasible-start pruning
+//! through a [`FeasibleTable`].
 //!
 //! The reach phase runs under one of two execution shapes: the one-shot
 //! spawning executors of [`recognize`] ([`Executor`]), or a persistent
@@ -33,7 +36,6 @@
 
 pub mod budget;
 mod chunking;
-mod convergent;
 mod dfa_ca;
 pub mod kernel;
 mod nfa_ca;
@@ -47,11 +49,10 @@ pub mod stream;
 
 pub use budget::{Budget, CancelToken, Degraded, RecognizeError, StreamError};
 pub use chunking::{chunk_spans, chunk_spans_into, chunk_spans_snapped};
-pub use convergent::{ConvergentDfaCa, ConvergentRidCa};
 pub use dfa_ca::DfaCa;
 pub use kernel::{Kernel, Scratch};
 pub use nfa_ca::NfaCa;
-pub use plan::{Engine, EnginePlan, FeasibleRidCa, FeasibleTable};
+pub use plan::{Engine, EnginePlan, FeasibleTable};
 pub use recognizer::{
     recognize, recognize_budgeted, recognize_counted, recognize_serial, recognize_spans,
     ChunkStats, CountedOutcome, Executor, Outcome,
@@ -59,7 +60,7 @@ pub use recognizer::{
 pub use registry::{
     resident_footprint, PatternRegistry, PatternStats, RegistryConfig, RegistryError, StreamScan,
 };
-pub use rid_ca::{RidCa, RidMapping};
+pub use rid_ca::{ConvergentRidCa, FeasibleRidCa, RidCa, RidMapping};
 pub use session::Session;
 pub use spec::{PatternSpec, RegistrySnapshot, ReloadDelta, SpecEntry, SpecError};
 pub use stream::{StreamOutcome, StreamSession};
@@ -289,13 +290,13 @@ pub trait ChunkAutomaton: Sync {
     /// (`|I_A|`): the speculation-cost factor of the paper.
     fn num_speculative_starts(&self) -> usize;
 
-    /// The scan strategy this CA would *actually* execute on an interior
-    /// chunk of `chunk_len` bytes: [`Kernel::Auto`] resolved through the
-    /// runtime selection matrix, and a pinned [`Kernel::Simd`] demoted to
-    /// its scalar fallback when the CPU feature or the table shape rules
-    /// it out. `None` (the default) means the CA does not scan through
-    /// the lockstep kernel at all (set-based NFA simulation, SFA tables),
-    /// and reporting layers omit the kernel field.
+    /// The scan strategy this CA *actually* executes on an interior chunk
+    /// of `chunk_len` bytes: its configured kernel passed through
+    /// [`kernel::resolve`] with the run count the scan starts, so
+    /// [`Kernel::Auto`] never appears. `None` (the default) means the CA
+    /// does not scan through the [`kernel`] at all (set-based NFA
+    /// simulation, SFA tables), and reporting layers omit the kernel
+    /// field.
     fn effective_kernel(&self, _chunk_len: usize) -> Option<Kernel> {
         None
     }

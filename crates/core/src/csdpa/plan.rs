@@ -31,6 +31,10 @@
 //!   [`DEAD`] seeds and a run whose first transition dies yields the
 //!   same `DEAD` entry — mappings are bit-identical, verified by the
 //!   engine differential suite.
+//!
+//! The lockstep and feasible-start engines scan with the same chunk
+//! automaton: a [`RidCa`] on [`Kernel::Auto`], given the feasible table
+//! through [`RidCa::with_feasible`] for the latter.
 
 use ridfa_automata::counter::Counter;
 use ridfa_automata::{ConstructionBudget, StateId, DEAD};
@@ -40,8 +44,8 @@ use crate::ridfa::RiDfa;
 use crate::sfa::{Sfa, SfaCa};
 
 use super::budget::InterruptProbe;
-use super::kernel::{self, DenseTable, Kernel, Scratch};
-use super::{ChunkAutomaton, ConvergentRidCa, RidCa, RidMapping};
+use super::kernel::{Kernel, Scratch};
+use super::{ChunkAutomaton, RidCa, RidMapping};
 
 /// SFA state-count cap for `Auto` plan resolution: a trial SFA build
 /// that exceeds this many function states fails fast and the plan
@@ -223,9 +227,9 @@ impl Engine {
     /// automaton built on the same tables (unused by the SFA engine).
     pub(crate) fn ca<'a>(&'a self, rid: RidCa<'a>) -> EngineCa<'a> {
         match self {
-            Engine::Lockstep => EngineCa::Lockstep(ConvergentRidCa::from_inner(rid, Kernel::Auto)),
+            Engine::Lockstep => EngineCa::Rid(rid.with_kernel(Kernel::Auto)),
             Engine::FeasibleStart(table) => {
-                EngineCa::FeasibleStart(FeasibleRidCa::from_inner(rid, table, Kernel::Auto))
+                EngineCa::Rid(rid.with_kernel(Kernel::Auto).with_feasible(table))
             }
             Engine::Sfa(sfa) => EngineCa::Sfa(SfaCa::new(sfa)),
         }
@@ -339,141 +343,13 @@ impl FeasibleTable {
     }
 }
 
-/// The RID chunk automaton with feasible-start boundary pruning: a
-/// [`ConvergentRidCa`](super::ConvergentRidCa) whose interior scans
-/// consult the [`FeasibleTable`] on the chunk's first byte and seed
-/// [`DEAD`] for every origin that cannot survive it. The kernel skips
-/// `DEAD` seeds, so the pruned runs cost nothing — and since an unpruned
-/// run with an infeasible origin dies on its first transition anyway
-/// (recording the same `DEAD`), the produced mapping is bit-identical
-/// to the unpruned one. Empty chunks are never pruned (there is no
-/// first byte to prune on).
-#[derive(Debug, Clone)]
-pub struct FeasibleRidCa<'a> {
-    inner: RidCa<'a>,
-    feasible: &'a FeasibleTable,
-    kernel: Kernel,
-}
-
-impl<'a> FeasibleRidCa<'a> {
-    /// Wraps `rid` and its feasible table with adaptive kernel selection.
-    pub fn new(rid: &'a RiDfa, feasible: &'a FeasibleTable) -> Self {
-        Self::from_inner(RidCa::new(rid), feasible, Kernel::Auto)
-    }
-
-    /// Wraps an already-built [`RidCa`] (e.g. one borrowing registry
-    /// tables via [`RidCa::with_tables`]), pinning the scan strategy.
-    pub fn from_inner(inner: RidCa<'a>, feasible: &'a FeasibleTable, kernel: Kernel) -> Self {
-        debug_assert_eq!(feasible.interface_len(), inner.rid().interface().len());
-        debug_assert_eq!(feasible.stride(), inner.rid().stride());
-        FeasibleRidCa {
-            inner,
-            feasible,
-            kernel,
-        }
-    }
-
-    /// The feasible-start table consulted at chunk boundaries.
-    pub fn feasible(&self) -> &FeasibleTable {
-        self.feasible
-    }
-}
-
-impl ChunkAutomaton for FeasibleRidCa<'_> {
-    type Mapping = RidMapping;
-    type Scratch = Scratch;
-    type ComposeScratch = (Vec<StateId>, Vec<StateId>);
-
-    fn scan_into(
-        &self,
-        chunk: &[u8],
-        scratch: &mut Scratch,
-        counter: &mut impl Counter,
-        out: &mut RidMapping,
-    ) {
-        let rid = self.inner.rid();
-        let interface = rid.interface();
-        let table = DenseTable {
-            ptable: self.inner.ptable(),
-            stride: rid.stride(),
-            classes: rid.classes(),
-        };
-        let first_class = chunk.first().map(|&b| rid.classes().get(b));
-        kernel::scan_into(
-            table,
-            interface.iter().enumerate().map(|(i, &p)| {
-                let origin = match first_class {
-                    // Pruned: seeded DEAD, skipped by the kernel — the
-                    // same entry an unpruned dead-on-first-byte run
-                    // would record.
-                    Some(c) if !self.feasible.is_feasible(c, i) => DEAD,
-                    _ => p,
-                };
-                (i as u32, origin)
-            }),
-            interface.len(),
-            chunk,
-            self.kernel,
-            scratch,
-            counter,
-            out.interior_buf(),
-        );
-    }
-
-    fn scan_first_into(&self, chunk: &[u8], counter: &mut impl Counter, out: &mut RidMapping) {
-        self.inner.scan_first_into(chunk, counter, out)
-    }
-
-    fn arm_interrupt(&self, scratch: &mut Scratch, probe: Option<&InterruptProbe>) {
-        self.inner.arm_interrupt(scratch, probe)
-    }
-
-    fn compose_into(
-        &self,
-        left: &RidMapping,
-        right: &RidMapping,
-        scratch: &mut (Vec<StateId>, Vec<StateId>),
-        out: &mut RidMapping,
-    ) {
-        self.inner.compose_into(left, right, scratch, out)
-    }
-
-    fn accepts_mapping(&self, mapping: &RidMapping) -> bool {
-        self.inner.accepts_mapping(mapping)
-    }
-
-    fn mapping_is_dead(&self, mapping: &RidMapping) -> bool {
-        self.inner.mapping_is_dead(mapping)
-    }
-
-    fn accepts_serial(&self, text: &[u8], counter: &mut impl Counter) -> bool {
-        self.inner.accepts_serial(text, counter)
-    }
-
-    fn num_speculative_starts(&self) -> usize {
-        self.inner.num_speculative_starts()
-    }
-
-    fn effective_kernel(&self, chunk_len: usize) -> Option<Kernel> {
-        Some(super::convergent::resolve_kernel(
-            self.kernel,
-            self.num_speculative_starts(),
-            chunk_len,
-            self.inner.ptable().len(),
-        ))
-    }
-
-    fn name(&self) -> &'static str {
-        "rid+feasible"
-    }
-}
-
 /// The chunk automaton of a resolved [`Engine`]: one type for all three
 /// engines, delegating every call to the engine's own chunk automaton,
-/// so a caller that serves any engine dispatches once.
+/// so a caller that serves any engine dispatches once. The lockstep and
+/// feasible-start engines are both a [`RidCa`] (the latter with a
+/// feasible table).
 pub(crate) enum EngineCa<'a> {
-    Lockstep(ConvergentRidCa<'a>),
-    FeasibleStart(FeasibleRidCa<'a>),
+    Rid(RidCa<'a>),
     Sfa(SfaCa<'a>),
 }
 
@@ -528,14 +404,13 @@ impl EngineMapping {
     }
 }
 
-/// Runs `$rid` with `$ca` bound to the lockstep or feasible-start chunk
-/// automaton, or `$sfa` with it bound to the SFA one (`$rid` for all
-/// three when no `$sfa` is given).
+/// Runs `$rid` with `$ca` bound to the RID chunk automaton, or `$sfa`
+/// with it bound to the SFA one (`$rid` for both when no `$sfa` is
+/// given).
 macro_rules! dispatch {
     ($self:expr, |$ca:ident| $rid:expr, $sfa:expr) => {
         match $self {
-            EngineCa::Lockstep($ca) => $rid,
-            EngineCa::FeasibleStart($ca) => $rid,
+            EngineCa::Rid($ca) => $rid,
             EngineCa::Sfa($ca) => $sfa,
         }
     };
@@ -629,7 +504,7 @@ impl ChunkAutomaton for EngineCa<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::csdpa::{recognize, ConvergentRidCa, Executor};
+    use crate::csdpa::{recognize, Executor};
     use crate::ridfa::construct::tests::figure1_nfa;
     use ridfa_automata::NoCount;
 
@@ -676,14 +551,21 @@ mod tests {
     fn feasible_mappings_are_bit_identical_to_lockstep() {
         let rid = RiDfa::from_nfa(&figure1_nfa()).minimized();
         let table = FeasibleTable::build(&rid);
-        let pruned = FeasibleRidCa::new(&rid, &table);
-        let plain = ConvergentRidCa::new(&rid);
-        for chunk in [&b"cab"[..], b"aab", b"", b"bbbb", b"aabcabaabcab", b"zzz"] {
-            assert_eq!(
-                pruned.scan(chunk, &mut NoCount),
-                plain.scan(chunk, &mut NoCount),
-                "{chunk:?}"
-            );
+        for kernel in [
+            Kernel::PerRun,
+            Kernel::LockstepShared,
+            Kernel::Simd,
+            Kernel::Auto,
+        ] {
+            let pruned = RidCa::new(&rid).with_kernel(kernel).with_feasible(&table);
+            let plain = RidCa::new(&rid).with_kernel(kernel);
+            for chunk in [&b"cab"[..], b"aab", b"", b"bbbb", b"aabcabaabcab", b"zzz"] {
+                assert_eq!(
+                    pruned.scan(chunk, &mut NoCount),
+                    plain.scan(chunk, &mut NoCount),
+                    "{kernel:?} on {chunk:?}"
+                );
+            }
         }
     }
 
@@ -691,7 +573,9 @@ mod tests {
     fn feasible_recognition_agrees_end_to_end() {
         let rid = RiDfa::from_nfa(&figure1_nfa()).minimized();
         let table = FeasibleTable::build(&rid);
-        let ca = FeasibleRidCa::new(&rid, &table);
+        let ca = RidCa::new(&rid)
+            .with_kernel(Kernel::Auto)
+            .with_feasible(&table);
         let mut text = b"aabcab".repeat(100);
         for chunks in [1usize, 2, 5, 16] {
             assert!(recognize(&ca, &text, chunks, Executor::Auto).accepted);

@@ -89,7 +89,7 @@ pub struct Outcome {
 }
 
 /// Per-chunk measurements of an instrumented recognition.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct ChunkStats {
     /// Chunk length in bytes.
     pub len: usize,

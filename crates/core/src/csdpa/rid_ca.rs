@@ -10,13 +10,23 @@ use ridfa_automata::{StateId, DEAD};
 use crate::ridfa::RiDfa;
 
 use super::kernel::{self, DenseTable, Kernel, Scratch};
+use super::plan::FeasibleTable;
 use super::ChunkAutomaton;
 
 /// CSDPA chunk automaton wrapping an [`RiDfa`].
 ///
-/// Interior scans use the per-run path of the scan [`kernel`]; the
-/// convergence-merging variant is
-/// [`ConvergentRidCa`](super::ConvergentRidCa).
+/// Interior scans run through the scan [`kernel`]. [`new`](RidCa::new)
+/// scans per run, the paper's RID; [`with_kernel`](RidCa::with_kernel)
+/// picks another strategy, which merges runs that converge to the same
+/// state. [`with_feasible`](RidCa::with_feasible) adds PaREM-style
+/// feasible-start pruning: an interior scan consults the
+/// [`FeasibleTable`] on the chunk's first byte and seeds [`DEAD`] for
+/// every origin that cannot survive it. The kernel skips `DEAD` seeds,
+/// so the pruned runs cost nothing — and since an unpruned run with an
+/// infeasible origin dies on its first transition anyway (recording the
+/// same `DEAD`), the mapping is bit-identical to the unpruned one. Empty
+/// chunks are never pruned (there is no first byte to prune on).
+/// Mappings are identical under every configuration.
 #[derive(Debug, Clone)]
 pub struct RidCa<'a> {
     rid: &'a RiDfa,
@@ -27,6 +37,10 @@ pub struct RidCa<'a> {
     pos: std::borrow::Cow<'a, [u32]>,
     /// Premultiplied transition table (entries are `target * stride`).
     ptable: std::borrow::Cow<'a, [StateId]>,
+    /// The configured scan strategy of interior chunks.
+    kernel: Kernel,
+    /// The feasible-start table interior scans prune with, if any.
+    feasible: Option<&'a FeasibleTable>,
 }
 
 /// The λ mapping a RID chunk scan (or composition) produces.
@@ -139,12 +153,14 @@ fn sort_dedup_tail(v: &mut Vec<StateId>, start: usize) {
 
 impl<'a> RidCa<'a> {
     /// Wraps `rid`, precomputing the interface-position index used by the
-    /// join phase.
+    /// join phase. Scans per run, without pruning.
     pub fn new(rid: &'a RiDfa) -> Self {
         RidCa {
             rid,
             pos: std::borrow::Cow::Owned(Self::interface_positions(rid)),
             ptable: std::borrow::Cow::Owned(rid.premultiplied_table()),
+            kernel: Kernel::PerRun,
+            feasible: None,
         }
     }
 
@@ -153,7 +169,8 @@ impl<'a> RidCa<'a> {
     /// allocation-free. `pos` must equal
     /// [`interface_positions`](RidCa::interface_positions)`(rid)` and
     /// `ptable` must equal `rid.premultiplied_table()`; lengths are
-    /// checked, content is the caller's contract.
+    /// checked, content is the caller's contract. Scans per run, without
+    /// pruning.
     pub fn with_tables(rid: &'a RiDfa, pos: &'a [u32], ptable: &'a [StateId]) -> Self {
         assert_eq!(pos.len(), rid.num_states(), "position index length");
         assert_eq!(
@@ -165,6 +182,25 @@ impl<'a> RidCa<'a> {
             rid,
             pos: std::borrow::Cow::Borrowed(pos),
             ptable: std::borrow::Cow::Borrowed(ptable),
+            kernel: Kernel::PerRun,
+            feasible: None,
+        }
+    }
+
+    /// Scans interior chunks with `kernel` instead of per run;
+    /// [`Kernel::Auto`] picks per chunk.
+    pub fn with_kernel(self, kernel: Kernel) -> Self {
+        RidCa { kernel, ..self }
+    }
+
+    /// Prunes the runs of interior scans through `feasible`, the
+    /// [`FeasibleTable::build`] of the wrapped RI-DFA.
+    pub fn with_feasible(self, feasible: &'a FeasibleTable) -> Self {
+        debug_assert_eq!(feasible.interface_len(), self.rid.interface().len());
+        debug_assert_eq!(feasible.stride(), self.rid.stride());
+        RidCa {
+            feasible: Some(feasible),
+            ..self
         }
     }
 
@@ -185,17 +221,22 @@ impl<'a> RidCa<'a> {
         self.rid
     }
 
-    /// The premultiplied table, shared with the convergent wrapper.
-    pub(crate) fn ptable(&self) -> &[StateId] {
-        &self.ptable
-    }
-
     fn table(&self) -> DenseTable<'_> {
         DenseTable {
             ptable: &self.ptable,
             stride: self.rid.stride(),
             classes: self.rid.classes(),
         }
+    }
+
+    /// The kernel an interior chunk of `chunk_len` bytes runs.
+    fn resolved(&self, chunk_len: usize) -> Kernel {
+        kernel::resolve(
+            self.kernel,
+            self.num_speculative_starts(),
+            chunk_len,
+            self.ptable.len(),
+        )
     }
 
     /// One composition step for a single PLAS set: translates `plas`
@@ -251,12 +292,25 @@ impl ChunkAutomaton for RidCa<'_> {
         out: &mut RidMapping,
     ) {
         let interface = self.rid.interface();
+        let prune = self
+            .feasible
+            .zip(chunk.first())
+            .map(|(feasible, &byte)| (feasible, self.rid.classes().get(byte)));
         kernel::scan_into(
             self.table(),
-            interface.iter().enumerate().map(|(i, &p)| (i as u32, p)),
+            interface.iter().enumerate().map(|(i, &p)| {
+                let origin = match prune {
+                    // Pruned: seeded DEAD, skipped by the kernel — the
+                    // same entry an unpruned dead-on-first-byte run
+                    // would record.
+                    Some((feasible, class)) if !feasible.is_feasible(class, i) => DEAD,
+                    _ => p,
+                };
+                (i as u32, origin)
+            }),
             interface.len(),
             chunk,
-            Kernel::PerRun,
+            self.resolved(chunk.len()),
             scratch,
             counter,
             out.interior_buf(),
@@ -344,16 +398,121 @@ impl ChunkAutomaton for RidCa<'_> {
         self.rid.interface().len()
     }
 
+    fn effective_kernel(&self, chunk_len: usize) -> Option<Kernel> {
+        Some(self.resolved(chunk_len))
+    }
+
     fn name(&self) -> &'static str {
-        "rid"
+        match (self.feasible, self.kernel) {
+            (Some(_), _) => "rid+feasible",
+            (None, Kernel::PerRun) => "rid",
+            (None, _) => "rid+conv",
+        }
+    }
+}
+
+/// Kept only so the `perfbench/` replay, which builds the lockstep
+/// engine's chunk automaton through this name, compiles unchanged. New
+/// code calls [`RidCa::with_kernel`].
+pub struct ConvergentRidCa;
+
+impl ConvergentRidCa {
+    /// `inner.with_kernel(kernel)`.
+    pub fn from_inner(inner: RidCa<'_>, kernel: Kernel) -> RidCa<'_> {
+        inner.with_kernel(kernel)
+    }
+}
+
+/// Kept only so the `perfbench/` replay, which builds the
+/// feasible-start engine's chunk automaton through this name, compiles
+/// unchanged. New code calls [`RidCa::with_feasible`].
+pub struct FeasibleRidCa;
+
+impl FeasibleRidCa {
+    /// `inner.with_kernel(kernel).with_feasible(feasible)`.
+    pub fn from_inner<'a>(
+        inner: RidCa<'a>,
+        feasible: &'a FeasibleTable,
+        kernel: Kernel,
+    ) -> RidCa<'a> {
+        inner.with_kernel(kernel).with_feasible(feasible)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::csdpa::{recognize, recognize_counted, Executor};
     use crate::ridfa::construct::tests::figure1_nfa;
     use ridfa_automata::{NoCount, TransitionCount};
+
+    const KERNELS: [Kernel; 4] = [
+        Kernel::PerRun,
+        Kernel::LockstepShared,
+        Kernel::Simd,
+        Kernel::Auto,
+    ];
+
+    #[test]
+    fn convergent_mapping_equals_plain_mapping() {
+        let rid = RiDfa::from_nfa(&figure1_nfa());
+        let plain = RidCa::new(&rid);
+        for kernel in KERNELS {
+            let conv = RidCa::new(&rid).with_kernel(kernel);
+            for chunk in [&b"cab"[..], b"aab", b"", b"bbbb", b"aabcabaabcab"] {
+                assert_eq!(
+                    plain.scan(chunk, &mut NoCount),
+                    conv.scan(chunk, &mut NoCount),
+                    "{kernel:?} on {chunk:?}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn end_to_end_recognition_agrees() {
+        let rid = RiDfa::from_nfa(&figure1_nfa());
+        for kernel in KERNELS {
+            let ca = RidCa::new(&rid).with_kernel(kernel);
+            let mut text = b"aabcab".repeat(200);
+            for chunks in [1usize, 3, 8] {
+                assert!(recognize(&ca, &text, chunks, Executor::PerChunk).accepted);
+            }
+            text.push(b'c');
+            assert!(!recognize(&ca, &text, 4, Executor::PerChunk).accepted);
+        }
+    }
+
+    #[test]
+    fn counted_outcome_still_correct() {
+        let rid = RiDfa::from_nfa(&figure1_nfa());
+        for kernel in KERNELS {
+            let ca = RidCa::new(&rid).with_kernel(kernel);
+            let out = recognize_counted(&ca, b"aabcab", 2, Executor::Serial);
+            assert!(out.accepted, "{kernel:?}");
+            // Fig. 1 chunk 2 from {0},{1},{2}: the {2} run dies at once
+            // and the other two survive the 3 bytes, so every kernel
+            // counts 3 (first) + at most 6 (interior) ≤ the plain 9.
+            assert!(out.transitions <= 9, "{kernel:?}: {}", out.transitions);
+            assert!(out.transitions >= 6, "{kernel:?}: {}", out.transitions);
+        }
+    }
+
+    #[test]
+    fn name_follows_the_configuration() {
+        let rid = RiDfa::from_nfa(&figure1_nfa()).minimized();
+        let table = FeasibleTable::build(&rid);
+        assert_eq!(RidCa::new(&rid).name(), "rid");
+        assert_eq!(RidCa::new(&rid).effective_kernel(64), Some(Kernel::PerRun));
+        assert_eq!(
+            RidCa::new(&rid).with_kernel(Kernel::Auto).name(),
+            "rid+conv"
+        );
+        for kernel in KERNELS {
+            let pruned = RidCa::new(&rid).with_kernel(kernel).with_feasible(&table);
+            assert_eq!(pruned.name(), "rid+feasible");
+        }
+    }
 
     #[test]
     fn figure1_transition_count_is_9() {

@@ -32,7 +32,7 @@
 
 use std::any::Any;
 use std::marker::PhantomData;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use ridfa_automata::counter::{NoCount, TransitionCount};
 
@@ -232,7 +232,7 @@ impl Session {
         text: &[u8],
         num_chunks: usize,
     ) -> Outcome {
-        self.recognize_inner(ca, text, num_chunks, None)
+        self.recognize_inner(ca, text, num_chunks, None, None)
             .expect("unbudgeted recognition cannot be interrupted")
     }
 
@@ -251,21 +251,24 @@ impl Session {
     ) -> Result<Outcome, RecognizeError> {
         let probe = budget.probe();
         match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            self.recognize_inner(ca, text, num_chunks, probe.as_ref())
+            self.recognize_inner(ca, text, num_chunks, probe.as_ref(), None)
         })) {
             Ok(result) => result,
             Err(payload) => Err(RecognizeError::Panicked(panic_message(payload))),
         }
     }
 
-    /// Shared body of the timed single-text entry points: heal + quorum
-    /// policy, then the pooled (or degraded-serial) reach and join.
+    /// Shared body of the single-text entry points: heal + quorum policy,
+    /// then the pooled (or degraded-serial) reach and join. With `stats`
+    /// every chunk scan is counted and timed into it (resized to the
+    /// chunk count).
     fn recognize_inner<CA: ChunkAutomaton>(
         &mut self,
         ca: &CA,
         text: &[u8],
         num_chunks: usize,
         probe: Option<&InterruptProbe>,
+        stats: Option<&mut Vec<ChunkStats>>,
     ) -> Result<Outcome, RecognizeError> {
         let degraded = self.check_quorum().is_some();
         let mut cache = self.take_cache::<CA>();
@@ -275,6 +278,11 @@ impl Session {
         if cache_mut.mappings.len() < n {
             cache_mut.mappings.resize_with(n, CA::Mapping::default);
         }
+        let mut stats = stats.map(|stats| {
+            stats.clear();
+            stats.resize(n, ChunkStats::default());
+            &mut stats[..]
+        });
         let reach_start = Instant::now();
         if degraded {
             let TypedCache {
@@ -288,12 +296,8 @@ impl Session {
                 if probe.is_some_and(|p| p.should_stop()) {
                     break;
                 }
-                let chunk = &text[span.clone()];
-                if i == 0 {
-                    ca.scan_first_into(chunk, &mut NoCount, &mut mappings[i]);
-                } else {
-                    ca.scan_into(chunk, scratch, &mut NoCount, &mut mappings[i]);
-                }
+                let stat = stats.as_deref_mut().map(|stats| &mut stats[i]);
+                scan_chunk(ca, &text[span.clone()], i, scratch, &mut mappings[i], stat);
             }
         } else {
             pooled_reach(
@@ -303,7 +307,7 @@ impl Session {
                 &self.spans,
                 &mut cache_mut.scratches,
                 &mut cache_mut.mappings[..n],
-                None,
+                stats,
                 probe,
             );
         }
@@ -335,56 +339,28 @@ impl Session {
     }
 
     /// Like [`Session::recognize`] but tallying executed transitions per
-    /// chunk (paper Sect. 4.3). The instrumentation buffers are per-call,
-    /// so this path allocates; never mix it into a timing comparison with
-    /// the uncounted path.
+    /// chunk (paper Sect. 4.3), under the same quorum policy. The
+    /// instrumentation buffers are per-call, so this path allocates;
+    /// never mix it into a timing comparison with the uncounted path.
     pub fn recognize_counted<CA: ChunkAutomaton>(
         &mut self,
         ca: &CA,
         text: &[u8],
         num_chunks: usize,
     ) -> CountedOutcome {
-        self.pool.heal();
-        let mut cache = self.take_cache::<CA>();
-        chunk_spans_into(text.len(), num_chunks, &mut self.spans);
-        let n = self.spans.len();
-        let cache_mut = &mut *cache;
-        if cache_mut.mappings.len() < n {
-            cache_mut.mappings.resize_with(n, CA::Mapping::default);
-        }
-        let mut per_chunk = vec![
-            ChunkStats {
-                len: 0,
-                transitions: 0,
-                scan_time: Duration::ZERO,
-            };
-            n
-        ];
-        let reach_start = Instant::now();
-        pooled_reach(
-            &self.pool,
-            ca,
-            text,
-            &self.spans,
-            &mut cache_mut.scratches,
-            &mut cache_mut.mappings[..n],
-            Some(&mut per_chunk[..]),
-            None,
-        );
-        let reach = reach_start.elapsed();
-        let join_start = Instant::now();
-        let accepted = Self::join_mappings(&self.pool, ca, cache_mut, n);
-        let join = join_start.elapsed();
-        self.cache = Some(cache);
+        let mut per_chunk = Vec::new();
+        let out = self
+            .recognize_inner(ca, text, num_chunks, None, Some(&mut per_chunk))
+            .expect("unbudgeted recognition cannot be interrupted");
         CountedOutcome {
-            accepted,
-            num_chunks: n,
+            accepted: out.accepted,
+            num_chunks: out.num_chunks,
             transitions: per_chunk.iter().map(|s| s.transitions).sum(),
             per_chunk,
-            reach,
-            join,
-            executor: Executor::Pooled,
-            kernel: recognizer::effective_kernel_for(ca, &self.spans),
+            reach: out.reach,
+            join: out.join,
+            executor: out.executor,
+            kernel: out.kernel,
         }
     }
 
@@ -626,14 +602,47 @@ fn tree_join<CA: ChunkAutomaton>(
     ca.join_with(&mappings[..len], join)
 }
 
-/// The single-text pooled reach phase, shared by the timed and the
-/// counted entry points: every chunk is a claimable pool task scanned
-/// into its own mapping slot. With `stats` the scan is instrumented
-/// (per-chunk transition counts and scan wall time). With `probe` the
-/// scan is interruptible: each claimant arms its scratch and abandons
-/// unclaimed chunks once the budget trips (the caller never joins
-/// abandoned mappings — it returns the probe's error instead).
-#[allow(clippy::too_many_arguments)] // internal seam of the three Session entry points; all args are hot borrows
+/// Scans chunk `i` of a text into `out`: the first chunk from the known
+/// initial state, every other one speculatively through `scratch`. With
+/// `stats` the scan is counted and timed into it. Shared by the pooled
+/// reach phase and the degraded serial loop.
+fn scan_chunk<CA: ChunkAutomaton>(
+    ca: &CA,
+    chunk: &[u8],
+    i: usize,
+    scratch: &mut CA::Scratch,
+    out: &mut CA::Mapping,
+    stats: Option<&mut ChunkStats>,
+) {
+    let Some(stats) = stats else {
+        if i == 0 {
+            ca.scan_first_into(chunk, &mut NoCount, out);
+        } else {
+            ca.scan_into(chunk, scratch, &mut NoCount, out);
+        }
+        return;
+    };
+    let mut counter = TransitionCount::default();
+    let scan_start = Instant::now();
+    if i == 0 {
+        ca.scan_first_into(chunk, &mut counter, out);
+    } else {
+        ca.scan_into(chunk, scratch, &mut counter, out);
+    }
+    *stats = ChunkStats {
+        len: chunk.len(),
+        transitions: counter.get(),
+        scan_time: scan_start.elapsed(),
+    };
+}
+
+/// The single-text pooled reach phase: every chunk is a claimable pool
+/// task scanned into its own mapping slot. With `stats` the scan is
+/// instrumented (per-chunk transition counts and scan wall time). With
+/// `probe` the scan is interruptible: each claimant arms its scratch and
+/// abandons unclaimed chunks once the budget trips (the caller never
+/// joins abandoned mappings — it returns the probe's error instead).
+#[allow(clippy::too_many_arguments)] // internal seam of the Session entry points; all args are hot borrows
 fn pooled_reach<CA: ChunkAutomaton>(
     pool: &ThreadPool,
     ca: &CA,
@@ -654,26 +663,9 @@ fn pooled_reach<CA: ChunkAutomaton>(
         }
         // SAFETY: the pool claims each task index exactly once.
         let out = unsafe { slots.get(i) };
-        let chunk = &text[spans[i].clone()];
-        if let Some(stat_slots) = &stat_slots {
-            let mut counter = TransitionCount::default();
-            let scan_start = Instant::now();
-            if i == 0 {
-                ca.scan_first_into(chunk, &mut counter, out);
-            } else {
-                ca.scan_into(chunk, scratch, &mut counter, out);
-            }
-            // SAFETY: same index, same single claimant.
-            *unsafe { stat_slots.get(i) } = ChunkStats {
-                len: chunk.len(),
-                transitions: counter.get(),
-                scan_time: scan_start.elapsed(),
-            };
-        } else if i == 0 {
-            ca.scan_first_into(chunk, &mut NoCount, out);
-        } else {
-            ca.scan_into(chunk, scratch, &mut NoCount, out);
-        }
+        // SAFETY: same index, same single claimant.
+        let stat = stat_slots.as_ref().map(|s| unsafe { s.get(i) });
+        scan_chunk(ca, &text[spans[i].clone()], i, scratch, out, stat);
     });
 }
 

@@ -926,19 +926,19 @@ mod tests {
     fn stream_outcome_reports_the_effective_kernel() {
         let nfa = figure1_nfa();
         let rid = RiDfa::from_nfa(&nfa);
-        // Plain RidCa does not expose a kernel choice.
+        // A plain RidCa scans per run, and says so.
         let plain = RidCa::new(&rid);
         let mut session = StreamSession::new(1, 64);
         let text = b"aabcab".repeat(100);
         let out = session
             .recognize_stream(&plain, Cursor::new(&text))
             .unwrap();
-        assert_eq!(out.kernel, None);
-        // The convergent CA reports what its dispatch resolves to for the
-        // block size — a pinned kernel comes back verbatim.
-        let conv = crate::csdpa::ConvergentRidCa::with_kernel(&rid, crate::csdpa::Kernel::PerRun);
+        assert_eq!(out.kernel, Some(Kernel::PerRun));
+        // A configured kernel reports what its dispatch resolves to for
+        // the block size — a pinned kernel comes back verbatim.
+        let conv = RidCa::new(&rid).with_kernel(Kernel::LockstepShared);
         let out = session.recognize_stream(&conv, Cursor::new(&text)).unwrap();
-        assert_eq!(out.kernel, Some(crate::csdpa::Kernel::PerRun));
+        assert_eq!(out.kernel, Some(Kernel::LockstepShared));
         assert_eq!(out.accepted, nfa.accepts(&text));
     }
 }

@@ -18,8 +18,8 @@ use std::time::Duration;
 use ridfa::automata::nfa::glushkov;
 use ridfa::automata::{regex, ConstructionBudget, Error};
 use ridfa::core::csdpa::{
-    recognize_budgeted, Budget, CancelToken, ConvergentRidCa, Degraded, Executor, RecognizeError,
-    RidCa, Session, StreamError, StreamSession,
+    recognize_budgeted, Budget, CancelToken, Degraded, Executor, Kernel, RecognizeError, RidCa,
+    Session, StreamError, StreamSession,
 };
 use ridfa::core::csdpa::{PatternRegistry, PatternSpec, RegistryConfig};
 use ridfa::core::ridfa::RiDfa;
@@ -137,8 +137,14 @@ fn depleted_pool_degrades_to_serial_with_a_recorded_reason() {
         })
     );
 
-    // The batch and budgeted paths degrade the same way and stay correct.
+    // The batch, counted and budgeted paths degrade the same way and
+    // stay correct.
     assert_eq!(session.recognize_many(&ca, &texts, 4), expected);
+    assert!(session.last_degraded().is_some());
+    let counted = session.recognize_counted(&ca, &texts[0], 8);
+    assert!(counted.accepted);
+    assert_eq!(counted.executor, Executor::Serial, "must degrade, not limp");
+    assert_eq!(counted.per_chunk.len(), counted.num_chunks);
     assert!(session.last_degraded().is_some());
     let roomy = Budget::with_timeout(Duration::from_secs(3600));
     let out = session
@@ -159,7 +165,7 @@ fn depleted_pool_degrades_to_serial_with_a_recorded_reason() {
 #[test]
 fn expired_deadlines_and_cancellations_are_deterministic_and_leave_streams_reusable() {
     let rid = machine();
-    let ca = ConvergentRidCa::new(&rid);
+    let ca = RidCa::new(&rid).with_kernel(Kernel::Auto);
     let text = b"abbaabbbaabab".repeat(200);
     let mut stream = StreamSession::new(2, 64);
     let ring = stream.buffer_bytes();
@@ -214,7 +220,7 @@ fn a_panicking_chunk_automaton_cannot_cross_a_budgeted_api() {
     let roomy = Budget::with_timeout(Duration::from_secs(3600));
 
     // Through the free budgeted recognizer (scoped spawning executor).
-    let faulty = PanicCa::new(ConvergentRidCa::new(&rid), 2);
+    let faulty = PanicCa::new(RidCa::new(&rid).with_kernel(Kernel::Auto), 2);
     let err = recognize_budgeted(&faulty, &text, 8, Executor::PerChunk, &roomy).unwrap_err();
     match err {
         RecognizeError::Panicked(msg) => assert!(msg.contains("injected fault"), "{msg}"),
@@ -230,7 +236,7 @@ fn a_panicking_chunk_automaton_cannot_cross_a_budgeted_api() {
     // to always fire inside the budgeted call under any CHAOS_ITERS.
     for round in 1..=chaos_iters(3) {
         let ordinal = 2 + (round % 6);
-        let faulty = PanicCa::new(ConvergentRidCa::new(&rid), ordinal);
+        let faulty = PanicCa::new(RidCa::new(&rid).with_kernel(Kernel::Auto), ordinal);
         let mut session = Session::new(2);
         let err = session
             .recognize_budgeted(&faulty, &text, 8, &roomy)
@@ -245,7 +251,7 @@ fn a_panicking_chunk_automaton_cannot_cross_a_budgeted_api() {
     }
 
     // Through the budgeted stream — reusable afterwards.
-    let faulty = PanicCa::new(ConvergentRidCa::new(&rid), 1);
+    let faulty = PanicCa::new(RidCa::new(&rid).with_kernel(Kernel::Auto), 1);
     let mut stream = StreamSession::new(1, 64);
     let ring = stream.buffer_bytes();
     let err = stream

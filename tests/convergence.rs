@@ -13,9 +13,7 @@ use rand::{Rng, SeedableRng};
 use ridfa::automata::dfa::{minimize, powerset};
 use ridfa::automata::nfa::glushkov;
 use ridfa::automata::{NoCount, TransitionCount};
-use ridfa::core::csdpa::{
-    recognize, ChunkAutomaton, ConvergentDfaCa, ConvergentRidCa, DfaCa, Executor, Kernel, RidCa,
-};
+use ridfa::core::csdpa::{recognize, ChunkAutomaton, DfaCa, Executor, Kernel, RidCa};
 use ridfa::core::ridfa::RiDfa;
 use ridfa::workloads::regen::{random_ast, sample_into, RegenConfig};
 
@@ -60,7 +58,7 @@ fn convergent_dfa_mapping_is_identical_at_random_cut_points() {
         let chunk = &text[cut..];
         let expected = plain.scan(chunk, &mut NoCount);
         for kernel in KERNELS {
-            let conv = ConvergentDfaCa::with_kernel(&dfa, kernel);
+            let conv = DfaCa::new(&dfa).with_kernel(kernel);
             assert_eq!(
                 expected,
                 conv.scan(chunk, &mut NoCount),
@@ -86,7 +84,7 @@ fn convergent_rid_mapping_is_identical_at_random_cut_points() {
         let chunk = &text[cut..];
         let expected = plain.scan(chunk, &mut NoCount);
         for kernel in KERNELS {
-            let conv = ConvergentRidCa::with_kernel(&rid, kernel);
+            let conv = RidCa::new(&rid).with_kernel(kernel);
             assert_eq!(
                 expected,
                 conv.scan(chunk, &mut NoCount),
@@ -113,8 +111,8 @@ fn recognition_agrees_across_random_chunk_counts() {
         let expected = dfa.accepts(&text);
         let chunks = rng.gen_range(1..16usize);
         for kernel in KERNELS {
-            let conv_dfa = ConvergentDfaCa::with_kernel(&dfa, kernel);
-            let conv_rid = ConvergentRidCa::with_kernel(&rid, kernel);
+            let conv_dfa = DfaCa::new(&dfa).with_kernel(kernel);
+            let conv_rid = RidCa::new(&rid).with_kernel(kernel);
             assert_eq!(
                 recognize(&conv_dfa, &text, chunks, Executor::Auto).accepted,
                 expected,
@@ -139,7 +137,7 @@ fn convergence_never_increases_work() {
         let text = random_text(&ast, &mut rng);
         let mut c_plain = TransitionCount::default();
         plain.scan(&text, &mut c_plain);
-        let conv = ConvergentDfaCa::with_kernel(&dfa, Kernel::LockstepShared);
+        let conv = DfaCa::new(&dfa).with_kernel(Kernel::LockstepShared);
         let mut c_conv = TransitionCount::default();
         conv.scan(&text, &mut c_conv);
         assert!(
@@ -167,7 +165,9 @@ fn lockstep_beats_k_times_chunk_on_converging_text() {
     let mut c_plain = TransitionCount::default();
     DfaCa::new(&dfa).scan(&chunk, &mut c_plain);
     let mut c_conv = TransitionCount::default();
-    ConvergentDfaCa::with_kernel(&dfa, Kernel::LockstepShared).scan(&chunk, &mut c_conv);
+    DfaCa::new(&dfa)
+        .with_kernel(Kernel::LockstepShared)
+        .scan(&chunk, &mut c_conv);
 
     assert!(c_plain.get() <= k * chunk.len() as u64);
     assert!(
@@ -196,8 +196,8 @@ fn convergent_variants_agree_on_benchmarks() {
     for b in ridfa::workloads::standard_benchmarks() {
         let dfa = minimize::minimize(&powerset::determinize(&b.nfa));
         let rid = RiDfa::from_nfa(&b.nfa).minimized();
-        let conv_dfa = ConvergentDfaCa::new(&dfa);
-        let conv_rid = ConvergentRidCa::new(&rid);
+        let conv_dfa = DfaCa::new(&dfa).with_kernel(Kernel::Auto);
+        let conv_rid = RidCa::new(&rid).with_kernel(Kernel::Auto);
         for (text, expected) in [
             ((b.accepted)(32 << 10, 13), true),
             ((b.rejected)(32 << 10, 13), false),

@@ -18,8 +18,8 @@ use ridfa::automata::nfa::glushkov;
 use ridfa::automata::regex::Ast;
 use ridfa::automata::ConstructionBudget;
 use ridfa::core::csdpa::{
-    chunk_spans_snapped, plan, recognize, recognize_spans, EnginePlan, Executor, FeasibleRidCa,
-    FeasibleTable, PatternRegistry, RegistryConfig, RidCa, Session, StreamScan, StreamSession,
+    chunk_spans_snapped, plan, recognize, recognize_spans, EnginePlan, Executor, FeasibleTable,
+    Kernel, PatternRegistry, RegistryConfig, RidCa, Session, StreamScan, StreamSession,
 };
 use ridfa::core::ridfa::RiDfa;
 use ridfa::core::sfa::{Sfa, SfaCa};
@@ -79,7 +79,9 @@ fn all_engines_agree_with_the_serial_oracle() {
             let lockstep = recognize(&RidCa::new(&rid), &text, chunks, executor);
             assert_eq!(expected, lockstep.accepted, "lockstep: {ast} on {text:?}");
             let pruned = recognize(
-                &FeasibleRidCa::new(&rid, &feasible),
+                &RidCa::new(&rid)
+                    .with_kernel(Kernel::Auto)
+                    .with_feasible(&feasible),
                 &text,
                 chunks,
                 executor,
@@ -115,7 +117,9 @@ fn all_engines_agree_on_separator_snapped_spans() {
             let lockstep = recognize_spans(&RidCa::new(&rid), &text, &spans, executor);
             assert_eq!(expected, lockstep.accepted, "lockstep: {ast} on {text:?}");
             let pruned = recognize_spans(
-                &FeasibleRidCa::new(&rid, &feasible),
+                &RidCa::new(&rid)
+                    .with_kernel(Kernel::Auto)
+                    .with_feasible(&feasible),
                 &text,
                 &spans,
                 executor,

@@ -11,8 +11,7 @@ use std::sync::Arc;
 use ridfa::automata::dfa::{minimize, powerset};
 use ridfa::automata::NoCount;
 use ridfa::core::csdpa::{
-    chunk_spans, recognize, ChunkAutomaton, ConvergentDfaCa, ConvergentRidCa, DfaCa, Executor,
-    NfaCa, RidCa, Session,
+    chunk_spans, recognize, ChunkAutomaton, DfaCa, Executor, Kernel, NfaCa, RidCa, Session,
 };
 use ridfa::core::parallel::{run_indexed, ThreadPool};
 use ridfa::core::ridfa::RiDfa;
@@ -91,8 +90,8 @@ fn pooled_session_matches_spawned_executors_on_random_cases() {
         let dfa_ca = DfaCa::new(&dfa);
         let rid_ca = RidCa::new(&rid);
         let nfa_ca = NfaCa::new(&nfa);
-        let conv_dfa = ConvergentDfaCa::new(&dfa);
-        let conv_rid = ConvergentRidCa::new(&rid);
+        let conv_dfa = DfaCa::new(&dfa).with_kernel(Kernel::Auto);
+        let conv_rid = RidCa::new(&rid).with_kernel(Kernel::Auto);
         assert_eq!(
             session.recognize(&dfa_ca, &text, chunks).accepted,
             expected,
@@ -165,8 +164,8 @@ fn tree_reduce_join_matches_serial_at_high_chunk_counts() {
     let rid = RiDfa::from_nfa(&nfa).minimized();
     let dfa_ca = DfaCa::new(&dfa);
     let rid_ca = RidCa::new(&rid);
-    let conv_dfa = ConvergentDfaCa::new(&dfa);
-    let conv_rid = ConvergentRidCa::new(&rid);
+    let conv_dfa = DfaCa::new(&dfa).with_kernel(Kernel::Auto);
+    let conv_rid = RidCa::new(&rid).with_kernel(Kernel::Auto);
     let mut session = Session::new(3);
     for accept in [true, false] {
         let text = if accept {
@@ -203,7 +202,7 @@ fn tree_reduce_join_matches_serial_at_high_chunk_counts() {
 fn batch_path_matches_serial_verdicts_on_traffic() {
     let nfa = traffic::nfa();
     let rid = RiDfa::from_nfa(&nfa).minimized();
-    let ca = ConvergentRidCa::new(&rid);
+    let ca = RidCa::new(&rid).with_kernel(Kernel::Auto);
     let texts: Vec<Vec<u8>> = (0..24)
         .map(|i| {
             if i % 3 == 0 {

@@ -7,9 +7,7 @@
 use ridfa::automata::dfa::{minimize, powerset, Dfa};
 use ridfa::automata::nfa::{glushkov, Nfa, Simulator};
 use ridfa::automata::{NoCount, StateId, DEAD};
-use ridfa::core::csdpa::{
-    ChunkAutomaton, ConvergentDfaCa, ConvergentRidCa, DfaCa, NfaCa, RidCa, RidMapping,
-};
+use ridfa::core::csdpa::{ChunkAutomaton, DfaCa, Kernel, NfaCa, RidCa, RidMapping};
 use ridfa::core::ridfa::RiDfa;
 use ridfa::core::sfa::{Sfa, SfaCa};
 use ridfa::workloads::regen::{random_ast, sample_into, RegenConfig};
@@ -136,8 +134,8 @@ fn fold_joins_agree_with_legacy_joins_on_random_cases() {
         let dfa_ca = DfaCa::new(&dfa);
         let nfa_ca = NfaCa::new(&nfa);
         let rid_ca = RidCa::new(&rid);
-        let conv_dfa = ConvergentDfaCa::new(&dfa);
-        let conv_rid = ConvergentRidCa::new(&rid);
+        let conv_dfa = DfaCa::new(&dfa).with_kernel(Kernel::Auto);
+        let conv_rid = RidCa::new(&rid).with_kernel(Kernel::Auto);
 
         let mut sampler = SmallRng::seed_from_u64(seed ^ 0xFEED);
         let mut text = Vec::new();
@@ -256,10 +254,10 @@ fn composition_is_associative_on_mapping_values() {
         }
 
         check_assoc!(DfaCa::new(&dfa), "dfa");
-        check_assoc!(ConvergentDfaCa::new(&dfa), "dfa+conv");
+        check_assoc!(DfaCa::new(&dfa).with_kernel(Kernel::Auto), "dfa+conv");
         check_assoc!(NfaCa::new(&nfa), "nfa");
         check_assoc!(RidCa::new(&rid), "rid");
-        check_assoc!(ConvergentRidCa::new(&rid), "rid+conv");
+        check_assoc!(RidCa::new(&rid).with_kernel(Kernel::Auto), "rid+conv");
         if let Ok(sfa) = Sfa::build_limited(&dfa, 1 << 14) {
             check_assoc!(SfaCa::new(&sfa), "sfa");
         }

@@ -7,7 +7,7 @@ use std::sync::Arc;
 use ridfa::automata::nfa::glushkov;
 use ridfa::automata::regex;
 use ridfa::core::csdpa::{
-    ConvergentRidCa, PatternRegistry, RegistryConfig, RegistryError, Session, StreamScan,
+    Kernel, PatternRegistry, RegistryConfig, RegistryError, RidCa, Session, StreamScan,
 };
 use ridfa::core::ridfa::{ridfa_to_bytes, RiDfa};
 use ridfa::faults::XorShift64;
@@ -82,7 +82,7 @@ fn shared_pool_recognitions_from_multiple_threads() {
             handles.push(scope.spawn(move || {
                 let ast = regex::parse(pattern).unwrap();
                 let rid = RiDfa::from_nfa(&glushkov::build(&ast).unwrap()).minimized();
-                let ca = ConvergentRidCa::new(&rid);
+                let ca = RidCa::new(&rid).with_kernel(Kernel::Auto);
                 let mut session = Session::with_shared_pool(pool);
                 for _ in 0..50 {
                     let out = session.recognize(&ca, text, 4);

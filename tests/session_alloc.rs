@@ -13,7 +13,7 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use ridfa::core::csdpa::{ConvergentRidCa, RidCa, Session};
+use ridfa::core::csdpa::{Kernel, RidCa, Session};
 use ridfa::core::ridfa::RiDfa;
 use ridfa::workloads::traffic;
 
@@ -49,7 +49,7 @@ fn allocations() -> u64 {
 fn warm_session_recognizes_and_batches_without_allocating() {
     let nfa = traffic::nfa();
     let rid = RiDfa::from_nfa(&nfa).minimized();
-    let conv = ConvergentRidCa::new(&rid);
+    let conv = RidCa::new(&rid).with_kernel(Kernel::Auto);
     let plain = RidCa::new(&rid);
 
     // Two equal-length texts: the second must ride entirely on buffers

@@ -22,8 +22,8 @@ use rand::{Rng, SeedableRng};
 use ridfa::automata::dfa::{minimize, powerset};
 use ridfa::automata::NoCount;
 use ridfa::core::csdpa::{
-    recognize, recognize_spans, ChunkAutomaton, ConvergentDfaCa, ConvergentRidCa, DfaCa, Executor,
-    FeasibleRidCa, FeasibleTable, Kernel, NfaCa, RidCa,
+    recognize, recognize_spans, ChunkAutomaton, DfaCa, Executor, FeasibleTable, Kernel, NfaCa,
+    RidCa,
 };
 use ridfa::core::ridfa::RiDfa;
 use ridfa::workloads::standard_benchmarks;
@@ -51,30 +51,40 @@ fn simd_mappings_match_the_scalar_kernels_at_unaligned_offsets() {
             let per_run = DfaCa::new(&dfa).scan(&text, &mut NoCount);
             assert_eq!(
                 per_run,
-                ConvergentDfaCa::with_kernel(&dfa, Kernel::Simd).scan(&text, &mut NoCount),
+                DfaCa::new(&dfa)
+                    .with_kernel(Kernel::Simd)
+                    .scan(&text, &mut NoCount),
                 "{} {label}: simd dfa mapping != per-run oracle",
                 b.name
             );
             let per_run_rid = RidCa::new(&rid).scan(&text, &mut NoCount);
             assert_eq!(
                 per_run_rid,
-                ConvergentRidCa::with_kernel(&rid, Kernel::Simd).scan(&text, &mut NoCount),
+                RidCa::new(&rid)
+                    .with_kernel(Kernel::Simd)
+                    .scan(&text, &mut NoCount),
                 "{} {label}: simd rid mapping != per-run oracle",
                 b.name
             );
             for off in OFFSETS {
                 let chunk = &text[off..];
                 assert_eq!(
-                    ConvergentDfaCa::with_kernel(&dfa, Kernel::LockstepShared)
+                    DfaCa::new(&dfa)
+                        .with_kernel(Kernel::LockstepShared)
                         .scan(chunk, &mut NoCount),
-                    ConvergentDfaCa::with_kernel(&dfa, Kernel::Simd).scan(chunk, &mut NoCount),
+                    DfaCa::new(&dfa)
+                        .with_kernel(Kernel::Simd)
+                        .scan(chunk, &mut NoCount),
                     "{} {label}: simd dfa mapping diverged at offset {off}",
                     b.name
                 );
                 assert_eq!(
-                    ConvergentRidCa::with_kernel(&rid, Kernel::LockstepShared)
+                    RidCa::new(&rid)
+                        .with_kernel(Kernel::LockstepShared)
                         .scan(chunk, &mut NoCount),
-                    ConvergentRidCa::with_kernel(&rid, Kernel::Simd).scan(chunk, &mut NoCount),
+                    RidCa::new(&rid)
+                        .with_kernel(Kernel::Simd)
+                        .scan(chunk, &mut NoCount),
                     "{} {label}: simd rid mapping diverged at offset {off}",
                     b.name
                 );
@@ -94,10 +104,13 @@ fn feasible_start_pruning_composes_with_the_simd_kernel() {
         ] {
             for off in OFFSETS {
                 let chunk = &text[off..];
-                let scalar =
-                    FeasibleRidCa::from_inner(RidCa::new(&rid), &table, Kernel::LockstepShared)
-                        .scan(chunk, &mut NoCount);
-                let simd = FeasibleRidCa::from_inner(RidCa::new(&rid), &table, Kernel::Simd)
+                let scalar = RidCa::new(&rid)
+                    .with_kernel(Kernel::LockstepShared)
+                    .with_feasible(&table)
+                    .scan(chunk, &mut NoCount);
+                let simd = RidCa::new(&rid)
+                    .with_kernel(Kernel::Simd)
+                    .with_feasible(&table)
                     .scan(chunk, &mut NoCount);
                 assert_eq!(
                     scalar, simd,
@@ -132,9 +145,11 @@ fn simd_verdicts_agree_under_random_span_layouts() {
                 cuts.sort_unstable();
                 cuts.dedup();
                 let spans: Vec<_> = cuts.windows(2).map(|w| w[0]..w[1]).collect();
-                let conv_dfa = ConvergentDfaCa::with_kernel(&dfa, Kernel::Simd);
-                let conv_rid = ConvergentRidCa::with_kernel(&rid, Kernel::Simd);
-                let pruned = FeasibleRidCa::from_inner(RidCa::new(&rid), &table, Kernel::Simd);
+                let conv_dfa = DfaCa::new(&dfa).with_kernel(Kernel::Simd);
+                let conv_rid = RidCa::new(&rid).with_kernel(Kernel::Simd);
+                let pruned = RidCa::new(&rid)
+                    .with_kernel(Kernel::Simd)
+                    .with_feasible(&table);
                 for (verdict, ca_name) in [
                     (
                         recognize_spans(&conv_dfa, &text, &spans, Executor::Auto).accepted,
@@ -189,7 +204,7 @@ fn all_six_chunk_automata_agree_with_simd_in_the_mix() {
                 (
                     "convergent dfa",
                     recognize(
-                        &ConvergentDfaCa::with_kernel(&dfa, Kernel::Simd),
+                        &DfaCa::new(&dfa).with_kernel(Kernel::Simd),
                         &text,
                         3,
                         Executor::Auto,
@@ -199,7 +214,7 @@ fn all_six_chunk_automata_agree_with_simd_in_the_mix() {
                 (
                     "convergent rid",
                     recognize(
-                        &ConvergentRidCa::with_kernel(&rid, Kernel::Simd),
+                        &RidCa::new(&rid).with_kernel(Kernel::Simd),
                         &text,
                         3,
                         Executor::Auto,
@@ -209,7 +224,9 @@ fn all_six_chunk_automata_agree_with_simd_in_the_mix() {
                 (
                     "feasible rid",
                     recognize(
-                        &FeasibleRidCa::from_inner(RidCa::new(&rid), &table, Kernel::Simd),
+                        &RidCa::new(&rid)
+                            .with_kernel(Kernel::Simd)
+                            .with_feasible(&table),
                         &text,
                         3,
                         Executor::Auto,

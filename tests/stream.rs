@@ -8,9 +8,7 @@
 use std::io::{self, Cursor, Read};
 
 use ridfa::automata::dfa::{minimize, powerset};
-use ridfa::core::csdpa::{
-    recognize, ConvergentDfaCa, ConvergentRidCa, DfaCa, Executor, NfaCa, RidCa, StreamSession,
-};
+use ridfa::core::csdpa::{recognize, DfaCa, Executor, Kernel, NfaCa, RidCa, StreamSession};
 use ridfa::core::ridfa::RiDfa;
 use ridfa::core::sfa::{Sfa, SfaCa};
 use ridfa::workloads::regen::{random_ast, sample_into, RegenConfig};
@@ -93,8 +91,8 @@ fn stream_matches_one_shot_for_all_six_cas_on_random_cases() {
         let dfa_ca = DfaCa::new(&dfa);
         let nfa_ca = NfaCa::new(&nfa);
         let rid_ca = RidCa::new(&rid);
-        let conv_dfa = ConvergentDfaCa::new(&dfa);
-        let conv_rid = ConvergentRidCa::new(&rid);
+        let conv_dfa = DfaCa::new(&dfa).with_kernel(Kernel::Auto);
+        let conv_rid = RidCa::new(&rid).with_kernel(Kernel::Auto);
         let expected = recognize(&rid_ca, &text, 4, Executor::Serial).accepted;
         assert_eq!(expected, dfa.accepts(&text), "oracle seed {seed}");
 
@@ -187,15 +185,15 @@ fn mid_stream_io_faults_leave_sessions_reusable_for_all_six_cas() {
     check!(&DfaCa::new(&dfa), "dfa");
     check!(&NfaCa::new(&nfa), "nfa");
     check!(&RidCa::new(&rid), "rid");
-    check!(&ConvergentDfaCa::new(&dfa), "dfa+conv");
-    check!(&ConvergentRidCa::new(&rid), "rid+conv");
+    check!(&DfaCa::new(&dfa).with_kernel(Kernel::Auto), "dfa+conv");
+    check!(&RidCa::new(&rid).with_kernel(Kernel::Auto), "rid+conv");
     check!(&SfaCa::new(&sfa), "sfa");
 }
 
 #[test]
 fn stream_traffic_pipe_accepts_and_rejects() {
     let rid = RiDfa::from_nfa(&traffic::nfa()).minimized();
-    let ca = ConvergentRidCa::new(&rid);
+    let ca = RidCa::new(&rid).with_kernel(Kernel::Auto);
     let mut session = StreamSession::new(2, 16 << 10);
     session.warm(&ca, &traffic::text(4096, 0));
 
@@ -222,7 +220,7 @@ fn stream_agrees_with_one_shot_on_short_rejected_traffic() {
     // The rejected_text regression surface, exercised through the stream:
     // every "rejected" length must actually reject.
     let rid = RiDfa::from_nfa(&traffic::nfa()).minimized();
-    let ca = ConvergentRidCa::new(&rid);
+    let ca = RidCa::new(&rid).with_kernel(Kernel::Auto);
     let mut session = StreamSession::new(1, 64);
     for len in [10usize, 40, 80, 200, 2048] {
         let t = traffic::rejected_text(len, 11);
@@ -248,7 +246,7 @@ fn quarter_gib_stream_runs_in_bounded_memory() {
     const TARGET: u64 = 256 << 20;
     const BLOCK: usize = 1 << 20;
     let rid = RiDfa::from_nfa(&traffic::nfa()).minimized();
-    let ca = ConvergentRidCa::new(&rid);
+    let ca = RidCa::new(&rid).with_kernel(Kernel::Auto);
     let mut session = StreamSession::new(3, BLOCK);
     session.warm(&ca, &traffic::text(BLOCK.min(64 << 10), 0));
 

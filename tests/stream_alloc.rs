@@ -13,7 +13,7 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use ridfa::core::csdpa::{ConvergentRidCa, Kernel, RidCa, StreamSession};
+use ridfa::core::csdpa::{Kernel, RidCa, StreamSession};
 use ridfa::core::ridfa::RiDfa;
 use ridfa::workloads::traffic;
 
@@ -49,7 +49,7 @@ fn allocations() -> u64 {
 fn warm_stream_session_allocates_nothing_per_block() {
     let nfa = traffic::nfa();
     let rid = RiDfa::from_nfa(&nfa).minimized();
-    let conv = ConvergentRidCa::new(&rid);
+    let conv = RidCa::new(&rid).with_kernel(Kernel::Auto);
     let plain = RidCa::new(&rid);
 
     // In-memory streams (a slice is a `Read`), so the reader itself is
@@ -101,7 +101,7 @@ fn warm_stream_session_allocates_nothing_per_block() {
     // meaningful when feature detection changes; without AVX2 the pin
     // demotes to the shared lockstep kernel, which has the same
     // contract.
-    let simd = ConvergentRidCa::with_kernel(&rid, Kernel::Simd);
+    let simd = RidCa::new(&rid).with_kernel(Kernel::Simd);
     session.warm(&simd, &text1[..64 << 10]);
     let first = session.recognize_stream(&simd, &text1[..]).unwrap();
     assert!(first.accepted);
