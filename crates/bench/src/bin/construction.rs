@@ -13,6 +13,8 @@
 //! and the RI-DFA state total exceeds the DFA total which is of the same
 //! order as the NFA total.
 
+#![deny(unsafe_code)]
+
 use std::time::{Duration, Instant};
 
 use ridfa_automata::dfa::powerset;

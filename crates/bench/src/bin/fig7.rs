@@ -11,6 +11,8 @@
 //! independent of text length; ≈ 1 for the even group (which the paper
 //! omits from the plots as uninformative).
 
+#![deny(unsafe_code)]
+
 use ridfa_bench::table::{mb, ratio};
 use ridfa_bench::{build_artifacts, Args, Table};
 use ridfa_core::csdpa::{recognize_counted, DfaCa, Executor, NfaCa, RidCa};

@@ -15,6 +15,8 @@
 //! 2..=66 threads on a 64-core machine; sweep points beyond your core
 //! count still run (threads multiplex) but measure oversubscription.
 
+#![deny(unsafe_code)]
+
 use ridfa_bench::table::{mb, ratio};
 use ridfa_bench::{build_artifacts, median_duration, speedup, Args, Table};
 use ridfa_core::csdpa::{recognize, DfaCa, Executor, RidCa};

@@ -8,6 +8,8 @@
 //! and RI-DFA sizes our constructions produce, and the default / paper
 //! text lengths.
 
+#![deny(unsafe_code)]
+
 use ridfa_bench::table::mb;
 use ridfa_bench::{build_artifacts, Args, Table};
 use ridfa_workloads::ondrik::OndrikConfig;

@@ -14,6 +14,8 @@
 //! exceeds the DFA), the bulk of the mass in the low buckets, and a small
 //! NFA tail above 1.
 
+#![deny(unsafe_code)]
+
 use ridfa_automata::dfa::{minimize, powerset};
 use ridfa_bench::{Args, Table};
 use ridfa_core::ridfa::RiDfa;

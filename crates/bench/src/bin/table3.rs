@@ -11,6 +11,8 @@
 //! large factor. The paper ran 58 threads on a 64-core EPYC; scale
 //! `--threads` to your machine — the *ratios* are what matters.
 
+#![deny(unsafe_code)]
+
 use ridfa_bench::table::{mb, ratio};
 use ridfa_bench::{build_artifacts, median_duration, speedup, Args, Table};
 use ridfa_core::csdpa::{recognize, recognize_counted, DfaCa, Executor, NfaCa, RidCa};

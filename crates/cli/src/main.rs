@@ -16,6 +16,8 @@
 //! ridfa help
 //! ```
 
+#![deny(unsafe_code)]
+
 use std::io::Read;
 use std::process::ExitCode;
 use std::time::{Duration, Instant};

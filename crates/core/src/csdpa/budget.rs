@@ -277,8 +277,21 @@ impl fmt::Display for Degraded {
     }
 }
 
+/// Runs the body of a budgeted entry point: hands it `budget`'s probe
+/// and turns any panic escaping it into a typed `Panicked` error, so no
+/// panic unwinds across a budgeted API. Every budgeted entry point is
+/// this wrapper around its unbudgeted body.
+pub(crate) fn run_budgeted<T, E: From<RecognizeError>>(
+    budget: &Budget,
+    body: impl FnOnce(Option<&InterruptProbe>) -> Result<T, E>,
+) -> Result<T, E> {
+    let probe = budget.probe();
+    std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| body(probe.as_ref())))
+        .unwrap_or_else(|payload| Err(RecognizeError::Panicked(panic_message(payload)).into()))
+}
+
 /// Extracts a human-readable message from a caught panic payload.
-pub(crate) fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
+fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
     if let Some(s) = payload.downcast_ref::<&str>() {
         (*s).to_string()
     } else if let Some(s) = payload.downcast_ref::<String>() {

@@ -1,12 +1,13 @@
 //! The full recognition device: chunking + parallel reach + serial join.
 
+use std::sync::OnceLock;
 use std::time::{Duration, Instant};
 
 use ridfa_automata::counter::{NoCount, TransitionCount};
 
 use crate::parallel::run_indexed_with;
 
-use super::budget::{panic_message, Budget, InterruptProbe, RecognizeError};
+use super::budget::{run_budgeted, Budget, InterruptProbe, RecognizeError};
 use super::{chunk_spans, ChunkAutomaton, Kernel};
 
 /// How the reach phase distributes chunk scans over OS threads.
@@ -121,6 +122,23 @@ pub struct CountedOutcome {
     pub kernel: Option<Kernel>,
 }
 
+impl CountedOutcome {
+    /// The counted outcome of a recognition whose chunk scans were
+    /// counted into `per_chunk`.
+    pub(super) fn from_parts(out: Outcome, per_chunk: Vec<ChunkStats>) -> CountedOutcome {
+        CountedOutcome {
+            accepted: out.accepted,
+            num_chunks: out.num_chunks,
+            transitions: per_chunk.iter().map(|s| s.transitions).sum(),
+            per_chunk,
+            reach: out.reach,
+            join: out.join,
+            executor: out.executor,
+            kernel: out.kernel,
+        }
+    }
+}
+
 /// Recognizes `text` with chunk automaton `ca`, split into `num_chunks`
 /// chunks, using `executor` for the reach phase. No instrumentation: this
 /// is the entry point to *time*.
@@ -130,7 +148,8 @@ pub fn recognize<CA: ChunkAutomaton>(
     num_chunks: usize,
     executor: Executor,
 ) -> Outcome {
-    recognize_inner(ca, text, num_chunks, executor, None)
+    let spans = chunk_spans(text.len(), num_chunks);
+    recognize_over(ca, text, &spans, executor, None, None)
         .expect("unbudgeted recognition cannot be interrupted")
 }
 
@@ -155,13 +174,10 @@ pub fn recognize_budgeted<CA: ChunkAutomaton>(
     executor: Executor,
     budget: &Budget,
 ) -> Result<Outcome, RecognizeError> {
-    let probe = budget.probe();
-    match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        recognize_inner(ca, text, num_chunks, executor, probe.as_ref())
-    })) {
-        Ok(result) => result,
-        Err(payload) => Err(RecognizeError::Panicked(panic_message(payload))),
-    }
+    let spans = chunk_spans(text.len(), num_chunks);
+    run_budgeted(budget, |probe| {
+        recognize_over(ca, text, &spans, executor, probe, None)
+    })
 }
 
 /// Like [`recognize`] but over caller-provided chunk spans — the entry
@@ -177,52 +193,48 @@ pub fn recognize_spans<CA: ChunkAutomaton>(
     spans: &[std::ops::Range<usize>],
     executor: Executor,
 ) -> Outcome {
-    recognize_over(ca, text, spans, executor.effective_spawning(), None)
+    recognize_over(ca, text, spans, executor, None, None)
         .expect("unbudgeted recognition cannot be interrupted")
 }
 
-/// Shared body of [`recognize`] and [`recognize_budgeted`]: the probe is
-/// the only difference, so the two entry points cannot drift apart.
-fn recognize_inner<CA: ChunkAutomaton>(
-    ca: &CA,
-    text: &[u8],
-    num_chunks: usize,
-    executor: Executor,
-    probe: Option<&InterruptProbe>,
-) -> Result<Outcome, RecognizeError> {
-    let executor = executor.effective_spawning();
-    let spans = chunk_spans(text.len(), num_chunks);
-    recognize_over(ca, text, &spans, executor, probe)
-}
-
-/// The reach + join body over explicit spans.
+/// The reach + join body over explicit spans, shared by every free entry
+/// point: [`Executor::Pooled`] degrades to its spawning shape, `probe`
+/// makes the scans interruptible, and `stats` (when given) receives the
+/// per-chunk counts and scan times.
 fn recognize_over<CA: ChunkAutomaton>(
     ca: &CA,
     text: &[u8],
     spans: &[std::ops::Range<usize>],
     executor: Executor,
     probe: Option<&InterruptProbe>,
+    stats: Option<&mut Vec<ChunkStats>>,
 ) -> Result<Outcome, RecognizeError> {
     debug_assert!(!spans.is_empty());
-    let workers = executor.workers(spans.len());
+    let executor = executor.effective_spawning();
+    let cells = stat_cells(stats.is_some(), spans.len());
     let reach_start = Instant::now();
-    let mappings = run_indexed_with(workers, spans.len(), CA::Scratch::default, |scratch, i| {
-        // Arm (or clear) the in-scan probe; a tripped budget abandons the
-        // chunk outright — the partial mappings are discarded below.
-        ca.arm_interrupt(scratch, probe);
-        if probe.is_some_and(|p| p.should_stop()) {
-            return CA::Mapping::default();
-        }
-        let chunk = &text[spans[i].clone()];
-        if i == 0 {
-            ca.scan_first(chunk, &mut NoCount)
-        } else {
-            ca.scan_with(chunk, scratch, &mut NoCount)
-        }
-    });
+    let mappings = run_indexed_with(
+        executor.workers(spans.len()),
+        spans.len(),
+        CA::Scratch::default,
+        |scratch, i| {
+            let mut mapping = CA::Mapping::default();
+            // Arm (or clear) the in-scan probe; a tripped budget abandons
+            // the chunk outright — the partial mappings are discarded below.
+            ca.arm_interrupt(scratch, probe);
+            if !probe.is_some_and(|p| p.should_stop()) {
+                let chunk = &text[spans[i].clone()];
+                scan_chunk(ca, chunk, i == 0, scratch, &mut mapping, cells.get(i));
+            }
+            mapping
+        },
+    );
     let reach = reach_start.elapsed();
     if let Some(err) = probe.and_then(|p| p.status()) {
         return Err(err);
+    }
+    if let Some(stats) = stats {
+        collect_stats(cells, stats);
     }
     let join_start = Instant::now();
     let accepted = ca.join(&mappings);
@@ -234,6 +246,60 @@ fn recognize_over<CA: ChunkAutomaton>(
         executor,
         kernel: effective_kernel_for(ca, spans),
     })
+}
+
+/// Scans one chunk into `out`: from the known initial state when
+/// `first`, speculatively through `scratch` otherwise. With a `stats`
+/// cell the scan is counted and timed into it. Every reach phase —
+/// spawned, pooled or degraded — scans its chunks through here.
+pub(super) fn scan_chunk<CA: ChunkAutomaton>(
+    ca: &CA,
+    chunk: &[u8],
+    first: bool,
+    scratch: &mut CA::Scratch,
+    out: &mut CA::Mapping,
+    stats: Option<&OnceLock<ChunkStats>>,
+) {
+    let Some(stats) = stats else {
+        if first {
+            ca.scan_first_into(chunk, &mut NoCount, out);
+        } else {
+            ca.scan_into(chunk, scratch, &mut NoCount, out);
+        }
+        return;
+    };
+    let mut counter = TransitionCount::default();
+    let scan_start = Instant::now();
+    if first {
+        ca.scan_first_into(chunk, &mut counter, out);
+    } else {
+        ca.scan_into(chunk, scratch, &mut counter, out);
+    }
+    stats
+        .set(ChunkStats {
+            len: chunk.len(),
+            transitions: counter.get(),
+            scan_time: scan_start.elapsed(),
+        })
+        .expect("each chunk is scanned once");
+}
+
+/// The per-chunk stats cells of a reach over `n` chunks: one write-once
+/// cell per chunk when `counted`, none (and no allocation) otherwise.
+/// Chunk `i`'s scan reports through `cells.get(i)`.
+pub(super) fn stat_cells(counted: bool, n: usize) -> Vec<OnceLock<ChunkStats>> {
+    let n = if counted { n } else { 0 };
+    (0..n).map(|_| OnceLock::new()).collect()
+}
+
+/// Moves the filled [`stat_cells`] into `stats`, in chunk order.
+pub(super) fn collect_stats(cells: Vec<OnceLock<ChunkStats>>, stats: &mut Vec<ChunkStats>) {
+    stats.clear();
+    stats.extend(
+        cells
+            .into_iter()
+            .map(|c| c.into_inner().unwrap_or_default()),
+    );
 }
 
 /// The kernel recorded in outcomes: what the CA's speculative scan
@@ -258,40 +324,11 @@ pub fn recognize_counted<CA: ChunkAutomaton>(
     num_chunks: usize,
     executor: Executor,
 ) -> CountedOutcome {
-    let executor = executor.effective_spawning();
     let spans = chunk_spans(text.len(), num_chunks);
-    let workers = executor.workers(spans.len());
-    let reach_start = Instant::now();
-    let results = run_indexed_with(workers, spans.len(), CA::Scratch::default, |scratch, i| {
-        let chunk = &text[spans[i].clone()];
-        let mut counter = TransitionCount::default();
-        let scan_start = Instant::now();
-        let mapping = if i == 0 {
-            ca.scan_first(chunk, &mut counter)
-        } else {
-            ca.scan_with(chunk, scratch, &mut counter)
-        };
-        let stats = ChunkStats {
-            len: chunk.len(),
-            transitions: counter.get(),
-            scan_time: scan_start.elapsed(),
-        };
-        (mapping, stats)
-    });
-    let reach = reach_start.elapsed();
-    let (mappings, per_chunk): (Vec<_>, Vec<_>) = results.into_iter().unzip();
-    let join_start = Instant::now();
-    let accepted = ca.join(&mappings);
-    CountedOutcome {
-        accepted,
-        num_chunks: spans.len(),
-        transitions: per_chunk.iter().map(|s| s.transitions).sum(),
-        per_chunk,
-        reach,
-        join: join_start.elapsed(),
-        executor,
-        kernel: effective_kernel_for(ca, &spans),
-    }
+    let mut per_chunk = Vec::new();
+    let out = recognize_over(ca, text, &spans, executor, None, Some(&mut per_chunk))
+        .expect("unbudgeted recognition cannot be interrupted");
+    CountedOutcome::from_parts(out, per_chunk)
 }
 
 /// Serial whole-text recognition with the same automaton — the speedup

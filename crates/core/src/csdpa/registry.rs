@@ -27,24 +27,21 @@
 use std::collections::HashMap;
 use std::fmt;
 use std::io::Read;
-use std::ops::Range;
 use std::sync::Arc;
 
 use ridfa_automata::dfa::premultiply;
 use ridfa_automata::nfa::{glushkov, Nfa};
 use ridfa_automata::regex;
 use ridfa_automata::serialize::binary::DecodeError;
-use ridfa_automata::{ConstructionBudget, Error, NoCount, StateId, TransitionCount};
+use ridfa_automata::{ConstructionBudget, Error, NoCount, StateId};
 
 use crate::parallel::{PoolHealth, ThreadPool};
 use crate::ridfa::{artifact, RiDfa};
 use crate::sfa::Sfa;
 
 use super::budget::StreamError;
-use super::chunking::chunk_spans_into;
 use super::kernel::Scratch;
 use super::plan::{Engine, EngineCa, EngineMapping, EnginePlan, FeasibleTable};
-use super::session::DisjointSlots;
 use super::{ChunkAutomaton, Outcome, RidCa, Session, StreamOutcome, StreamSession};
 
 /// Sizing and bounding knobs of a [`PatternRegistry`].
@@ -270,17 +267,6 @@ pub fn resident_footprint(rid: &RiDfa, premultiplied_len: usize) -> usize {
             + rid.interface.len())
 }
 
-/// Reusable buffers of [`PatternRegistry::scan_block_pooled`]: one span
-/// table, one scan scratch per reach-phase claimant, and one
-/// mapping/transition-count slot per chunk. Allocated lazily on the
-/// first pooled scan of a [`StreamScan`] and reused afterwards.
-#[derive(Default)]
-struct PooledScanBufs {
-    spans: Vec<Range<usize>>,
-    scratches: Vec<Scratch>,
-    slots: Vec<(EngineMapping, u64)>,
-}
-
 /// Incremental λ-composition state for one in-flight stream (one socket
 /// connection, typically). Feed blocks through
 /// [`PatternRegistry::scan_block`]; read the verdict with
@@ -294,14 +280,12 @@ pub struct StreamScan {
     composed: EngineMapping,
     scratch: Scratch,
     compose: (Vec<StateId>, Vec<StateId>),
-    pooled: Option<Box<PooledScanBufs>>,
     started: bool,
     dead: bool,
     /// Epoch of the pattern entry this scan is bound to (set on the
     /// first block; see [`RegistryError::PatternReloaded`]).
     epoch: u64,
     bytes: u64,
-    transitions: u64,
 }
 
 impl StreamScan {
@@ -316,17 +300,11 @@ impl StreamScan {
         self.started = false;
         self.dead = false;
         self.bytes = 0;
-        self.transitions = 0;
     }
 
     /// Bytes scanned since the last [`reset`](StreamScan::reset).
     pub fn bytes(&self) -> u64 {
         self.bytes
-    }
-
-    /// Transitions executed since the last [`reset`](StreamScan::reset).
-    pub fn transitions(&self) -> u64 {
-        self.transitions
     }
 
     /// True once the composed prefix mapping has no live run left — the
@@ -601,16 +579,17 @@ impl PatternRegistry {
 
     /// Like [`scan_block`](PatternRegistry::scan_block), but the block is
     /// split into one span per reach-phase claimant (workers + 1) and
-    /// scanned *in parallel* on the shared pool, then the per-span
-    /// mappings are composed in order onto the scan's prefix. This is
-    /// the big-body lane of the serve layer: a block large enough to be
-    /// worth a parallel reach phase goes through here; small blocks
-    /// should keep using the serial `scan_block` (the fork-join barrier
-    /// costs more than it saves below roughly a worker's L2).
+    /// scanned *in parallel* by the pattern's warm [`Session`] — the
+    /// reach phase of [`recognize`](PatternRegistry::recognize), quorum
+    /// policy included — then the per-span mappings are composed in
+    /// order onto the scan's prefix. This is the big-body lane of the
+    /// serve layer: a block large enough to be worth a parallel reach
+    /// phase goes through here; small blocks should keep using the
+    /// serial `scan_block` (the fork-join barrier costs more than it
+    /// saves below roughly a worker's L2).
     ///
     /// Verdict-equivalent to feeding the same bytes through
     /// `scan_block` (λ-composition is associative).
-    #[allow(unsafe_code)]
     pub fn scan_block_pooled(
         &mut self,
         id: &str,
@@ -618,8 +597,6 @@ impl PatternRegistry {
         block: &[u8],
     ) -> Result<bool, RegistryError> {
         let stamp = self.next_stamp();
-        let claimants = self.pool.num_workers() + 1;
-        let pool = Arc::clone(&self.pool);
         let entry = self.entry_mut(id)?;
         entry.last_used = stamp;
         if scan.started && scan.epoch != entry.epoch {
@@ -637,7 +614,28 @@ impl PatternRegistry {
             scan.started = true;
             scan.epoch = entry.epoch;
         }
-        scan_block_pooled_step(&entry.tables.ca(), scan, block, first, &pool, claimants);
+        let ca = entry.tables.ca();
+        let claimants = entry.session.num_workers() + 1;
+        let spans = entry
+            .session
+            .reach(&ca, block, claimants, first, None, None)
+            .expect("unbudgeted reach cannot be interrupted");
+        // Serial join: fold the span mappings onto the composed prefix,
+        // left to right (the first-chunk mapping, if any, is leftmost).
+        for (t, mapping) in spans.iter_mut().enumerate() {
+            if t == 0 && first {
+                std::mem::swap(&mut scan.mapping, mapping);
+            } else {
+                ca.compose_into(
+                    &scan.mapping,
+                    mapping,
+                    &mut scan.compose,
+                    &mut scan.composed,
+                );
+                std::mem::swap(&mut scan.mapping, &mut scan.composed);
+            }
+        }
+        scan.dead = ca.mapping_is_dead(&scan.mapping);
         Ok(scan.dead)
     }
 
@@ -782,11 +780,10 @@ impl PatternRegistry {
 /// One serial block step: the first block of a stream seeds the prefix;
 /// later blocks are scanned as interior chunks and composed onto it.
 fn scan_block_step(ca: &EngineCa<'_>, scan: &mut StreamScan, block: &[u8], first: bool) {
-    let mut counter = TransitionCount::default();
     if first {
-        ca.scan_first_into(block, &mut counter, &mut scan.mapping);
+        ca.scan_first_into(block, &mut NoCount, &mut scan.mapping);
     } else {
-        ca.scan_into(block, &mut scan.scratch, &mut counter, &mut scan.incoming);
+        ca.scan_into(block, &mut scan.scratch, &mut NoCount, &mut scan.incoming);
         ca.compose_into(
             &scan.mapping,
             &scan.incoming,
@@ -794,68 +791,6 @@ fn scan_block_step(ca: &EngineCa<'_>, scan: &mut StreamScan, block: &[u8], first
             &mut scan.composed,
         );
         std::mem::swap(&mut scan.mapping, &mut scan.composed);
-    }
-    scan.transitions += counter.get();
-    scan.dead = ca.mapping_is_dead(&scan.mapping);
-}
-
-/// One pooled block step: span the block across the pool's claimants,
-/// scan in parallel, fold serially.
-#[allow(unsafe_code)]
-fn scan_block_pooled_step(
-    ca: &EngineCa<'_>,
-    scan: &mut StreamScan,
-    block: &[u8],
-    first: bool,
-    pool: &ThreadPool,
-    claimants: usize,
-) {
-    let bufs = scan.pooled.get_or_insert_with(Default::default);
-    if bufs.scratches.len() < claimants {
-        bufs.scratches.resize_with(claimants, Scratch::default);
-    }
-    chunk_spans_into(block.len(), claimants, &mut bufs.spans);
-    let num_tasks = bufs.spans.len();
-    if bufs.slots.len() < num_tasks {
-        bufs.slots.resize_with(num_tasks, Default::default);
-    }
-    {
-        let PooledScanBufs {
-            spans,
-            scratches,
-            slots,
-        } = &mut **bufs;
-        let spans = &*spans;
-        let slots = DisjointSlots::new(&mut slots[..num_tasks]);
-        pool.invoke_all_scoped(num_tasks, scratches, |scratch, t| {
-            let mut counter = TransitionCount::default();
-            // SAFETY: the pool claims each task index exactly once,
-            // so slot `t` has a single writer, and `t < num_tasks`.
-            let (mapping, transitions) = unsafe { slots.get(t) };
-            if t == 0 && first {
-                ca.scan_first_into(&block[spans[t].clone()], &mut counter, mapping);
-            } else {
-                ca.scan_into(&block[spans[t].clone()], scratch, &mut counter, mapping);
-            }
-            *transitions = counter.get();
-        });
-    }
-    // Serial join: fold the span mappings onto the composed prefix,
-    // left to right (the first-chunk mapping, if any, is leftmost).
-    for t in 0..num_tasks {
-        let (mapping, transitions) = &mut bufs.slots[t];
-        scan.transitions += *transitions;
-        if t == 0 && first {
-            std::mem::swap(&mut scan.mapping, mapping);
-        } else {
-            ca.compose_into(
-                &scan.mapping,
-                mapping,
-                &mut scan.compose,
-                &mut scan.composed,
-            );
-            std::mem::swap(&mut scan.mapping, &mut scan.composed);
-        }
     }
     scan.dead = ca.mapping_is_dead(&scan.mapping);
 }

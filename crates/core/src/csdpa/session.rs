@@ -22,23 +22,25 @@
 //!   `t+1` start while scans of text `t` are still in flight, with a
 //!   single quiescence point per *batch* instead of a barrier per text.
 //!
+//! Every pooled batch — the reach phase, the batch path, and each level
+//! of the tree-reduce join — goes through
+//! [`ThreadPool::invoke_each`]: task `i` receives `&mut mappings[i]` (or
+//! its tree-level output slot) from the pool, claimed by index, so each
+//! chunk's mapping slot is a plain `&mut` held by the one claimant that
+//! scans it, and this module needs no `unsafe`.
+//!
 //! One session serves any mix of chunk-automaton types; the typed buffers
 //! are cached per CA type and rebuilt transparently when the type
 //! changes (keep one session per CA type if that matters for latency).
 
-// λ-mapping slots are written by whichever claimant picks the chunk; the
-// disjointness argument lives on `DisjointSlots`.
-#![allow(unsafe_code)]
-
 use std::any::Any;
-use std::marker::PhantomData;
 use std::time::Instant;
 
-use ridfa_automata::counter::{NoCount, TransitionCount};
+use ridfa_automata::counter::NoCount;
 
 use crate::parallel::{PoolHealth, ThreadPool};
 
-use super::budget::{panic_message, Budget, Degraded, InterruptProbe, RecognizeError};
+use super::budget::{run_budgeted, Budget, Degraded, InterruptProbe, RecognizeError};
 use super::{
     chunk_spans_into, recognizer, ChunkAutomaton, ChunkStats, CountedOutcome, Executor,
     JoinScratch, JoinScratchOf, Outcome,
@@ -63,7 +65,7 @@ struct BatchTask {
 /// The per-CA-type buffer set a session keeps warm.
 struct TypedCache<S, M, C> {
     /// One scan scratch per pool worker plus one for the calling thread
-    /// (slot layout mandated by [`ThreadPool::invoke_all_scoped`]).
+    /// (slot layout mandated by [`ThreadPool::invoke_each`]).
     scratches: Vec<S>,
     /// λ-mapping slots, one per chunk task; grown to the high-water mark
     /// and reused across texts.
@@ -76,6 +78,13 @@ struct TypedCache<S, M, C> {
     /// the parallel tree-reduce join.
     compose_slots: Vec<C>,
 }
+
+/// The [`TypedCache`] of a chunk automaton.
+type TypedCacheOf<CA> = TypedCache<
+    <CA as ChunkAutomaton>::Scratch,
+    <CA as ChunkAutomaton>::Mapping,
+    <CA as ChunkAutomaton>::ComposeScratch,
+>;
 
 /// A persistent recognition session: worker pool + warm per-worker scan
 /// scratches + reusable chunk/λ/join buffers.
@@ -205,7 +214,7 @@ impl Session {
     /// plus one recognition (which sizes the mapping slots), a session
     /// recognizes without allocating.
     pub fn warm<CA: ChunkAutomaton>(&mut self, ca: &CA, sample: &[u8]) {
-        let mut cache = self.take_cache::<CA>();
+        let cache = typed_cache::<CA>(&mut self.cache, self.pool.num_workers() + 1);
         let mut interior = CA::Mapping::default();
         for scratch in cache.scratches.iter_mut() {
             ca.scan_into(sample, scratch, &mut NoCount, &mut interior);
@@ -213,7 +222,6 @@ impl Session {
         let mut first = CA::Mapping::default();
         ca.scan_first_into(sample, &mut NoCount, &mut first);
         let _ = ca.join_with(std::slice::from_ref(&first), &mut cache.join);
-        self.cache = Some(cache);
     }
 
     /// Recognizes `text` on the session pool — the warm counterpart of
@@ -240,8 +248,7 @@ impl Session {
     /// and/or cancellation): the probe is checked at chunk-claim
     /// boundaries and once per classification block inside kernel scans.
     /// Any panic escaping the chunk automaton is trapped and surfaced as
-    /// [`RecognizeError::Panicked`]; the session stays usable afterwards
-    /// (warm buffers may be rebuilt on the next call).
+    /// [`RecognizeError::Panicked`]; the session stays usable afterwards.
     pub fn recognize_budgeted<CA: ChunkAutomaton>(
         &mut self,
         ca: &CA,
@@ -249,19 +256,66 @@ impl Session {
         num_chunks: usize,
         budget: &Budget,
     ) -> Result<Outcome, RecognizeError> {
-        let probe = budget.probe();
-        match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            self.recognize_inner(ca, text, num_chunks, probe.as_ref(), None)
-        })) {
-            Ok(result) => result,
-            Err(payload) => Err(RecognizeError::Panicked(panic_message(payload))),
-        }
+        run_budgeted(budget, |probe| {
+            self.recognize_inner(ca, text, num_chunks, probe, None)
+        })
     }
 
-    /// Shared body of the single-text entry points: heal + quorum policy,
-    /// then the pooled (or degraded-serial) reach and join. With `stats`
-    /// every chunk scan is counted and timed into it (resized to the
-    /// chunk count).
+    /// The reach phase of one text: heal + quorum policy, chunk spans,
+    /// then every chunk scanned into its own mapping slot — on the pool,
+    /// or serially on the caller when the pool is below quorum
+    /// ([`Session::last_degraded`] records which). Span 0 is scanned
+    /// from the initial state only when `first`: the registry's pooled
+    /// lane scans later slices of a stream as interior chunks. With
+    /// `stats` every scan is counted and timed into it (one entry per
+    /// chunk). With `probe` the scans are interruptible, and a
+    /// tripped budget returns its error instead of the mappings. Returns
+    /// the filled mapping slots in text order.
+    pub(crate) fn reach<CA: ChunkAutomaton>(
+        &mut self,
+        ca: &CA,
+        text: &[u8],
+        num_chunks: usize,
+        first: bool,
+        probe: Option<&InterruptProbe>,
+        stats: Option<&mut Vec<ChunkStats>>,
+    ) -> Result<&mut [CA::Mapping], RecognizeError> {
+        let degraded = self.check_quorum().is_some();
+        chunk_spans_into(text.len(), num_chunks, &mut self.spans);
+        let n = self.spans.len();
+        let cache = typed_cache::<CA>(&mut self.cache, self.pool.num_workers() + 1);
+        if cache.mappings.len() < n {
+            cache.mappings.resize_with(n, CA::Mapping::default);
+        }
+        let cells = recognizer::stat_cells(stats.is_some(), n);
+        let spans = &self.spans;
+        run_each(
+            &self.pool,
+            degraded,
+            &mut cache.scratches,
+            &mut cache.mappings[..n],
+            |scratch, i, out| {
+                ca.arm_interrupt(scratch, probe);
+                if probe.is_some_and(|p| p.should_stop()) {
+                    return; // abandoned: the probe's error below skips the join
+                }
+                let chunk = &text[spans[i].clone()];
+                recognizer::scan_chunk(ca, chunk, first && i == 0, scratch, out, cells.get(i));
+            },
+        );
+        if let Some(err) = probe.and_then(|p| p.status()) {
+            return Err(err);
+        }
+        if let Some(stats) = stats {
+            recognizer::collect_stats(cells, stats);
+        }
+        Ok(&mut cache.mappings[..n])
+    }
+
+    /// Shared body of the single-text entry points: the
+    /// [`reach`](Session::reach) phase, then the join — the serial fold,
+    /// or the parallel tree reduction once the chunk count makes the
+    /// O(c) fold a barrier.
     fn recognize_inner<CA: ChunkAutomaton>(
         &mut self,
         ca: &CA,
@@ -270,65 +324,22 @@ impl Session {
         probe: Option<&InterruptProbe>,
         stats: Option<&mut Vec<ChunkStats>>,
     ) -> Result<Outcome, RecognizeError> {
-        let degraded = self.check_quorum().is_some();
-        let mut cache = self.take_cache::<CA>();
-        chunk_spans_into(text.len(), num_chunks, &mut self.spans);
-        let n = self.spans.len();
-        let cache_mut = &mut *cache;
-        if cache_mut.mappings.len() < n {
-            cache_mut.mappings.resize_with(n, CA::Mapping::default);
-        }
-        let mut stats = stats.map(|stats| {
-            stats.clear();
-            stats.resize(n, ChunkStats::default());
-            &mut stats[..]
-        });
         let reach_start = Instant::now();
-        if degraded {
-            let TypedCache {
-                scratches,
-                mappings,
-                ..
-            } = cache_mut;
-            let scratch = scratches.last_mut().expect("session keeps a caller slot");
-            ca.arm_interrupt(scratch, probe);
-            for (i, span) in self.spans.iter().enumerate() {
-                if probe.is_some_and(|p| p.should_stop()) {
-                    break;
-                }
-                let stat = stats.as_deref_mut().map(|stats| &mut stats[i]);
-                scan_chunk(ca, &text[span.clone()], i, scratch, &mut mappings[i], stat);
-            }
-        } else {
-            pooled_reach(
-                &self.pool,
-                ca,
-                text,
-                &self.spans,
-                &mut cache_mut.scratches,
-                &mut cache_mut.mappings[..n],
-                stats,
-                probe,
-            );
-        }
+        let n = self.reach(ca, text, num_chunks, true, probe, stats)?.len();
         let reach = reach_start.elapsed();
-        if let Some(err) = probe.and_then(|p| p.status()) {
-            self.cache = Some(cache);
-            return Err(err);
-        }
+        let degraded = self.last_degraded.is_some();
         let join_start = Instant::now();
-        let accepted = if degraded {
-            ca.join_with(&cache_mut.mappings[..n], &mut cache_mut.join)
+        let cache = typed_cache::<CA>(&mut self.cache, self.pool.num_workers() + 1);
+        let accepted = if degraded || n < TREE_JOIN_MIN {
+            ca.join_with(&cache.mappings[..n], &mut cache.join)
         } else {
-            Self::join_mappings(&self.pool, ca, cache_mut, n)
+            tree_join(&self.pool, ca, cache, n)
         };
-        let join = join_start.elapsed();
-        self.cache = Some(cache);
         Ok(Outcome {
             accepted,
             num_chunks: n,
             reach,
-            join,
+            join: join_start.elapsed(),
             executor: if degraded {
                 Executor::Serial
             } else {
@@ -352,16 +363,7 @@ impl Session {
         let out = self
             .recognize_inner(ca, text, num_chunks, None, Some(&mut per_chunk))
             .expect("unbudgeted recognition cannot be interrupted");
-        CountedOutcome {
-            accepted: out.accepted,
-            num_chunks: out.num_chunks,
-            transitions: per_chunk.iter().map(|s| s.transitions).sum(),
-            per_chunk,
-            reach: out.reach,
-            join: out.join,
-            executor: out.executor,
-            kernel: out.kernel,
-        }
+        CountedOutcome::from_parts(out, per_chunk)
     }
 
     /// Recognizes with an explicit [`Executor`] shape:
@@ -417,13 +419,9 @@ impl Session {
         CA: ChunkAutomaton,
         T: AsRef<[u8]> + Sync,
     {
-        let probe = budget.probe();
-        match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            self.recognize_many_inner(ca, texts, num_chunks, probe.as_ref())
-        })) {
-            Ok(result) => result,
-            Err(payload) => Err(RecognizeError::Panicked(panic_message(payload))),
-        }
+        run_budgeted(budget, |probe| {
+            self.recognize_many_inner(ca, texts, num_chunks, probe)
+        })
     }
 
     fn recognize_many_inner<CA, T>(
@@ -439,7 +437,6 @@ impl Session {
     {
         assert!(u32::try_from(texts.len()).is_ok(), "batch too large");
         let degraded = self.check_quorum().is_some();
-        let mut cache = self.take_cache::<CA>();
         self.batch.clear();
         self.offsets.clear();
         for (t, text) in texts.iter().enumerate() {
@@ -456,253 +453,120 @@ impl Session {
         }
         self.offsets.push(self.batch.len());
         let total = self.batch.len();
-        let cache_mut = &mut *cache;
-        if cache_mut.mappings.len() < total {
-            cache_mut.mappings.resize_with(total, CA::Mapping::default);
+        let cache = typed_cache::<CA>(&mut self.cache, self.pool.num_workers() + 1);
+        if cache.mappings.len() < total {
+            cache.mappings.resize_with(total, CA::Mapping::default);
         }
-        if degraded {
-            let TypedCache {
-                scratches,
-                mappings,
-                ..
-            } = cache_mut;
-            let scratch = scratches.last_mut().expect("session keeps a caller slot");
-            ca.arm_interrupt(scratch, probe);
-            for (i, task) in self.batch.iter().enumerate() {
+        let batch = &self.batch;
+        run_each(
+            &self.pool,
+            degraded,
+            &mut cache.scratches,
+            &mut cache.mappings[..total],
+            |scratch, i, out| {
+                ca.arm_interrupt(scratch, probe);
                 if probe.is_some_and(|p| p.should_stop()) {
-                    break;
+                    return; // abandoned: the error return below skips the join
                 }
+                let task = &batch[i];
                 let chunk = &texts[task.text as usize].as_ref()[task.start..task.end];
-                if task.first {
-                    ca.scan_first_into(chunk, &mut NoCount, &mut mappings[i]);
-                } else {
-                    ca.scan_into(chunk, scratch, &mut NoCount, &mut mappings[i]);
-                }
-            }
-        } else {
-            let batch = &self.batch;
-            let slots = DisjointSlots::new(&mut cache_mut.mappings[..total]);
-            self.pool
-                .invoke_all_scoped(total, &mut cache_mut.scratches, |scratch, i| {
-                    ca.arm_interrupt(scratch, probe);
-                    if probe.is_some_and(|p| p.should_stop()) {
-                        return; // abandoned: the error return below skips the join
-                    }
-                    // SAFETY: the pool claims each task index exactly once.
-                    let out = unsafe { slots.get(i) };
-                    let task = &batch[i];
-                    let chunk = &texts[task.text as usize].as_ref()[task.start..task.end];
-                    if task.first {
-                        ca.scan_first_into(chunk, &mut NoCount, out);
-                    } else {
-                        ca.scan_into(chunk, scratch, &mut NoCount, out);
-                    }
-                });
-        }
+                recognizer::scan_chunk(ca, chunk, task.first, scratch, out, None);
+            },
+        );
         if let Some(err) = probe.and_then(|p| p.status()) {
-            self.cache = Some(cache);
             return Err(err);
         }
-        let verdicts = (0..texts.len())
+        Ok((0..texts.len())
             .map(|t| {
-                let mappings = &cache_mut.mappings[self.offsets[t]..self.offsets[t + 1]];
-                ca.join_with(mappings, &mut cache_mut.join)
+                let mappings = &cache.mappings[self.offsets[t]..self.offsets[t + 1]];
+                ca.join_with(mappings, &mut cache.join)
             })
-            .collect();
-        self.cache = Some(cache);
-        Ok(verdicts)
+            .collect())
     }
+}
 
-    /// The warm buffer set for `CA`'s scratch/mapping/join types, taken
-    /// out of the session for the duration of a call (split-borrow
-    /// friendly); rebuilt if the session last served a different CA type.
-    fn take_cache<CA: ChunkAutomaton>(
-        &mut self,
-    ) -> Box<TypedCache<CA::Scratch, CA::Mapping, CA::ComposeScratch>> {
-        if let Some(cache) = self.cache.take() {
-            if let Ok(typed) = cache.downcast() {
-                return typed;
-            }
-        }
-        let slots = self.pool.num_workers() + 1;
-        Box::new(TypedCache {
+/// The warm buffer set for `CA`'s scratch/mapping/join types, rebuilt in
+/// place if the session last served a different CA type. `slots` is the
+/// claimant count: pool workers plus the calling thread.
+fn typed_cache<CA: ChunkAutomaton>(
+    cache: &mut Option<Box<dyn Any + Send>>,
+    slots: usize,
+) -> &mut TypedCacheOf<CA> {
+    if !cache.as_ref().is_some_and(|c| c.is::<TypedCacheOf<CA>>()) {
+        *cache = Some(Box::new(TypedCache {
             scratches: (0..slots).map(|_| CA::Scratch::default()).collect(),
             mappings: Vec::new(),
             join: JoinScratchOf::<CA>::default(),
             tree: Vec::new(),
             compose_slots: (0..slots).map(|_| CA::ComposeScratch::default()).collect(),
-        })
+        }));
     }
+    cache
+        .as_mut()
+        .and_then(|c| c.downcast_mut())
+        .expect("the cache holds this CA type's buffers")
+}
 
-    /// The join phase of a pooled recognition: the serial fold for small
-    /// chunk counts, the parallel tree reduction over
-    /// [`compose_into`](ChunkAutomaton::compose_into) once the O(c)
-    /// serial barrier would dominate.
-    fn join_mappings<CA: ChunkAutomaton>(
-        pool: &ThreadPool,
-        ca: &CA,
-        cache: &mut TypedCache<CA::Scratch, CA::Mapping, CA::ComposeScratch>,
-        n: usize,
-    ) -> bool {
-        if n >= TREE_JOIN_MIN {
-            tree_join(
-                pool,
-                ca,
-                &mut cache.mappings[..n],
-                &mut cache.tree,
-                &mut cache.compose_slots,
-                &mut cache.join,
-            )
-        } else {
-            ca.join_with(&cache.mappings[..n], &mut cache.join)
+/// Runs `work(local, i, &mut slots[i])` for every slot: as one pooled
+/// [`invoke_each`](ThreadPool::invoke_each) batch, or — when the pool is
+/// below quorum — serially on the caller's own slot, the last of
+/// `locals`.
+fn run_each<S, T, F>(pool: &ThreadPool, degraded: bool, locals: &mut [S], slots: &mut [T], work: F)
+where
+    S: Send,
+    T: Send,
+    F: Fn(&mut S, usize, &mut T) + Sync,
+{
+    if degraded {
+        let caller = locals.last_mut().expect("one local slot per claimant");
+        for (i, slot) in slots.iter_mut().enumerate() {
+            work(caller, i, slot);
         }
+    } else {
+        pool.invoke_each(locals, slots, work);
     }
 }
 
-/// Parallel tree-reduce join: each level composes adjacent pairs of
-/// partial mappings concurrently on the pool (an odd tail rides up
-/// unchanged), halving the sequence until the serial fold finishes the
-/// last few — O(log c) parallel depth instead of the O(c) serial
-/// barrier. Associativity of λ-composition guarantees the same verdict
-/// as the left fold; the contents of `mappings` are consumed as scratch.
+/// Parallel tree-reduce join over the first `n` mapping slots: each
+/// level composes adjacent pairs of partial mappings concurrently on the
+/// pool (an odd tail rides up unchanged), halving the sequence until the
+/// serial fold finishes the last few — O(log c) parallel depth instead
+/// of the O(c) serial barrier. Associativity of λ-composition guarantees
+/// the same verdict as the left fold; the mappings are consumed as
+/// scratch.
 fn tree_join<CA: ChunkAutomaton>(
     pool: &ThreadPool,
     ca: &CA,
-    mappings: &mut [CA::Mapping],
-    tree: &mut Vec<CA::Mapping>,
-    compose_slots: &mut [CA::ComposeScratch],
-    join: &mut JoinScratchOf<CA>,
+    cache: &mut TypedCacheOf<CA>,
+    n: usize,
 ) -> bool {
-    let mut len = mappings.len();
+    let TypedCache {
+        mappings,
+        tree,
+        compose_slots,
+        join,
+        ..
+    } = cache;
+    let mut len = n;
     while len > TREE_JOIN_TAIL {
         let pairs = len / 2;
         let odd = len % 2;
         if tree.len() < pairs {
             tree.resize_with(pairs, CA::Mapping::default);
         }
-        {
-            let src: &[CA::Mapping] = &mappings[..len];
-            let slots = DisjointSlots::new(&mut tree[..pairs]);
-            pool.invoke_all_scoped(pairs, compose_slots, |scratch, i| {
-                // SAFETY: the pool claims each task index exactly once.
-                let out = unsafe { slots.get(i) };
-                ca.compose_into(&src[2 * i], &src[2 * i + 1], scratch, out);
-            });
-        }
+        let level = &mappings[..2 * pairs];
+        pool.invoke_each(compose_slots, &mut tree[..pairs], |scratch, i, out| {
+            ca.compose_into(&level[2 * i], &level[2 * i + 1], scratch, out);
+        });
         // Swap the level's results back to the front (pointer swaps, so
         // the buffers of both levels stay warm for the next call).
-        for i in 0..pairs {
-            std::mem::swap(&mut mappings[i], &mut tree[i]);
-        }
+        mappings[..pairs].swap_with_slice(&mut tree[..pairs]);
         if odd == 1 {
             mappings.swap(pairs, len - 1);
         }
         len = pairs + odd;
     }
     ca.join_with(&mappings[..len], join)
-}
-
-/// Scans chunk `i` of a text into `out`: the first chunk from the known
-/// initial state, every other one speculatively through `scratch`. With
-/// `stats` the scan is counted and timed into it. Shared by the pooled
-/// reach phase and the degraded serial loop.
-fn scan_chunk<CA: ChunkAutomaton>(
-    ca: &CA,
-    chunk: &[u8],
-    i: usize,
-    scratch: &mut CA::Scratch,
-    out: &mut CA::Mapping,
-    stats: Option<&mut ChunkStats>,
-) {
-    let Some(stats) = stats else {
-        if i == 0 {
-            ca.scan_first_into(chunk, &mut NoCount, out);
-        } else {
-            ca.scan_into(chunk, scratch, &mut NoCount, out);
-        }
-        return;
-    };
-    let mut counter = TransitionCount::default();
-    let scan_start = Instant::now();
-    if i == 0 {
-        ca.scan_first_into(chunk, &mut counter, out);
-    } else {
-        ca.scan_into(chunk, scratch, &mut counter, out);
-    }
-    *stats = ChunkStats {
-        len: chunk.len(),
-        transitions: counter.get(),
-        scan_time: scan_start.elapsed(),
-    };
-}
-
-/// The single-text pooled reach phase: every chunk is a claimable pool
-/// task scanned into its own mapping slot. With `stats` the scan is
-/// instrumented (per-chunk transition counts and scan wall time). With
-/// `probe` the scan is interruptible: each claimant arms its scratch and
-/// abandons unclaimed chunks once the budget trips (the caller never
-/// joins abandoned mappings — it returns the probe's error instead).
-#[allow(clippy::too_many_arguments)] // internal seam of the Session entry points; all args are hot borrows
-fn pooled_reach<CA: ChunkAutomaton>(
-    pool: &ThreadPool,
-    ca: &CA,
-    text: &[u8],
-    spans: &[std::ops::Range<usize>],
-    scratches: &mut [CA::Scratch],
-    mappings: &mut [CA::Mapping],
-    stats: Option<&mut [ChunkStats]>,
-    probe: Option<&InterruptProbe>,
-) {
-    debug_assert_eq!(spans.len(), mappings.len());
-    let slots = DisjointSlots::new(mappings);
-    let stat_slots = stats.map(DisjointSlots::new);
-    pool.invoke_all_scoped(spans.len(), scratches, |scratch, i| {
-        ca.arm_interrupt(scratch, probe);
-        if probe.is_some_and(|p| p.should_stop()) {
-            return; // abandoned: the error return upstream skips the join
-        }
-        // SAFETY: the pool claims each task index exactly once.
-        let out = unsafe { slots.get(i) };
-        // SAFETY: same index, same single claimant.
-        let stat = stat_slots.as_ref().map(|s| unsafe { s.get(i) });
-        scan_chunk(ca, &text[spans[i].clone()], i, scratch, out, stat);
-    });
-}
-
-/// Shares a slice across a pooled batch for disjoint per-index writes
-/// (used by the reach phase, the tree-reduce join, and the streaming
-/// layer).
-///
-/// Soundness argument: the pool hands out each task index to exactly one
-/// claimant (an atomic `fetch_add`), and `get(i)` is only called with
-/// that claimant's own index, so no two live `&mut` ever alias.
-pub(crate) struct DisjointSlots<'a, T> {
-    ptr: *mut T,
-    len: usize,
-    _slice: PhantomData<&'a mut [T]>,
-}
-
-// SAFETY: see the disjointness argument on the type; T values are moved
-// across threads, hence T: Send.
-unsafe impl<T: Send> Sync for DisjointSlots<'_, T> {}
-
-impl<'a, T> DisjointSlots<'a, T> {
-    pub(crate) fn new(slice: &'a mut [T]) -> DisjointSlots<'a, T> {
-        DisjointSlots {
-            ptr: slice.as_mut_ptr(),
-            len: slice.len(),
-            _slice: PhantomData,
-        }
-    }
-
-    /// # Safety
-    ///
-    /// `i < len`, and no two concurrent calls may pass the same `i`.
-    #[allow(clippy::mut_from_ref)]
-    pub(crate) unsafe fn get(&self, i: usize) -> &mut T {
-        debug_assert!(i < self.len);
-        &mut *self.ptr.add(i)
-    }
 }
 
 #[cfg(test)]

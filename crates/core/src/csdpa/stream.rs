@@ -17,10 +17,12 @@
 //!   `2 × (workers + 1)` reusable buffers — live buffer memory is
 //!   `O(workers · block_size)` regardless of stream length
 //!   ([`StreamSession::buffer_bytes`] accounts for it exactly);
-//! * each wave is one [`invoke_all_scoped`](ThreadPool::invoke_all_scoped)
-//!   batch whose tasks are the **scans of the current wave's blocks plus
-//!   the read of the next wave** — I/O overlaps scanning because the read
-//!   is just another dynamically claimed task;
+//! * each wave is one [`invoke_each`](ThreadPool::invoke_each) batch
+//!   with one task per block of the current wave, and task 0 **reads the
+//!   next wave** before its scan — I/O overlaps the other blocks' scans.
+//!   Each task writes its own ring slot through the plain `&mut` the
+//!   pool hands it, and the read-ahead state sits behind a lock only
+//!   task 0 takes, so the wave needs no `unsafe`;
 //! * after each wave the caller **eagerly composes** the finished
 //!   mappings into the running prefix *in arrival order*, so mapping
 //!   memory is O(1) live mappings (plus the per-slot scan outputs of one
@@ -36,20 +38,16 @@
 //! allocations per block** (asserted by `tests/stream_alloc.rs` with a
 //! counting allocator).
 
-// Mapping/read slots are written by single claimants through
-// `DisjointSlots`; see the soundness argument on that type.
-#![allow(unsafe_code)]
-
 use std::any::Any;
 use std::io::{self, Read};
+use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
 use ridfa_automata::counter::{NoCount, TransitionCount};
 
 use crate::parallel::{PoolHealth, ThreadPool};
 
-use super::budget::{panic_message, Budget, Degraded, InterruptProbe, StreamError};
-use super::session::DisjointSlots;
+use super::budget::{run_budgeted, Budget, Degraded, InterruptProbe, StreamError};
 use super::{ChunkAutomaton, Kernel};
 
 /// Result of a streaming recognition.
@@ -99,9 +97,9 @@ struct StreamCache<S, M, C> {
     scratches: Vec<S>,
     /// One `(mapping, transitions)` output slot per ring block.
     slots: Vec<(M, u64)>,
-    /// Dedicated output slot of the stream's very first block — kept
-    /// apart from the ring so ring slots only ever hold interior-shaped
-    /// mappings and their buffers stay warm across streams.
+    /// The stream's very first block's `(mapping, transitions)`: scanned
+    /// into its ring slot like every block, then swapped out here so it
+    /// outlives the ring's reuse.
     first: (M, u64),
     /// The composed prefix `λ_k ⊙ … ⊙ λ_1` of everything consumed so far.
     acc: M,
@@ -111,7 +109,7 @@ struct StreamCache<S, M, C> {
     compose: C,
 }
 
-/// Exclusive state of the read-ahead task (one claimant per wave).
+/// State of the read-ahead, which task 0 of every wave runs.
 struct ReadAhead<'a, R> {
     reader: &'a mut R,
     blocks: &'a mut [Block],
@@ -310,7 +308,6 @@ impl StreamSession {
     /// [`recognize_stream`](StreamSession::recognize_stream) runs
     /// allocation-free from its first block.
     pub fn warm<CA: ChunkAutomaton>(&mut self, ca: &CA, sample: &[u8]) {
-        let mut cache = self.take_cache::<CA>();
         let StreamCache {
             scratches,
             slots,
@@ -318,11 +315,12 @@ impl StreamSession {
             acc,
             tmp,
             compose,
-        } = &mut *cache;
+        } = stream_cache::<CA>(&mut self.cache, self.pool.num_workers() + 1);
         for scratch in scratches.iter_mut() {
             ca.scan_into(sample, scratch, &mut NoCount, tmp);
         }
-        for (slot, _) in slots.iter_mut() {
+        // `first` trades buffers with ring slots, so it is sized like one.
+        for (slot, _) in slots.iter_mut().chain(std::iter::once(&mut *first)) {
             ca.scan_into(sample, &mut scratches[0], &mut NoCount, slot);
         }
         ca.scan_first_into(sample, &mut NoCount, &mut first.0);
@@ -332,7 +330,6 @@ impl StreamSession {
         ca.compose_into(acc, &slots[0].0, compose, tmp);
         std::mem::swap(acc, tmp);
         ca.compose_into(acc, &slots[0].0, compose, tmp);
-        self.cache = Some(cache);
     }
 
     /// Recognizes the entire `reader` stream, scanning it in
@@ -376,13 +373,7 @@ impl StreamSession {
         CA: ChunkAutomaton,
         R: Read + Send,
     {
-        let probe = budget.probe();
-        match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            self.run_stream(ca, reader, probe.as_ref())
-        })) {
-            Ok(result) => result,
-            Err(payload) => Err(StreamError::Panicked(panic_message(payload))),
-        }
+        run_budgeted(budget, |probe| self.run_stream(ca, reader, probe))
     }
 
     /// Shared body of the streaming entry points; `probe` is the only
@@ -409,11 +400,7 @@ impl StreamSession {
             });
         }
         let mut reader = reader;
-        let mut cache = self.take_cache::<CA>();
-        // Stale carry from an aborted stream must not leak into this one.
-        self.carry.clear();
-        let separator = self.separator;
-        let carry = &mut self.carry;
+        let wave = self.pool.num_workers() + 1;
         let StreamCache {
             scratches,
             slots,
@@ -421,9 +408,12 @@ impl StreamSession {
             acc,
             tmp,
             compose,
-        } = &mut *cache;
+        } = stream_cache::<CA>(&mut self.cache, wave);
+        // Stale carry from an aborted stream must not leak into this one.
+        self.carry.clear();
+        let separator = self.separator;
+        let carry = &mut self.carry;
 
-        let wave = self.pool.num_workers() + 1;
         debug_assert_eq!(self.blocks.len(), 2 * wave);
         debug_assert_eq!(slots.len(), 2 * wave);
 
@@ -450,7 +440,6 @@ impl StreamSession {
         let mut eof = prologue.eof;
         let mut cur_count = prologue.filled;
         if let Some(e) = prologue.error {
-            self.cache = Some(cache);
             return Err(StreamError::Io(e));
         }
         let (mut cur_wave, mut next_wave) = (&mut *w0, &mut *w1);
@@ -458,10 +447,8 @@ impl StreamSession {
         let mut cur = 0usize; // ring half holding the wave being scanned
         let mut first_wave = true;
         while cur_count > 0 {
-            let read_tasks = usize::from(!eof);
-            let num_tasks = cur_count + read_tasks;
-
-            let mut read_ahead = ReadAhead {
+            // Locked once per wave, by task 0 only.
+            let read_ahead = Mutex::new(ReadAhead {
                 reader: &mut reader,
                 blocks: &mut *next_wave,
                 separator,
@@ -469,61 +456,49 @@ impl StreamSession {
                 filled: 0,
                 eof: false,
                 error: None,
-            };
-            {
-                // Exclusive single-claimant cells: the read-ahead state
-                // for task 0, the first-block slot, and one
-                // (mapping, count) ring slot per scan task.
-                let read_cell = DisjointSlots::new(std::slice::from_mut(&mut read_ahead));
-                let first_cell = DisjointSlots::new(std::slice::from_mut(first));
-                let slot_cells = DisjointSlots::new(&mut slots[..]);
-                let scan_wave: &[Block] = cur_wave;
-                let slot_base = cur * wave;
-                let is_first_wave = first_wave;
-                self.pool
-                    .invoke_all_scoped(num_tasks, scratches, |scratch, t| {
-                        ca.arm_interrupt(scratch, probe);
-                        if probe.is_some_and(|p| p.should_stop()) {
-                            return; // abandoned: the post-wave check bails out
-                        }
-                        if t < read_tasks {
-                            // SAFETY: task 0 has exactly one claimant.
-                            fill_wave(unsafe { read_cell.get(0) });
-                        } else {
-                            let b = t - read_tasks;
-                            let block = &scan_wave[b];
-                            let mut counter = TransitionCount::default();
-                            if is_first_wave && b == 0 {
-                                // SAFETY: only the stream's first scan
-                                // task touches the first-block slot.
-                                let (mapping, count) = unsafe { first_cell.get(0) };
-                                ca.scan_first_into(&block.data[..block.len], &mut counter, mapping);
-                                *count = counter.get();
-                            } else {
-                                // SAFETY: scan task `t` is the only
-                                // claimant of slot `slot_base + b`.
-                                let (mapping, count) = unsafe { slot_cells.get(slot_base + b) };
-                                ca.scan_into(
-                                    &block.data[..block.len],
-                                    scratch,
-                                    &mut counter,
-                                    mapping,
-                                );
-                                *count = counter.get();
-                            }
-                        }
-                    });
-            }
+            });
+            // One task per block of the wave, each writing its own ring
+            // slot. Task 0 first reads the next wave into the other half
+            // of the ring (until EOF), so the I/O overlaps the other
+            // blocks' scans.
+            let base = cur * wave;
+            let blocks = &cur_wave[..cur_count];
+            self.pool.invoke_each(
+                scratches,
+                &mut slots[base..base + cur_count],
+                |scratch, i, (mapping, count)| {
+                    ca.arm_interrupt(scratch, probe);
+                    if probe.is_some_and(|p| p.should_stop()) {
+                        return; // abandoned: the post-wave check bails out
+                    }
+                    if i == 0 && !eof {
+                        fill_wave(&mut read_ahead.lock().expect("read-ahead poisoned"));
+                    }
+                    let chunk = &blocks[i].data[..blocks[i].len];
+                    let mut counter = TransitionCount::default();
+                    if first_wave && i == 0 {
+                        ca.scan_first_into(chunk, &mut counter, mapping);
+                    } else {
+                        ca.scan_into(chunk, scratch, &mut counter, mapping);
+                    }
+                    *count = counter.get();
+                },
+            );
+            let read_ahead = read_ahead.into_inner().expect("read-ahead poisoned");
 
             // A budget trip mid-wave leaves partial slot data: discard
             // the wave and surface the typed error. The ring and the
-            // cache are restored, so the session stays reusable.
+            // cache stay in place, so the session stays reusable.
             if probe.is_some_and(|p| p.should_stop()) {
                 let err = probe
                     .and_then(|p| p.status())
                     .expect("tripped probe reports a status");
-                self.cache = Some(cache);
                 return Err(err.into());
+            }
+            if first_wave {
+                // The first block's mapping moves to its dedicated slot
+                // (a pointer swap, so both buffers stay warm).
+                std::mem::swap(first, &mut slots[base]);
             }
 
             // Eager in-order composition of the finished wave: the only
@@ -560,15 +535,10 @@ impl StreamSession {
             first_wave = false;
 
             if let Some(e) = read_ahead.error {
-                self.cache = Some(cache);
                 return Err(StreamError::Io(e));
             }
             eof |= read_ahead.eof;
-            let next_count = if read_tasks == 1 {
-                read_ahead.filled
-            } else {
-                0
-            };
+            let next_count = read_ahead.filled;
 
             // A dead prefix rejects every possible continuation: stop
             // reading instead of scanning the rest of the stream. (`acc`
@@ -600,7 +570,6 @@ impl StreamSession {
         } else {
             ca.accepts_mapping(acc)
         };
-        self.cache = Some(cache);
         Ok(StreamOutcome {
             accepted,
             bytes,
@@ -612,19 +581,24 @@ impl StreamSession {
             kernel: ca.effective_kernel(self.block_size),
         })
     }
+}
 
-    /// The warm buffer set for `CA`, rebuilt if the session last served a
-    /// different CA type.
-    fn take_cache<CA: ChunkAutomaton>(
-        &mut self,
-    ) -> Box<StreamCache<CA::Scratch, CA::Mapping, CA::ComposeScratch>> {
-        if let Some(cache) = self.cache.take() {
-            if let Ok(typed) = cache.downcast() {
-                return typed;
-            }
-        }
-        let claimants = self.pool.num_workers() + 1;
-        Box::new(StreamCache {
+/// The [`StreamCache`] of a chunk automaton.
+type StreamCacheOf<CA> = StreamCache<
+    <CA as ChunkAutomaton>::Scratch,
+    <CA as ChunkAutomaton>::Mapping,
+    <CA as ChunkAutomaton>::ComposeScratch,
+>;
+
+/// The warm buffer set for `CA`, rebuilt in place if the session last
+/// served a different CA type. `claimants` is the pool's worker count
+/// plus the calling thread.
+fn stream_cache<CA: ChunkAutomaton>(
+    cache: &mut Option<Box<dyn Any + Send>>,
+    claimants: usize,
+) -> &mut StreamCacheOf<CA> {
+    if !cache.as_ref().is_some_and(|c| c.is::<StreamCacheOf<CA>>()) {
+        *cache = Some(Box::new(StreamCacheOf::<CA> {
             scratches: (0..claimants).map(|_| CA::Scratch::default()).collect(),
             slots: (0..2 * claimants)
                 .map(|_| (CA::Mapping::default(), 0))
@@ -633,13 +607,17 @@ impl StreamSession {
             acc: CA::Mapping::default(),
             tmp: CA::Mapping::default(),
             compose: CA::ComposeScratch::default(),
-        })
+        }));
     }
+    cache
+        .as_mut()
+        .and_then(|c| c.downcast_mut())
+        .expect("the cache holds this CA type's buffers")
 }
 
 /// Fills consecutive blocks of `ra.blocks` until the reader is exhausted
 /// or the wave is full, recording the filled-block count and EOF. Runs on
-/// whichever claimant takes the read task.
+/// whichever claimant takes task 0 of the wave.
 ///
 /// Each block is seeded with the carry left by the previous block's
 /// separator snap, then topped up from the reader. EOF is detected from

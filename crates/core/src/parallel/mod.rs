@@ -16,6 +16,14 @@
 //!   allocations per warm call. This is what a
 //!   [`Session`](crate::csdpa::Session) dispatches texts through when
 //!   recognitions arrive by the thousands.
+//!
+//! Every pooled scan — a session's reach, batch and tree join, a stream
+//! wave, the registry's pooled lane — claims its work through
+//! [`invoke_each`](pool::ThreadPool::invoke_each): task `i` of a batch
+//! gets `&mut slots[i]` of one exclusively borrowed slot slice, claimed
+//! by index through the batch's atomic counter, so callers write their
+//! outputs through plain `&mut` and need no `unsafe`. The pool's scope
+//! protocol and that slot hand-out are the only `unsafe` code behind it.
 
 pub mod pool;
 pub mod scoped;

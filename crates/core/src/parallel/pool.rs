@@ -3,7 +3,8 @@
 //! Recognition traffic is dominated by *short* texts: spawning `c` OS
 //! threads per text (as the scoped executor does) costs more than the
 //! scan itself once chunks drop below a few tens of kilobytes. The pool
-//! keeps `n` workers parked on a condvar and offers two submission paths:
+//! keeps `n` workers parked on a condvar and offers three submission
+//! paths:
 //!
 //! * [`ThreadPool::execute`] — fire-and-forget boxed `'static` jobs
 //!   (queued behind a mutex, like a classic executor);
@@ -14,7 +15,13 @@
 //!   from an atomic counter, and each worker reuses its own long-lived
 //!   slot of caller-provided state (the reach phase keeps one scan
 //!   `Scratch` per worker warm across *texts*, not just across the chunks
-//!   of one text). A warm call performs zero heap allocations.
+//!   of one text). A warm call performs zero heap allocations;
+//! * [`ThreadPool::invoke_each`] — the same batch over a slice of
+//!   disjoint output slots: task `i` gets `&mut slots[i]`, so every
+//!   pooled scan writes its own output slot through a plain `&mut`, and
+//!   its callers need no `unsafe` at all: the scope protocol below and
+//!   the one-claimant-per-index slot hand-out are the only `unsafe`
+//!   code behind either scoped path.
 //!
 //! Panic safety (the liveness contract): a panicking job can neither kill
 //! a worker (each job runs under `catch_unwind`) nor strand a caller —
@@ -41,7 +48,8 @@
 
 // The scoped path shares caller-stack data with workers through raw
 // pointers; every dereference is justified by the attach/drain protocol
-// documented on `ScopeHeader`.
+// documented on `ScopeHeader`, and `invoke_each`'s slot hand-out by the
+// one-claimant-per-index contract on `SlotBase`.
 #![allow(unsafe_code)]
 
 use std::any::Any;
@@ -479,6 +487,57 @@ impl ThreadPool {
             resume_unwind(payload);
         }
     }
+
+    /// The scoped `invokeAll` over disjoint output slots: runs
+    /// `work(&mut locals[w], i, &mut slots[i])` once for every index `i`
+    /// of `slots`, through
+    /// [`invoke_all_scoped`](ThreadPool::invoke_all_scoped).
+    ///
+    /// Each task writes its own slot through a plain `&mut` (a chunk's
+    /// λ-mapping, a tree level's output), so callers need no `unsafe`:
+    /// the claim counter hands every index to exactly one claimant, and
+    /// `slots` stays exclusively borrowed until the batch is quiescent.
+    /// The claim is the batch's atomic index counter and nothing else —
+    /// no lock, no allocation — so batches of many sub-microsecond tasks
+    /// cost what [`invoke_all_scoped`](ThreadPool::invoke_all_scoped)
+    /// costs.
+    pub fn invoke_each<S, T, F>(&self, locals: &mut [S], slots: &mut [T], work: F)
+    where
+        S: Send,
+        T: Send,
+        F: Fn(&mut S, usize, &mut T) + Sync,
+    {
+        let slots = SlotBase(slots.as_mut_ptr(), slots.len());
+        self.invoke_all_scoped(slots.1, locals, |local, i| {
+            // SAFETY: the batch has one task per slot and
+            // `invoke_all_scoped` runs each index exactly once, so no two
+            // tasks alias a slot; `slots` stays exclusively borrowed by
+            // this call until the batch is quiescent.
+            work(local, i, unsafe { slots.get(i) });
+        });
+    }
+}
+
+/// The base and length of the slot slice an
+/// [`invoke_each`](ThreadPool::invoke_each) batch borrows exclusively.
+struct SlotBase<T>(*mut T, usize);
+
+// SAFETY: the pointer is dereferenced only through `get`, whose contract
+// gives every slot one claimant at a time, and the length is a plain
+// `usize`; a `&mut T` handed to another thread needs `T: Send`.
+unsafe impl<T: Send> Sync for SlotBase<T> {}
+
+impl<T> SlotBase<T> {
+    /// Slot `i`, bounds-checked.
+    ///
+    /// # Safety
+    ///
+    /// No other live reference may point at slot `i`.
+    #[allow(clippy::mut_from_ref)]
+    unsafe fn get(&self, i: usize) -> &mut T {
+        assert!(i < self.1, "slot {i} out of {}", self.1);
+        &mut *self.0.add(i)
+    }
 }
 
 /// Spawns the worker thread for slot `index`. The top frame traps any
@@ -761,6 +820,61 @@ mod tests {
         for (i, slot) in results.iter().enumerate() {
             assert_eq!(slot.load(Ordering::Relaxed), i * i + 1, "task {i}");
         }
+    }
+
+    #[test]
+    fn invoke_each_hands_every_slot_to_one_claimant() {
+        // Many rounds on a small pool: each slot is written by exactly
+        // one claimant per round, never lost and never doubled.
+        let pool = ThreadPool::new(3);
+        let mut locals = vec![0usize; pool.num_workers() + 1];
+        let mut slots = vec![0usize; 64];
+        for round in 1..=200 {
+            pool.invoke_each(&mut locals, &mut slots, |claims, i, slot| {
+                *claims += 1;
+                *slot += i + 1;
+            });
+            for (i, &slot) in slots.iter().enumerate() {
+                assert_eq!(slot, round * (i + 1), "round {round} slot {i}");
+            }
+        }
+        assert_eq!(locals.iter().sum::<usize>(), 200 * slots.len());
+    }
+
+    #[test]
+    fn invoke_each_runs_one_task_per_slot() {
+        let pool = ThreadPool::new(2);
+        let mut locals = vec![(); pool.num_workers() + 1];
+        let runs = AtomicUsize::new(0);
+        let mut slots = [0u8; 3];
+        pool.invoke_each(&mut locals, &mut slots, |_, _, slot| {
+            runs.fetch_add(1, Ordering::Relaxed);
+            *slot = 1;
+        });
+        assert_eq!(runs.load(Ordering::Relaxed), 3);
+        assert_eq!(slots, [1, 1, 1]);
+        // Zero slots and a single slot (run on the caller) both work.
+        pool.invoke_each(&mut locals, &mut slots[..0], |_, _, slot| *slot = 2);
+        pool.invoke_each(&mut locals, &mut slots[..1], |_, _, slot| *slot = 3);
+        assert_eq!(slots, [3, 1, 1]);
+    }
+
+    #[test]
+    fn invoke_each_re_raises_a_task_panic_and_the_pool_survives() {
+        let pool = ThreadPool::new(2);
+        let mut locals = vec![(); pool.num_workers() + 1];
+        let mut slots = [0usize; 16];
+        let result = catch_unwind(AssertUnwindSafe(|| {
+            pool.invoke_each(&mut locals, &mut slots, |_, i, slot| {
+                if i == 5 {
+                    panic!("slot 5 exploded");
+                }
+                *slot = i;
+            });
+        }));
+        assert!(result.is_err(), "panic must propagate to the caller");
+        pool.invoke_each(&mut locals, &mut slots, |_, i, slot| *slot = i + 1);
+        assert!(slots.iter().enumerate().all(|(i, &s)| s == i + 1));
     }
 
     #[test]

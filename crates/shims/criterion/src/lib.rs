@@ -15,6 +15,7 @@
 //!   for CI smoke runs.
 
 #![deny(missing_docs)]
+#![deny(unsafe_code)]
 
 use std::fmt::Display;
 use std::fmt::Write as _;

@@ -12,6 +12,8 @@
 //!
 //! See `README.md` for a guided tour and `examples/` for runnable programs.
 
+#![deny(unsafe_code)]
+
 pub mod faults;
 
 pub use ridfa_automata as automata;

@@ -250,6 +250,22 @@ fn a_panicking_chunk_automaton_cannot_cross_a_budgeted_api() {
         assert!(session.recognize(&faulty, &text, 8).accepted);
     }
 
+    // Through a session's batch path: two 8-chunk texts make 14
+    // interior scans, so ordinal 5 fires inside the budgeted batch.
+    let texts = [&text[..], &text[..]];
+    let faulty = PanicCa::new(RidCa::new(&rid).with_kernel(Kernel::Auto), 5);
+    let mut session = Session::new(2);
+    let err = session
+        .recognize_many_budgeted(&faulty, &texts, 8, &roomy)
+        .unwrap_err();
+    match err {
+        RecognizeError::Panicked(msg) => assert!(msg.contains("injected fault"), "{msg}"),
+        other => panic!("expected Panicked, got {other:?}"),
+    }
+    let health = session.health();
+    assert_eq!(health.live, health.configured, "pool lost workers");
+    assert_eq!(session.recognize_many(&faulty, &texts, 8), [true, true]);
+
     // Through the budgeted stream — reusable afterwards.
     let faulty = PanicCa::new(RidCa::new(&rid).with_kernel(Kernel::Auto), 1);
     let mut stream = StreamSession::new(1, 64);

@@ -3,15 +3,14 @@
 //! allocations — for every reach-kernel strategy, and for the SFA chunk
 //! walk, which has no scratch at all.
 //!
-//! Lives in its own test binary because of its counting [`GlobalAlloc`].
-//! libtest runs the tests below on parallel threads, and the allocator
-//! sees every thread in the process, so it counts only on a thread that
-//! opted in through [`allocations_in`]: each test counts its own scans,
+//! Lives in its own test binary because of the counting allocator of
+//! `common::alloc`. libtest runs the tests below on parallel threads,
+//! so each counts only on its own thread through `allocations_in`:
 //! never the harness's or a concurrently running test's warm-up.
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
+mod common;
 
+use common::alloc::allocations_in;
 use ridfa::automata::dfa::{minimize, powerset};
 use ridfa::automata::nfa::glushkov;
 use ridfa::automata::regex::parse;
@@ -19,51 +18,6 @@ use ridfa::automata::{ConstructionBudget, NoCount};
 use ridfa::core::csdpa::kernel::{self, DenseTable, Kernel, Scratch};
 use ridfa::core::csdpa::ChunkAutomaton;
 use ridfa::core::sfa::{Sfa, SfaCa};
-
-struct CountingAlloc;
-
-thread_local! {
-    /// Allocations this thread made since it opted in; `None` while it
-    /// has not. A `const` initializer, so reading it never allocates.
-    static ALLOCATIONS: Cell<Option<u64>> = const { Cell::new(None) };
-}
-
-fn record_allocation() {
-    // `try_with`: the slot is gone while the thread tears down.
-    let _ = ALLOCATIONS.try_with(|count| {
-        if let Some(n) = count.get() {
-            count.set(Some(n + 1));
-        }
-    });
-}
-
-// SAFETY: delegates verbatim to `System`; the counter is thread-local.
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        record_allocation();
-        System.alloc(layout)
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        System.dealloc(ptr, layout)
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        record_allocation();
-        System.realloc(ptr, layout, new_size)
-    }
-}
-
-#[global_allocator]
-static ALLOC: CountingAlloc = CountingAlloc;
-
-/// Runs `f` with counting on for the calling thread and returns the
-/// allocations it made there.
-fn allocations_in(f: impl FnOnce()) -> u64 {
-    ALLOCATIONS.with(|count| count.set(Some(0)));
-    f();
-    ALLOCATIONS.with(|count| count.replace(None)).unwrap_or(0)
-}
 
 #[test]
 fn warm_scans_allocate_nothing() {

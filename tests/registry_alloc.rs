@@ -4,44 +4,16 @@
 //! the pooled lane (`scan_block_pooled` + `finish_scan`) allocates
 //! nothing per request — for every engine a pattern can resolve to.
 //!
-//! Lives in its own test binary with a **single** test function: the
-//! counting [`GlobalAlloc`] observes every thread in the process,
-//! including the registry's pool workers, so any parallel activity would
-//! make the counter meaningless.
+//! Lives in its own test binary because of the counting allocator of
+//! `common::alloc`, which counts only on threads that opted in:
+//! `count_on` opts in the test thread and the registry's pool workers,
+//! never the harness's other threads.
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+mod common;
 
+use common::alloc::{allocations, count_on};
 use ridfa::core::csdpa::{EnginePlan, PatternRegistry, RegistryConfig, StreamScan};
 use ridfa::workloads::{fasta, traffic};
-
-struct CountingAlloc;
-
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
-
-// SAFETY: delegates verbatim to `System`; the counter is a relaxed atomic.
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        System.alloc(layout)
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        System.dealloc(ptr, layout)
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        System.realloc(ptr, layout, new_size)
-    }
-}
-
-#[global_allocator]
-static ALLOC: CountingAlloc = CountingAlloc;
-
-fn allocations() -> u64 {
-    ALLOCATIONS.load(Ordering::Relaxed)
-}
 
 /// Body size of one request.
 const BODY: usize = 256 << 10;
@@ -90,6 +62,7 @@ fn warm_scan_lanes_do_not_allocate_per_request() {
         reg.insert_nfa_planned(id, nfa, *plan).unwrap();
         assert_eq!(reg.plan(id), Some(*plan));
     }
+    count_on(reg.pool());
 
     for (id, _, _, body) in &entries {
         // Serial lane: one warm request sizes every buffer of the scan;

@@ -4,46 +4,17 @@
 //! allocations — across the caller, the pool dispatch, and every worker
 //! thread.
 //!
-//! Lives in its own test binary with a **single** test function: the
-//! counting [`GlobalAlloc`] observes every thread in the process
-//! (including the session's pool workers and the harness thread printing
-//! results of concurrently finishing tests), so any parallel activity
-//! would make the counter meaningless.
+//! Lives in its own test binary because of the counting allocator of
+//! `common::alloc`, which counts only on threads that opted in:
+//! `count_on` opts in the test thread and the session's pool workers,
+//! never the harness's other threads.
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+mod common;
 
+use common::alloc::{allocations, count_on};
 use ridfa::core::csdpa::{Kernel, RidCa, Session};
 use ridfa::core::ridfa::RiDfa;
 use ridfa::workloads::traffic;
-
-struct CountingAlloc;
-
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
-
-// SAFETY: delegates verbatim to `System`; the counter is a relaxed atomic.
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        System.alloc(layout)
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        System.dealloc(ptr, layout)
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        System.realloc(ptr, layout, new_size)
-    }
-}
-
-#[global_allocator]
-static ALLOC: CountingAlloc = CountingAlloc;
-
-fn allocations() -> u64 {
-    ALLOCATIONS.load(Ordering::Relaxed)
-}
 
 #[test]
 fn warm_session_recognizes_and_batches_without_allocating() {
@@ -59,6 +30,7 @@ fn warm_session_recognizes_and_batches_without_allocating() {
     let text2 = &text2[..text2.len().min(text1.len())];
 
     let mut session = Session::new(2);
+    count_on(session.pool());
     // Deterministically warm every per-worker scratch (task claiming is
     // racy, so a first recognition alone might leave a slow worker's
     // scratch cold), then size mapping/span/join buffers with full

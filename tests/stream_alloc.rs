@@ -6,44 +6,17 @@
 //! every worker thread. Together with the constant block ring
 //! (`buffer_bytes`), this is the O(workers · block_size) memory proof.
 //!
-//! Lives in its own test binary with a single test function: the
-//! counting `GlobalAlloc` observes every thread in the process, so any
-//! parallel test activity would make the counter meaningless.
+//! Lives in its own test binary because of the counting allocator of
+//! `common::alloc`, which counts only on threads that opted in:
+//! `count_on` opts in the test thread and the session's pool workers,
+//! never the harness's other threads.
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+mod common;
 
+use common::alloc::{allocations, count_on};
 use ridfa::core::csdpa::{Kernel, RidCa, StreamSession};
 use ridfa::core::ridfa::RiDfa;
 use ridfa::workloads::traffic;
-
-struct CountingAlloc;
-
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
-
-// SAFETY: delegates verbatim to `System`; the counter is a relaxed atomic.
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        System.alloc(layout)
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        System.dealloc(ptr, layout)
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        System.realloc(ptr, layout, new_size)
-    }
-}
-
-#[global_allocator]
-static ALLOC: CountingAlloc = CountingAlloc;
-
-fn allocations() -> u64 {
-    ALLOCATIONS.load(Ordering::Relaxed)
-}
 
 #[test]
 fn warm_stream_session_allocates_nothing_per_block() {
@@ -59,6 +32,7 @@ fn warm_stream_session_allocates_nothing_per_block() {
 
     // 64 KiB blocks → the 4 MiB streams cross ~64 block boundaries each.
     let mut session = StreamSession::new(2, 64 << 10);
+    count_on(session.pool());
     session.warm(&conv, &text1[..64 << 10]);
     let first = session.recognize_stream(&conv, &text1[..]).unwrap();
     assert!(first.accepted);
