@@ -11,8 +11,8 @@
 //!    workload (`traffic`, 101 interface states), where fusing the `k`
 //!    passes matters most; plus micro-ablations of the two SIMD
 //!    building blocks (shuffle classification and the strided
-//!    single-run walk) against their scalar twins. The harness writes
-//!    the group's results to
+//!    single-run walk, on `bible` and `traffic`) against their scalar
+//!    twins. The harness writes the group's results to
 //!    `target/criterion-shim/ablation_kernels.json`; the checked-in
 //!    baseline lives at `crates/bench/baselines/ablation_kernels.json`.
 
@@ -181,15 +181,18 @@ fn bench_kernels(c: &mut Criterion) {
 
     // Micro-ablations of the two SIMD building blocks against their
     // scalar twins, in the same group so the CI smoke can assert the
-    // simd ≥ scalar floor from a single JSON. `bible` converges to one
-    // live run almost immediately, so the single-run pair measures the
-    // strided walk against the plain serial loop over the whole text.
+    // simd ≥ scalar floor from a single JSON. The single-run pairs run
+    // one run from the start state over the whole text, as a first chunk
+    // does, so they measure the strided walk against the plain serial
+    // loop: on `bible`, and on `traffic`, whose wrong guesses die inside
+    // a record and resync at the next one only by re-seeding.
     let bible = standard_benchmarks()
         .into_iter()
         .find(|b| b.name == "bible")
         .unwrap();
     let ab = build_artifacts(&bible);
     let btext = (ab.accepted)(TEXT_LEN, 42);
+    group.throughput(Throughput::Bytes(btext.len() as u64));
     let classes = ab.dfa.classes();
     let mut class_out = vec![0u8; btext.len()];
     group.bench_function("classify_scalar", |b| {
@@ -198,33 +201,37 @@ fn bench_kernels(c: &mut Criterion) {
     group.bench_function("classify_simd", |b| {
         b.iter(|| classes.classify_into(&btext, &mut class_out));
     });
-    let ptable = ab.dfa.premultiplied_table();
-    let table = DenseTable {
-        ptable: &ptable,
-        stride: ab.dfa.stride(),
-        classes: ab.dfa.classes(),
-    };
-    let start = ab.dfa.start();
     let mut scratch = Scratch::default();
     let mut out = Vec::new();
-    for (label, kernel) in [
-        ("single_run_scalar", Kernel::PerRun),
-        ("single_run_simd", Kernel::Simd),
-    ] {
-        group.bench_function(label, |b| {
-            b.iter(|| {
-                kernel::scan_into(
-                    table,
-                    std::iter::once((start, start)),
-                    ab.dfa.num_states(),
-                    &btext,
-                    kernel,
-                    &mut scratch,
-                    &mut NoCount,
-                    &mut out,
-                )
+    for (prefix, dfa, text) in [("", &ab.dfa, &btext), ("traffic_", &a.dfa, &text)] {
+        group.throughput(Throughput::Bytes(text.len() as u64));
+        let ptable = dfa.premultiplied_table();
+        let table = DenseTable {
+            ptable: &ptable,
+            stride: dfa.stride(),
+            classes: dfa.classes(),
+            start_row: dfa.start() as usize * dfa.stride(),
+        };
+        let start = dfa.start();
+        for (label, kernel) in [
+            ("single_run_scalar", Kernel::PerRun),
+            ("single_run_simd", Kernel::Simd),
+        ] {
+            group.bench_function(format!("{prefix}{label}"), |b| {
+                b.iter(|| {
+                    kernel::scan_into(
+                        table,
+                        std::iter::once((start, start)),
+                        dfa.num_states(),
+                        text,
+                        kernel,
+                        &mut scratch,
+                        &mut NoCount,
+                        &mut out,
+                    )
+                });
             });
-        });
+        }
     }
     group.finish();
 }

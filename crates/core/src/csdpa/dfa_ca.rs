@@ -19,6 +19,8 @@ use super::ChunkAutomaton;
 /// picks another strategy: any other kernel merges runs that converge
 /// to the same state (the state-convergence optimization the paper's
 /// conclusion points at) and charges one transition per merged group.
+/// The first chunk's one run takes the kernel's checkpointed stride walk
+/// where the configured kernel resolves to [`Kernel::Simd`] for it.
 /// Mappings are identical under every kernel.
 #[derive(Debug, Clone)]
 pub struct DfaCa<'a> {
@@ -75,6 +77,7 @@ impl<'a> DfaCa<'a> {
             ptable: &self.ptable,
             stride: self.dfa.stride(),
             classes: self.dfa.classes(),
+            start_row: self.dfa.start() as usize * self.dfa.stride(),
         }
     }
 
@@ -120,8 +123,8 @@ impl ChunkAutomaton for DfaCa<'_> {
     fn scan_first_into(&self, chunk: &[u8], counter: &mut impl Counter, out: &mut Vec<StateId>) {
         out.clear();
         out.resize(self.dfa.num_states(), DEAD);
-        let start = self.dfa.start();
-        out[start as usize] = self.dfa.run_from(start, chunk, counter);
+        out[self.dfa.start() as usize] =
+            kernel::scan_first(self.table(), self.kernel, chunk, counter);
     }
 
     fn arm_interrupt(&self, scratch: &mut Scratch, probe: Option<&super::budget::InterruptProbe>) {

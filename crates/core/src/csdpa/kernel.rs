@@ -33,7 +33,13 @@
 //!   ([`ByteClasses::classify_into`]).
 //! * **Single-run fast path.** Once every run has died or converged into
 //!   one group, the scan degenerates to the plain serial loop: one load
-//!   per byte, zero bookkeeping.
+//!   per byte, zero bookkeeping. Where [`Kernel::Simd`] resolves, a
+//!   single run — a first chunk's, or each of an interior scan's few
+//!   survivors in turn — takes `strided_walk` instead: 64 KiB windows,
+//!   each cut into four interleaved strides whose speculative chains
+//!   re-seed from the start row when they die, repaired against
+//!   per-stride checkpoints. It keeps its buffers on the stack, so the
+//!   scratch-less first chunk can call it.
 //!
 //! All working memory lives in a reusable per-worker [`Scratch`]; after
 //! its first-use warm-up a scan performs **zero heap allocations**, which
@@ -71,9 +77,13 @@ pub enum Kernel {
     /// The data-parallel kernel (AVX2, runtime-detected): vectorized
     /// byte classification, a gather-based lockstep step advancing eight
     /// speculative runs per instruction (Ko et al.'s speculative SIMD
-    /// membership test), and — once the scan converges to few runs — an
-    /// interleaved multi-chain / checkpoint-and-repair strided walk that
-    /// breaks the per-byte load-to-load dependency chain. Falls back to
+    /// membership test), and — once the scan converges to few runs —
+    /// finishes that break the per-byte load-to-load dependency chain:
+    /// each survivor takes the windowed, re-seeding checkpoint-and-repair
+    /// stride walk (`strided_walk`) in turn, or, on a rest too short for
+    /// the walk, two to four survivors advance as interleaved chains. A
+    /// first chunk's single run takes the same walk when this kernel
+    /// resolves for it. Falls back to
     /// [`Kernel::LockstepShared`] (bit-identical mappings) when the CPU
     /// feature is missing, `RIDFA_NO_SIMD` is set, or the table shape
     /// does not allow gathers.
@@ -109,6 +119,35 @@ pub fn simd_supported(table_entries: usize) -> bool {
 /// below this the vector setup (row broadcasts, stride bookkeeping)
 /// cannot amortize and the scalar matrix applies unchanged.
 pub const SIMD_MIN_CHUNK: usize = 4096;
+
+/// Chains interleaved by the low-run finishes (the SIMD kernel's
+/// multi-chain finish and `strided_walk`). Four ~5-cycle dependent load
+/// chains saturate the L1 load ports without spilling the row state out
+/// of registers.
+const NUM_CHAINS: usize = 4;
+
+/// Runs shorter than this skip `strided_walk` — a single run walks
+/// byte-serially, two to four SIMD survivors interleaved: the repair
+/// floor (one checkpoint interval per stride) would eat the latency win.
+pub const STRIDE_MIN: usize = 8 * 1024;
+
+/// Longest window of `strided_walk`. A window's four strides keep their
+/// class buffers and checkpoints on the stack, and its speculative chains
+/// start from the window's true entry row, so a wrong guess costs at most
+/// one window.
+pub const WINDOW: usize = 64 << 10;
+
+/// Checkpoint spacing of `strided_walk`. Repair scans at most this many
+/// bytes past the point where the true run meets a chain.
+const CKPT_INTERVAL: usize = 256;
+
+// The walk records checkpoints per interval inside each class segment,
+// and repair compares them at the same stride offsets.
+const _: () = assert!(CLASS_BLOCK.is_multiple_of(CKPT_INTERVAL));
+
+/// Checkpoints one chain records in a full window: one at the end of
+/// every full interval of its stride.
+const WINDOW_CKPTS: usize = WINDOW / NUM_CHAINS / CKPT_INTERVAL;
 
 /// Resolves [`Kernel::Auto`] for one chunk scan, consulting the actual
 /// runtime CPU features (AVX2 detection + the `RIDFA_NO_SIMD` kill
@@ -192,6 +231,12 @@ pub struct DenseTable<'a> {
     pub stride: usize,
     /// The byte→class map the table is compressed with.
     pub classes: &'a ByteClasses,
+    /// Premultiplied row of the automaton's start state
+    /// (`start * stride`). A first-chunk scan runs from it, and
+    /// `strided_walk` re-seeds a speculative chain that dies here: a
+    /// record of a record-structured text begins in the start state, so
+    /// the chain resyncs at the next record instead of staying dead.
+    pub start_row: usize,
 }
 
 /// Reusable per-worker working memory of the lockstep kernel.
@@ -221,12 +266,6 @@ pub struct Scratch {
     /// Stack-sized class translation buffer, heap-allocated once so
     /// `Scratch` stays `Default` + cheap to construct.
     class_buf: Vec<u8>,
-    /// Per-stride class buffers of the SIMD strided walks
-    /// (`simd::NUM_CHAINS × CLASS_BLOCK`), grown on first SIMD scan.
-    simd_class_buf: Vec<u8>,
-    /// Checkpoint rows of the SIMD speculative strided walk, grown to
-    /// the chunk-length high-water mark on first use.
-    simd_ckpt: Vec<StateId>,
     /// Interrupt probe of the budgeted call currently driving this
     /// scratch, checked once per classification block. `None` (the
     /// default and the unbudgeted state) keeps the hot loops untouched.
@@ -356,6 +395,174 @@ fn run_row_interruptible(
     row
 }
 
+/// [`run_row_serial`], or [`run_row_interruptible`] when a probe is armed.
+fn run_row(
+    table: DenseTable<'_>,
+    row: usize,
+    bytes: &[u8],
+    probe: Option<&InterruptProbe>,
+    counter: &mut impl Counter,
+) -> usize {
+    match probe {
+        None => run_row_serial(table, row, bytes, counter),
+        Some(p) => run_row_interruptible(table, row, bytes, counter, p),
+    }
+}
+
+/// The single run of a first chunk, from [`DenseTable::start_row`]:
+/// through [`strided_walk`] where `kernel` resolves to [`Kernel::Simd`]
+/// for one run, byte-serially otherwise — so [`Kernel::PerRun`] keeps the
+/// paper's transition counts. Returns the last state, [`DEAD`] if the
+/// run died.
+pub(crate) fn scan_first(
+    table: DenseTable<'_>,
+    kernel: Kernel,
+    chunk: &[u8],
+    counter: &mut impl Counter,
+) -> StateId {
+    let row = match resolve(kernel, 1, chunk.len(), table.ptable.len()) {
+        Kernel::Simd => strided_walk(table, table.start_row, chunk, None, counter),
+        _ => run_row_serial(table, table.start_row, chunk, counter),
+    };
+    (row / table.stride) as StateId
+}
+
+/// Runs one premultiplied row over `bytes` like [`run_row_serial`] —
+/// same final row, `0` if the run died — but breaks the one-load-per-byte
+/// dependency chain with a checkpointed strided walk (Ko et al.). An
+/// armed `probe` is checked once per [`CLASS_BLOCK`] of each stride; on a
+/// trip the partial row is returned, which the budgeted caller discards.
+///
+/// The bytes are cut into balanced windows of at most [`WINDOW`] bytes,
+/// walked in order. A window is split into [`NUM_CHAINS`] strides that
+/// advance interleaved, so their dependent loads overlap:
+///
+/// * chain 0 walks stride 0 from the window's true entry row;
+/// * chains 1–3 *speculate*: each walks its stride from the same entry
+///   row as a guess and records its row at the end of every full
+///   [`CKPT_INTERVAL`]. A chain that dies is re-seeded at the next byte
+///   from [`DenseTable::start_row`] — on record-structured text it
+///   resyncs at the next record — and the byte it died at is remembered.
+///   The re-seed is a rarely taken branch, off the chains' load path.
+/// * Repair then walks strides 1–3 from the true row, an interval at a
+///   time, until the true row equals the chain's checkpoint. By
+///   determinism both share one trajectory from there, so the chain's
+///   end row is the true one — unless the chain died after that
+///   checkpoint, in which case the true run dies at that same byte.
+///
+/// Counts are per executed transition per chain, including speculation
+/// the repair discards.
+pub(crate) fn strided_walk(
+    table: DenseTable<'_>,
+    mut row: usize,
+    bytes: &[u8],
+    probe: Option<&InterruptProbe>,
+    counter: &mut impl Counter,
+) -> usize {
+    if bytes.len() < STRIDE_MIN {
+        return run_row(table, row, bytes, probe, counter);
+    }
+    // Balanced windows: with more than one, none is shorter than half a
+    // window, so each stays well above STRIDE_MIN.
+    let window_len = bytes.len().div_ceil(bytes.len().div_ceil(WINDOW));
+    for window in bytes.chunks(window_len) {
+        if row == 0 {
+            break; // dead is absorbing
+        }
+        row = walk_window(table, row, window, probe, counter);
+    }
+    row
+}
+
+/// One window of [`strided_walk`], entered at the true row `entry`.
+fn walk_window(
+    table: DenseTable<'_>,
+    entry: usize,
+    window: &[u8],
+    probe: Option<&InterruptProbe>,
+    counter: &mut impl Counter,
+) -> usize {
+    debug_assert!((STRIDE_MIN..=WINDOW).contains(&window.len()));
+    let ptable = table.ptable;
+    let stride_len = window.len() / NUM_CHAINS;
+    // The strides' classes of the current segment, every chain's row at
+    // each full interval's end, and the offset just past the byte each
+    // chain last died at (0: never died).
+    let mut class_bufs = [[0u8; CLASS_BLOCK]; NUM_CHAINS];
+    let mut ckpt = [[0usize; NUM_CHAINS]; WINDOW_CKPTS];
+    let mut died = [0usize; NUM_CHAINS];
+    let mut r = [entry; NUM_CHAINS];
+    let mut n_ckpt = 0;
+    for seg_start in (0..stride_len).step_by(CLASS_BLOCK) {
+        if probe.is_some_and(|p| p.should_stop()) {
+            return r[0]; // abandoned: the budgeted caller discards the mapping
+        }
+        let seg_len = (stride_len - seg_start).min(CLASS_BLOCK);
+        for (j, buf) in class_bufs.iter_mut().enumerate() {
+            let from = j * stride_len + seg_start;
+            table
+                .classes
+                .classify_into(&window[from..from + seg_len], buf);
+        }
+        for at in (0..seg_len).step_by(CKPT_INTERVAL) {
+            let end = (at + CKPT_INTERVAL).min(seg_len);
+            for k in at..end {
+                let next = [
+                    ptable[r[0] + class_bufs[0][k] as usize] as usize,
+                    ptable[r[1] + class_bufs[1][k] as usize] as usize,
+                    ptable[r[2] + class_bufs[2][k] as usize] as usize,
+                    ptable[r[3] + class_bufs[3][k] as usize] as usize,
+                ];
+                counter.add(next.iter().map(|&n| (n != 0) as u64).sum());
+                r = next;
+                if (r[0] == 0) | (r[1] == 0) | (r[2] == 0) | (r[3] == 0) {
+                    if r[0] == 0 {
+                        return 0; // the true run died
+                    }
+                    for (chain, died) in r.iter_mut().zip(&mut died).skip(1) {
+                        if *chain == 0 {
+                            *chain = table.start_row;
+                            *died = seg_start + k + 1;
+                        }
+                    }
+                }
+            }
+            if end - at == CKPT_INTERVAL {
+                ckpt[n_ckpt] = r;
+                n_ckpt += 1;
+            }
+        }
+    }
+
+    // Repair: resolve the true row stride by stride.
+    let mut cur = r[0];
+    'strides: for j in 1..NUM_CHAINS {
+        let stride = &window[j * stride_len..][..stride_len];
+        for (t, interval) in stride.chunks(CKPT_INTERVAL).enumerate() {
+            if t % (CLASS_BLOCK / CKPT_INTERVAL) == 0 && probe.is_some_and(|p| p.should_stop()) {
+                return cur; // abandoned: the partial row is discarded
+            }
+            cur = run_row_serial(table, cur, interval, counter);
+            if cur == 0 {
+                return 0; // dead is absorbing
+            }
+            if interval.len() == CKPT_INTERVAL && cur == ckpt[t][j] {
+                // The true run meets chain j here and follows it: to its
+                // end row, or to the byte it died at after this point.
+                if died[j] > (t + 1) * CKPT_INTERVAL {
+                    return 0;
+                }
+                cur = r[j];
+                continue 'strides;
+            }
+        }
+        // No checkpoint matched: `cur` was rescanned to the stride's end
+        // and is the true row; the speculation is discarded.
+    }
+    // The division remainder (< NUM_CHAINS bytes) after the last stride.
+    run_row_serial(table, cur, &window[NUM_CHAINS * stride_len..], counter)
+}
+
 /// The baseline strategy: each run scans the whole chunk independently.
 fn per_run_scan(
     table: DenseTable<'_>,
@@ -370,15 +577,10 @@ fn per_run_scan(
         if start == DEAD {
             continue;
         }
-        let row = match interrupt {
-            None => run_row_serial(table, start as usize * stride, chunk, counter),
-            Some(probe) => {
-                if probe.should_stop() {
-                    return; // abandoned: the caller discards the mapping
-                }
-                run_row_interruptible(table, start as usize * stride, chunk, counter, probe)
-            }
-        };
+        if interrupt.is_some_and(|p| p.should_stop()) {
+            return; // abandoned: the caller discards the mapping
+        }
+        let row = run_row(table, start as usize * stride, chunk, interrupt, counter);
         out[origin as usize] = (row / stride) as StateId;
     }
 }
@@ -435,13 +637,9 @@ fn lockstep_scan(
         // stabilization cutover. A group that dies parks on row 0, whose
         // state is DEAD — exactly what its origins should map to.
         let rest = &chunk[consumed..];
-        let probe = scratch.interrupt.clone();
-        for g in 0..len {
-            let row = match &probe {
-                None => run_row_serial(table, scratch.rows[g] as usize, rest, counter),
-                Some(p) => run_row_interruptible(table, scratch.rows[g] as usize, rest, counter, p),
-            };
-            scratch.rows[g] = row as StateId;
+        let probe = scratch.interrupt.as_ref();
+        for row in &mut scratch.rows[..len] {
+            *row = run_row(table, *row as usize, rest, probe, counter) as StateId;
         }
     }
 
@@ -578,13 +776,18 @@ mod tests {
         determinize(&glushkov::build(&parse(pattern).unwrap()).unwrap())
     }
 
-    fn scan(dfa: &Dfa, chunk: &[u8], kernel: Kernel) -> (Vec<StateId>, u64) {
-        let ptable = dfa.premultiplied_table();
-        let table = DenseTable {
-            ptable: &ptable,
+    fn dense<'a>(dfa: &'a Dfa, ptable: &'a [StateId]) -> DenseTable<'a> {
+        DenseTable {
+            ptable,
             stride: dfa.stride(),
             classes: dfa.classes(),
-        };
+            start_row: dfa.start() as usize * dfa.stride(),
+        }
+    }
+
+    fn scan(dfa: &Dfa, chunk: &[u8], kernel: Kernel) -> (Vec<StateId>, u64) {
+        let ptable = dfa.premultiplied_table();
+        let table = dense(dfa, &ptable);
         let mut scratch = Scratch::default();
         let mut counter = TransitionCount::default();
         let mut out = Vec::new();
@@ -750,13 +953,8 @@ mod tests {
         let mut out = Vec::new();
         for _ in 0..3 {
             for (dfa, ptable) in [(&small, &ptable_small), (&big, &ptable_big)] {
-                let table = DenseTable {
-                    ptable,
-                    stride: dfa.stride(),
-                    classes: dfa.classes(),
-                };
                 scan_into(
-                    table,
+                    dense(dfa, ptable),
                     dfa.live_states().map(|s| (s, s)),
                     dfa.num_states(),
                     b"abcabcab",
@@ -776,11 +974,7 @@ mod tests {
         // byte 0 and charged once.
         let dfa = dfa_for("[ab]*");
         let ptable = dfa.premultiplied_table();
-        let table = DenseTable {
-            ptable: &ptable,
-            stride: dfa.stride(),
-            classes: dfa.classes(),
-        };
+        let table = dense(&dfa, &ptable);
         let start = dfa.start();
         let mut scratch = Scratch::default();
         let mut counter = TransitionCount::default();
@@ -798,5 +992,58 @@ mod tests {
         assert_eq!(out[0], out[1]);
         assert_ne!(out[0], DEAD);
         assert_eq!(counter.get(), 4, "one merged run, one count per byte");
+    }
+
+    #[test]
+    fn strided_walk_matches_the_serial_loop() {
+        // The walk itself is scalar, so this holds on every host. The
+        // patterns stress re-seeding: out-of-phase pairs, a start state
+        // that never recurs, and a parity whose chains never meet the
+        // true run. Each text is a member (or, for the parity, any
+        // string over its alphabet), walked from every live entry row
+        // intact and with a killing byte in stride 0, in the middle of
+        // stride 2 (after its chain has met a checkpoint) or near the end.
+        let mut seed = 0x5EEDu64;
+        let mut pick = |n: usize| {
+            seed = seed.wrapping_mul(6364136223846793005).wrapping_add(1);
+            (seed >> 33) as usize % n
+        };
+        for (pattern, prefix, words, kill) in [
+            ("(ab|ba)*", &b""[..], &[&b"ab"[..], b"ba"][..], b'c'),
+            ("abc(d|e)*", b"abc", &[b"d", b"e"], b'a'),
+            ("(a*ba*b)*a*", b"", &[b"a", b"b"], b'c'),
+            ("(a|b)*abb", b"", &[b"a", b"b"], b'c'),
+        ] {
+            let dfa = dfa_for(pattern);
+            let ptable = dfa.premultiplied_table();
+            let table = dense(&dfa, &ptable);
+            for len in [STRIDE_MIN - 1, STRIDE_MIN, WINDOW + 1, 3 * WINDOW + 3] {
+                let mut text = prefix.to_vec();
+                while text.len() < len {
+                    text.extend_from_slice(words[pick(words.len())]);
+                }
+                text.truncate(len);
+                let stride_len = len.div_ceil(len.div_ceil(WINDOW)) / 4;
+                for at in [
+                    None,
+                    Some(stride_len / 2),
+                    Some(5 * stride_len / 2),
+                    Some(len - 2),
+                ] {
+                    let mut text = text.clone();
+                    if let Some(at) = at {
+                        text[at] = kill;
+                    }
+                    for entry in dfa.live_states() {
+                        let row = entry as usize * dfa.stride();
+                        assert_eq!(
+                            strided_walk(table, row, &text, None, &mut NoCount),
+                            run_row_serial(table, row, &text, &mut NoCount),
+                            "{pattern} from state {entry}, {len} bytes, kill at {at:?}"
+                        );
+                    }
+                }
+            }
+        }
     }
 }

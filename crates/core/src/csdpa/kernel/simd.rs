@@ -17,20 +17,24 @@
 //!    so an unmerged duplicate or dead lane just keeps gathering zeros).
 //! 3. **Dependency-breaking finishes.** Once few runs survive, the scan
 //!    is latency-bound on the `load → index → load` chain (~5 cycles per
-//!    byte however fast the ALUs are). For 2–4 survivors the chains are
-//!    *interleaved* in one pass — independent loads overlap, so four
-//!    chains cost the wall time of one. For a single survivor the
-//!    remainder is split into [`NUM_CHAINS`] strides walked in the same
-//!    interleaved fashion: stride 0 continues deterministically from the
-//!    known row, every later stride *speculates* from the entry row and
-//!    records periodic row checkpoints. A serial repair pass then
-//!    rescans each stride from its true entry only until it meets a
-//!    matching checkpoint — by DFA determinism, agreement at one
-//!    position implies identical rows ever after, so the stride's
-//!    precomputed end row is adopted and the rest skipped. On convergent
-//!    texts (the common case the paper measures) repairs cost a few
+//!    byte however fast the ALUs are). Each survivor takes the
+//!    re-seeding checkpointed stride walk of
+//!    [`strided_walk`](super::strided_walk), in turn: 64 KiB windows,
+//!    each split into four interleaved strides, where stride 0 continues
+//!    from the true row and strides 1–3 speculate from the window's entry
+//!    row, re-seed from the start row when they die, and record periodic
+//!    checkpoints. A serial repair pass rescans each stride from its true
+//!    entry only until it meets a matching checkpoint — by DFA
+//!    determinism, agreement at one position implies identical rows ever
+//!    after, so the stride's precomputed end row is adopted (or, if the
+//!    chain died after that checkpoint, the true run's death) and the
+//!    rest skipped. On convergent texts, and on record-structured texts
+//!    whose dead chains resync at the next record, repairs cost a few
 //!    hundred bytes per stride; the worst case degrades to the plain
 //!    serial walk plus the wasted speculation, never to a wrong answer.
+//!    Below the walk's floor two to four survivors are instead
+//!    *interleaved* in one pass — independent loads overlap, so four
+//!    chains cost the wall time of one.
 //!
 //! Counting semantics are **per executed transition per lane/chain** —
 //! work actually performed, including speculation that repair later
@@ -46,13 +50,9 @@ use ridfa_automata::counter::Counter;
 use ridfa_automata::StateId;
 
 use super::{
-    merge_compact, run_row_serial, seed_groups, write_mapping, DenseTable, Scratch, CLASS_BLOCK,
+    merge_compact, seed_groups, strided_walk, write_mapping, DenseTable, Scratch, CLASS_BLOCK,
+    NUM_CHAINS, STRIDE_MIN,
 };
-
-/// Chains interleaved by the low-run finishes (multi-chain and strided).
-/// Four ~5-cycle dependent load chains saturate the L1 load ports without
-/// spilling the row state out of registers.
-pub(super) const NUM_CHAINS: usize = 4;
 
 /// Bytes between merge/compact passes of the gather phase. Short enough
 /// to catch the early convergence burst, long enough to amortize the
@@ -62,15 +62,6 @@ const MERGE_PERIOD: usize = 256;
 /// Below this many live groups the gather step stops paying (most lanes
 /// idle) and the interleaved scalar finishes take over.
 const GATHER_EXIT: usize = 4;
-
-/// Checkpoint spacing of the speculative strided walk (power of two).
-/// Repair scans at most this many bytes past the true convergence point.
-const CKPT_INTERVAL: usize = 256;
-
-/// Remainders shorter than this are not worth splitting into strides:
-/// the repair floor (one checkpoint interval per stride) would eat the
-/// latency win.
-const STRIDE_MIN: usize = 8 * 1024;
 
 /// Can the SIMD kernel execute here? Runtime AVX2 (plus the
 /// `RIDFA_NO_SIMD` kill switch) and a premultiplied table addressable by
@@ -121,15 +112,32 @@ pub(super) fn scan(
         scratch.class_buf = class_buf;
     }
 
-    // Phase 2: few live runs — dependency-breaking interleaved finishes.
+    // Phase 2: few live runs — dependency-breaking finishes. Each
+    // survivor takes the stride walk in turn; below the walk's floor,
+    // where that would be one serial loop per survivor, two to four
+    // survivors advance interleaved instead. Measured on a 2-core AVX2
+    // Xeon, the finishes alternating in one binary over 16 chunk
+    // positions per size (ns/B, interleaved → in turn):
+    // * two survivors (bible, fasta): in turn wins from 16 KiB chunks up
+    //   (32 KiB–1 MiB: 2.3–2.6 → 1.6–2.2); bible loses 4–5 % at 10–12
+    //   KiB; below the floor (4–8 KiB chunks) interleaving wins by about
+    //   a third (bible at 4 KiB: 4.93 vs 6.58);
+    // * three or four survivors: no standard benchmark keeps more than
+    //   two to a chunk's end, and in turn wins where the gather phase
+    //   exits with more (traffic under feasible-start, 64 KiB–1.5 MiB:
+    //   1.0–1.5 → 0.86–1.19; bigdata under lockstep, 16 KiB–1 MiB:
+    //   2.2–2.3 → 0.8–1.7). It loses on languages of three or four
+    //   never-merging tracks, which keep them to the end (three: 2.3–2.5
+    //   → 2.4–3.1; four: 2.3–2.7 → 3.2–3.8).
     if consumed < chunk.len() && (1..=GATHER_EXIT).contains(&len) {
         let rest = &chunk[consumed..];
-        if len == 1 {
-            let entry = scratch.rows[0] as usize;
-            let final_row = strided_single_run(table, entry, rest, scratch, counter);
-            scratch.rows[0] = final_row as StateId;
-        } else {
+        if len > 1 && rest.len() < STRIDE_MIN {
             multi_chain_finish(table, scratch, len, rest, counter);
+        } else {
+            let probe = scratch.interrupt.as_ref();
+            for row in &mut scratch.rows[..len] {
+                *row = strided_walk(table, *row as usize, rest, probe, counter) as StateId;
+            }
         }
     }
 
@@ -245,139 +253,4 @@ fn multi_chain_finish(
     for (row, &chain) in scratch.rows[..len].iter_mut().zip(&r) {
         *row = chain as StateId;
     }
-}
-
-/// The single-run remainder walk: checkpoint-and-repair strided
-/// speculation. Returns the final premultiplied row (0 = dead).
-///
-/// The remainder is cut into [`NUM_CHAINS`] equal strides. Stride 0 runs
-/// deterministically from `row` (the one surviving group); each later
-/// stride runs **one** speculative chain from `row` as a guessed entry,
-/// recording its row every [`CKPT_INTERVAL`] bytes. All chains advance
-/// interleaved in a single loop, so the ~5-cycle dependent-load latency
-/// of the DFA walk is overlapped [`NUM_CHAINS`]-fold. The repair pass
-/// then walks left to right: the true row entering stride `j` rescans
-/// serially, but only until it equals the speculative chain's checkpoint
-/// at the same position — determinism then guarantees both trajectories
-/// are identical forever after, so the chain's precomputed end row is
-/// adopted and the rest of the stride is skipped.
-fn strided_single_run(
-    table: DenseTable<'_>,
-    row: usize,
-    rest: &[u8],
-    scratch: &mut Scratch,
-    counter: &mut impl Counter,
-) -> usize {
-    let probe = scratch.interrupt.clone();
-    if rest.len() < STRIDE_MIN {
-        return match &probe {
-            None => run_row_serial(table, row, rest, counter),
-            Some(p) => super::run_row_interruptible(table, row, rest, counter, p),
-        };
-    }
-    let ptable = table.ptable;
-    let stride_len = rest.len() / NUM_CHAINS;
-    // Stride j covers rest[j*stride_len ..][..stride_len]; the division
-    // remainder (< NUM_CHAINS bytes) is appended to the last stride.
-    let tail_start = NUM_CHAINS * stride_len;
-
-    // Working buffers (capacity persists across scans: zero allocations
-    // once warmed to the chunk-size high-water mark).
-    let mut class_buf = std::mem::take(&mut scratch.simd_class_buf);
-    if class_buf.len() < NUM_CHAINS * CLASS_BLOCK {
-        class_buf.resize(NUM_CHAINS * CLASS_BLOCK, 0);
-    }
-    let mut ckpt = std::mem::take(&mut scratch.simd_ckpt);
-    let ckpt_cap = stride_len / CKPT_INTERVAL + 2;
-    if ckpt.len() < NUM_CHAINS * ckpt_cap {
-        ckpt.resize(NUM_CHAINS * ckpt_cap, 0);
-    }
-
-    // Interleaved main walk: chain 0 deterministic, chains 1.. from the
-    // guessed entry `row` (on convergent texts any live entry lands on
-    // the same trajectory within a few hundred bytes).
-    let mut r = [row; NUM_CHAINS];
-    let mut n_ck = 0usize;
-    let mut tripped = false;
-    let mut seg_start = 0;
-    while seg_start < stride_len {
-        if probe.as_ref().is_some_and(|p| p.should_stop()) {
-            tripped = true;
-            break; // abandoned: the budgeted caller discards the mapping
-        }
-        let seg_len = (stride_len - seg_start).min(CLASS_BLOCK);
-        for (j, buf) in class_buf.chunks_mut(CLASS_BLOCK).enumerate() {
-            let from = j * stride_len + seg_start;
-            table
-                .classes
-                .classify_into(&rest[from..from + seg_len], buf);
-        }
-        for k in 0..seg_len {
-            let next = [
-                ptable[r[0] + class_buf[k] as usize] as usize,
-                ptable[r[1] + class_buf[CLASS_BLOCK + k] as usize] as usize,
-                ptable[r[2] + class_buf[2 * CLASS_BLOCK + k] as usize] as usize,
-                ptable[r[3] + class_buf[3 * CLASS_BLOCK + k] as usize] as usize,
-            ];
-            counter.add(next.iter().map(|&n| (n != 0) as u64).sum());
-            r = next;
-            if (seg_start + k + 1) % CKPT_INTERVAL == 0 {
-                for j in 1..NUM_CHAINS {
-                    ckpt[j * ckpt_cap + n_ck] = r[j] as StateId;
-                }
-                n_ck += 1;
-            }
-        }
-        seg_start += seg_len;
-    }
-    // The last stride's division-remainder tail (< NUM_CHAINS bytes).
-    if !tripped {
-        for (i, &byte) in rest[tail_start..].iter().enumerate() {
-            let next = ptable[r[NUM_CHAINS - 1] + table.classes.get(byte) as usize] as usize;
-            counter.add((next != 0) as u64);
-            r[NUM_CHAINS - 1] = next;
-            if (stride_len + i + 1).is_multiple_of(CKPT_INTERVAL) {
-                ckpt[(NUM_CHAINS - 1) * ckpt_cap + n_ck] = r[NUM_CHAINS - 1] as StateId;
-                // Checkpoint indices of the shorter chains past their end
-                // are never compared; only the tail chain reads this slot.
-            }
-        }
-    }
-
-    // Repair pass: resolve the true trajectory left to right.
-    let mut cur = r[0]; // stride 0 ran from the true entry
-    if !tripped {
-        'strides: for j in 1..NUM_CHAINS {
-            if cur == 0 {
-                break; // the true run died: row 0 absorbs everything after
-            }
-            let from = j * stride_len;
-            let to = if j == NUM_CHAINS - 1 {
-                rest.len()
-            } else {
-                from + stride_len
-            };
-            let region = &rest[from..to];
-            for (t, seg) in region.chunks(CKPT_INTERVAL).enumerate() {
-                if probe.as_ref().is_some_and(|p| p.should_stop()) {
-                    break 'strides; // abandoned: the partial row is discarded
-                }
-                cur = run_row_serial(table, cur, seg, counter);
-                if cur == 0 {
-                    break 'strides; // dead is absorbing: the verdict is DEAD
-                }
-                // A full-interval boundary has a recorded speculative row;
-                // agreement there pins the whole remaining trajectory.
-                if seg.len() == CKPT_INTERVAL && cur == ckpt[j * ckpt_cap + t] as usize {
-                    cur = r[j];
-                    continue 'strides;
-                }
-            }
-            // No checkpoint matched: `cur` was rescanned to the stride's
-            // end and *is* the true row — the speculation is discarded.
-        }
-    }
-    scratch.simd_class_buf = class_buf;
-    scratch.simd_ckpt = ckpt;
-    cur
 }

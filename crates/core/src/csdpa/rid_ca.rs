@@ -25,8 +25,11 @@ use super::ChunkAutomaton;
 /// so the pruned runs cost nothing — and since an unpruned run with an
 /// infeasible origin dies on its first transition anyway (recording the
 /// same `DEAD`), the mapping is bit-identical to the unpruned one. Empty
-/// chunks are never pruned (there is no first byte to prune on).
-/// Mappings are identical under every configuration.
+/// chunks are never pruned (there is no first byte to prune on). The
+/// first chunk's one run takes the kernel's checkpointed stride walk
+/// where the configured kernel resolves to [`Kernel::Simd`] for it, and
+/// the byte-serial loop otherwise. Mappings are identical under every
+/// configuration.
 #[derive(Debug, Clone)]
 pub struct RidCa<'a> {
     rid: &'a RiDfa,
@@ -226,6 +229,7 @@ impl<'a> RidCa<'a> {
             ptable: &self.ptable,
             stride: self.rid.stride(),
             classes: self.rid.classes(),
+            start_row: self.rid.start() as usize * self.rid.stride(),
         }
     }
 
@@ -318,7 +322,7 @@ impl ChunkAutomaton for RidCa<'_> {
     }
 
     fn scan_first_into(&self, chunk: &[u8], counter: &mut impl Counter, out: &mut RidMapping) {
-        let last = self.rid.run_from(self.rid.start(), chunk, counter);
+        let last = kernel::scan_first(self.table(), self.kernel, chunk, counter);
         let set = out.prefix_buf();
         if last != DEAD {
             set.push(last);

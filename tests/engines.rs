@@ -17,6 +17,7 @@ use rand::{Rng, SeedableRng};
 use ridfa::automata::nfa::glushkov;
 use ridfa::automata::regex::Ast;
 use ridfa::automata::ConstructionBudget;
+use ridfa::core::csdpa::kernel::WINDOW;
 use ridfa::core::csdpa::{
     chunk_spans_snapped, plan, recognize, recognize_spans, EnginePlan, Executor, FeasibleTable,
     Kernel, PatternRegistry, RegistryConfig, RidCa, Session, StreamScan, StreamSession,
@@ -148,24 +149,42 @@ fn long_sample(ast: &Ast, rng: &mut SmallRng, min_len: usize) -> Option<Vec<u8>>
 }
 
 /// Random patterns the long-text test checks (each costs three passes
-/// over three texts of 64 KiB or more).
+/// over three texts of 64 KiB or more, and three more over three texts
+/// past three stride-walk windows).
 const LONG_PATTERNS: usize = 12;
+
+/// The sample, one byte flipped inside the alphabet (either verdict),
+/// and one byte outside it near the end (rejected).
+fn long_variants(accepted: Vec<u8>, rng: &mut SmallRng) -> [Vec<u8>; 3] {
+    let mut flipped = accepted.clone();
+    let at = rng.gen_range(0..flipped.len());
+    flipped[at] = b"ab\n"[rng.gen_range(0..3usize)];
+    let mut killed = accepted.clone();
+    let at = killed.len() - rng.gen_range(1..64usize);
+    killed[at] = b'c';
+    [accepted, flipped, killed]
+}
 
 #[test]
 fn long_texts_agree_through_sessions_streams_and_pooled_blocks() {
     // The random texts above are far shorter than the SFA walk's split
     // length. These 64 KiB+ texts reach its four-chain walk in session
-    // chunks, stream blocks and pooled spans alike.
+    // chunks, stream blocks and pooled spans alike. Each sample is then
+    // grown past three windows of the RID kernel's strided walk and run
+    // through the lockstep engine, with so few chunks (and stream blocks
+    // so long) that the first chunk — walked strided from the start
+    // state — spans several windows.
     let mut session = Session::new(2);
     let mut stream = StreamSession::new(2, 64 << 10);
+    let mut rid_stream = StreamSession::new(2, 256 << 10);
     let mut rng = SmallRng::seed_from_u64(0x10C4E);
     let mut patterns = 0;
     for seed in 0..CASES {
         let inner = random_ast(&config(), seed);
-        let Some(accepted) = long_sample(&inner, &mut rng, 64 << 10) else {
+        let Some(mut accepted) = long_sample(&inner, &mut rng, 64 << 10) else {
             continue;
         };
-        let ast = Ast::star(inner);
+        let ast = Ast::star(inner.clone());
         let mut registry = PatternRegistry::new(RegistryConfig {
             num_workers: 3,
             ..RegistryConfig::default()
@@ -176,18 +195,13 @@ fn long_texts_agree_through_sessions_streams_and_pooled_blocks() {
         {
             continue; // the function space exploded
         }
+        registry
+            .insert_regex_planned("q", &ast.to_string(), EnginePlan::Lockstep)
+            .unwrap();
         let rid = RiDfa::from_nfa(&glushkov::build(&ast).unwrap()).minimized();
         let sfa = Sfa::build_rid_budgeted(&rid, &ConstructionBudget::UNLIMITED).unwrap();
         let ca = SfaCa::new(&sfa);
-        // The sample, one byte flipped inside the alphabet (either
-        // verdict), and one byte outside it near the end (rejected).
-        let mut flipped = accepted.clone();
-        let at = rng.gen_range(0..flipped.len());
-        flipped[at] = b"ab\n"[rng.gen_range(0..3usize)];
-        let mut killed = accepted.clone();
-        let at = killed.len() - rng.gen_range(1..64usize);
-        killed[at] = b'c';
-        for text in [accepted, flipped, killed] {
+        for text in long_variants(accepted.clone(), &mut rng) {
             let expected = rid.accepts(&text);
             let chunks = rng.gen_range(1..5usize);
             let batch = session.recognize(&ca, &text, chunks);
@@ -200,6 +214,27 @@ fn long_texts_agree_through_sessions_streams_and_pooled_blocks() {
             }
             let pooled = registry.finish_scan("p", &mut scan).unwrap();
             assert_eq!(expected, pooled, "scan_block_pooled: {ast}");
+        }
+        while accepted.len() < 3 * WINDOW + 3 {
+            sample_into(&inner, &mut rng, &mut accepted);
+        }
+        let lockstep = RidCa::new(&rid).with_kernel(Kernel::Auto);
+        for text in long_variants(accepted, &mut rng) {
+            let expected = rid.accepts(&text);
+            let chunks = rng.gen_range(1..3usize);
+            let batch = session.recognize(&lockstep, &text, chunks);
+            assert_eq!(
+                expected, batch.accepted,
+                "rid session: {ast}, {chunks} chunks"
+            );
+            let streamed = rid_stream.recognize_stream(&lockstep, &text[..]).unwrap();
+            assert_eq!(expected, streamed.accepted, "rid stream: {ast}");
+            let mut scan = StreamScan::new();
+            for block in text.chunks(256 << 10) {
+                registry.scan_block_pooled("q", &mut scan, block).unwrap();
+            }
+            let pooled = registry.finish_scan("q", &mut scan).unwrap();
+            assert_eq!(expected, pooled, "rid scan_block_pooled: {ast}");
         }
         patterns += 1;
         if patterns == LONG_PATTERNS {

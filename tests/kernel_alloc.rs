@@ -1,7 +1,8 @@
 //! Asserts the allocation contract of the chunk scans: after the scratch
 //! and the output mapping have warmed up, a scan performs **zero** heap
-//! allocations — for every reach-kernel strategy, and for the SFA chunk
-//! walk, which has no scratch at all.
+//! allocations — for every reach-kernel strategy, for first-chunk scans
+//! through the strided single-run walk, and for the SFA chunk walk,
+//! which has no scratch at all.
 //!
 //! Lives in its own test binary because of the counting allocator of
 //! `common::alloc`. libtest runs the tests below on parallel threads,
@@ -14,9 +15,10 @@ use common::alloc::allocations_in;
 use ridfa::automata::dfa::{minimize, powerset};
 use ridfa::automata::nfa::glushkov;
 use ridfa::automata::regex::parse;
-use ridfa::automata::{ConstructionBudget, NoCount};
+use ridfa::automata::{ConstructionBudget, NoCount, DEAD};
 use ridfa::core::csdpa::kernel::{self, DenseTable, Kernel, Scratch};
-use ridfa::core::csdpa::ChunkAutomaton;
+use ridfa::core::csdpa::{ChunkAutomaton, DfaCa, RidCa};
+use ridfa::core::ridfa::RiDfa;
 use ridfa::core::sfa::{Sfa, SfaCa};
 
 #[test]
@@ -29,6 +31,7 @@ fn warm_scans_allocate_nothing() {
         ptable: &ptable,
         stride: dfa.stride(),
         classes: dfa.classes(),
+        start_row: dfa.start() as usize * dfa.stride(),
     };
     // 20 000 bytes: past the SFA walk's four-block split length too.
     let chunk = b"abbaabbbab".repeat(2000);
@@ -86,6 +89,68 @@ fn warm_scans_allocate_nothing() {
 }
 
 #[test]
+fn warm_single_run_walks_allocate_nothing() {
+    // The strided single-run walk keeps its class buffers and
+    // checkpoints on the stack: a first chunk spanning several of its
+    // windows, and interior SIMD scans that finish with one survivor or
+    // with two, allocate nothing once their mappings have warmed up.
+    fn dfa_of(pattern: &str) -> ridfa::automata::dfa::Dfa {
+        minimize::minimize(&powerset::determinize(
+            &glushkov::build(&parse(pattern).unwrap()).unwrap(),
+        ))
+    }
+    fn assert_warm_scans_allocate_nothing<CA: ChunkAutomaton>(ca: &CA, chunk: &[u8], what: &str) {
+        let mut scratch = CA::Scratch::default();
+        let mut first = CA::Mapping::default();
+        let mut interior = CA::Mapping::default();
+        ca.scan_first_into(chunk, &mut NoCount, &mut first);
+        ca.scan_into(chunk, &mut scratch, &mut NoCount, &mut interior);
+        let allocated = allocations_in(|| {
+            for _ in 0..3 {
+                ca.scan_first_into(chunk, &mut NoCount, &mut first);
+                ca.scan_into(chunk, &mut scratch, &mut NoCount, &mut interior);
+            }
+        });
+        assert_eq!(allocated, 0, "{what} allocated on a warm scan");
+    }
+    let chunk = b"abbaabbbab".repeat((3 * kernel::WINDOW + 3).div_ceil(10));
+
+    // 32 states converge to one survivor within five bytes.
+    let converging = dfa_of("[ab]*a[ab]{4}");
+    let survivors = |dfa: &ridfa::automata::dfa::Dfa| {
+        let mut lasts = DfaCa::new(dfa).scan(&chunk, &mut NoCount);
+        lasts.retain(|&s| s != DEAD);
+        lasts.sort_unstable();
+        lasts.dedup();
+        lasts.len()
+    };
+    assert_eq!(survivors(&converging), 1);
+    // Two parity states that never meet.
+    let parity = dfa_of("(a*ba*b)*a*");
+    assert_eq!(survivors(&parity), 2);
+    for (dfa, what) in [(&converging, "one survivor"), (&parity, "two survivors")] {
+        assert_warm_scans_allocate_nothing(
+            &DfaCa::new(dfa).with_kernel(Kernel::Simd),
+            &chunk,
+            &format!("dfa simd, {what}"),
+        );
+        assert_warm_scans_allocate_nothing(
+            &DfaCa::new(dfa).with_kernel(Kernel::Auto),
+            &chunk,
+            &format!("dfa auto, {what}"),
+        );
+    }
+    let rid = RiDfa::from_nfa(&glushkov::build(&parse("[ab]*a[ab]{4}").unwrap()).unwrap());
+    for kernel in [Kernel::Simd, Kernel::Auto] {
+        assert_warm_scans_allocate_nothing(
+            &RidCa::new(&rid).with_kernel(kernel),
+            &chunk,
+            &format!("rid {kernel:?}"),
+        );
+    }
+}
+
+#[test]
 fn scratch_growth_stops_at_the_high_water_mark() {
     // Alternating between a small and a large automaton must stop
     // allocating once both have been seen.
@@ -107,6 +172,7 @@ fn scratch_growth_stops_at_the_high_water_mark() {
                 ptable,
                 stride: dfa.stride(),
                 classes: dfa.classes(),
+                start_row: dfa.start() as usize * dfa.stride(),
             },
             dfa.live_states().map(|s| (s, s)),
             dfa.num_states(),

@@ -1,9 +1,13 @@
 //! Differential tests for the SIMD reach kernel: the vectorized scan
-//! (gathered lockstep stepping, the interleaved multi-chain finish and
-//! the checkpointed single-run stride walk) must produce λ mappings
-//! byte-identical to the scalar kernels — and verdicts identical to the
-//! serial DFA — across the standard benchmarks, unaligned chunk starts,
-//! random span layouts and every chunk-automaton type.
+//! (gathered lockstep stepping, the checkpointed stride walk of each
+//! survivor and, on short rests, the interleaved multi-chain finish)
+//! must produce λ mappings byte-identical to the scalar kernels — and
+//! verdicts identical to the serial DFA — across the standard
+//! benchmarks, unaligned chunk starts, random span layouts and every
+//! chunk-automaton type. First chunks that
+//! take the stride walk are checked against the byte-serial first chunk
+//! and `accepts_serial`, at lengths around its stride floor and window
+//! boundaries and on languages built to stress its re-seeding.
 //!
 //! Transition **counts** are deliberately never compared here: the SIMD
 //! kernel charges the work it actually performs, including speculation
@@ -19,8 +23,11 @@
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use ridfa::automata::dfa::{minimize, powerset};
+use ridfa::automata::dfa::{minimize, powerset, Dfa};
+use ridfa::automata::nfa::glushkov;
+use ridfa::automata::regex::parse;
 use ridfa::automata::NoCount;
+use ridfa::core::csdpa::kernel::{STRIDE_MIN, WINDOW};
 use ridfa::core::csdpa::{
     recognize, recognize_spans, ChunkAutomaton, DfaCa, Executor, FeasibleTable, Kernel, NfaCa,
     RidCa,
@@ -35,6 +42,140 @@ const OFFSETS: [usize; 4] = [0, 1, 13, 63];
 /// Long enough that a converging run leaves tens of KiB of single-run
 /// tail — well past the stride-walk floor — after the gather phase.
 const TEXT_LEN: usize = 64 << 10;
+
+/// First-chunk lengths around the stride walk's edges: empty, one byte,
+/// the stride floor ±1, one window ±1, and three windows + 3, which
+/// crosses window boundaries inside one walk.
+const WALK_LENGTHS: [usize; 7] = [
+    0,
+    1,
+    STRIDE_MIN - 1,
+    STRIDE_MIN + 1,
+    WINDOW - 1,
+    WINDOW + 1,
+    3 * WINDOW + 3,
+];
+
+/// Asserts that `ca`'s first-chunk mapping of `chunk` under `Simd` and
+/// `Auto` equals the byte-serial (`PerRun`) one, and that its verdict is
+/// `accepts_serial`'s.
+fn assert_first_chunk_agrees<CA: ChunkAutomaton>(
+    plain: CA,
+    with_kernel: impl Fn(Kernel) -> CA,
+    chunk: &[u8],
+    what: &str,
+) where
+    CA::Mapping: PartialEq + std::fmt::Debug,
+{
+    let serial = plain.scan_first(chunk, &mut NoCount);
+    let expected = plain.accepts_serial(chunk, &mut NoCount);
+    assert_eq!(plain.accepts_mapping(&serial), expected, "{what}: per-run");
+    for kernel in [Kernel::Simd, Kernel::Auto] {
+        let ca = with_kernel(kernel);
+        let walked = ca.scan_first(chunk, &mut NoCount);
+        assert_eq!(walked, serial, "{what}: {kernel:?} first chunk");
+        assert_eq!(ca.accepts_mapping(&walked), expected, "{what}: {kernel:?}");
+    }
+}
+
+/// Both deterministic CAs' first chunks of `chunk` against their oracles.
+fn assert_first_chunks_agree(dfa: &Dfa, rid: &RiDfa, chunk: &[u8], what: &str) {
+    assert_first_chunk_agrees(
+        DfaCa::new(dfa),
+        |k| DfaCa::new(dfa).with_kernel(k),
+        chunk,
+        &format!("{what} dfa"),
+    );
+    assert_first_chunk_agrees(
+        RidCa::new(rid),
+        |k| RidCa::new(rid).with_kernel(k),
+        chunk,
+        &format!("{what} rid"),
+    );
+}
+
+#[test]
+fn first_chunk_walks_match_the_serial_first_chunk() {
+    let need = 3 * WINDOW + 3 + OFFSETS[OFFSETS.len() - 1];
+    for b in standard_benchmarks() {
+        let dfa = minimize::minimize(&powerset::determinize(&b.nfa));
+        let rid = RiDfa::from_nfa(&b.nfa).minimized();
+        for (text, label) in [
+            ((b.accepted)(need + 4096, 43), "accepted"),
+            ((b.rejected)(need + 4096, 43), "rejected"),
+        ] {
+            assert!(text.len() >= need, "{}: text too short", b.name);
+            for off in OFFSETS {
+                for len in WALK_LENGTHS {
+                    let what = format!("{} {label} at {off}+{len}", b.name);
+                    assert_first_chunks_agree(&dfa, &rid, &text[off..off + len], &what);
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn stride_walk_reseeding_edge_cases() {
+    // Languages chosen against the walk's re-seeding and repair:
+    // * `(ab|ba)*` — a stride entered mid-pair is out of phase; its
+    //   chain dies at a doubled letter and re-seeds, still out of phase;
+    // * `abc(d|e)*` — the start state never recurs, so a chain re-seeded
+    //   in the tail dies again at once, byte after byte;
+    // * `(a*ba*b)*a*` — a chain that guessed the wrong parity never meets
+    //   the true run, so repair rescans the whole stride.
+    // Each member text is also killed once inside stride 2 of the first
+    // window, past that stride's first checkpoints: its chain has met the
+    // true run, then dies and re-seeds, and only the rule that adopts a
+    // chain's end row solely when it did not die after the meeting
+    // checkpoint keeps the true run dead.
+    let mut rng = StdRng::seed_from_u64(0x5EED);
+    for (pattern, prefix, words, kill) in [
+        ("(ab|ba)*", &b""[..], &[&b"ab"[..], b"ba"][..], b'c'),
+        ("abc(d|e)*", b"abc", &[b"d", b"e"], b'a'),
+        ("(a*ba*b)*a*", b"", &[b"a", b"b"], b'c'),
+    ] {
+        let nfa = glushkov::build(&parse(pattern).unwrap()).unwrap();
+        let dfa = minimize::minimize(&powerset::determinize(&nfa));
+        let rid = RiDfa::from_nfa(&nfa).minimized();
+        for len in WALK_LENGTHS {
+            let mut text = prefix.to_vec();
+            while text.len() < len {
+                text.extend_from_slice(words[rng.gen_range(0..words.len())]);
+            }
+            text.truncate(len);
+            // Stride 2 of the first window spans [2s, 3s), s = window / 4.
+            let stride = len.div_ceil(len.div_ceil(WINDOW).max(1)) / 4;
+            let mut killed = text.clone();
+            if stride >= 1024 {
+                killed[2 * stride + stride / 2] = kill;
+            }
+            for (text, label) in [(text, "member"), (killed, "killed in stride 2")] {
+                for off in [0, 1] {
+                    let chunk = &text[off.min(text.len())..];
+                    let what = format!("{pattern} {label}, {} bytes at {off}", chunk.len());
+                    assert_first_chunks_agree(&dfa, &rid, chunk, &what);
+                    // Interior scans reach the same walk with one or two
+                    // survivors.
+                    assert_eq!(
+                        DfaCa::new(&dfa).scan(chunk, &mut NoCount),
+                        DfaCa::new(&dfa)
+                            .with_kernel(Kernel::Simd)
+                            .scan(chunk, &mut NoCount),
+                        "{what}: interior dfa"
+                    );
+                    assert_eq!(
+                        RidCa::new(&rid).scan(chunk, &mut NoCount),
+                        RidCa::new(&rid)
+                            .with_kernel(Kernel::Simd)
+                            .scan(chunk, &mut NoCount),
+                        "{what}: interior rid"
+                    );
+                }
+            }
+        }
+    }
+}
 
 #[test]
 fn simd_mappings_match_the_scalar_kernels_at_unaligned_offsets() {
@@ -88,6 +229,57 @@ fn simd_mappings_match_the_scalar_kernels_at_unaligned_offsets() {
                     "{} {label}: simd rid mapping diverged at offset {off}",
                     b.name
                 );
+            }
+        }
+    }
+}
+
+/// Interior chunk lengths that leave the SIMD scan's few-survivor rest
+/// on either side of the stride walk's floor.
+const FLOOR_LENGTHS: [usize; 6] = [
+    4096,
+    STRIDE_MIN - 1,
+    STRIDE_MIN + 1,
+    STRIDE_MIN + 1000,
+    3 * STRIDE_MIN / 2,
+    2 * STRIDE_MIN + 13,
+];
+
+#[test]
+fn few_survivor_finishes_match_the_scalar_kernels_around_the_stride_floor() {
+    // Below the floor two to four survivors advance interleaved; above
+    // it each takes the stride walk in turn. bigdata's gather phase exits
+    // with four groups, bible's and fasta's with two.
+    for b in standard_benchmarks() {
+        let dfa = minimize::minimize(&powerset::determinize(&b.nfa));
+        let rid = RiDfa::from_nfa(&b.nfa).minimized();
+        for (text, label) in [
+            ((b.accepted)(TEXT_LEN, 47), "accepted"),
+            ((b.rejected)(TEXT_LEN, 47), "rejected"),
+        ] {
+            for off in [1, 997, TEXT_LEN / 2 + 13] {
+                for len in FLOOR_LENGTHS {
+                    let chunk = &text[off..(off + len).min(text.len())];
+                    let what = format!("{} {label} at {off}+{len}", b.name);
+                    assert_eq!(
+                        DfaCa::new(&dfa)
+                            .with_kernel(Kernel::LockstepShared)
+                            .scan(chunk, &mut NoCount),
+                        DfaCa::new(&dfa)
+                            .with_kernel(Kernel::Simd)
+                            .scan(chunk, &mut NoCount),
+                        "{what}: simd dfa mapping"
+                    );
+                    assert_eq!(
+                        RidCa::new(&rid)
+                            .with_kernel(Kernel::LockstepShared)
+                            .scan(chunk, &mut NoCount),
+                        RidCa::new(&rid)
+                            .with_kernel(Kernel::Simd)
+                            .scan(chunk, &mut NoCount),
+                        "{what}: simd rid mapping"
+                    );
+                }
             }
         }
     }
