@@ -6,12 +6,11 @@
 //! 2. **Executor shape** — the paper's one-thread-per-chunk model vs a
 //!    bounded dynamic team.
 //! 3. **SFA comparator** — zero speculation, huge table (reference \[25\]).
-//! 4. **Scan kernel** — per-run vs lockstep with shared block
-//!    classification vs the SIMD kernel, on the longest-interface
-//!    workload (`traffic`, 101 interface states), where fusing the `k`
-//!    passes matters most; plus micro-ablations of the two SIMD
-//!    building blocks (shuffle classification and the strided
-//!    single-run walk, on `bible` and `traffic`) against their scalar
+//! 4. **Scan kernel** — per-run vs the lockstep kernel vs `Auto`, on
+//!    the longest-interface workload (`traffic`, 101 interface states),
+//!    where fusing the `k` passes matters most; plus micro-ablations of
+//!    the shuffle classifier and of the lockstep kernel's strided
+//!    single-run walk (on `bible` and `traffic`) against their serial
 //!    twins. The harness writes the group's results to
 //!    `target/criterion-shim/ablation_kernels.json`; the checked-in
 //!    baseline lives at `crates/bench/baselines/ablation_kernels.json`.
@@ -170,7 +169,6 @@ fn bench_kernels(c: &mut Criterion) {
     for (label, kernel) in [
         ("per_run", Kernel::PerRun),
         ("lockstep_shared", Kernel::LockstepShared),
-        ("simd", Kernel::Simd),
         ("auto", Kernel::Auto),
     ] {
         let ca = RidCa::new(&a.rid).with_kernel(kernel);
@@ -179,13 +177,14 @@ fn bench_kernels(c: &mut Criterion) {
         });
     }
 
-    // Micro-ablations of the two SIMD building blocks against their
-    // scalar twins, in the same group so the CI smoke can assert the
-    // simd ≥ scalar floor from a single JSON. The single-run pairs run
-    // one run from the start state over the whole text, as a first chunk
-    // does, so they measure the strided walk against the plain serial
-    // loop: on `bible`, and on `traffic`, whose wrong guesses die inside
-    // a record and resync at the next one only by re-seeding.
+    // Micro-ablations of the vectorized classifier and the strided walk
+    // against their serial twins, in the same group so the CI smoke can
+    // assert both floors from a single JSON. The single-run pairs run one
+    // run from the start state over the whole text, as a first chunk
+    // does, so they measure the lockstep kernel's strided walk against
+    // the plain serial loop: on `bible`, and on `traffic`, whose wrong
+    // guesses die inside a record and resync at the next one only by
+    // re-seeding.
     let bible = standard_benchmarks()
         .into_iter()
         .find(|b| b.name == "bible")
@@ -215,7 +214,7 @@ fn bench_kernels(c: &mut Criterion) {
         let start = dfa.start();
         for (label, kernel) in [
             ("single_run_scalar", Kernel::PerRun),
-            ("single_run_simd", Kernel::Simd),
+            ("single_run_strided", Kernel::LockstepShared),
         ] {
             group.bench_function(format!("{prefix}{label}"), |b| {
                 b.iter(|| {

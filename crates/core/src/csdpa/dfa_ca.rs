@@ -20,7 +20,8 @@ use super::ChunkAutomaton;
 /// to the same state (the state-convergence optimization the paper's
 /// conclusion points at) and charges one transition per merged group.
 /// The first chunk's one run takes the kernel's checkpointed stride walk
-/// where the configured kernel resolves to [`Kernel::Simd`] for it.
+/// where the configured kernel resolves to [`Kernel::LockstepShared`]
+/// for it.
 /// Mappings are identical under every kernel.
 #[derive(Debug, Clone)]
 pub struct DfaCa<'a> {
@@ -188,12 +189,7 @@ mod tests {
     use ridfa_automata::regex::parse;
     use ridfa_automata::{NoCount, TransitionCount};
 
-    const KERNELS: [Kernel; 4] = [
-        Kernel::PerRun,
-        Kernel::LockstepShared,
-        Kernel::Simd,
-        Kernel::Auto,
-    ];
+    const KERNELS: [Kernel; 3] = [Kernel::PerRun, Kernel::LockstepShared, Kernel::Auto];
 
     fn ca_dfa(pattern: &str) -> Dfa {
         determinize(&glushkov::build(&parse(pattern).unwrap()).unwrap())
@@ -287,7 +283,7 @@ mod tests {
         let dfa = figure1_min_dfa();
         assert_eq!(DfaCa::new(&dfa).name(), "dfa");
         assert_eq!(DfaCa::new(&dfa).effective_kernel(64), Some(Kernel::PerRun));
-        for kernel in [Kernel::LockstepShared, Kernel::Simd, Kernel::Auto] {
+        for kernel in [Kernel::LockstepShared, Kernel::Auto] {
             assert_eq!(DfaCa::new(&dfa).with_kernel(kernel).name(), "dfa+conv");
         }
     }

@@ -31,15 +31,19 @@
 //!   block-wise (4 KiB at a time) into a stack buffer *once*, instead of
 //!   every run paying a classifier lookup per byte
 //!   ([`ByteClasses::classify_into`]).
-//! * **Single-run fast path.** Once every run has died or converged into
-//!   one group, the scan degenerates to the plain serial loop: one load
-//!   per byte, zero bookkeeping. Where [`Kernel::Simd`] resolves, a
-//!   single run — a first chunk's, or each of an interior scan's few
-//!   survivors in turn — takes `strided_walk` instead: 64 KiB windows,
-//!   each cut into four interleaved strides whose speculative chains
-//!   re-seed from the start row when they die, repaired against
-//!   per-stride checkpoints. It keeps its buffers on the stack, so the
-//!   scratch-less first chunk can call it.
+//! * **Dependency-breaking finishes.** Once every run has died or merged
+//!   into one group, or the partition has stopped changing, no more
+//!   bookkeeping pays, and each survivor in turn takes `strided_walk`:
+//!   64 KiB windows, each cut into four interleaved strides whose
+//!   speculative chains re-seed from the start row when they die,
+//!   repaired against per-stride checkpoints. It keeps its buffers on
+//!   the stack, so the scratch-less first chunk can call it too. On a
+//!   rest below the walk's floor, two to four survivors instead advance
+//!   as interleaved chains in one pass.
+//!
+//! The byte classifier is the one vectorized step (AVX2, detected at run
+//! time, switched off by `RIDFA_NO_SIMD`); the kernel itself is the same
+//! scalar code on every host.
 //!
 //! All working memory lives in a reusable per-worker [`Scratch`]; after
 //! its first-use warm-up a scan performs **zero heap allocations**, which
@@ -50,8 +54,6 @@ use ridfa_automata::counter::Counter;
 use ridfa_automata::{StateId, DEAD};
 
 use super::budget::InterruptProbe;
-
-mod simd;
 
 /// Size of the stack-resident byte→class translation buffer. 4 KiB keeps
 /// the buffer comfortably inside L1 alongside the group arrays.
@@ -67,29 +69,18 @@ pub enum Kernel {
     /// reach phase). Cheapest bookkeeping; cost is `k` passes over the
     /// chunk regardless of convergence.
     PerRun,
-    /// The default fused kernel: a single lockstep pass with convergence
-    /// merging, block-wise shared byte classification through a stack
-    /// buffer, and the *partition-stabilization cutover* — when a full
-    /// block passes with no merge and no death, the surviving groups
-    /// finish with lean serial loops instead of paying per-byte dedup
-    /// bookkeeping.
+    /// The fused kernel: a single lockstep pass with convergence merging
+    /// and block-wise shared byte classification, until one group is
+    /// left or the partition is stable (no merge, no death for a
+    /// horizon). Then finishes that break the per-byte load-to-load
+    /// dependency chain: each survivor takes the windowed, re-seeding
+    /// checkpoint-and-repair stride walk (`strided_walk`, Ko et al.) in
+    /// turn, or, on a rest too short for the walk, two to four survivors
+    /// advance as interleaved chains. A first chunk's single run takes
+    /// the same walk when this kernel resolves for it.
     LockstepShared,
-    /// The data-parallel kernel (AVX2, runtime-detected): vectorized
-    /// byte classification, a gather-based lockstep step advancing eight
-    /// speculative runs per instruction (Ko et al.'s speculative SIMD
-    /// membership test), and — once the scan converges to few runs —
-    /// finishes that break the per-byte load-to-load dependency chain:
-    /// each survivor takes the windowed, re-seeding checkpoint-and-repair
-    /// stride walk (`strided_walk`) in turn, or, on a rest too short for
-    /// the walk, two to four survivors advance as interleaved chains. A
-    /// first chunk's single run takes the same walk when this kernel
-    /// resolves for it. Falls back to
-    /// [`Kernel::LockstepShared`] (bit-identical mappings) when the CPU
-    /// feature is missing, `RIDFA_NO_SIMD` is set, or the table shape
-    /// does not allow gathers.
-    Simd,
     /// Pick per chunk via [`select`], from the number of runs, the chunk
-    /// length, the table size, and the runtime CPU features.
+    /// length and the table size.
     Auto,
 }
 
@@ -99,35 +90,23 @@ impl Kernel {
         match self {
             Kernel::PerRun => "per-run",
             Kernel::LockstepShared => "lockstep-shared",
-            Kernel::Simd => "simd",
             Kernel::Auto => "auto",
         }
     }
 }
 
-/// Can [`Kernel::Simd`] actually execute on this machine and table? True
-/// iff the CPU reports AVX2 at runtime (`RIDFA_NO_SIMD` unset — see
-/// [`ridfa_automata::simd::enabled`]) and the premultiplied table is
-/// addressable by the 32-bit gather indices the kernel uses. [`select`]
-/// consults this, so `Auto` never resolves to a kernel that would only
-/// fall back.
-pub fn simd_supported(table_entries: usize) -> bool {
-    simd::supported(table_entries)
-}
+/// Chunk length from which [`select`] picks [`Kernel::LockstepShared`]
+/// for any run count, one or two included: from here its finishes beat
+/// the per-run serial loop. Shorter chunks follow the per-run rules.
+pub const LOCKSTEP_ANY_RUNS_MIN_CHUNK: usize = 4096;
 
-/// Minimum chunk length for which [`select`] picks [`Kernel::Simd`]:
-/// below this the vector setup (row broadcasts, stride bookkeeping)
-/// cannot amortize and the scalar matrix applies unchanged.
-pub const SIMD_MIN_CHUNK: usize = 4096;
-
-/// Chains interleaved by the low-run finishes (the SIMD kernel's
-/// multi-chain finish and `strided_walk`). Four ~5-cycle dependent load
-/// chains saturate the L1 load ports without spilling the row state out
-/// of registers.
+/// Chains interleaved by the few-survivor finishes (`multi_chain_finish`
+/// and `strided_walk`). Four ~5-cycle dependent load chains saturate
+/// the L1 load ports without spilling the row state out of registers.
 const NUM_CHAINS: usize = 4;
 
 /// Runs shorter than this skip `strided_walk` — a single run walks
-/// byte-serially, two to four SIMD survivors interleaved: the repair
+/// byte-serially, two to four lockstep survivors interleaved: the repair
 /// floor (one checkpoint interval per stride) would eat the latency win.
 pub const STRIDE_MIN: usize = 8 * 1024;
 
@@ -149,29 +128,15 @@ const _: () = assert!(CLASS_BLOCK.is_multiple_of(CKPT_INTERVAL));
 /// every full interval of its stride.
 const WINDOW_CKPTS: usize = WINDOW / NUM_CHAINS / CKPT_INTERVAL;
 
-/// Resolves [`Kernel::Auto`] for one chunk scan, consulting the actual
-/// runtime CPU features (AVX2 detection + the `RIDFA_NO_SIMD` kill
-/// switch) — not compile-time `cfg` — so the same binary adapts to the
-/// machine it lands on. Delegates to [`select_with`].
-pub fn select(num_runs: usize, chunk_len: usize, table_entries: usize) -> Kernel {
-    select_with(
-        num_runs,
-        chunk_len,
-        table_entries,
-        simd::supported(table_entries),
-    )
-}
-
-/// The selection matrix with the SIMD capability made explicit (tests
-/// pin both halves; [`select`] passes the detected capability).
+/// Resolves [`Kernel::Auto`] for one chunk scan. The matrix is the same
+/// on every host.
 ///
-/// With `simd` available, any chunk of at least [`SIMD_MIN_CHUNK`] bytes
-/// takes [`Kernel::Simd`]: vectorized classification pays at every run
-/// count, the gather step beats per-byte dedup bookkeeping at high run
-/// counts, and the interleaved/strided walks beat the serial
-/// load-to-load chain at low ones.
+/// Any chunk of at least [`LOCKSTEP_ANY_RUNS_MIN_CHUNK`] bytes takes
+/// [`Kernel::LockstepShared`], whatever the run count: merging beats
+/// per-run passes at high run counts, and the strided and interleaved
+/// finishes beat the serial load-to-load chain at low ones.
 ///
-/// The scalar half keeps small problems on the bookkeeping-free path:
+/// Shorter chunks keep small problems on the bookkeeping-free path:
 ///
 /// * `k ≤ 2` — merging at most two runs can never pay for group
 ///   tracking, *no matter how large the table*: the lockstep pass would
@@ -186,10 +151,10 @@ pub fn select(num_runs: usize, chunk_len: usize, table_entries: usize) -> Kernel
 ///   converge, so the lockstep pass would do `k` transitions per byte
 ///   *plus* dedup work; scan per run.
 /// * otherwise — the fused lockstep kernel with shared classification.
-pub fn select_with(num_runs: usize, chunk_len: usize, table_entries: usize, simd: bool) -> Kernel {
+pub fn select(num_runs: usize, chunk_len: usize, table_entries: usize) -> Kernel {
     const LARGE_TABLE_ENTRIES: usize = (1 << 20) / std::mem::size_of::<StateId>();
-    if simd && chunk_len >= SIMD_MIN_CHUNK && num_runs >= 1 {
-        return Kernel::Simd;
+    if chunk_len >= LOCKSTEP_ANY_RUNS_MIN_CHUNK && num_runs >= 1 {
+        return Kernel::LockstepShared;
     }
     if num_runs <= 2 {
         return Kernel::PerRun;
@@ -205,15 +170,13 @@ pub fn select_with(num_runs: usize, chunk_len: usize, table_entries: usize, simd
 
 /// The strategy [`scan_into`] actually runs for a `configured` kernel on
 /// a chunk of `chunk_len` bytes with `runs` speculative starts:
-/// [`Kernel::Auto`] goes through [`select`], and a pinned
-/// [`Kernel::Simd`] is demoted to its documented scalar fallback when the
-/// CPU feature or the table shape rules gathers out. Never `Auto`. Chunk
-/// automata report this as their effective kernel, so what a caller is
-/// told ran and what ran come from one decision.
+/// [`Kernel::Auto`] goes through [`select`], and a pinned kernel runs as
+/// pinned. Never `Auto`. Chunk automata report this as their effective
+/// kernel, so what a caller is told ran and what ran come from one
+/// decision.
 pub fn resolve(configured: Kernel, runs: usize, chunk_len: usize, table_entries: usize) -> Kernel {
     match configured {
         Kernel::Auto => select(runs, chunk_len, table_entries),
-        Kernel::Simd if !simd::supported(table_entries) => Kernel::LockstepShared,
         pinned => pinned,
     }
 }
@@ -316,9 +279,10 @@ impl Scratch {
 ///
 /// * per-run: one increment per executed live transition per run — the
 ///   paper's `k`-pass reach-phase workload measure;
-/// * lockstep: one increment per *group* advance — the work actually
-///   executed after merging, strictly fewer on any text where runs
-///   converge or die.
+/// * lockstep: the work actually executed — one increment per *group*
+///   advance while runs merge, then one per live transition of each
+///   finishing chain, stride-walk speculation that repair discards
+///   included.
 #[allow(clippy::too_many_arguments)] // the kernel entry point is the hot seam; a config struct would cost a rebuild of every caller's borrows
 pub fn scan_into(
     table: DenseTable<'_>,
@@ -343,7 +307,6 @@ pub fn scan_into(
             out,
         ),
         Kernel::LockstepShared => lockstep_scan(table, starts, chunk, scratch, counter, out),
-        Kernel::Simd => simd::scan(table, starts, chunk, scratch, counter, out),
         Kernel::Auto => unreachable!("resolve never returns Auto"),
     }
 }
@@ -410,10 +373,10 @@ fn run_row(
 }
 
 /// The single run of a first chunk, from [`DenseTable::start_row`]:
-/// through [`strided_walk`] where `kernel` resolves to [`Kernel::Simd`]
-/// for one run, byte-serially otherwise — so [`Kernel::PerRun`] keeps the
-/// paper's transition counts. Returns the last state, [`DEAD`] if the
-/// run died.
+/// through [`strided_walk`] where `kernel` resolves to
+/// [`Kernel::LockstepShared`] for one run, byte-serially otherwise — so
+/// [`Kernel::PerRun`] keeps the paper's transition counts. Returns the
+/// last state, [`DEAD`] if the run died.
 pub(crate) fn scan_first(
     table: DenseTable<'_>,
     kernel: Kernel,
@@ -421,7 +384,7 @@ pub(crate) fn scan_first(
     counter: &mut impl Counter,
 ) -> StateId {
     let row = match resolve(kernel, 1, chunk.len(), table.ptable.len()) {
-        Kernel::Simd => strided_walk(table, table.start_row, chunk, None, counter),
+        Kernel::LockstepShared => strided_walk(table, table.start_row, chunk, None, counter),
         _ => run_row_serial(table, table.start_row, chunk, counter),
     };
     (row / table.stride) as StateId
@@ -607,9 +570,8 @@ fn lockstep_scan(
     // realistic texts). Once no group has merged or died for a full
     // horizon, the survivors are tracking distinct trajectories and
     // further convergence is unlikely — stop paying per-byte dedup
-    // bookkeeping and finish each group with the lean loop below. (The
-    // transitions executed stay the same; only bookkeeping is shed, so
-    // lockstep never loses badly to per-run scanning.)
+    // bookkeeping and finish each group with the lean walks below, so
+    // lockstep never loses badly to per-run scanning.
     const STABLE_HORIZON: usize = 256;
     let mut since_change = 0;
     'blocks: while consumed < chunk.len() && len > 1 {
@@ -630,27 +592,96 @@ fn lockstep_scan(
     }
     scratch.class_buf = class_buf;
 
+    // The finishes, once one group is left or the partition is stable:
+    // each survivor takes the stride walk in turn; below the walk's
+    // floor, where that would be one serial loop per survivor, two to
+    // four survivors advance interleaved instead. A group that dies parks
+    // on row 0, whose state is DEAD — exactly what its origins should map
+    // to. Merging before walking trades never-merging languages for
+    // pruned wide interfaces. Measured on a 2-core AVX2 Xeon: RID
+    // interiors under `Auto` at 16 positions of a 4 MiB text, medians of
+    // 11 pairs alternated with a kernel that gathered eight rows per
+    // byte, stopped merging at four groups and skipped merging when four
+    // or fewer runs started (ns/B, that kernel → this one):
+    // * traffic under feasible-start: 3.76 → 2.86 at 4 KiB, 2.32 → 1.50
+    //   at 16 KiB, 1.69 → 1.12 at 64 KiB, 1.77 → 1.18 at 512 KiB, at an
+    //   exact 1.01–1.05 transitions/B against 1.14–1.33: its few pruned
+    //   seeds merge before they are walked;
+    // * fasta under lockstep: 5.08 → 3.94 at 4 KiB, 3.51 → 3.34 at
+    //   16 KiB, 0.89–1.01× as fast at 64–512 KiB, where neither side won
+    //   more than 6 of 11 pairs;
+    // * never-merging counters `([ab]{n})*`, n = 3, 6, 16, 32: 0.47–0.64×
+    //   as fast at 4 KiB; at 512 KiB 0.69× (n = 6) down to 0.42×
+    //   (n = 32), as the walk's chains guess the wrong phase and repair
+    //   rescans whole strides (56 transitions/B against 32 at n = 32);
+    //   n = 3 at 16–64 KiB and n = 6 at 64 KiB run 1.5–2.2× faster.
+    // The small-chunk cost is only partly the merging phase's
+    // STABLE_HORIZON, which the gathering kernel skipped when four or
+    // fewer runs started: with a 32-byte horizon (5 pairs), n = 3 at
+    // 4 KiB ran 1.28× faster, n = 6–32 only 1.09–1.10×, and traffic from
+    // 16 KiB up 0.75–0.86× as fast.
     if consumed < chunk.len() {
-        // Finish the surviving groups with the plain serial loop — one
-        // load per byte, zero bookkeeping. One group when every run
-        // converged or died (the fast path); several after a
-        // stabilization cutover. A group that dies parks on row 0, whose
-        // state is DEAD — exactly what its origins should map to.
         let rest = &chunk[consumed..];
-        let probe = scratch.interrupt.as_ref();
-        for row in &mut scratch.rows[..len] {
-            *row = run_row(table, *row as usize, rest, probe, counter) as StateId;
+        if (2..=NUM_CHAINS).contains(&len) && rest.len() < STRIDE_MIN {
+            multi_chain_finish(table, scratch, len, rest, counter);
+        } else {
+            let probe = scratch.interrupt.as_ref();
+            for row in &mut scratch.rows[..len] {
+                *row = strided_walk(table, *row as usize, rest, probe, counter) as StateId;
+            }
         }
     }
 
     write_mapping(scratch, len, stride, out);
 }
 
+/// Runs the 2..=[`NUM_CHAINS`] surviving groups to the end of the chunk
+/// as *interleaved* independent chains: one shared classification pass,
+/// one loop, [`NUM_CHAINS`] in-flight loads per byte (unused chains are
+/// parked on the absorbing dead row and never counted). Replaces walking
+/// the rest `len` times, with a bare dependency chain each.
+fn multi_chain_finish(
+    table: DenseTable<'_>,
+    scratch: &mut Scratch,
+    len: usize,
+    rest: &[u8],
+    counter: &mut impl Counter,
+) {
+    debug_assert!((2..=NUM_CHAINS).contains(&len));
+    let ptable = table.ptable;
+    let mut r = [0usize; NUM_CHAINS];
+    for (chain, &row) in r.iter_mut().zip(&scratch.rows[..len]) {
+        *chain = row as usize;
+    }
+    let mut class_buf = std::mem::take(&mut scratch.class_buf);
+    let probe = scratch.interrupt.clone();
+    for seg in rest.chunks(CLASS_BLOCK) {
+        if probe.as_ref().is_some_and(|p| p.should_stop()) {
+            break; // abandoned: the budgeted caller discards the mapping
+        }
+        table.classes.classify_into(seg, &mut class_buf);
+        for &class in &class_buf[..seg.len()] {
+            let c = class as usize;
+            let next = [
+                ptable[r[0] + c] as usize,
+                ptable[r[1] + c] as usize,
+                ptable[r[2] + c] as usize,
+                ptable[r[3] + c] as usize,
+            ];
+            counter.add(next.iter().map(|&n| (n != 0) as u64).sum());
+            r = next;
+        }
+    }
+    scratch.class_buf = class_buf;
+    for (row, &chain) in scratch.rows[..len].iter_mut().zip(&r) {
+        *row = chain as StateId;
+    }
+}
+
 /// Builds the initial origin groups from the `(origin, start)` pairs:
 /// distinct starts may already coincide (delegated interface states, for
 /// instance), so they are deduplicated through the generation slots.
-/// Returns the live-group count. Shared by the scalar lockstep scan and
-/// the SIMD scan so seeding semantics can never diverge.
+/// Returns the live-group count.
 fn seed_groups(
     scratch: &mut Scratch,
     starts: impl Iterator<Item = (u32, StateId)>,
@@ -681,7 +712,7 @@ fn seed_groups(
 
 /// Writes the final mapping: walks each surviving group's origin list
 /// and records the group's state. Dead origins keep the DEAD the caller
-/// pre-filled. Shared epilogue of the scalar and SIMD scans.
+/// pre-filled.
 fn write_mapping(scratch: &Scratch, len: usize, stride: usize, out: &mut [StateId]) {
     for g in 0..len {
         let state = (scratch.rows[g] as usize / stride) as StateId;
@@ -691,36 +722,6 @@ fn write_mapping(scratch: &Scratch, len: usize, stride: usize, out: &mut [StateI
             origin = scratch.next_origin[origin as usize];
         }
     }
-}
-
-/// Deduplicates and compacts the live groups *in place* after a merge
-/// period of the SIMD gather step (which advances groups without per-byte
-/// bookkeeping): groups that landed on the same row are spliced together,
-/// groups that died (row 0) are dropped. Returns the new live count.
-fn merge_compact(scratch: &mut Scratch, len: usize) -> usize {
-    scratch.generation += 1;
-    let generation = scratch.generation;
-    let mut write = 0;
-    for read in 0..len {
-        let row = scratch.rows[read];
-        if row == 0 {
-            continue; // the group died during the period: origins stay DEAD
-        }
-        let slot = row as usize;
-        if scratch.slot_gen[slot] == generation {
-            let idx = scratch.slot_idx[slot] as usize;
-            scratch.next_origin[scratch.tails[idx] as usize] = scratch.heads[read];
-            scratch.tails[idx] = scratch.tails[read];
-        } else {
-            scratch.slot_gen[slot] = generation;
-            scratch.slot_idx[slot] = write as u32;
-            scratch.rows[write] = row;
-            scratch.heads[write] = scratch.heads[read];
-            scratch.tails[write] = scratch.tails[read];
-            write += 1;
-        }
-    }
-    write
 }
 
 /// Advances all `len` live groups by one byte class, merging groups that
@@ -824,17 +825,12 @@ mod tests {
                 b"zzz",
                 b"abbabbabbabb",
                 &b"ab".repeat(3000),
-                // Long enough to reach the SIMD strided single-run walk
+                // Long enough to reach the strided walk of the survivors
                 // (> STRIDE_MIN bytes past convergence).
                 &b"ab".repeat(20_000),
             ] {
                 let expected = oracle(&dfa, chunk);
-                for kernel in [
-                    Kernel::PerRun,
-                    Kernel::LockstepShared,
-                    Kernel::Simd,
-                    Kernel::Auto,
-                ] {
+                for kernel in [Kernel::PerRun, Kernel::LockstepShared, Kernel::Auto] {
                     let (got, _) = scan(&dfa, chunk, kernel);
                     assert_eq!(
                         got,
@@ -873,72 +869,70 @@ mod tests {
 
     #[test]
     fn auto_picks_per_run_for_tiny_problems_and_lockstep_for_large() {
-        // Scalar half (SIMD capability off).
-        assert_eq!(select_with(2, 1 << 20, 1024, false), Kernel::PerRun);
-        assert_eq!(select_with(8, 16, 1024, false), Kernel::PerRun);
-        assert_eq!(select_with(8, 1 << 20, 1024, false), Kernel::LockstepShared);
-        assert_eq!(select_with(3, 4, 1 << 20, false), Kernel::LockstepShared);
-        // `select` must agree with `select_with` under the detected
-        // capability — the runtime wiring is exactly this delegation.
+        let floor = LOCKSTEP_ANY_RUNS_MIN_CHUNK;
+        assert_eq!(select(2, floor - 1, 1024), Kernel::PerRun);
+        assert_eq!(select(8, 16, 1024), Kernel::PerRun);
+        assert_eq!(select(8, 1 << 20, 1024), Kernel::LockstepShared);
+        assert_eq!(select(3, 4, 1 << 20), Kernel::LockstepShared);
+        // A long chunk fuses even two runs.
+        assert_eq!(select(2, 1 << 20, 1024), Kernel::LockstepShared);
+        // `Auto` resolves through `select` — the runtime wiring is exactly
+        // this delegation.
         for (k, len, table) in [(2, 1 << 20, 1024), (8, 16, 1024), (8, 1 << 20, 1024)] {
-            assert_eq!(
-                select(k, len, table),
-                select_with(k, len, table, simd_supported(table)),
-            );
+            assert_eq!(resolve(Kernel::Auto, k, len, table), select(k, len, table));
         }
     }
 
     #[test]
     fn selection_matrix_is_pinned() {
-        const BIG: usize = 1 << 20; // entries ≥ the large-table threshold
+        // Entries on either side of the 1 MiB large-table threshold.
+        const LARGE: usize = (1 << 20) / std::mem::size_of::<StateId>();
         const SMALL: usize = 1024;
-        let select = |k, len, table| select_with(k, len, table, false);
-        // k ≤ 2 always scans per run — group bookkeeping cannot pay with
-        // at most one possible merge, regardless of the table size (the
-        // regression: big tables used to win this tie).
-        for table in [SMALL, BIG] {
-            for len in [0, 16, 1 << 20] {
+        const FLOOR: usize = LOCKSTEP_ANY_RUNS_MIN_CHUNK;
+        // From the floor up every run count takes the fused kernel — one
+        // and two runs for its finishes — whatever the table size. With
+        // no runs there is nothing to fuse.
+        for table in [SMALL, LARGE - 1, LARGE, 1 << 21] {
+            for k in [1, 2, 3, 8, 100, 5000] {
+                for len in [FLOOR, 1 << 20] {
+                    assert_eq!(
+                        select(k, len, table),
+                        Kernel::LockstepShared,
+                        "k={k} len={len} table={table}"
+                    );
+                }
+            }
+            assert_eq!(select(0, 1 << 20, table), Kernel::PerRun, "k=0");
+        }
+        // Below it, k ≤ 2 always scans per run — group bookkeeping cannot
+        // pay with at most one possible merge, regardless of the table
+        // size (the regression: big tables used to win this tie).
+        for table in [SMALL, LARGE] {
+            for len in [0, 16, FLOOR - 1] {
                 assert_eq!(select(1, len, table), Kernel::PerRun, "k=1 len={len}");
                 assert_eq!(select(2, len, table), Kernel::PerRun, "k=2 len={len}");
             }
         }
-        // k ≥ 3 over a big table: lockstep even for short chunks.
-        for len in [0, 16, 63, 1 << 20] {
-            assert_eq!(select(3, len, BIG), Kernel::LockstepShared, "len={len}");
-            assert_eq!(select(100, len, BIG), Kernel::LockstepShared, "len={len}");
+        // k ≥ 3 over a large table: lockstep even for short chunks; one
+        // entry less and the chunk length decides.
+        for len in [0, 16, 63] {
+            assert_eq!(select(3, len, LARGE), Kernel::LockstepShared, "len={len}");
+            assert_eq!(select(100, len, LARGE), Kernel::LockstepShared, "len={len}");
+            assert_eq!(select(3, len, LARGE - 1), Kernel::PerRun, "len={len}");
         }
         // k ≥ 3, small table: chunk length decides.
         assert_eq!(select(8, 63, SMALL), Kernel::PerRun, "len < 64");
         assert_eq!(select(8, 64, SMALL), Kernel::LockstepShared);
-        assert_eq!(select(100, 256, SMALL), Kernel::PerRun, "len < 4k");
+        assert_eq!(select(100, 399, SMALL), Kernel::PerRun, "len < 4k");
         assert_eq!(select(100, 400, SMALL), Kernel::LockstepShared);
-    }
-
-    #[test]
-    fn simd_selection_is_pinned() {
-        // With the capability available, chunk length alone gates SIMD:
-        // any run count benefits (vector classification at least).
-        for k in [1, 2, 8, 100] {
-            assert_eq!(
-                select_with(k, SIMD_MIN_CHUNK, 1024, true),
-                Kernel::Simd,
-                "k={k}"
-            );
-            assert_eq!(
-                select_with(k, 1 << 20, 1 << 21, true),
-                Kernel::Simd,
-                "k={k} big table"
-            );
+        // `resolve` is `select` for `Auto` and keeps a pinned kernel.
+        for (k, len) in [(2, FLOOR - 1), (2, FLOOR), (100, 256)] {
+            assert_eq!(resolve(Kernel::Auto, k, len, SMALL), select(k, len, SMALL));
         }
-        // Below the SIMD floor the scalar matrix applies unchanged.
-        assert_eq!(
-            select_with(2, SIMD_MIN_CHUNK - 1, 1024, true),
-            Kernel::PerRun
-        );
-        assert_eq!(
-            select_with(8, SIMD_MIN_CHUNK - 1, 1024, true),
-            Kernel::LockstepShared
-        );
+        for pinned in [Kernel::PerRun, Kernel::LockstepShared] {
+            assert_eq!(resolve(pinned, 1, 16, SMALL), pinned);
+            assert_eq!(resolve(pinned, 100, 1 << 20, LARGE), pinned);
+        }
     }
 
     #[test]

@@ -551,12 +551,7 @@ mod tests {
     fn feasible_mappings_are_bit_identical_to_lockstep() {
         let rid = RiDfa::from_nfa(&figure1_nfa()).minimized();
         let table = FeasibleTable::build(&rid);
-        for kernel in [
-            Kernel::PerRun,
-            Kernel::LockstepShared,
-            Kernel::Simd,
-            Kernel::Auto,
-        ] {
+        for kernel in [Kernel::PerRun, Kernel::LockstepShared, Kernel::Auto] {
             let pruned = RidCa::new(&rid).with_kernel(kernel).with_feasible(&table);
             let plain = RidCa::new(&rid).with_kernel(kernel);
             for chunk in [&b"cab"[..], b"aab", b"", b"bbbb", b"aabcabaabcab", b"zzz"] {

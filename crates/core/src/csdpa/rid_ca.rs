@@ -27,9 +27,9 @@ use super::ChunkAutomaton;
 /// same `DEAD`), the mapping is bit-identical to the unpruned one. Empty
 /// chunks are never pruned (there is no first byte to prune on). The
 /// first chunk's one run takes the kernel's checkpointed stride walk
-/// where the configured kernel resolves to [`Kernel::Simd`] for it, and
-/// the byte-serial loop otherwise. Mappings are identical under every
-/// configuration.
+/// where the configured kernel resolves to [`Kernel::LockstepShared`]
+/// for it, and the byte-serial loop otherwise. Mappings are identical
+/// under every configuration.
 #[derive(Debug, Clone)]
 pub struct RidCa<'a> {
     rid: &'a RiDfa,
@@ -450,12 +450,7 @@ mod tests {
     use crate::ridfa::construct::tests::figure1_nfa;
     use ridfa_automata::{NoCount, TransitionCount};
 
-    const KERNELS: [Kernel; 4] = [
-        Kernel::PerRun,
-        Kernel::LockstepShared,
-        Kernel::Simd,
-        Kernel::Auto,
-    ];
+    const KERNELS: [Kernel; 3] = [Kernel::PerRun, Kernel::LockstepShared, Kernel::Auto];
 
     #[test]
     fn convergent_mapping_equals_plain_mapping() {

@@ -13,9 +13,12 @@ use rand::{Rng, SeedableRng};
 use ridfa::automata::dfa::{minimize, powerset};
 use ridfa::automata::nfa::glushkov;
 use ridfa::automata::{NoCount, TransitionCount};
-use ridfa::core::csdpa::{recognize, ChunkAutomaton, DfaCa, Executor, Kernel, RidCa};
+use ridfa::core::csdpa::{
+    recognize, ChunkAutomaton, DfaCa, Executor, FeasibleTable, Kernel, RidCa,
+};
 use ridfa::core::ridfa::RiDfa;
 use ridfa::workloads::regen::{random_ast, sample_into, RegenConfig};
+use ridfa::workloads::traffic;
 
 const CASES: u64 = 48;
 
@@ -215,5 +218,37 @@ fn convergent_variants_agree_on_benchmarks() {
                 b.name
             );
         }
+    }
+}
+
+#[test]
+fn pruned_traffic_interiors_merge_before_they_are_walked() {
+    // Feasible-start pruning leaves a traffic interior with a few seeds,
+    // which merge within a record. They must merge before the finishes
+    // walk them, so an interior executes barely more than one exact
+    // transition per byte at every chunk size — where a scan that walks
+    // each pruned seed to the chunk's end pays 1.2–1.5.
+    let rid = RiDfa::from_nfa(&traffic::nfa()).minimized();
+    let table = FeasibleTable::build(&rid);
+    let ca = RidCa::new(&rid)
+        .with_kernel(Kernel::Auto)
+        .with_feasible(&table);
+    let text = traffic::text(4 << 20, 11);
+    for chunk_len in [4 << 10, 16 << 10, 64 << 10, 512 << 10] {
+        let mut executed = TransitionCount::default();
+        let mut bytes = 0;
+        for i in 0..16 {
+            // Sixteen starts spread evenly over the text.
+            let start = (2 * i + 1) * (text.len() - chunk_len) / 32;
+            let chunk = &text[start..start + chunk_len];
+            ca.scan(chunk, &mut executed);
+            bytes += chunk.len();
+        }
+        let per_byte = executed.get() as f64 / bytes as f64;
+        assert!(
+            per_byte <= 1.1,
+            "{} KiB interiors executed {per_byte:.3} transitions/B",
+            chunk_len >> 10
+        );
     }
 }

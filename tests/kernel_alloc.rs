@@ -36,12 +36,7 @@ fn warm_scans_allocate_nothing() {
     // 20 000 bytes: past the SFA walk's four-block split length too.
     let chunk = b"abbaabbbab".repeat(2000);
 
-    for kernel in [
-        Kernel::PerRun,
-        Kernel::LockstepShared,
-        Kernel::Simd,
-        Kernel::Auto,
-    ] {
+    for kernel in [Kernel::PerRun, Kernel::LockstepShared, Kernel::Auto] {
         let mut scratch = Scratch::default();
         let mut out = Vec::new();
         // Warm-up: sizes the scratch arrays and the output mapping.
@@ -92,8 +87,9 @@ fn warm_scans_allocate_nothing() {
 fn warm_single_run_walks_allocate_nothing() {
     // The strided single-run walk keeps its class buffers and
     // checkpoints on the stack: a first chunk spanning several of its
-    // windows, and interior SIMD scans that finish with one survivor or
-    // with two, allocate nothing once their mappings have warmed up.
+    // windows, and interior lockstep scans that finish with one, two or
+    // six survivors, allocate nothing once their mappings have warmed
+    // up.
     fn dfa_of(pattern: &str) -> ridfa::automata::dfa::Dfa {
         minimize::minimize(&powerset::determinize(
             &glushkov::build(&parse(pattern).unwrap()).unwrap(),
@@ -128,11 +124,19 @@ fn warm_single_run_walks_allocate_nothing() {
     // Two parity states that never meet.
     let parity = dfa_of("(a*ba*b)*a*");
     assert_eq!(survivors(&parity), 2);
-    for (dfa, what) in [(&converging, "one survivor"), (&parity, "two survivors")] {
+    // Six counter phases that never meet: more survivors than the
+    // interleaved finish takes, so each is walked in turn.
+    let counter = dfa_of("([ab]{6})*");
+    assert_eq!(survivors(&counter), 6);
+    for (dfa, what) in [
+        (&converging, "one survivor"),
+        (&parity, "two survivors"),
+        (&counter, "six survivors"),
+    ] {
         assert_warm_scans_allocate_nothing(
-            &DfaCa::new(dfa).with_kernel(Kernel::Simd),
+            &DfaCa::new(dfa).with_kernel(Kernel::LockstepShared),
             &chunk,
-            &format!("dfa simd, {what}"),
+            &format!("dfa lockstep, {what}"),
         );
         assert_warm_scans_allocate_nothing(
             &DfaCa::new(dfa).with_kernel(Kernel::Auto),
@@ -141,7 +145,7 @@ fn warm_single_run_walks_allocate_nothing() {
         );
     }
     let rid = RiDfa::from_nfa(&glushkov::build(&parse("[ab]*a[ab]{4}").unwrap()).unwrap());
-    for kernel in [Kernel::Simd, Kernel::Auto] {
+    for kernel in [Kernel::LockstepShared, Kernel::Auto] {
         assert_warm_scans_allocate_nothing(
             &RidCa::new(&rid).with_kernel(kernel),
             &chunk,

@@ -1,30 +1,27 @@
-//! Differential tests for the SIMD reach kernel: the vectorized scan
-//! (gathered lockstep stepping, the checkpointed stride walk of each
-//! survivor and, on short rests, the interleaved multi-chain finish)
-//! must produce λ mappings byte-identical to the scalar kernels — and
-//! verdicts identical to the serial DFA — across the standard
-//! benchmarks, unaligned chunk starts, random span layouts and every
-//! chunk-automaton type. First chunks that
-//! take the stride walk are checked against the byte-serial first chunk
-//! and `accepts_serial`, at lengths around its stride floor and window
-//! boundaries and on languages built to stress its re-seeding.
+//! Differential tests for the lockstep kernel's finishes: the fused scan
+//! (merging, then the checkpointed stride walk of each survivor in turn
+//! and, on short rests, the interleaved multi-chain finish) must produce
+//! λ mappings byte-identical to the per-run kernel — and verdicts
+//! identical to the serial DFA — across the standard benchmarks,
+//! never-merging counters, unaligned chunk starts, random span layouts
+//! and every chunk-automaton type. First chunks that take the stride walk
+//! are checked against the byte-serial first chunk and `accepts_serial`,
+//! at lengths around its stride floor and window boundaries and on
+//! languages built to stress its re-seeding.
 //!
-//! Transition **counts** are deliberately never compared here: the SIMD
-//! kernel charges the work it actually performs, including speculation
-//! that the stride-repair pass later discards, so its counts legitimately
-//! differ from the scalar kernels'. Only mappings and verdicts are
-//! contractual.
-//!
-//! On hosts without AVX2 (or with `RIDFA_NO_SIMD` set) the pinned
-//! [`Kernel::Simd`] demotes to the shared scalar lockstep kernel, so the
-//! suite degrades to a tautology rather than a failure — CI runs it both
-//! forced-on and forced-off.
+//! Transition **counts** are deliberately never compared here: the
+//! stride walk charges the work it actually performs, including
+//! speculation that its repair pass later discards, so its counts
+//! legitimately differ from the per-run kernel's. Only mappings and
+//! verdicts are contractual. The kernel is the same scalar code on every
+//! host; CI runs the suite with the vectorized byte classifier on, off
+//! (`RIDFA_NO_SIMD=1`) and under `-Ctarget-cpu=native`.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use ridfa::automata::dfa::{minimize, powerset, Dfa};
-use ridfa::automata::nfa::glushkov;
+use ridfa::automata::nfa::{glushkov, Nfa};
 use ridfa::automata::regex::parse;
 use ridfa::automata::NoCount;
 use ridfa::core::csdpa::kernel::{STRIDE_MIN, WINDOW};
@@ -35,12 +32,12 @@ use ridfa::core::csdpa::{
 use ridfa::core::ridfa::RiDfa;
 use ridfa::workloads::standard_benchmarks;
 
-/// Chunk starts at odd distances into the text: the SIMD paths promise
+/// Chunk starts at odd distances into the text: the kernel promises
 /// correctness for **any** byte offset, not just vector-width multiples.
 const OFFSETS: [usize; 4] = [0, 1, 13, 63];
 
 /// Long enough that a converging run leaves tens of KiB of single-run
-/// tail — well past the stride-walk floor — after the gather phase.
+/// tail — well past the stride-walk floor — after the merging phase.
 const TEXT_LEN: usize = 64 << 10;
 
 /// First-chunk lengths around the stride walk's edges: empty, one byte,
@@ -56,9 +53,9 @@ const WALK_LENGTHS: [usize; 7] = [
     3 * WINDOW + 3,
 ];
 
-/// Asserts that `ca`'s first-chunk mapping of `chunk` under `Simd` and
-/// `Auto` equals the byte-serial (`PerRun`) one, and that its verdict is
-/// `accepts_serial`'s.
+/// Asserts that `ca`'s first-chunk mapping of `chunk` under
+/// `LockstepShared` and `Auto` equals the byte-serial (`PerRun`) one, and
+/// that its verdict is `accepts_serial`'s.
 fn assert_first_chunk_agrees<CA: ChunkAutomaton>(
     plain: CA,
     with_kernel: impl Fn(Kernel) -> CA,
@@ -70,7 +67,7 @@ fn assert_first_chunk_agrees<CA: ChunkAutomaton>(
     let serial = plain.scan_first(chunk, &mut NoCount);
     let expected = plain.accepts_serial(chunk, &mut NoCount);
     assert_eq!(plain.accepts_mapping(&serial), expected, "{what}: per-run");
-    for kernel in [Kernel::Simd, Kernel::Auto] {
+    for kernel in [Kernel::LockstepShared, Kernel::Auto] {
         let ca = with_kernel(kernel);
         let walked = ca.scan_first(chunk, &mut NoCount);
         assert_eq!(walked, serial, "{what}: {kernel:?} first chunk");
@@ -160,14 +157,14 @@ fn stride_walk_reseeding_edge_cases() {
                     assert_eq!(
                         DfaCa::new(&dfa).scan(chunk, &mut NoCount),
                         DfaCa::new(&dfa)
-                            .with_kernel(Kernel::Simd)
+                            .with_kernel(Kernel::LockstepShared)
                             .scan(chunk, &mut NoCount),
                         "{what}: interior dfa"
                     );
                     assert_eq!(
                         RidCa::new(&rid).scan(chunk, &mut NoCount),
                         RidCa::new(&rid)
-                            .with_kernel(Kernel::Simd)
+                            .with_kernel(Kernel::LockstepShared)
                             .scan(chunk, &mut NoCount),
                         "{what}: interior rid"
                     );
@@ -186,47 +183,22 @@ fn simd_mappings_match_the_scalar_kernels_at_unaligned_offsets() {
             ((b.accepted)(TEXT_LEN, 29), "accepted"),
             ((b.rejected)(TEXT_LEN, 29), "rejected"),
         ] {
-            // Per-run oracle once per text; the scalar lockstep kernel is
-            // already proven identical to it in tests/convergence.rs, so
-            // it serves as the (much cheaper) oracle at the other offsets.
-            let per_run = DfaCa::new(&dfa).scan(&text, &mut NoCount);
-            assert_eq!(
-                per_run,
-                DfaCa::new(&dfa)
-                    .with_kernel(Kernel::Simd)
-                    .scan(&text, &mut NoCount),
-                "{} {label}: simd dfa mapping != per-run oracle",
-                b.name
-            );
-            let per_run_rid = RidCa::new(&rid).scan(&text, &mut NoCount);
-            assert_eq!(
-                per_run_rid,
-                RidCa::new(&rid)
-                    .with_kernel(Kernel::Simd)
-                    .scan(&text, &mut NoCount),
-                "{} {label}: simd rid mapping != per-run oracle",
-                b.name
-            );
             for off in OFFSETS {
                 let chunk = &text[off..];
                 assert_eq!(
+                    DfaCa::new(&dfa).scan(chunk, &mut NoCount),
                     DfaCa::new(&dfa)
                         .with_kernel(Kernel::LockstepShared)
                         .scan(chunk, &mut NoCount),
-                    DfaCa::new(&dfa)
-                        .with_kernel(Kernel::Simd)
-                        .scan(chunk, &mut NoCount),
-                    "{} {label}: simd dfa mapping diverged at offset {off}",
+                    "{} {label}: lockstep dfa mapping != per-run oracle at offset {off}",
                     b.name
                 );
                 assert_eq!(
+                    RidCa::new(&rid).scan(chunk, &mut NoCount),
                     RidCa::new(&rid)
                         .with_kernel(Kernel::LockstepShared)
                         .scan(chunk, &mut NoCount),
-                    RidCa::new(&rid)
-                        .with_kernel(Kernel::Simd)
-                        .scan(chunk, &mut NoCount),
-                    "{} {label}: simd rid mapping diverged at offset {off}",
+                    "{} {label}: lockstep rid mapping != per-run oracle at offset {off}",
                     b.name
                 );
             }
@@ -234,50 +206,81 @@ fn simd_mappings_match_the_scalar_kernels_at_unaligned_offsets() {
     }
 }
 
-/// Interior chunk lengths that leave the SIMD scan's few-survivor rest
-/// on either side of the stride walk's floor.
-const FLOOR_LENGTHS: [usize; 6] = [
+/// Interior chunk lengths that leave the lockstep scan's few-survivor
+/// rest on either side of the stride walk's floor, and one that walks
+/// several windows.
+const FLOOR_LENGTHS: [usize; 7] = [
     4096,
     STRIDE_MIN - 1,
     STRIDE_MIN + 1,
     STRIDE_MIN + 1000,
     3 * STRIDE_MIN / 2,
     2 * STRIDE_MIN + 13,
+    3 * WINDOW + 3,
 ];
+
+/// Where the few-survivor chunks start.
+const FLOOR_OFFSETS: [usize; 3] = [1, 997, TEXT_LEN / 2 + 13];
+
+/// Counters whose phases no text over `[ab]` merges: six and sixteen
+/// survivors to the end of every chunk, more than the interleaved finish
+/// takes.
+const COUNTERS: [&str; 2] = ["([ab]{6})*", "([ab]{16})*"];
+
+/// A language's name and NFA, with two labelled texts.
+type Case = (String, Nfa, [(Vec<u8>, &'static str); 2]);
 
 #[test]
 fn few_survivor_finishes_match_the_scalar_kernels_around_the_stride_floor() {
     // Below the floor two to four survivors advance interleaved; above
-    // it each takes the stride walk in turn. bigdata's gather phase exits
-    // with four groups, bible's and fasta's with two.
-    for b in standard_benchmarks() {
-        let dfa = minimize::minimize(&powerset::determinize(&b.nfa));
-        let rid = RiDfa::from_nfa(&b.nfa).minimized();
-        for (text, label) in [
-            ((b.accepted)(TEXT_LEN, 47), "accepted"),
-            ((b.rejected)(TEXT_LEN, 47), "rejected"),
-        ] {
-            for off in [1, 997, TEXT_LEN / 2 + 13] {
+    // it, and at five or more, each takes the stride walk in turn.
+    // Merging leaves bigdata with up to four groups, bible and fasta with
+    // up to two, and the counters with six and sixteen.
+    let need = FLOOR_OFFSETS[2] + FLOOR_LENGTHS[6];
+    let mut rng = StdRng::seed_from_u64(0xC0C0);
+    let mut cases: Vec<Case> = standard_benchmarks()
+        .into_iter()
+        .map(|b| {
+            let texts = [
+                ((b.accepted)(need + 4096, 47), "accepted"),
+                ((b.rejected)(need + 4096, 47), "rejected"),
+            ];
+            (b.name.to_string(), b.nfa, texts)
+        })
+        .collect();
+    for pattern in COUNTERS {
+        let member: Vec<u8> = (0..need).map(|_| b"ab"[rng.gen_range(0..2usize)]).collect();
+        let mut killed = member.clone();
+        killed[need / 2] = b'c';
+        let nfa = glushkov::build(&parse(pattern).unwrap()).unwrap();
+        cases.push((
+            pattern.to_string(),
+            nfa,
+            [(member, "member"), (killed, "killed mid-text")],
+        ));
+    }
+    for (name, nfa, texts) in cases {
+        let dfa = minimize::minimize(&powerset::determinize(&nfa));
+        let rid = RiDfa::from_nfa(&nfa).minimized();
+        for (text, label) in texts {
+            assert!(text.len() >= need, "{name}: text too short");
+            for off in FLOOR_OFFSETS {
                 for len in FLOOR_LENGTHS {
-                    let chunk = &text[off..(off + len).min(text.len())];
-                    let what = format!("{} {label} at {off}+{len}", b.name);
+                    let chunk = &text[off..off + len];
+                    let what = format!("{name} {label} at {off}+{len}");
                     assert_eq!(
+                        DfaCa::new(&dfa).scan(chunk, &mut NoCount),
                         DfaCa::new(&dfa)
                             .with_kernel(Kernel::LockstepShared)
                             .scan(chunk, &mut NoCount),
-                        DfaCa::new(&dfa)
-                            .with_kernel(Kernel::Simd)
-                            .scan(chunk, &mut NoCount),
-                        "{what}: simd dfa mapping"
+                        "{what}: lockstep dfa mapping"
                     );
                     assert_eq!(
+                        RidCa::new(&rid).scan(chunk, &mut NoCount),
                         RidCa::new(&rid)
                             .with_kernel(Kernel::LockstepShared)
                             .scan(chunk, &mut NoCount),
-                        RidCa::new(&rid)
-                            .with_kernel(Kernel::Simd)
-                            .scan(chunk, &mut NoCount),
-                        "{what}: simd rid mapping"
+                        "{what}: lockstep rid mapping"
                     );
                 }
             }
@@ -296,17 +299,14 @@ fn feasible_start_pruning_composes_with_the_simd_kernel() {
         ] {
             for off in OFFSETS {
                 let chunk = &text[off..];
-                let scalar = RidCa::new(&rid)
+                let per_run = RidCa::new(&rid).scan(chunk, &mut NoCount);
+                let pruned = RidCa::new(&rid)
                     .with_kernel(Kernel::LockstepShared)
                     .with_feasible(&table)
                     .scan(chunk, &mut NoCount);
-                let simd = RidCa::new(&rid)
-                    .with_kernel(Kernel::Simd)
-                    .with_feasible(&table)
-                    .scan(chunk, &mut NoCount);
                 assert_eq!(
-                    scalar, simd,
-                    "{} {label}: pruned simd mapping diverged at offset {off}",
+                    per_run, pruned,
+                    "{} {label}: pruned lockstep mapping != per-run oracle at offset {off}",
                     b.name
                 );
             }
@@ -316,9 +316,9 @@ fn feasible_start_pruning_composes_with_the_simd_kernel() {
 
 #[test]
 fn simd_verdicts_agree_under_random_span_layouts() {
-    // Random uneven spans: tiny slivers (below the SIMD floor, scanned
-    // scalar), mid-size chunks (gather phase only) and long chunks
-    // (gather + stride walk) all mixed in one recognition.
+    // Random uneven spans: slivers below the walk's floor (merging, then
+    // serial or interleaved finishes) and long chunks (merging, then the
+    // stride walk) all mixed in one recognition.
     let mut rng = StdRng::seed_from_u64(0x51BD);
     for b in standard_benchmarks() {
         let dfa = minimize::minimize(&powerset::determinize(&b.nfa));
@@ -337,10 +337,10 @@ fn simd_verdicts_agree_under_random_span_layouts() {
                 cuts.sort_unstable();
                 cuts.dedup();
                 let spans: Vec<_> = cuts.windows(2).map(|w| w[0]..w[1]).collect();
-                let conv_dfa = DfaCa::new(&dfa).with_kernel(Kernel::Simd);
-                let conv_rid = RidCa::new(&rid).with_kernel(Kernel::Simd);
+                let conv_dfa = DfaCa::new(&dfa).with_kernel(Kernel::LockstepShared);
+                let conv_rid = RidCa::new(&rid).with_kernel(Kernel::LockstepShared);
                 let pruned = RidCa::new(&rid)
-                    .with_kernel(Kernel::Simd)
+                    .with_kernel(Kernel::LockstepShared)
                     .with_feasible(&table);
                 for (verdict, ca_name) in [
                     (
@@ -358,7 +358,7 @@ fn simd_verdicts_agree_under_random_span_layouts() {
                 ] {
                     assert_eq!(
                         verdict, expected,
-                        "{} {ca_name} with simd kernel, spans {spans:?}",
+                        "{} {ca_name} with the lockstep kernel, spans {spans:?}",
                         b.name
                     );
                 }
@@ -369,9 +369,9 @@ fn simd_verdicts_agree_under_random_span_layouts() {
 
 #[test]
 fn all_six_chunk_automata_agree_with_simd_in_the_mix() {
-    // With AVX2 present, `Auto` routes every chunk here (≥ 10 KiB)
-    // through the SIMD kernel for the convergent CAs, while the plain
-    // CAs stay scalar — the verdicts must still be unanimous.
+    // The convergent CAs run every chunk here (≥ 10 KiB) through the
+    // lockstep kernel and its walks, while the plain CAs scan per run —
+    // the verdicts must still be unanimous.
     for b in standard_benchmarks() {
         let dfa = minimize::minimize(&powerset::determinize(&b.nfa));
         let rid = RiDfa::from_nfa(&b.nfa).minimized();
@@ -396,7 +396,7 @@ fn all_six_chunk_automata_agree_with_simd_in_the_mix() {
                 (
                     "convergent dfa",
                     recognize(
-                        &DfaCa::new(&dfa).with_kernel(Kernel::Simd),
+                        &DfaCa::new(&dfa).with_kernel(Kernel::LockstepShared),
                         &text,
                         3,
                         Executor::Auto,
@@ -406,7 +406,7 @@ fn all_six_chunk_automata_agree_with_simd_in_the_mix() {
                 (
                     "convergent rid",
                     recognize(
-                        &RidCa::new(&rid).with_kernel(Kernel::Simd),
+                        &RidCa::new(&rid).with_kernel(Kernel::LockstepShared),
                         &text,
                         3,
                         Executor::Auto,
@@ -417,7 +417,7 @@ fn all_six_chunk_automata_agree_with_simd_in_the_mix() {
                     "feasible rid",
                     recognize(
                         &RidCa::new(&rid)
-                            .with_kernel(Kernel::Simd)
+                            .with_kernel(Kernel::LockstepShared)
                             .with_feasible(&table),
                         &text,
                         3,

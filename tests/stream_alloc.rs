@@ -70,26 +70,24 @@ fn warm_stream_session_allocates_nothing_per_block() {
         "warm per-run stream recognition must not allocate"
     );
 
-    // Pin the SIMD kernel explicitly. `Auto` already routes 64 KiB
-    // blocks through it on AVX2 hosts, but pinning keeps this proof
-    // meaningful when feature detection changes; without AVX2 the pin
-    // demotes to the shared lockstep kernel, which has the same
-    // contract.
-    let simd = RidCa::new(&rid).with_kernel(Kernel::Simd);
-    session.warm(&simd, &text1[..64 << 10]);
-    let first = session.recognize_stream(&simd, &text1[..]).unwrap();
+    // Pin the lockstep kernel explicitly. `Auto` already routes 64 KiB
+    // blocks through it, but pinning keeps this proof meaningful if the
+    // selection matrix changes.
+    let lockstep = RidCa::new(&rid).with_kernel(Kernel::LockstepShared);
+    session.warm(&lockstep, &text1[..64 << 10]);
+    let first = session.recognize_stream(&lockstep, &text1[..]).unwrap();
     assert!(first.accepted);
     let before = allocations();
     assert!(
         session
-            .recognize_stream(&simd, &text2[..])
+            .recognize_stream(&lockstep, &text2[..])
             .unwrap()
             .accepted
     );
     assert_eq!(
         allocations() - before,
         0,
-        "warm SIMD stream recognition must not allocate"
+        "warm lockstep stream recognition must not allocate"
     );
 
     // Twice the stream, same allocation count (i.e. zero): per-block cost
