@@ -274,14 +274,35 @@ impl Opts {
         }
     }
 
-    /// Numeric flag with a default; malformed numbers are an error, not
-    /// a silent fallback.
+    /// An optional flag parsed as `T` (`None` when absent); a malformed
+    /// value is an error naming the flag and what it `expected`, not a
+    /// silent fallback.
+    fn get_parsed<T: std::str::FromStr>(
+        &self,
+        name: &str,
+        expected: &str,
+    ) -> Result<Option<T>, String> {
+        self.get_value(name)?
+            .map(|v| {
+                v.parse()
+                    .map_err(|_| format!("invalid value for --{name}: {v:?} (expected {expected})"))
+            })
+            .transpose()
+    }
+
+    /// Numeric flag with a default.
     fn get_usize(&self, name: &str, default: usize) -> Result<usize, String> {
-        match self.get_value(name)? {
-            None => Ok(default),
-            Some(v) => v.parse().map_err(|_| {
-                format!("invalid value for --{name}: {v:?} (expected a non-negative integer)")
-            }),
+        Ok(self
+            .get_parsed(name, "a non-negative integer")?
+            .unwrap_or(default))
+    }
+
+    /// `--block-size` with a default; 0 is rejected (a block holds at
+    /// least one byte).
+    fn block_size(&self, default: usize) -> Result<usize, String> {
+        match self.get_usize("block-size", default)? {
+            0 => Err("invalid value for --block-size: 0 (expected ≥ 1)".into()),
+            n => Ok(n),
         }
     }
 }
@@ -330,15 +351,8 @@ fn load_text(opts: &Opts) -> Result<Vec<u8>, CliError> {
 
 /// `--timeout-ms` as a recognition budget (absent → no deadline).
 fn timeout_budget(opts: &Opts) -> Result<Option<Budget>, String> {
-    match opts.get_value("timeout-ms")? {
-        None => Ok(None),
-        Some(v) => {
-            let ms: u64 = v.parse().map_err(|_| {
-                format!("invalid value for --timeout-ms: {v:?} (expected milliseconds)")
-            })?;
-            Ok(Some(Budget::with_timeout(Duration::from_millis(ms))))
-        }
-    }
+    let ms = opts.get_parsed("timeout-ms", "milliseconds")?;
+    Ok(ms.map(|ms| Budget::with_timeout(Duration::from_millis(ms))))
 }
 
 /// `--max-states` as a construction budget (absent → unbudgeted).
@@ -671,23 +685,11 @@ fn cmd_recognize_stream(opts: &Opts, nfa: &Nfa, variant: Variant) -> Result<(), 
             "--stream manages its own worker pool; drop --pool".into(),
         ));
     }
-    let block_size = opts.get_usize("block-size", 1 << 20)?;
-    if block_size == 0 {
-        return Err(CliError::Usage(
-            "invalid value for --block-size: 0 (expected ≥ 1)".into(),
-        ));
-    }
+    let block_size = opts.block_size(1 << 20)?;
     let threads = opts.get_usize("threads", default_threads())?;
     let budget = timeout_budget(opts)?;
     let mut session = StreamSession::new(threads.saturating_sub(1).max(1), block_size);
-    if let Some(v) = opts.get_value("separator")? {
-        let sep = v.parse::<u8>().map_err(|_| {
-            CliError::Usage(format!(
-                "invalid value for --separator: {v:?} (expected a byte 0-255)"
-            ))
-        })?;
-        session.set_separator(Some(sep));
-    }
+    session.set_separator(opts.get_parsed("separator", "a byte 0-255")?);
 
     let accepted = with_variant!(variant, nfa, opts, |ca| {
         stream_report(ca, opts, &mut session, budget.as_ref())?
@@ -845,12 +847,7 @@ fn cmd_serve(opts: &Opts) -> Result<(), CliError> {
 /// paths stay exercised.
 fn cmd_serve_stream(opts: &Opts) -> Result<(), CliError> {
     let bytes = opts.get_usize("bytes", 64 << 20)? as u64;
-    let block_size = opts.get_usize("block-size", 1 << 20)?;
-    if block_size == 0 {
-        return Err(CliError::Usage(
-            "invalid value for --block-size: 0 (expected ≥ 1)".into(),
-        ));
-    }
+    let block_size = opts.block_size(1 << 20)?;
     let threads = opts.get_usize("threads", default_threads())?;
     let variant = Variant::parse(opts, "convergent-rid")?;
 
@@ -950,14 +947,7 @@ fn cmd_compile(opts: &Opts) -> Result<(), CliError> {
             ))
         })?),
     };
-    let separator = match opts.get_value("separator")? {
-        None => None,
-        Some(v) => Some(v.parse::<u8>().map_err(|_| {
-            CliError::Usage(format!(
-                "invalid value for --separator: {v:?} (expected a byte 0-255)"
-            ))
-        })?),
-    };
+    let separator: Option<u8> = opts.get_parsed("separator", "a byte 0-255")?;
     if kind != "ridfa" && (engine.is_some() || separator.is_some()) {
         return Err(CliError::Usage(
             "--engine/--separator apply to --kind ridfa artifacts only".into(),
@@ -1143,50 +1133,26 @@ fn cmd_serve_listen(opts: &Opts) -> Result<(), CliError> {
     let per_shard_threads = (threads / shards).max(1);
     let registry_config = RegistryConfig {
         num_workers: per_shard_threads.saturating_sub(1).max(1),
-        block_size: opts.get_usize("block-size", 64 * 1024)?,
+        block_size: opts.block_size(64 * 1024)?,
         budget: construction_budget(opts)?.unwrap_or(ConstructionBudget::UNLIMITED),
         max_table_bytes: opts.get_usize("max-table-bytes", usize::MAX)?,
     };
 
-    let max_requests = match opts.get_value("max-requests")? {
-        None => None,
-        Some(v) => Some(
-            v.parse::<u64>()
-                .map_err(|_| CliError::Usage(format!("invalid value for --max-requests: {v:?}")))?,
-        ),
-    };
-    let deadline = match opts.get_value("deadline-ms")? {
-        None => None,
-        Some(v) => Some(Duration::from_millis(v.parse::<u64>().map_err(|_| {
-            CliError::Usage(format!("invalid value for --deadline-ms: {v:?}"))
-        })?)),
-    };
-    let idle = match opts.get_value("idle-ms")? {
-        None => Some(Duration::from_secs(30)),
-        Some(v) => Some(Duration::from_millis(v.parse::<u64>().map_err(|_| {
-            CliError::Usage(format!("invalid value for --idle-ms: {v:?}"))
-        })?)),
-    };
-    let reload_interval = match opts.get_value("reload-ms")? {
-        None => None,
-        Some(v) => Some(Duration::from_millis(v.parse::<u64>().map_err(|_| {
-            CliError::Usage(format!("invalid value for --reload-ms: {v:?}"))
-        })?)),
-    };
-    let offload_bytes = match opts.get_value("offload-bytes")? {
-        None => u64::MAX,
-        Some(v) => v
-            .parse::<u64>()
-            .map_err(|_| CliError::Usage(format!("invalid value for --offload-bytes: {v:?}")))?,
+    let millis = |name| -> Result<Option<Duration>, String> {
+        Ok(opts
+            .get_parsed(name, "milliseconds")?
+            .map(Duration::from_millis))
     };
     let config = ServeConfig {
-        max_requests,
-        request_deadline: deadline,
-        idle_timeout: idle,
+        max_requests: opts.get_parsed("max-requests", "a non-negative integer")?,
+        request_deadline: millis("deadline-ms")?,
+        idle_timeout: Some(millis("idle-ms")?.unwrap_or(Duration::from_secs(30))),
         max_body_bytes: opts.get_usize("max-body", usize::MAX)? as u64,
         shards,
-        offload_bytes,
-        reload_interval,
+        offload_bytes: opts
+            .get_parsed("offload-bytes", "a non-negative integer")?
+            .unwrap_or(u64::MAX),
+        reload_interval: millis("reload-ms")?,
         ..ServeConfig::default()
     };
 

@@ -416,6 +416,35 @@ fn stream_rejects_pool_flag() {
 }
 
 #[test]
+fn zero_block_size_is_rejected_by_every_block_command() {
+    // `serve --listen` used to turn `--block-size 0` into a 1-byte ring.
+    for args in [
+        &["recognize", "--regex", "a*", "--text", "-", "--stream"][..],
+        &["serve", "--stream", "--bytes", "1000"][..],
+        &[
+            "serve",
+            "--listen",
+            "127.0.0.1:0",
+            "--patterns",
+            "patterns.txt",
+        ][..],
+    ] {
+        let out = ridfa()
+            .args(args)
+            .args(["--block-size", "0"])
+            .stdin(Stdio::null())
+            .output()
+            .unwrap();
+        assert_eq!(out.status.code(), Some(2), "{args:?}");
+        let err = String::from_utf8(out.stderr).unwrap();
+        assert!(
+            err.contains("invalid value for --block-size: 0"),
+            "{args:?}: {err}"
+        );
+    }
+}
+
+#[test]
 fn serve_stream_validates_a_generated_pipe() {
     let out = ridfa()
         .args([

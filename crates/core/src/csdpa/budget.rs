@@ -4,10 +4,15 @@
 //! [`CancelToken`]; the budgeted entry points
 //! ([`recognize_budgeted`](super::recognize_budgeted),
 //! [`Session::recognize_budgeted`](super::Session::recognize_budgeted),
+//! [`Session::recognize_many_budgeted`](super::Session::recognize_many_budgeted),
 //! [`StreamSession::recognize_stream_budgeted`](super::StreamSession::recognize_stream_budgeted))
-//! thread it through the reach phase as an [`InterruptProbe`]:
+//! thread it through the reach phase as an [`InterruptProbe`]. Each is
+//! its unbudgeted twin's body run under one wrapper that also contains
+//! panics, and every reach — spawned, pooled, or a stream's wave — runs
+//! its chunks through one chunk task that checks the probe:
 //!
-//! * the probe is checked at chunk/wave boundaries by the executors, and
+//! * at every chunk claim, before the chunk is scanned (a stream's task 0
+//!   also checks before it reads the next wave), and
 //! * inside the scan [`kernel`](super::kernel) once per classification
 //!   block (4 KiB), so even a single giant chunk honors a deadline with
 //!   bounded latency;

@@ -15,25 +15,25 @@ pub fn chunk_spans(len: usize, num_chunks: usize) -> Vec<Range<usize>> {
 
 /// Like [`chunk_spans`] but writing into a reusable buffer (cleared
 /// first) — allocation-free once `out` has grown to the high-water chunk
-/// count. A [`Session`](super::Session) recomputes spans per text through
-/// this path.
+/// count.
 pub fn chunk_spans_into(len: usize, num_chunks: usize, out: &mut Vec<Range<usize>>) {
     out.clear();
-    if len == 0 {
-        out.push(0..0);
-        return;
-    }
-    let c = num_chunks.clamp(1, len);
-    let base = len / c;
-    let extra = len % c;
-    out.reserve(c);
-    let mut offset = 0;
-    for i in 0..c {
-        let size = base + usize::from(i < extra);
-        out.push(offset..offset + size);
-        offset += size;
-    }
-    debug_assert_eq!(offset, len);
+    let c = chunk_count(len, num_chunks);
+    out.extend((0..c).map(|i| chunk_span(len, c, i)));
+}
+
+/// How many spans [`chunk_spans`] cuts `0..len` into: `num_chunks`
+/// clamped to `1..=len`, and one for the empty text.
+pub(crate) fn chunk_count(len: usize, num_chunks: usize) -> usize {
+    num_chunks.clamp(1, len.max(1))
+}
+
+/// Span `i` of [`chunk_spans`] over `0..len` with `c` =
+/// [`chunk_count`] spans, computed without the span table.
+pub(crate) fn chunk_span(len: usize, c: usize, i: usize) -> Range<usize> {
+    let (base, extra) = (len / c, len % c);
+    let start = i * base + i.min(extra);
+    start..start + base + usize::from(i < extra)
 }
 
 /// Like [`chunk_spans`] but with record-separator-aware boundary

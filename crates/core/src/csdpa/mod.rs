@@ -32,7 +32,10 @@
 //! spawning executors of [`recognize`] ([`Executor`]), or a persistent
 //! [`Session`] that keeps a worker pool and per-worker scan scratches
 //! warm across texts — the right shape for high-traffic streams of short
-//! texts, where thread-spawn cost would otherwise dominate.
+//! texts, where thread-spawn cost would otherwise dominate. A
+//! [`StreamSession`]'s waves and the [`PatternRegistry`]'s lanes are
+//! reach phases of a `Session` too, and every join folds through one
+//! incremental [`JoinScratch`].
 
 pub mod budget;
 mod chunking;
@@ -55,7 +58,7 @@ pub use nfa_ca::NfaCa;
 pub use plan::{Engine, EnginePlan, FeasibleTable};
 pub use recognizer::{
     recognize, recognize_budgeted, recognize_counted, recognize_serial, recognize_spans,
-    ChunkStats, CountedOutcome, Executor, Outcome,
+    CountedOutcome, Executor, Outcome,
 };
 pub use registry::{
     resident_footprint, PatternRegistry, PatternStats, RegistryConfig, RegistryError, StreamScan,
@@ -67,28 +70,124 @@ pub use stream::{StreamOutcome, StreamSession};
 
 use ridfa_automata::counter::{Counter, NoCount};
 
-/// Reusable working memory for the join fold: two mapping accumulators
-/// (composition ping-pongs between them) plus the CA's composition
-/// scratch. `M` is the CA's [`Mapping`](ChunkAutomaton::Mapping), `C` its
-/// [`ComposeScratch`](ChunkAutomaton::ComposeScratch); see the
+/// The incremental λ-fold: the left-composed prefix `λ_k ⊙ … ⊙ λ_1` of
+/// the chunk mappings pushed since the fold last started, one
+/// composition per push. Every join folds through it: the serial
+/// [`join_with`](ChunkAutomaton::join_with), a [`Session`]'s join, the
+/// running prefix of a [`StreamSession`] and the registry's
+/// [`StreamScan`]. `M` is the CA's [`Mapping`](ChunkAutomaton::Mapping),
+/// `C` its [`ComposeScratch`](ChunkAutomaton::ComposeScratch); see the
 /// [`JoinScratchOf`] alias.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct JoinScratch<M, C> {
-    /// Left-composed prefix `λ_k ∘ … ∘ λ_1` of the fold so far.
-    acc: M,
-    /// Output slot of the next composition, swapped with `acc`.
-    tmp: M,
+    /// The prefix of an odd number of factors lives in `pair[1]`, of an
+    /// even number in `pair[0]`; each composition writes the other one.
+    /// The first factor moves into `pair[1]`, so only that buffer trades
+    /// places with the callers' mapping slots: a slot never gets back a
+    /// buffer that only ever held composed prefixes.
+    pair: [M; 2],
     /// The CA's composition working memory.
     compose: C,
+    /// Factors folded in since the last `start`.
+    factors: usize,
+    /// The prefix has no surviving run: every extension rejects, so
+    /// later pushes are skipped.
+    dead: bool,
 }
 
-impl<M: Default, C: Default> Default for JoinScratch<M, C> {
-    fn default() -> JoinScratch<M, C> {
-        JoinScratch {
-            acc: M::default(),
-            tmp: M::default(),
-            compose: C::default(),
+impl<M, C> JoinScratch<M, C> {
+    /// Restarts the fold at the empty prefix (the empty text).
+    pub(crate) fn start(&mut self) {
+        self.factors = 0;
+        self.dead = false;
+    }
+
+    /// Folds the next chunk's mapping onto the prefix. The first factor
+    /// must come from [`scan_first_into`](ChunkAutomaton::scan_first_into)
+    /// and moves into the fold: `mapping` gets a spare buffer back, so
+    /// pass a slot that is scanned into before it is read again. Later
+    /// factors are composed onto the prefix and left as they are.
+    pub(crate) fn push<CA>(&mut self, ca: &CA, mapping: &mut M)
+    where
+        CA: ChunkAutomaton<Mapping = M, ComposeScratch = C> + ?Sized,
+    {
+        if self.factors == 0 {
+            std::mem::swap(&mut self.pair[1], mapping);
+            self.factors = 1;
+            self.dead = ca.mapping_is_dead(&self.pair[1]);
+        } else {
+            self.compose(ca, mapping);
         }
+    }
+
+    /// Composes `right` onto a prefix of at least one factor.
+    fn compose<CA>(&mut self, ca: &CA, right: &M)
+    where
+        CA: ChunkAutomaton<Mapping = M, ComposeScratch = C> + ?Sized,
+    {
+        if self.dead {
+            return;
+        }
+        let [even, odd] = &mut self.pair;
+        let (prefix, out) = if self.factors % 2 == 1 {
+            (&*odd, even)
+        } else {
+            (&*even, odd)
+        };
+        ca.compose_into(prefix, right, &mut self.compose, out);
+        self.dead = ca.mapping_is_dead(out);
+        self.factors += 1;
+    }
+
+    /// Starts the fold at `second ⊙ first`, for a borrowed first factor.
+    fn compose_pair<CA>(&mut self, ca: &CA, first: &M, second: &M)
+    where
+        CA: ChunkAutomaton<Mapping = M, ComposeScratch = C> + ?Sized,
+    {
+        ca.compose_into(first, second, &mut self.compose, &mut self.pair[0]);
+        self.dead = ca.mapping_is_dead(&self.pair[0]);
+        self.factors = 2;
+    }
+
+    /// `true` once the prefix has no surviving run: composing further
+    /// chunks onto it can never accept.
+    pub(crate) fn is_dead(&self) -> bool {
+        self.dead
+    }
+
+    /// The verdict of the prefix folded so far. An empty fold is the
+    /// empty text, resolved by one non-speculative empty scan.
+    pub(crate) fn accepts<CA>(&mut self, ca: &CA) -> bool
+    where
+        CA: ChunkAutomaton<Mapping = M, ComposeScratch = C> + ?Sized,
+    {
+        if self.factors == 0 {
+            ca.scan_first_into(b"", &mut NoCount, &mut self.pair[1]);
+            return ca.accepts_mapping(&self.pair[1]);
+        }
+        ca.accepts_mapping(&self.pair[self.factors % 2])
+    }
+
+    /// The verdict of `mappings` folded from the empty prefix; the slots
+    /// are left as [`push`](JoinScratch::push) leaves them.
+    pub(crate) fn join<CA>(&mut self, ca: &CA, mappings: &mut [M]) -> bool
+    where
+        CA: ChunkAutomaton<Mapping = M, ComposeScratch = C> + ?Sized,
+    {
+        self.start();
+        for mapping in mappings {
+            self.push(ca, mapping);
+        }
+        self.accepts(ca)
+    }
+
+    /// Sizes the buffer the first factor moves into like a mapping slot
+    /// (one interior scan of `sample`), since it trades places with one.
+    pub(crate) fn warm<CA>(&mut self, ca: &CA, sample: &[u8], scratch: &mut CA::Scratch)
+    where
+        CA: ChunkAutomaton<Mapping = M, ComposeScratch = C> + ?Sized,
+    {
+        ca.scan_into(sample, scratch, &mut NoCount, &mut self.pair[1]);
     }
 }
 
@@ -191,7 +290,7 @@ pub trait ChunkAutomaton: Sync {
         false
     }
 
-    /// Serial join through a reusable scratch: the left fold of
+    /// Serial join through a reusable fold: the left fold of
     /// [`compose_into`](ChunkAutomaton::compose_into) over the chunk
     /// mappings, then
     /// [`accepts_mapping`](ChunkAutomaton::accepts_mapping).
@@ -200,31 +299,20 @@ pub trait ChunkAutomaton: Sync {
     fn join_with(
         &self,
         mappings: &[Self::Mapping],
-        scratch: &mut JoinScratch<Self::Mapping, Self::ComposeScratch>,
+        fold: &mut JoinScratch<Self::Mapping, Self::ComposeScratch>,
     ) -> bool {
+        fold.start();
         match mappings {
-            [] => {
-                // Zero chunks = the empty text: a single non-speculative
-                // empty scan resolves acceptance of ε.
-                self.scan_first_into(b"", &mut NoCount, &mut scratch.acc);
-                self.accepts_mapping(&scratch.acc)
-            }
+            [] => fold.accepts(self),
             [only] => self.accepts_mapping(only),
-            [first, rest @ ..] => {
-                self.compose_into(first, &rest[0], &mut scratch.compose, &mut scratch.acc);
-                for mapping in &rest[1..] {
-                    if self.mapping_is_dead(&scratch.acc) {
-                        return false;
-                    }
-                    self.compose_into(
-                        &scratch.acc,
-                        mapping,
-                        &mut scratch.compose,
-                        &mut scratch.tmp,
-                    );
-                    std::mem::swap(&mut scratch.acc, &mut scratch.tmp);
+            // A borrowed first factor cannot move into the fold, so it
+            // enters composed with the second.
+            [first, second, rest @ ..] => {
+                fold.compose_pair(self, first, second);
+                for mapping in rest {
+                    fold.compose(self, mapping);
                 }
-                self.accepts_mapping(&scratch.acc)
+                fold.accepts(self)
             }
         }
     }

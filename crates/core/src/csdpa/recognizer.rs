@@ -1,9 +1,17 @@
 //! The full recognition device: chunking + parallel reach + serial join.
+//!
+//! The free entry points run the reach phase on spawned threads (see
+//! [`Executor`]); a [`Session`](super::Session) runs it on its pool. Both
+//! scan every chunk through the one chunk task of this module, which
+//! checks the budget probe, scans a first chunk from the initial state
+//! and an interior one speculatively, and adds the transitions of a
+//! counted recognition to one atomic tally — [`CountedOutcome`] carries
+//! the total, not a per-chunk breakdown.
 
-use std::sync::OnceLock;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
-use ridfa_automata::counter::{NoCount, TransitionCount};
+use ridfa_automata::counter::{Counter, NoCount, TransitionCount};
 
 use crate::parallel::run_indexed_with;
 
@@ -89,17 +97,6 @@ pub struct Outcome {
     pub kernel: Option<Kernel>,
 }
 
-/// Per-chunk measurements of an instrumented recognition.
-#[derive(Debug, Clone, Default)]
-pub struct ChunkStats {
-    /// Chunk length in bytes.
-    pub len: usize,
-    /// Transitions executed by all speculative runs of this chunk.
-    pub transitions: u64,
-    /// Wall time of this chunk's scan (within its worker thread).
-    pub scan_time: Duration,
-}
-
 /// Result of an instrumented recognition (paper Sect. 4.3 measurements).
 #[derive(Debug, Clone)]
 pub struct CountedOutcome {
@@ -109,8 +106,6 @@ pub struct CountedOutcome {
     pub num_chunks: usize,
     /// Total transitions across all chunks (the paper's workload measure).
     pub transitions: u64,
-    /// Per-chunk breakdown.
-    pub per_chunk: Vec<ChunkStats>,
     /// Wall time of the parallel reach phase.
     pub reach: Duration,
     /// Wall time of the serial join phase.
@@ -123,14 +118,13 @@ pub struct CountedOutcome {
 }
 
 impl CountedOutcome {
-    /// The counted outcome of a recognition whose chunk scans were
-    /// counted into `per_chunk`.
-    pub(super) fn from_parts(out: Outcome, per_chunk: Vec<ChunkStats>) -> CountedOutcome {
+    /// The counted outcome of a recognition whose chunk scans executed
+    /// `transitions` in total.
+    pub(super) fn from_parts(out: Outcome, transitions: u64) -> CountedOutcome {
         CountedOutcome {
             accepted: out.accepted,
             num_chunks: out.num_chunks,
-            transitions: per_chunk.iter().map(|s| s.transitions).sum(),
-            per_chunk,
+            transitions,
             reach: out.reach,
             join: out.join,
             executor: out.executor,
@@ -199,19 +193,18 @@ pub fn recognize_spans<CA: ChunkAutomaton>(
 
 /// The reach + join body over explicit spans, shared by every free entry
 /// point: [`Executor::Pooled`] degrades to its spawning shape, `probe`
-/// makes the scans interruptible, and `stats` (when given) receives the
-/// per-chunk counts and scan times.
+/// makes the scans interruptible, and `tally` (when given) receives the
+/// executed transitions.
 fn recognize_over<CA: ChunkAutomaton>(
     ca: &CA,
     text: &[u8],
     spans: &[std::ops::Range<usize>],
     executor: Executor,
     probe: Option<&InterruptProbe>,
-    stats: Option<&mut Vec<ChunkStats>>,
+    tally: Option<&AtomicU64>,
 ) -> Result<Outcome, RecognizeError> {
     debug_assert!(!spans.is_empty());
     let executor = executor.effective_spawning();
-    let cells = stat_cells(stats.is_some(), spans.len());
     let reach_start = Instant::now();
     let mappings = run_indexed_with(
         executor.workers(spans.len()),
@@ -219,22 +212,14 @@ fn recognize_over<CA: ChunkAutomaton>(
         CA::Scratch::default,
         |scratch, i| {
             let mut mapping = CA::Mapping::default();
-            // Arm (or clear) the in-scan probe; a tripped budget abandons
-            // the chunk outright — the partial mappings are discarded below.
-            ca.arm_interrupt(scratch, probe);
-            if !probe.is_some_and(|p| p.should_stop()) {
-                let chunk = &text[spans[i].clone()];
-                scan_chunk(ca, chunk, i == 0, scratch, &mut mapping, cells.get(i));
-            }
+            let task = || (&text[spans[i].clone()], i == 0);
+            scan_task(ca, task, scratch, &mut mapping, probe, tally);
             mapping
         },
     );
     let reach = reach_start.elapsed();
     if let Some(err) = probe.and_then(|p| p.status()) {
         return Err(err);
-    }
-    if let Some(stats) = stats {
-        collect_stats(cells, stats);
     }
     let join_start = Instant::now();
     let accepted = ca.join(&mappings);
@@ -244,80 +229,73 @@ fn recognize_over<CA: ChunkAutomaton>(
         reach,
         join: join_start.elapsed(),
         executor,
-        kernel: effective_kernel_for(ca, spans),
+        kernel: effective_kernel_for(ca, spans.iter().skip(1).map(|s| s.len())),
     })
 }
 
-/// Scans one chunk into `out`: from the known initial state when
-/// `first`, speculatively through `scratch` otherwise. With a `stats`
-/// cell the scan is counted and timed into it. Every reach phase —
-/// spawned, pooled or degraded — scans its chunks through here.
-pub(super) fn scan_chunk<CA: ChunkAutomaton>(
+/// One chunk task of a reach phase, spawned or pooled: arms (or clears)
+/// the budget probe on the scan scratch and gives the chunk up if the
+/// budget has tripped (the reach then returns the probe's error instead
+/// of the mappings). Otherwise it scans the chunk `task` names into
+/// `out` — from the initial state when it is a first chunk,
+/// speculatively through `scratch` otherwise — adding the executed
+/// transitions to `tally` when one is given.
+pub(super) fn scan_task<'t, CA: ChunkAutomaton>(
+    ca: &CA,
+    task: impl FnOnce() -> (&'t [u8], bool),
+    scratch: &mut CA::Scratch,
+    out: &mut CA::Mapping,
+    probe: Option<&InterruptProbe>,
+    tally: Option<&AtomicU64>,
+) {
+    ca.arm_interrupt(scratch, probe);
+    if probe.is_some_and(|p| p.should_stop()) {
+        return;
+    }
+    let (chunk, first) = task();
+    match tally {
+        None => scan(ca, chunk, first, scratch, &mut NoCount, out),
+        Some(tally) => {
+            let mut counter = TransitionCount::default();
+            scan(ca, chunk, first, scratch, &mut counter, out);
+            tally.fetch_add(counter.get(), Ordering::Relaxed);
+        }
+    }
+}
+
+/// Scans `chunk` into `out`, from the initial state when `first`.
+fn scan<CA: ChunkAutomaton>(
     ca: &CA,
     chunk: &[u8],
     first: bool,
     scratch: &mut CA::Scratch,
+    counter: &mut impl Counter,
     out: &mut CA::Mapping,
-    stats: Option<&OnceLock<ChunkStats>>,
 ) {
-    let Some(stats) = stats else {
-        if first {
-            ca.scan_first_into(chunk, &mut NoCount, out);
-        } else {
-            ca.scan_into(chunk, scratch, &mut NoCount, out);
-        }
-        return;
-    };
-    let mut counter = TransitionCount::default();
-    let scan_start = Instant::now();
     if first {
-        ca.scan_first_into(chunk, &mut counter, out);
+        ca.scan_first_into(chunk, counter, out);
     } else {
-        ca.scan_into(chunk, scratch, &mut counter, out);
+        ca.scan_into(chunk, scratch, counter, out);
     }
-    stats
-        .set(ChunkStats {
-            len: chunk.len(),
-            transitions: counter.get(),
-            scan_time: scan_start.elapsed(),
-        })
-        .expect("each chunk is scanned once");
-}
-
-/// The per-chunk stats cells of a reach over `n` chunks: one write-once
-/// cell per chunk when `counted`, none (and no allocation) otherwise.
-/// Chunk `i`'s scan reports through `cells.get(i)`.
-pub(super) fn stat_cells(counted: bool, n: usize) -> Vec<OnceLock<ChunkStats>> {
-    let n = if counted { n } else { 0 };
-    (0..n).map(|_| OnceLock::new()).collect()
-}
-
-/// Moves the filled [`stat_cells`] into `stats`, in chunk order.
-pub(super) fn collect_stats(cells: Vec<OnceLock<ChunkStats>>, stats: &mut Vec<ChunkStats>) {
-    stats.clear();
-    stats.extend(
-        cells
-            .into_iter()
-            .map(|c| c.into_inner().unwrap_or_default()),
-    );
 }
 
 /// The kernel recorded in outcomes: what the CA's speculative scan
-/// dispatch resolves to for the *largest* interior chunk (chunk sizes of
-/// one recognition differ by at most one byte, so the answer is uniform
-/// in practice). `None` for single-chunk runs — only the first chunk ran,
-/// deterministically, outside the speculative kernel.
+/// dispatch resolves to for the *longest* of the interior chunks whose
+/// lengths `interior` yields (chunk sizes of one recognition differ by
+/// at most one byte, so the answer is uniform in practice). `None` for
+/// single-chunk runs — only the first chunk ran, deterministically,
+/// outside the speculative kernel.
 pub(super) fn effective_kernel_for<CA: ChunkAutomaton>(
     ca: &CA,
-    spans: &[std::ops::Range<usize>],
+    interior: impl IntoIterator<Item = usize>,
 ) -> Option<Kernel> {
-    let longest = spans.iter().skip(1).map(|s| s.len()).max()?;
-    ca.effective_kernel(longest)
+    ca.effective_kernel(interior.into_iter().max()?)
 }
 
-/// Like [`recognize`] but tallying executed transitions per chunk — the
-/// quantity Fig. 7 / Tab. 3 of the paper report. Slightly slower than
-/// [`recognize`]; never mix the two in one timing comparison.
+/// Like [`recognize`] but tallying the executed transitions of every
+/// chunk scan — the quantity Fig. 7 / Tab. 3 of the paper report.
+/// Slightly slower than [`recognize`]; never mix the two in one timing
+/// comparison.
 pub fn recognize_counted<CA: ChunkAutomaton>(
     ca: &CA,
     text: &[u8],
@@ -325,10 +303,10 @@ pub fn recognize_counted<CA: ChunkAutomaton>(
     executor: Executor,
 ) -> CountedOutcome {
     let spans = chunk_spans(text.len(), num_chunks);
-    let mut per_chunk = Vec::new();
-    let out = recognize_over(ca, text, &spans, executor, None, Some(&mut per_chunk))
+    let tally = AtomicU64::new(0);
+    let out = recognize_over(ca, text, &spans, executor, None, Some(&tally))
         .expect("unbudgeted recognition cannot be interrupted");
-    CountedOutcome::from_parts(out, per_chunk)
+    CountedOutcome::from_parts(out, tally.into_inner())
 }
 
 /// Serial whole-text recognition with the same automaton — the speedup
@@ -404,9 +382,6 @@ mod tests {
         assert!(out.accepted);
         assert_eq!(out.num_chunks, 2);
         assert_eq!(out.transitions, 9, "paper Fig. 1 bottom-right total");
-        assert_eq!(out.per_chunk.len(), 2);
-        assert_eq!(out.per_chunk[0].transitions, 3);
-        assert_eq!(out.per_chunk[1].transitions, 6);
     }
 
     #[test]

@@ -5,13 +5,17 @@
 //! (under a [`ConstructionBudget`]) or loaded from binary artifacts —
 //! together with the precomputed tables a chunk automaton needs
 //! (premultiplied rows, interface positions), the pattern's resolved
-//! [`Engine`], and a pinned warm [`Session`]/[`StreamSession`] pair per
-//! pattern. Every lane scans through the engine's one chunk automaton,
-//! whichever engine it is. Every session runs on
-//! the *same* [`ThreadPool`], so `n` resident patterns cost one set of
-//! worker threads, not `n`; concurrent recognitions serialize on the
-//! pool's single scope slot while each pattern's scratch/mapping caches
-//! stay warm and private.
+//! [`Engine`], and one pinned warm [`Session`] per pattern. Every lane
+//! scans through the engine's one chunk automaton, whichever engine it
+//! is, and every chunk scan of every lane — batch, stream, and both
+//! block lanes — is a reach phase of the pattern's session. Every
+//! session runs on the *same* [`ThreadPool`], so `n` resident patterns
+//! cost one set of worker threads, not `n`; concurrent recognitions
+//! serialize on the pool's single scope slot while each pattern's
+//! scratch/mapping caches stay warm and private. Streams of every
+//! pattern read through one block ring (see
+//! [`recognize_stream`](PatternRegistry::recognize_stream)), so the
+//! ring's memory does not grow with the number of patterns.
 //!
 //! Residency is bounded: [`RegistryConfig::max_table_bytes`] caps the
 //! total bytes of resident automaton tables, and inserting past the cap
@@ -33,16 +37,17 @@ use ridfa_automata::dfa::premultiply;
 use ridfa_automata::nfa::{glushkov, Nfa};
 use ridfa_automata::regex;
 use ridfa_automata::serialize::binary::DecodeError;
-use ridfa_automata::{ConstructionBudget, Error, NoCount, StateId};
+use ridfa_automata::{ConstructionBudget, Error, StateId};
 
 use crate::parallel::{PoolHealth, ThreadPool};
 use crate::ridfa::{artifact, RiDfa};
 use crate::sfa::Sfa;
 
 use super::budget::StreamError;
-use super::kernel::Scratch;
+use super::chunking::{chunk_count, chunk_span};
 use super::plan::{Engine, EngineCa, EngineMapping, EnginePlan, FeasibleTable};
-use super::{ChunkAutomaton, Outcome, RidCa, Session, StreamOutcome, StreamSession};
+use super::stream::{self, BlockRing};
+use super::{JoinScratch, Outcome, RidCa, Session, StreamOutcome};
 
 /// Sizing and bounding knobs of a [`PatternRegistry`].
 #[derive(Debug, Clone)]
@@ -50,7 +55,11 @@ pub struct RegistryConfig {
     /// Workers of the one shared pool (≥ 1; the calling thread joins
     /// every reach phase, so scan parallelism is `num_workers + 1`).
     pub num_workers: usize,
-    /// Block size of each pattern's warm [`StreamSession`].
+    /// Block size of the one block ring that
+    /// [`recognize_stream`](PatternRegistry::recognize_stream) reads
+    /// every pattern's streams through
+    /// (`2 × (num_workers + 1)` blocks; see
+    /// [`StreamSession`](super::StreamSession)).
     pub block_size: usize,
     /// Construction budget applied to every fresh build
     /// ([`PatternRegistry::insert_regex`] / [`insert_nfa`](PatternRegistry::insert_nfa)).
@@ -211,10 +220,9 @@ struct PatternEntry {
     /// Record-separator byte carried from the artifact (chunk-boundary
     /// snapping hint for record-structured workloads).
     separator: Option<u8>,
-    /// Pinned warm batch session (scratches/mappings stay allocated).
+    /// Pinned warm session (scratches/mappings stay allocated): every
+    /// chunk scan of this pattern is one of its reach phases.
     session: Session,
-    /// Pinned warm streaming session (block ring stays allocated).
-    stream: StreamSession,
     /// Resident table bytes this entry accounts for.
     resident_bytes: usize,
     /// LRU clock stamp of the most recent use.
@@ -275,16 +283,11 @@ pub fn resident_footprint(rid: &RiDfa, premultiplied_len: usize) -> usize {
 /// zero steady-state allocations.
 #[derive(Default)]
 pub struct StreamScan {
-    mapping: EngineMapping,
-    incoming: EngineMapping,
-    composed: EngineMapping,
-    scratch: Scratch,
-    compose: (Vec<StateId>, Vec<StateId>),
-    started: bool,
-    dead: bool,
-    /// Epoch of the pattern entry this scan is bound to (set on the
-    /// first block; see [`RegistryError::PatternReloaded`]).
-    epoch: u64,
+    /// The composed prefix of every block fed since the last reset.
+    fold: JoinScratch<EngineMapping, (Vec<StateId>, Vec<StateId>)>,
+    /// Epoch of the pattern entry this scan is bound to, from its first
+    /// non-empty block on (see [`RegistryError::PatternReloaded`]).
+    epoch: Option<u64>,
     bytes: u64,
 }
 
@@ -297,8 +300,8 @@ impl StreamScan {
     /// Clears verdict-carrying state for the next request, keeping every
     /// buffer's allocation.
     pub fn reset(&mut self) {
-        self.started = false;
-        self.dead = false;
+        self.fold.start();
+        self.epoch = None;
         self.bytes = 0;
     }
 
@@ -311,7 +314,7 @@ impl StreamScan {
     /// verdict is already `rejected` and remaining input need not be
     /// scanned (the caller may drain or close early).
     pub fn is_dead(&self) -> bool {
-        self.dead
+        self.fold.is_dead()
     }
 }
 
@@ -326,6 +329,9 @@ pub struct PatternRegistry {
     /// zero — [`ServerReport::verify`](crate::serve::ServerReport) can
     /// reconcile per-pattern sums against the connection tally.
     retired: HashMap<String, PatternStats>,
+    /// The block ring every pattern's streams read through, one at a
+    /// time.
+    ring: BlockRing,
     clock: u64,
     evictions: u64,
 }
@@ -335,6 +341,7 @@ impl PatternRegistry {
     pub fn new(config: RegistryConfig) -> PatternRegistry {
         let pool = Arc::new(ThreadPool::new(config.num_workers));
         PatternRegistry {
+            ring: BlockRing::new(pool.num_workers() + 1, config.block_size),
             pool,
             config,
             entries: Vec::new(),
@@ -457,17 +464,9 @@ impl PatternRegistry {
             ptable,
             engine,
         };
+        // Pre-warm the session, so the first request hits warm caches.
         let mut session = Session::with_shared_pool(Arc::clone(&self.pool));
-        let mut stream =
-            StreamSession::with_shared_pool(Arc::clone(&self.pool), self.config.block_size);
-        // The artifact's record separator drives separator-snapped block
-        // planning on the warm stream session: block boundaries land on
-        // record boundaries, so speculative starts converge immediately.
-        stream.set_separator(separator);
-        // Pre-warm both sessions, so the first request hits warm caches.
-        let ca = tables.ca();
-        session.warm(&ca, b"warm");
-        stream.warm(&ca, b"warm");
+        session.warm(&tables.ca(), b"warm");
         let last_used = self.next_stamp();
         // A re-inserted id continues its retired counters (hot reload
         // must not zero a pattern's stats).
@@ -477,7 +476,6 @@ impl PatternRegistry {
             tables,
             separator,
             session,
-            stream,
             resident_bytes,
             last_used,
             epoch: last_used,
@@ -525,56 +523,47 @@ impl PatternRegistry {
     }
 
     /// Streaming recognition of `reader` against pattern `id` on the
-    /// pattern's warm [`StreamSession`] (bounded memory, early rejection).
+    /// pattern's warm session (bounded memory, early rejection), reading
+    /// through the registry's one block ring. The pattern's record
+    /// separator, if its artifact carried one, snaps the ring's blocks
+    /// to record boundaries, so speculative starts converge immediately.
     pub fn recognize_stream<R: Read + Send>(
         &mut self,
         id: &str,
         reader: R,
     ) -> Result<StreamOutcome, RegistryError> {
         let stamp = self.next_stamp();
-        let entry = self.entry_mut(id)?;
+        let i = self.index(id)?;
+        let entry = &mut self.entries[i];
         entry.last_used = stamp;
-        match entry.stream.recognize_stream(&entry.tables.ca(), reader) {
+        self.ring.separator = entry.separator;
+        let ca = entry.tables.ca();
+        match stream::stream(&mut entry.session, &mut self.ring, &ca, reader, None) {
             Ok(out) => {
                 entry.stats.record(out.accepted, out.bytes);
                 Ok(out)
             }
             Err(e) => {
                 entry.stats.record_error();
-                Err(RegistryError::Stream(StreamError::Io(e)))
+                Err(RegistryError::Stream(e))
             }
         }
     }
 
     /// Scans one more block of an in-flight stream (incremental
-    /// λ-composition; see [`StreamScan`]). Returns
+    /// λ-composition; see [`StreamScan`]) on the caller, as a one-task
+    /// reach phase of the pattern's warm session. Returns
     /// [`StreamScan::is_dead`] after the block — once dead, further
     /// blocks only count bytes, and the caller may answer `rejected`
     /// early. Dead-cheap per call: the chunk automaton borrows cached
-    /// tables and the scan reuses the state's buffers.
+    /// tables, and the scan reuses the session's and the state's buffers.
     pub fn scan_block(
         &mut self,
         id: &str,
         scan: &mut StreamScan,
         block: &[u8],
     ) -> Result<bool, RegistryError> {
-        let stamp = self.next_stamp();
-        let entry = self.entry_mut(id)?;
-        entry.last_used = stamp;
-        if scan.started && scan.epoch != entry.epoch {
-            return Err(RegistryError::PatternReloaded { id: id.to_string() });
-        }
-        scan.bytes += block.len() as u64;
-        if scan.dead {
-            return Ok(true);
-        }
-        let first = !scan.started;
-        if first {
-            scan.started = true;
-            scan.epoch = entry.epoch;
-        }
-        scan_block_step(&entry.tables.ca(), scan, block, first);
-        Ok(scan.dead)
+        self.scan_in(id, scan, block, 1)
     }
 
     /// Like [`scan_block`](PatternRegistry::scan_block), but the block is
@@ -596,47 +585,42 @@ impl PatternRegistry {
         scan: &mut StreamScan,
         block: &[u8],
     ) -> Result<bool, RegistryError> {
+        let claimants = self.pool.num_workers() + 1;
+        self.scan_in(id, scan, block, claimants)
+    }
+
+    /// The block lanes: `block` cut into up to `tasks` balanced spans,
+    /// scanned by one reach phase of the pattern's session and folded in
+    /// order onto `scan`'s prefix. An empty block scans nothing.
+    fn scan_in(
+        &mut self,
+        id: &str,
+        scan: &mut StreamScan,
+        block: &[u8],
+        tasks: usize,
+    ) -> Result<bool, RegistryError> {
         let stamp = self.next_stamp();
         let entry = self.entry_mut(id)?;
         entry.last_used = stamp;
-        if scan.started && scan.epoch != entry.epoch {
+        if scan.epoch.is_some_and(|epoch| epoch != entry.epoch) {
             return Err(RegistryError::PatternReloaded { id: id.to_string() });
         }
         scan.bytes += block.len() as u64;
-        if scan.dead {
-            return Ok(true);
+        if block.is_empty() || scan.fold.is_dead() {
+            return Ok(scan.fold.is_dead());
         }
-        if block.is_empty() {
-            return Ok(false);
-        }
-        let first = !scan.started;
-        if first {
-            scan.started = true;
-            scan.epoch = entry.epoch;
-        }
+        let first = scan.epoch.replace(entry.epoch).is_none();
         let ca = entry.tables.ca();
-        let claimants = entry.session.num_workers() + 1;
-        let spans = entry
+        let n = chunk_count(block.len(), tasks);
+        let task = |i| (&block[chunk_span(block.len(), n, i)], first && i == 0);
+        let (mappings, _) = entry
             .session
-            .reach(&ca, block, claimants, first, None, None)
+            .reach(&ca, n, task, None, None)
             .expect("unbudgeted reach cannot be interrupted");
-        // Serial join: fold the span mappings onto the composed prefix,
-        // left to right (the first-chunk mapping, if any, is leftmost).
-        for (t, mapping) in spans.iter_mut().enumerate() {
-            if t == 0 && first {
-                std::mem::swap(&mut scan.mapping, mapping);
-            } else {
-                ca.compose_into(
-                    &scan.mapping,
-                    mapping,
-                    &mut scan.compose,
-                    &mut scan.composed,
-                );
-                std::mem::swap(&mut scan.mapping, &mut scan.composed);
-            }
+        for mapping in mappings {
+            scan.fold.push(&ca, mapping);
         }
-        scan.dead = ca.mapping_is_dead(&scan.mapping);
-        Ok(scan.dead)
+        Ok(scan.fold.is_dead())
     }
 
     /// Ends an in-flight stream: the verdict of everything fed through
@@ -644,16 +628,12 @@ impl PatternRegistry {
     /// Updates the pattern's counters and resets `scan` for reuse.
     pub fn finish_scan(&mut self, id: &str, scan: &mut StreamScan) -> Result<bool, RegistryError> {
         let entry = self.entry_mut(id)?;
-        if scan.started && scan.epoch != entry.epoch {
+        if scan.epoch.is_some_and(|epoch| epoch != entry.epoch) {
             scan.reset();
             return Err(RegistryError::PatternReloaded { id: id.to_string() });
         }
-        let ca = entry.tables.ca();
-        if !scan.started {
-            // Zero-length stream: the verdict of the empty text.
-            ca.scan_first_into(b"", &mut NoCount, &mut scan.mapping);
-        }
-        let accepted = !scan.dead && ca.accepts_mapping(&scan.mapping);
+        // A scan fed no bytes is the empty text: the fold resolves it.
+        let accepted = scan.fold.accepts(&entry.tables.ca());
         entry.stats.record(accepted, scan.bytes);
         scan.reset();
         Ok(accepted)
@@ -769,30 +749,16 @@ impl PatternRegistry {
         self.entries.iter().position(|e| e.id == id)
     }
 
-    fn entry_mut(&mut self, id: &str) -> Result<&mut PatternEntry, RegistryError> {
-        match self.index_of(id) {
-            Some(i) => Ok(&mut self.entries[i]),
-            None => Err(RegistryError::UnknownPattern(id.to_string())),
-        }
+    /// The index of pattern `id`, or the typed error of an unknown id.
+    fn index(&self, id: &str) -> Result<usize, RegistryError> {
+        self.index_of(id)
+            .ok_or_else(|| RegistryError::UnknownPattern(id.to_string()))
     }
-}
 
-/// One serial block step: the first block of a stream seeds the prefix;
-/// later blocks are scanned as interior chunks and composed onto it.
-fn scan_block_step(ca: &EngineCa<'_>, scan: &mut StreamScan, block: &[u8], first: bool) {
-    if first {
-        ca.scan_first_into(block, &mut NoCount, &mut scan.mapping);
-    } else {
-        ca.scan_into(block, &mut scan.scratch, &mut NoCount, &mut scan.incoming);
-        ca.compose_into(
-            &scan.mapping,
-            &scan.incoming,
-            &mut scan.compose,
-            &mut scan.composed,
-        );
-        std::mem::swap(&mut scan.mapping, &mut scan.composed);
+    fn entry_mut(&mut self, id: &str) -> Result<&mut PatternEntry, RegistryError> {
+        let i = self.index(id)?;
+        Ok(&mut self.entries[i])
     }
-    scan.dead = ca.mapping_is_dead(&scan.mapping);
 }
 
 #[cfg(test)]

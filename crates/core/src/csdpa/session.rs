@@ -13,27 +13,33 @@
 //! * **per-worker resident scratches** — pool worker `w` reuses *its own*
 //!   scan scratch for every chunk of every text it ever claims, so kernel
 //!   warm-up happens once per worker per session;
-//! * **buffer reuse** — chunk spans, λ-mapping slots, and join buffers
-//!   all live in the session; once warm (see [`Session::warm`]),
-//!   [`Session::recognize`] performs **zero heap allocations** per text
-//!   (asserted by `tests/session_alloc.rs` with a counting allocator);
+//! * **buffer reuse** — λ-mapping slots and the join fold all live in
+//!   the session; once warm (see [`Session::warm`]),
+//!   [`Session::recognize`] and [`Session::recognize_counted`] perform
+//!   **zero heap allocations** per text (asserted by
+//!   `tests/session_alloc.rs` with a counting allocator);
 //! * a batch path — [`Session::recognize_many`] pipelines a whole slice
 //!   of texts through the pool as one task stream: chunk scans of text
 //!   `t+1` start while scans of text `t` are still in flight, with a
 //!   single quiescence point per *batch* instead of a barrier per text.
 //!
-//! Every pooled batch — the reach phase, the batch path, and each level
-//! of the tree-reduce join — goes through
-//! [`ThreadPool::invoke_each`]: task `i` receives `&mut mappings[i]` (or
-//! its tree-level output slot) from the pool, claimed by index, so each
-//! chunk's mapping slot is a plain `&mut` held by the one claimant that
-//! scans it, and this module needs no `unsafe`.
+//! Every pooled chunk scan of the crate goes through one reach phase,
+//! the crate-private `Session::reach`: single texts, counted texts,
+//! batches, each wave of a [`StreamSession`](super::StreamSession) and
+//! the registry's block lanes. It is one
+//! [`ThreadPool::invoke_each`] batch in which task `i` receives
+//! `&mut mappings[i]` from the pool, claimed by index, so each chunk's
+//! mapping slot is a plain `&mut` held by the one claimant that scans
+//! it, and this module needs no `unsafe`. Its callers fold the filled
+//! slots left to right through the session's
+//! [`JoinScratch`](super::JoinScratch).
 //!
 //! One session serves any mix of chunk-automaton types; the typed buffers
 //! are cached per CA type and rebuilt transparently when the type
 //! changes (keep one session per CA type if that matters for latency).
 
 use std::any::Any;
+use std::sync::atomic::AtomicU64;
 use std::time::Instant;
 
 use ridfa_automata::counter::NoCount;
@@ -41,9 +47,9 @@ use ridfa_automata::counter::NoCount;
 use crate::parallel::{PoolHealth, ThreadPool};
 
 use super::budget::{run_budgeted, Budget, Degraded, InterruptProbe, RecognizeError};
+use super::chunking::{chunk_count, chunk_span};
 use super::{
-    chunk_spans_into, recognizer, ChunkAutomaton, ChunkStats, CountedOutcome, Executor,
-    JoinScratch, JoinScratchOf, Outcome,
+    recognizer, ChunkAutomaton, CountedOutcome, Executor, JoinScratch, JoinScratchOf, Outcome,
 };
 
 /// Minimum chunk count before [`Session::recognize`] switches from the
@@ -62,6 +68,14 @@ struct BatchTask {
     first: bool,
 }
 
+/// The reusable task table of a batch.
+#[derive(Default)]
+struct Batch {
+    tasks: Vec<BatchTask>,
+    /// `offsets[t]..offsets[t+1]` = task/mapping indices of text `t`.
+    offsets: Vec<usize>,
+}
+
 /// The per-CA-type buffer set a session keeps warm.
 struct TypedCache<S, M, C> {
     /// One scan scratch per pool worker plus one for the calling thread
@@ -70,7 +84,7 @@ struct TypedCache<S, M, C> {
     /// λ-mapping slots, one per chunk task; grown to the high-water mark
     /// and reused across texts.
     mappings: Vec<M>,
-    /// Join-phase working memory (fold accumulators + compose scratch).
+    /// The join fold.
     join: JoinScratch<M, C>,
     /// Output slots of one tree-reduce level (high-water sized).
     tree: Vec<M>,
@@ -87,7 +101,7 @@ type TypedCacheOf<CA> = TypedCache<
 >;
 
 /// A persistent recognition session: worker pool + warm per-worker scan
-/// scratches + reusable chunk/λ/join buffers.
+/// scratches + reusable λ-mapping slots and join fold.
 ///
 /// ```
 /// use ridfa_core::csdpa::{Session, RidCa};
@@ -107,16 +121,12 @@ type TypedCacheOf<CA> = TypedCache<
 /// ```
 pub struct Session {
     pool: std::sync::Arc<ThreadPool>,
-    /// Reusable chunk spans of the current text.
-    spans: Vec<std::ops::Range<usize>>,
-    /// Reusable flattened task table of a batch.
-    batch: Vec<BatchTask>,
-    /// `offsets[t]..offsets[t+1]` = `batch`/mapping indices of text `t`.
-    offsets: Vec<usize>,
+    /// Reusable task table of a batch.
+    batch: Batch,
     /// The [`TypedCache`] of the most recent CA type.
     cache: Option<Box<dyn Any + Send>>,
-    /// Why the most recent recognition ran degraded, if it did (cleared
-    /// at the start of every recognition).
+    /// Why the most recent reach ran degraded, if it did (cleared at the
+    /// start of every reach).
     last_degraded: Option<Degraded>,
 }
 
@@ -148,9 +158,7 @@ impl Session {
     pub fn with_shared_pool(pool: std::sync::Arc<ThreadPool>) -> Session {
         Session {
             pool,
-            spans: Vec::new(),
-            batch: Vec::new(),
-            offsets: Vec::new(),
+            batch: Batch::default(),
             cache: None,
             last_degraded: None,
         }
@@ -181,47 +189,96 @@ impl Session {
     }
 
     /// Why the most recent recognition ran degraded, or `None` if it ran
-    /// at full shape. Cleared at the start of every recognition, so a
+    /// at full shape. Cleared at the start of every reach phase, so a
     /// healed pool reads `None` again on the next call.
     pub fn last_degraded(&self) -> Option<Degraded> {
         self.last_degraded
     }
 
-    /// Heals the pool and decides whether this recognition must degrade:
-    /// returns the reason when the pool is below quorum after healing.
-    fn check_quorum(&mut self) -> Option<Degraded> {
-        self.pool.heal();
-        self.last_degraded = None;
-        let health = self.pool.health();
-        if health.below_quorum() {
-            let reason = Degraded::PoolBelowQuorum {
-                live: health.live,
-                configured: health.configured,
-            };
-            self.last_degraded = Some(reason);
-            Some(reason)
-        } else {
-            None
-        }
-    }
-
-    /// Pre-warms every per-worker scratch (and the join buffers) against
-    /// `ca` by scanning `sample` once per slot on the calling thread.
+    /// Pre-warms every per-worker scratch, one mapping slot per claimant
+    /// and the join fold against `ca` by scanning `sample` on the
+    /// calling thread.
     ///
     /// Without this, a pool worker that happens not to claim any chunk of
     /// the first few texts still pays its scratch warm-up allocations the
     /// first time it does — harmless, but latency-visible. After `warm`
-    /// plus one recognition (which sizes the mapping slots), a session
-    /// recognizes without allocating.
+    /// plus one recognition (which sizes the rest of the mapping slots),
+    /// a session recognizes without allocating.
     pub fn warm<CA: ChunkAutomaton>(&mut self, ca: &CA, sample: &[u8]) {
-        let cache = typed_cache::<CA>(&mut self.cache, self.pool.num_workers() + 1);
-        let mut interior = CA::Mapping::default();
-        for scratch in cache.scratches.iter_mut() {
-            ca.scan_into(sample, scratch, &mut NoCount, &mut interior);
+        let claimants = self.pool.num_workers() + 1;
+        let cache = typed_cache::<CA>(&mut self.cache, claimants);
+        if cache.mappings.len() < claimants {
+            cache.mappings.resize_with(claimants, CA::Mapping::default);
         }
-        let mut first = CA::Mapping::default();
-        ca.scan_first_into(sample, &mut NoCount, &mut first);
-        let _ = ca.join_with(std::slice::from_ref(&first), &mut cache.join);
+        for (scratch, slot) in cache.scratches.iter_mut().zip(&mut cache.mappings) {
+            ca.scan_into(sample, scratch, &mut NoCount, slot);
+        }
+        cache.join.warm(ca, sample, &mut cache.scratches[0]);
+    }
+
+    /// The one pooled reach phase: runs `tasks` chunk scans into the
+    /// first `tasks` mapping slots and returns them, in task order, with
+    /// the session's join fold (which the reach leaves untouched).
+    /// `task(i)` names task `i`'s chunk and whether it is a first chunk
+    /// (scanned from the initial state); it runs on the claimant that
+    /// scans the chunk, right before the scan, so a stream's task 0
+    /// reads the next wave there.
+    ///
+    /// Dead pool workers are respawned first; if the pool is still below
+    /// quorum, every task runs serially on the caller and
+    /// [`Session::last_degraded`] records why. With `probe` the scans are
+    /// interruptible, and a tripped budget returns its error instead of
+    /// the mappings; with `tally` every scan adds its executed
+    /// transitions to it.
+    pub(crate) fn reach<'t, CA, F>(
+        &mut self,
+        ca: &CA,
+        tasks: usize,
+        task: F,
+        probe: Option<&InterruptProbe>,
+        tally: Option<&AtomicU64>,
+    ) -> Result<(&mut [CA::Mapping], &mut JoinScratchOf<CA>), RecognizeError>
+    where
+        CA: ChunkAutomaton,
+        F: Fn(usize) -> (&'t [u8], bool) + Sync,
+    {
+        let degraded = self.check_quorum();
+        let cache = typed_cache::<CA>(&mut self.cache, self.pool.num_workers() + 1);
+        if cache.mappings.len() < tasks {
+            cache.mappings.resize_with(tasks, CA::Mapping::default);
+        }
+        let slots = &mut cache.mappings[..tasks];
+        let work = |scratch: &mut CA::Scratch, i: usize, out: &mut CA::Mapping| {
+            recognizer::scan_task(ca, || task(i), scratch, out, probe, tally);
+        };
+        if degraded {
+            let caller = cache
+                .scratches
+                .last_mut()
+                .expect("one scratch per claimant");
+            for (i, slot) in slots.iter_mut().enumerate() {
+                work(caller, i, slot);
+            }
+        } else {
+            self.pool.invoke_each(&mut cache.scratches, slots, work);
+        }
+        if let Some(err) = probe.and_then(|p| p.status()) {
+            return Err(err);
+        }
+        Ok((&mut cache.mappings[..tasks], &mut cache.join))
+    }
+
+    /// Heals the pool and decides whether this reach must degrade:
+    /// `true` (with the reason in [`Session::last_degraded`]) when the
+    /// pool is below quorum after healing.
+    fn check_quorum(&mut self) -> bool {
+        self.pool.heal();
+        let health = self.pool.health();
+        self.last_degraded = health.below_quorum().then_some(Degraded::PoolBelowQuorum {
+            live: health.live,
+            configured: health.configured,
+        });
+        self.last_degraded.is_some()
     }
 
     /// Recognizes `text` on the session pool — the warm counterpart of
@@ -261,77 +318,28 @@ impl Session {
         })
     }
 
-    /// The reach phase of one text: heal + quorum policy, chunk spans,
-    /// then every chunk scanned into its own mapping slot — on the pool,
-    /// or serially on the caller when the pool is below quorum
-    /// ([`Session::last_degraded`] records which). Span 0 is scanned
-    /// from the initial state only when `first`: the registry's pooled
-    /// lane scans later slices of a stream as interior chunks. With
-    /// `stats` every scan is counted and timed into it (one entry per
-    /// chunk). With `probe` the scans are interruptible, and a
-    /// tripped budget returns its error instead of the mappings. Returns
-    /// the filled mapping slots in text order.
-    pub(crate) fn reach<CA: ChunkAutomaton>(
-        &mut self,
-        ca: &CA,
-        text: &[u8],
-        num_chunks: usize,
-        first: bool,
-        probe: Option<&InterruptProbe>,
-        stats: Option<&mut Vec<ChunkStats>>,
-    ) -> Result<&mut [CA::Mapping], RecognizeError> {
-        let degraded = self.check_quorum().is_some();
-        chunk_spans_into(text.len(), num_chunks, &mut self.spans);
-        let n = self.spans.len();
-        let cache = typed_cache::<CA>(&mut self.cache, self.pool.num_workers() + 1);
-        if cache.mappings.len() < n {
-            cache.mappings.resize_with(n, CA::Mapping::default);
-        }
-        let cells = recognizer::stat_cells(stats.is_some(), n);
-        let spans = &self.spans;
-        run_each(
-            &self.pool,
-            degraded,
-            &mut cache.scratches,
-            &mut cache.mappings[..n],
-            |scratch, i, out| {
-                ca.arm_interrupt(scratch, probe);
-                if probe.is_some_and(|p| p.should_stop()) {
-                    return; // abandoned: the probe's error below skips the join
-                }
-                let chunk = &text[spans[i].clone()];
-                recognizer::scan_chunk(ca, chunk, first && i == 0, scratch, out, cells.get(i));
-            },
-        );
-        if let Some(err) = probe.and_then(|p| p.status()) {
-            return Err(err);
-        }
-        if let Some(stats) = stats {
-            recognizer::collect_stats(cells, stats);
-        }
-        Ok(&mut cache.mappings[..n])
-    }
-
     /// Shared body of the single-text entry points: the
-    /// [`reach`](Session::reach) phase, then the join — the serial fold,
-    /// or the parallel tree reduction once the chunk count makes the
-    /// O(c) fold a barrier.
+    /// [`reach`](Session::reach) over balanced chunks, then the join —
+    /// the serial fold, or the parallel tree reduction once the chunk
+    /// count makes the O(c) fold a barrier.
     fn recognize_inner<CA: ChunkAutomaton>(
         &mut self,
         ca: &CA,
         text: &[u8],
         num_chunks: usize,
         probe: Option<&InterruptProbe>,
-        stats: Option<&mut Vec<ChunkStats>>,
+        tally: Option<&AtomicU64>,
     ) -> Result<Outcome, RecognizeError> {
         let reach_start = Instant::now();
-        let n = self.reach(ca, text, num_chunks, true, probe, stats)?.len();
+        let n = chunk_count(text.len(), num_chunks);
+        let span = |i| chunk_span(text.len(), n, i);
+        self.reach(ca, n, |i| (&text[span(i)], i == 0), probe, tally)?;
         let reach = reach_start.elapsed();
-        let degraded = self.last_degraded.is_some();
         let join_start = Instant::now();
+        let degraded = self.last_degraded.is_some();
         let cache = typed_cache::<CA>(&mut self.cache, self.pool.num_workers() + 1);
         let accepted = if degraded || n < TREE_JOIN_MIN {
-            ca.join_with(&cache.mappings[..n], &mut cache.join)
+            cache.join.join(ca, &mut cache.mappings[..n])
         } else {
             tree_join(&self.pool, ca, cache, n)
         };
@@ -345,25 +353,26 @@ impl Session {
             } else {
                 Executor::Pooled
             },
-            kernel: recognizer::effective_kernel_for(ca, &self.spans),
+            kernel: recognizer::effective_kernel_for(ca, (n > 1).then(|| span(1).len())),
         })
     }
 
-    /// Like [`Session::recognize`] but tallying executed transitions per
-    /// chunk (paper Sect. 4.3), under the same quorum policy. The
-    /// instrumentation buffers are per-call, so this path allocates;
-    /// never mix it into a timing comparison with the uncounted path.
+    /// Like [`Session::recognize`] but tallying the executed transitions
+    /// (paper Sect. 4.3) into one atomic counter, under the same quorum
+    /// policy; allocation-free once warm like the uncounted path. The
+    /// counted scans are slower, so never mix the two in one timing
+    /// comparison.
     pub fn recognize_counted<CA: ChunkAutomaton>(
         &mut self,
         ca: &CA,
         text: &[u8],
         num_chunks: usize,
     ) -> CountedOutcome {
-        let mut per_chunk = Vec::new();
+        let tally = AtomicU64::new(0);
         let out = self
-            .recognize_inner(ca, text, num_chunks, None, Some(&mut per_chunk))
+            .recognize_inner(ca, text, num_chunks, None, Some(&tally))
             .expect("unbudgeted recognition cannot be interrupted");
-        CountedOutcome::from_parts(out, per_chunk)
+        CountedOutcome::from_parts(out, tally.into_inner())
     }
 
     /// Recognizes with an explicit [`Executor`] shape:
@@ -436,52 +445,41 @@ impl Session {
         T: AsRef<[u8]> + Sync,
     {
         assert!(u32::try_from(texts.len()).is_ok(), "batch too large");
-        let degraded = self.check_quorum().is_some();
-        self.batch.clear();
-        self.offsets.clear();
+        // The task table leaves the session for the reach, which borrows
+        // the whole session; it comes back below, buffers intact.
+        let mut batch = std::mem::take(&mut self.batch);
+        batch.tasks.clear();
+        batch.offsets.clear();
         for (t, text) in texts.iter().enumerate() {
-            self.offsets.push(self.batch.len());
-            chunk_spans_into(text.as_ref().len(), num_chunks, &mut self.spans);
-            for (ci, span) in self.spans.iter().enumerate() {
-                self.batch.push(BatchTask {
+            batch.offsets.push(batch.tasks.len());
+            let len = text.as_ref().len();
+            let n = chunk_count(len, num_chunks);
+            batch.tasks.extend((0..n).map(|i| {
+                let span = chunk_span(len, n, i);
+                BatchTask {
                     text: t as u32,
                     start: span.start,
                     end: span.end,
-                    first: ci == 0,
-                });
-            }
-        }
-        self.offsets.push(self.batch.len());
-        let total = self.batch.len();
-        let cache = typed_cache::<CA>(&mut self.cache, self.pool.num_workers() + 1);
-        if cache.mappings.len() < total {
-            cache.mappings.resize_with(total, CA::Mapping::default);
-        }
-        let batch = &self.batch;
-        run_each(
-            &self.pool,
-            degraded,
-            &mut cache.scratches,
-            &mut cache.mappings[..total],
-            |scratch, i, out| {
-                ca.arm_interrupt(scratch, probe);
-                if probe.is_some_and(|p| p.should_stop()) {
-                    return; // abandoned: the error return below skips the join
+                    first: i == 0,
                 }
-                let task = &batch[i];
-                let chunk = &texts[task.text as usize].as_ref()[task.start..task.end];
-                recognizer::scan_chunk(ca, chunk, task.first, scratch, out, None);
-            },
-        );
-        if let Some(err) = probe.and_then(|p| p.status()) {
-            return Err(err);
+            }));
         }
-        Ok((0..texts.len())
-            .map(|t| {
-                let mappings = &cache.mappings[self.offsets[t]..self.offsets[t + 1]];
-                ca.join_with(mappings, &mut cache.join)
-            })
-            .collect())
+        batch.offsets.push(batch.tasks.len());
+        let task = |i: usize| {
+            let task = &batch.tasks[i];
+            let text = texts[task.text as usize].as_ref();
+            (&text[task.start..task.end], task.first)
+        };
+        let verdicts =
+            self.reach(ca, batch.tasks.len(), task, probe, None)
+                .map(|(mappings, join)| {
+                    let offsets = &batch.offsets;
+                    (0..texts.len())
+                        .map(|t| join.join(ca, &mut mappings[offsets[t]..offsets[t + 1]]))
+                        .collect()
+                });
+        self.batch = batch;
+        verdicts
     }
 }
 
@@ -505,26 +503,6 @@ fn typed_cache<CA: ChunkAutomaton>(
         .as_mut()
         .and_then(|c| c.downcast_mut())
         .expect("the cache holds this CA type's buffers")
-}
-
-/// Runs `work(local, i, &mut slots[i])` for every slot: as one pooled
-/// [`invoke_each`](ThreadPool::invoke_each) batch, or — when the pool is
-/// below quorum — serially on the caller's own slot, the last of
-/// `locals`.
-fn run_each<S, T, F>(pool: &ThreadPool, degraded: bool, locals: &mut [S], slots: &mut [T], work: F)
-where
-    S: Send,
-    T: Send,
-    F: Fn(&mut S, usize, &mut T) + Sync,
-{
-    if degraded {
-        let caller = locals.last_mut().expect("one local slot per claimant");
-        for (i, slot) in slots.iter_mut().enumerate() {
-            work(caller, i, slot);
-        }
-    } else {
-        pool.invoke_each(locals, slots, work);
-    }
 }
 
 /// Parallel tree-reduce join over the first `n` mapping slots: each
@@ -566,7 +544,7 @@ fn tree_join<CA: ChunkAutomaton>(
         }
         len = pairs + odd;
     }
-    ca.join_with(&mappings[..len], join)
+    join.join(ca, &mut mappings[..len])
 }
 
 #[cfg(test)]
@@ -620,9 +598,6 @@ mod tests {
         assert!(out.accepted);
         assert_eq!(out.num_chunks, 2);
         assert_eq!(out.transitions, 9, "paper Fig. 1 bottom-right total");
-        assert_eq!(out.per_chunk.len(), 2);
-        assert_eq!(out.per_chunk[0].transitions, 3);
-        assert_eq!(out.per_chunk[1].transitions, 6);
     }
 
     #[test]

@@ -3,30 +3,30 @@
 //! in memory.
 //!
 //! Every other recognition path ([`recognize`](super::recognize),
-//! [`Session`](super::Session)) needs the whole text resident and buffers
-//! all `c` chunk mappings before the join. A [`StreamSession`] instead
-//! exploits the associativity of λ-composition
-//! ([`ChunkAutomaton::compose_into`]): the join is an **incremental left
-//! fold**, so only *one* composed prefix mapping has to live at any time,
-//! and blocks can be scanned as they arrive.
+//! [`Session`]) needs the whole text resident and buffers all `c` chunk
+//! mappings before the join. A [`StreamSession`] instead exploits the
+//! associativity of λ-composition ([`ChunkAutomaton::compose_into`]):
+//! the join is an **incremental left fold**, so only the composed
+//! prefix mapping has to survive from one wave to the next, and blocks
+//! can be scanned as they arrive.
 //!
-//! The execution shape is a double-buffered wave pipeline over the
-//! persistent [`ThreadPool`]:
+//! A stream session is a [`Session`] plus a block ring. The execution
+//! shape is a double-buffered wave pipeline:
 //!
 //! * the text is read in fixed-size **blocks** into a ring of
 //!   `2 × (workers + 1)` reusable buffers — live buffer memory is
 //!   `O(workers · block_size)` regardless of stream length
 //!   ([`StreamSession::buffer_bytes`] accounts for it exactly);
-//! * each wave is one [`invoke_each`](ThreadPool::invoke_each) batch
-//!   with one task per block of the current wave, and task 0 **reads the
-//!   next wave** before its scan — I/O overlaps the other blocks' scans.
-//!   Each task writes its own ring slot through the plain `&mut` the
-//!   pool hands it, and the read-ahead state sits behind a lock only
-//!   task 0 takes, so the wave needs no `unsafe`;
-//! * after each wave the caller **eagerly composes** the finished
-//!   mappings into the running prefix *in arrival order*, so mapping
-//!   memory is O(1) live mappings (plus the per-slot scan outputs of one
-//!   ring) — there is no O(c) buffered join barrier;
+//! * each wave is one reach phase of the session, with one task per
+//!   block of the current wave, and task 0 **reads the next wave** into
+//!   the other half of the ring before its scan — I/O overlaps the other
+//!   blocks' scans. The read-ahead state sits behind a lock only task 0
+//!   takes, so the wave needs no `unsafe`;
+//! * after each wave the session's [`JoinScratch`](super::JoinScratch)
+//!   **eagerly composes** the finished mappings onto the running prefix
+//!   *in arrival order*: a stream of any length holds one mapping slot
+//!   per block of a wave plus the fold's two — there is no O(c) buffered
+//!   join barrier;
 //! * a composed prefix with no surviving run
 //!   ([`ChunkAutomaton::mapping_is_dead`]) rejects the entire stream, so
 //!   the session stops reading **early** instead of scanning gigabytes of
@@ -37,18 +37,20 @@
 //! [`StreamOutcome`]. Once warm, a stream session performs **zero heap
 //! allocations per block** (asserted by `tests/stream_alloc.rs` with a
 //! counting allocator).
+//!
+//! The [`PatternRegistry`](super::PatternRegistry) streams every pattern
+//! through the pattern's own session and one block ring shared by all
+//! patterns.
 
-use std::any::Any;
 use std::io::{self, Read};
+use std::sync::atomic::AtomicU64;
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
-
-use ridfa_automata::counter::{NoCount, TransitionCount};
 
 use crate::parallel::{PoolHealth, ThreadPool};
 
 use super::budget::{run_budgeted, Budget, Degraded, InterruptProbe, StreamError};
-use super::{ChunkAutomaton, Kernel};
+use super::{ChunkAutomaton, Kernel, Session};
 
 /// Result of a streaming recognition.
 #[derive(Debug, Clone)]
@@ -91,22 +93,46 @@ struct Block {
     len: usize,
 }
 
-/// The per-CA-type buffer set a stream session keeps warm.
-struct StreamCache<S, M, C> {
-    /// One scan scratch per pool worker plus one for the caller.
-    scratches: Vec<S>,
-    /// One `(mapping, transitions)` output slot per ring block.
-    slots: Vec<(M, u64)>,
-    /// The stream's very first block's `(mapping, transitions)`: scanned
-    /// into its ring slot like every block, then swapped out here so it
-    /// outlives the ring's reuse.
-    first: (M, u64),
-    /// The composed prefix `λ_k ⊙ … ⊙ λ_1` of everything consumed so far.
-    acc: M,
-    /// Output slot of the next composition, swapped with `acc`.
-    tmp: M,
-    /// The CA's composition working memory.
-    compose: C,
+/// The block ring of a stream: two waves of one fixed-size block per
+/// reach-phase claimant, the record separator blocks are snapped to, and
+/// the carry the snapping leaves. Its buffers are allocated once, so a
+/// ring serves any number of streams — of one session, or of every
+/// pattern of a registry.
+pub(crate) struct BlockRing {
+    /// `2 × claimants` fixed-size buffers.
+    blocks: Vec<Block>,
+    /// Record separator for boundary snapping
+    /// ([`StreamSession::set_separator`]); `None` = plain length-based
+    /// blocks.
+    pub(crate) separator: Option<u8>,
+    /// The snapped-off tail of the previous block, seeding the next one.
+    /// Lives outside the ring so [`StreamSession::buffer_bytes`] keeps
+    /// its exact `ring × block_size` accounting.
+    carry: Vec<u8>,
+}
+
+impl BlockRing {
+    /// A ring for `claimants` reach-phase claimants of `block_size`-byte
+    /// (≥ 1) blocks.
+    pub(crate) fn new(claimants: usize, block_size: usize) -> BlockRing {
+        let block_size = block_size.max(1);
+        BlockRing {
+            blocks: (0..2 * claimants)
+                .map(|_| Block {
+                    data: vec![0u8; block_size],
+                    len: 0,
+                })
+                .collect(),
+            separator: None,
+            // Worst-case carry is one byte short of a block; reserving it
+            // here keeps every stream allocation-free.
+            carry: Vec::with_capacity(block_size),
+        }
+    }
+
+    fn block_size(&self) -> usize {
+        self.blocks[0].data.len()
+    }
 }
 
 /// State of the read-ahead, which task 0 of every wave runs.
@@ -117,7 +143,7 @@ struct ReadAhead<'a, R> {
     /// (record separator); the cut-off tail rides in `carry`.
     separator: Option<u8>,
     /// Bytes deferred past the previous block's snap point, to seed the
-    /// next block. Always shorter than one block; owned by the session so
+    /// next block. Always shorter than one block; owned by the ring so
     /// it survives across waves.
     carry: &'a mut Vec<u8>,
     /// Blocks of the next wave holding at least one byte.
@@ -126,8 +152,9 @@ struct ReadAhead<'a, R> {
     error: Option<io::Error>,
 }
 
-/// A persistent streaming recognition session: worker pool + block ring +
-/// warm per-worker scan scratches + the O(1) composition state.
+/// A persistent streaming recognition session: a [`Session`] (worker
+/// pool, warm per-worker scan scratches, mapping slots and join fold)
+/// plus a block ring.
 ///
 /// ```
 /// use std::io::Cursor;
@@ -147,24 +174,8 @@ struct ReadAhead<'a, R> {
 /// assert_eq!(out.bytes, text.len() as u64);
 /// ```
 pub struct StreamSession {
-    pool: std::sync::Arc<ThreadPool>,
-    block_size: usize,
-    /// `2 × (workers + 1)` fixed-size buffers: two waves of one block per
-    /// reach-phase claimant.
-    blocks: Vec<Block>,
-    /// The [`StreamCache`] of the most recent CA type.
-    cache: Option<Box<dyn Any + Send>>,
-    /// Record separator for boundary snapping
-    /// ([`StreamSession::set_separator`]); `None` = plain length-based
-    /// blocks.
-    separator: Option<u8>,
-    /// The snapped-off tail of the previous block, seeding the next one.
-    /// Lives outside the ring so [`StreamSession::buffer_bytes`] keeps
-    /// its exact `ring × block_size` accounting.
-    carry: Vec<u8>,
-    /// Why the most recent stream ran degraded, if it did (cleared at the
-    /// start of every stream).
-    last_degraded: Option<Degraded>,
+    session: Session,
+    ring: BlockRing,
 }
 
 impl StreamSession {
@@ -179,7 +190,7 @@ impl StreamSession {
 
     /// Like [`StreamSession::new`] but with a bounded worker-respawn
     /// budget (see [`ThreadPool::with_respawn_limit`]). A pool below
-    /// quorum does not stop a stream — the calling thread drives every
+    /// quorum does not stop a stream — the calling thread scans every
     /// wave itself — but the loss of parallelism is recorded in
     /// [`StreamSession::last_degraded`].
     pub fn with_respawn_limit(
@@ -202,21 +213,9 @@ impl StreamSession {
     /// Waves from different sessions serialize on the pool's single
     /// scope slot; each session keeps its own block ring and caches.
     pub fn with_shared_pool(pool: std::sync::Arc<ThreadPool>, block_size: usize) -> StreamSession {
-        let block_size = block_size.max(1);
-        let ring = 2 * (pool.num_workers() + 1);
         StreamSession {
-            pool,
-            block_size,
-            blocks: (0..ring)
-                .map(|_| Block {
-                    data: vec![0u8; block_size],
-                    len: 0,
-                })
-                .collect(),
-            cache: None,
-            separator: None,
-            carry: Vec::new(),
-            last_degraded: None,
+            ring: BlockRing::new(pool.num_workers() + 1, block_size),
+            session: Session::with_shared_pool(pool),
         }
     }
 
@@ -234,18 +233,12 @@ impl StreamSession {
     /// never snapped. The verdict is independent of the setting — only
     /// where the scan boundaries fall changes.
     pub fn set_separator(&mut self, sep: Option<u8>) {
-        self.separator = sep;
-        self.carry.clear();
-        if sep.is_some() {
-            // Worst-case carry is one byte short of a block; reserving it
-            // here keeps the steady state allocation-free.
-            self.carry.reserve(self.block_size);
-        }
+        self.ring.separator = sep;
     }
 
     /// The record separator blocks are snapped to, if any.
     pub fn separator(&self) -> Option<u8> {
-        self.separator
+        self.ring.separator
     }
 
     /// Creates a session sized to the machine (one pool worker per core,
@@ -257,35 +250,35 @@ impl StreamSession {
 
     /// Number of pool workers (excluding the participating caller).
     pub fn num_workers(&self) -> usize {
-        self.pool.num_workers()
+        self.session.num_workers()
     }
 
     /// The session's worker pool, for health inspection and fault
     /// injection in tests.
     pub fn pool(&self) -> &ThreadPool {
-        &self.pool
+        self.session.pool()
     }
 
     /// Worker-pool health after the most recent heal pass.
     pub fn health(&self) -> PoolHealth {
-        self.pool.health()
+        self.session.health()
     }
 
-    /// Why the most recent stream ran degraded, or `None` if the pool was
-    /// at quorum. Cleared at the start of every stream.
+    /// Why the most recent wave ran degraded (serially on the caller), or
+    /// `None` if the pool was at quorum.
     pub fn last_degraded(&self) -> Option<Degraded> {
-        self.last_degraded
+        self.session.last_degraded()
     }
 
     /// Block size in bytes.
     pub fn block_size(&self) -> usize {
-        self.block_size
+        self.ring.block_size()
     }
 
     /// Number of block buffers in the ring
     /// (`2 × (`[`num_workers`](StreamSession::num_workers)` + 1)`).
     pub fn ring_blocks(&self) -> usize {
-        self.blocks.len()
+        self.ring.blocks.len()
     }
 
     /// Exact bytes held by the block ring — the session's text-buffer
@@ -293,43 +286,21 @@ impl StreamSession {
     /// [`ring_blocks`](StreamSession::ring_blocks)` × `
     /// [`block_size`](StreamSession::block_size).
     pub fn buffer_bytes(&self) -> usize {
-        self.blocks.iter().map(|b| b.data.capacity()).sum()
+        self.ring.blocks.iter().map(|b| b.data.capacity()).sum()
     }
 
     /// Number of live λ-mapping slots a stream of any length uses: one
-    /// per ring block, the dedicated first-block slot, and the two
-    /// composition accumulators.
+    /// per block of a wave (half the ring) and the join fold's two.
     pub fn live_mappings(&self) -> usize {
-        self.blocks.len() + 3
+        self.ring.blocks.len() / 2 + 2
     }
 
-    /// Pre-warms every per-worker scratch, mapping slot, and the
-    /// composition buffers against `ca` so the next
+    /// Pre-warms the session's per-worker scratches, one mapping slot per
+    /// block of a wave and the join fold against `ca` so the next
     /// [`recognize_stream`](StreamSession::recognize_stream) runs
     /// allocation-free from its first block.
     pub fn warm<CA: ChunkAutomaton>(&mut self, ca: &CA, sample: &[u8]) {
-        let StreamCache {
-            scratches,
-            slots,
-            first,
-            acc,
-            tmp,
-            compose,
-        } = stream_cache::<CA>(&mut self.cache, self.pool.num_workers() + 1);
-        for scratch in scratches.iter_mut() {
-            ca.scan_into(sample, scratch, &mut NoCount, tmp);
-        }
-        // `first` trades buffers with ring slots, so it is sized like one.
-        for (slot, _) in slots.iter_mut().chain(std::iter::once(&mut *first)) {
-            ca.scan_into(sample, &mut scratches[0], &mut NoCount, slot);
-        }
-        ca.scan_first_into(sample, &mut NoCount, &mut first.0);
-        // Two compositions size the accumulator/compose buffers in both
-        // roles (first ⊙ interior seeding `acc`, then prefix ⊙ interior).
-        ca.compose_into(&first.0, &slots[0].0, compose, acc);
-        ca.compose_into(acc, &slots[0].0, compose, tmp);
-        std::mem::swap(acc, tmp);
-        ca.compose_into(acc, &slots[0].0, compose, tmp);
+        self.session.warm(ca, sample);
     }
 
     /// Recognizes the entire `reader` stream, scanning it in
@@ -348,7 +319,7 @@ impl StreamSession {
         CA: ChunkAutomaton,
         R: Read + Send,
     {
-        match self.run_stream(ca, reader, None) {
+        match stream(&mut self.session, &mut self.ring, ca, reader, None) {
             Ok(out) => Ok(out),
             Err(StreamError::Io(e)) => Err(e),
             Err(other) => unreachable!("unbudgeted stream cannot be interrupted: {other}"),
@@ -356,8 +327,9 @@ impl StreamSession {
     }
 
     /// Like [`StreamSession::recognize_stream`] but bounded by `budget`:
-    /// the deadline/cancellation probe is checked after every wave (and
-    /// once per classification block inside kernel scans), so expiry is
+    /// the deadline/cancellation probe is checked at every block claim
+    /// and once per classification block inside kernel scans, and a
+    /// tripped probe fails the stream after its wave, so expiry is
     /// noticed within one wave of I/O. On any error — typed interruption
     /// or reader I/O failure — the session remains fully reusable and the
     /// block ring does not grow ([`StreamSession::buffer_bytes`] is
@@ -373,246 +345,126 @@ impl StreamSession {
         CA: ChunkAutomaton,
         R: Read + Send,
     {
-        run_budgeted(budget, |probe| self.run_stream(ca, reader, probe))
+        run_budgeted(budget, |probe| {
+            stream(&mut self.session, &mut self.ring, ca, reader, probe)
+        })
+    }
+}
+
+/// Recognizes the `reader` stream through `session` and `ring`: each wave
+/// of blocks is one [`Session::reach`] (whose task 0 reads the next
+/// wave), and the session's join fold composes every finished wave onto
+/// the running prefix. `probe` is the only difference between the plain
+/// and the budgeted path.
+pub(crate) fn stream<CA, R>(
+    session: &mut Session,
+    ring: &mut BlockRing,
+    ca: &CA,
+    mut reader: R,
+    probe: Option<&InterruptProbe>,
+) -> Result<StreamOutcome, StreamError>
+where
+    CA: ChunkAutomaton,
+    R: Read + Send,
+{
+    let start = Instant::now();
+    let block_size = ring.block_size();
+    let BlockRing {
+        blocks,
+        separator,
+        carry,
+    } = ring;
+    let separator = *separator;
+    // Stale carry from an aborted stream must not leak into this one.
+    carry.clear();
+    let half = blocks.len() / 2;
+    let (mut cur_wave, mut next_wave) = blocks.split_at_mut(half);
+
+    // Prologue: the first wave is read on the caller (nothing to overlap
+    // with yet).
+    let mut prologue = ReadAhead {
+        reader: &mut reader,
+        blocks: &mut *cur_wave,
+        separator,
+        carry: &mut *carry,
+        filled: 0,
+        eof: false,
+        error: None,
+    };
+    fill_wave(&mut prologue);
+    let mut eof = prologue.eof;
+    let mut count = prologue.filled;
+    if let Some(e) = prologue.error {
+        return Err(StreamError::Io(e));
     }
 
-    /// Shared body of the streaming entry points; `probe` is the only
-    /// difference between the plain and the budgeted path.
-    fn run_stream<CA, R>(
-        &mut self,
-        ca: &CA,
-        reader: R,
-        probe: Option<&InterruptProbe>,
-    ) -> Result<StreamOutcome, StreamError>
-    where
-        CA: ChunkAutomaton,
-        R: Read + Send,
-    {
-        self.pool.heal();
-        self.last_degraded = None;
-        let health = self.pool.health();
-        if health.below_quorum() {
-            // The caller drives every wave itself, so a depleted pool
-            // costs parallelism, not progress — record it and carry on.
-            self.last_degraded = Some(Degraded::PoolBelowQuorum {
-                live: health.live,
-                configured: health.configured,
-            });
-        }
-        let mut reader = reader;
-        let wave = self.pool.num_workers() + 1;
-        let StreamCache {
-            scratches,
-            slots,
-            first,
-            acc,
-            tmp,
-            compose,
-        } = stream_cache::<CA>(&mut self.cache, wave);
-        // Stale carry from an aborted stream must not leak into this one.
-        self.carry.clear();
-        let separator = self.separator;
-        let carry = &mut self.carry;
-
-        debug_assert_eq!(self.blocks.len(), 2 * wave);
-        debug_assert_eq!(slots.len(), 2 * wave);
-
-        let start = Instant::now();
-        let mut compose_time = Duration::ZERO;
-        let mut bytes = 0u64;
-        let mut blocks_done = 0u64;
-        let mut transitions = 0u64;
-        let mut rejected_early = false;
-
-        // Prologue: the first wave is read on the caller (nothing to
-        // overlap with yet).
-        let (w0, w1) = self.blocks.split_at_mut(wave);
-        let mut prologue = ReadAhead {
+    let tally = AtomicU64::new(0);
+    let mut compose = Duration::ZERO;
+    let mut bytes = 0u64;
+    let mut blocks_done = 0u64;
+    let mut first_wave = true;
+    let (accepted, rejected_early) = loop {
+        // Locked once per wave, by task 0 only.
+        let read_ahead = Mutex::new(ReadAhead {
             reader: &mut reader,
-            blocks: w0,
+            blocks: &mut *next_wave,
             separator,
             carry: &mut *carry,
             filled: 0,
             eof: false,
             error: None,
+        });
+        let wave = &cur_wave[..count];
+        let task = |i: usize| {
+            if i == 0 && !eof {
+                fill_wave(&mut read_ahead.lock().expect("read-ahead poisoned"));
+            }
+            (&wave[i].data[..wave[i].len], first_wave && i == 0)
         };
-        fill_wave(&mut prologue);
-        let mut eof = prologue.eof;
-        let mut cur_count = prologue.filled;
-        if let Some(e) = prologue.error {
+        // An empty stream runs one empty wave: its reach still heals the
+        // pool and hands over the join fold.
+        let (mappings, fold) = session.reach(ca, count, task, probe, Some(&tally))?;
+        let read_ahead = read_ahead.into_inner().expect("read-ahead poisoned");
+
+        // Eager in-order composition of the finished wave: only the
+        // fold's prefix survives it.
+        let compose_start = Instant::now();
+        if first_wave {
+            fold.start();
+        }
+        for (mapping, block) in mappings.iter_mut().zip(wave) {
+            fold.push(ca, mapping);
+            bytes += block.len as u64;
+        }
+        blocks_done += count as u64;
+        compose += compose_start.elapsed();
+        first_wave = false;
+
+        if let Some(e) = read_ahead.error {
             return Err(StreamError::Io(e));
         }
-        let (mut cur_wave, mut next_wave) = (&mut *w0, &mut *w1);
-
-        let mut cur = 0usize; // ring half holding the wave being scanned
-        let mut first_wave = true;
-        while cur_count > 0 {
-            // Locked once per wave, by task 0 only.
-            let read_ahead = Mutex::new(ReadAhead {
-                reader: &mut reader,
-                blocks: &mut *next_wave,
-                separator,
-                carry: &mut *carry,
-                filled: 0,
-                eof: false,
-                error: None,
-            });
-            // One task per block of the wave, each writing its own ring
-            // slot. Task 0 first reads the next wave into the other half
-            // of the ring (until EOF), so the I/O overlaps the other
-            // blocks' scans.
-            let base = cur * wave;
-            let blocks = &cur_wave[..cur_count];
-            self.pool.invoke_each(
-                scratches,
-                &mut slots[base..base + cur_count],
-                |scratch, i, (mapping, count)| {
-                    ca.arm_interrupt(scratch, probe);
-                    if probe.is_some_and(|p| p.should_stop()) {
-                        return; // abandoned: the post-wave check bails out
-                    }
-                    if i == 0 && !eof {
-                        fill_wave(&mut read_ahead.lock().expect("read-ahead poisoned"));
-                    }
-                    let chunk = &blocks[i].data[..blocks[i].len];
-                    let mut counter = TransitionCount::default();
-                    if first_wave && i == 0 {
-                        ca.scan_first_into(chunk, &mut counter, mapping);
-                    } else {
-                        ca.scan_into(chunk, scratch, &mut counter, mapping);
-                    }
-                    *count = counter.get();
-                },
-            );
-            let read_ahead = read_ahead.into_inner().expect("read-ahead poisoned");
-
-            // A budget trip mid-wave leaves partial slot data: discard
-            // the wave and surface the typed error. The ring and the
-            // cache stay in place, so the session stays reusable.
-            if probe.is_some_and(|p| p.should_stop()) {
-                let err = probe
-                    .and_then(|p| p.status())
-                    .expect("tripped probe reports a status");
-                return Err(err.into());
-            }
-            if first_wave {
-                // The first block's mapping moves to its dedicated slot
-                // (a pointer swap, so both buffers stay warm).
-                std::mem::swap(first, &mut slots[base]);
-            }
-
-            // Eager in-order composition of the finished wave: the only
-            // mapping that survives it is the composed prefix `acc`. The
-            // first two blocks seed `acc` directly (`first ⊙ block`), so
-            // `acc`/`tmp` only ever hold composition-shaped mappings and
-            // keep their buffers warm across streams; a single-block
-            // stream takes its verdict straight from the first slot.
-            let compose_start = Instant::now();
-            let mut b = 0;
-            if first_wave {
-                transitions += first.1;
-                bytes += cur_wave[0].len as u64;
-                blocks_done += 1;
-                b = 1;
-                if cur_count >= 2 {
-                    transitions += slots[cur * wave + 1].1;
-                    bytes += cur_wave[1].len as u64;
-                    blocks_done += 1;
-                    ca.compose_into(&first.0, &slots[cur * wave + 1].0, compose, acc);
-                    b = 2;
-                }
-            }
-            while b < cur_count {
-                let slot = cur * wave + b;
-                transitions += slots[slot].1;
-                bytes += cur_wave[b].len as u64;
-                blocks_done += 1;
-                ca.compose_into(acc, &slots[slot].0, compose, tmp);
-                std::mem::swap(acc, tmp);
-                b += 1;
-            }
-            compose_time += compose_start.elapsed();
-            first_wave = false;
-
-            if let Some(e) = read_ahead.error {
-                return Err(StreamError::Io(e));
-            }
-            eof |= read_ahead.eof;
-            let next_count = read_ahead.filled;
-
-            // A dead prefix rejects every possible continuation: stop
-            // reading instead of scanning the rest of the stream. (`acc`
-            // is only seeded once two blocks exist; a single-block
-            // stream is already at EOF.)
-            let prefix_dead = if blocks_done >= 2 {
-                ca.mapping_is_dead(acc)
-            } else {
-                ca.mapping_is_dead(&first.0)
-            };
-            if prefix_dead && !(eof && next_count == 0) {
-                rejected_early = true;
-                break;
-            }
-
-            cur_count = next_count;
-            std::mem::swap(&mut cur_wave, &mut next_wave);
-            cur = 1 - cur;
+        eof |= read_ahead.eof;
+        count = read_ahead.filled;
+        if count == 0 {
+            break (fold.accepts(ca), false);
         }
-
-        let accepted = if rejected_early {
-            false
-        } else if blocks_done == 0 {
-            // Empty stream: acceptance of ε via one empty first scan.
-            ca.scan_first_into(b"", &mut NoCount, &mut first.0);
-            ca.accepts_mapping(&first.0)
-        } else if blocks_done == 1 {
-            ca.accepts_mapping(&first.0)
-        } else {
-            ca.accepts_mapping(acc)
-        };
-        Ok(StreamOutcome {
-            accepted,
-            bytes,
-            blocks: blocks_done,
-            transitions,
-            elapsed: start.elapsed(),
-            compose: compose_time,
-            rejected_early,
-            kernel: ca.effective_kernel(self.block_size),
-        })
-    }
-}
-
-/// The [`StreamCache`] of a chunk automaton.
-type StreamCacheOf<CA> = StreamCache<
-    <CA as ChunkAutomaton>::Scratch,
-    <CA as ChunkAutomaton>::Mapping,
-    <CA as ChunkAutomaton>::ComposeScratch,
->;
-
-/// The warm buffer set for `CA`, rebuilt in place if the session last
-/// served a different CA type. `claimants` is the pool's worker count
-/// plus the calling thread.
-fn stream_cache<CA: ChunkAutomaton>(
-    cache: &mut Option<Box<dyn Any + Send>>,
-    claimants: usize,
-) -> &mut StreamCacheOf<CA> {
-    if !cache.as_ref().is_some_and(|c| c.is::<StreamCacheOf<CA>>()) {
-        *cache = Some(Box::new(StreamCacheOf::<CA> {
-            scratches: (0..claimants).map(|_| CA::Scratch::default()).collect(),
-            slots: (0..2 * claimants)
-                .map(|_| (CA::Mapping::default(), 0))
-                .collect(),
-            first: (CA::Mapping::default(), 0),
-            acc: CA::Mapping::default(),
-            tmp: CA::Mapping::default(),
-            compose: CA::ComposeScratch::default(),
-        }));
-    }
-    cache
-        .as_mut()
-        .and_then(|c| c.downcast_mut())
-        .expect("the cache holds this CA type's buffers")
+        // A dead prefix rejects every possible continuation: stop
+        // reading instead of scanning the rest of the stream.
+        if fold.is_dead() {
+            break (false, true);
+        }
+        std::mem::swap(&mut cur_wave, &mut next_wave);
+    };
+    Ok(StreamOutcome {
+        accepted,
+        bytes,
+        blocks: blocks_done,
+        transitions: tally.into_inner(),
+        elapsed: start.elapsed(),
+        compose,
+        rejected_early,
+        kernel: ca.effective_kernel(block_size),
+    })
 }
 
 /// Fills consecutive blocks of `ra.blocks` until the reader is exhausted

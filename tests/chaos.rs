@@ -144,7 +144,6 @@ fn depleted_pool_degrades_to_serial_with_a_recorded_reason() {
     let counted = session.recognize_counted(&ca, &texts[0], 8);
     assert!(counted.accepted);
     assert_eq!(counted.executor, Executor::Serial, "must degrade, not limp");
-    assert_eq!(counted.per_chunk.len(), counted.num_chunks);
     assert!(session.last_degraded().is_some());
     let roomy = Budget::with_timeout(Duration::from_secs(3600));
     let out = session
@@ -160,6 +159,22 @@ fn depleted_pool_degrades_to_serial_with_a_recorded_reason() {
             .unwrap_err(),
         RecognizeError::DeadlineExceeded
     );
+
+    // A stream's waves are reach phases of its session: below quorum the
+    // caller scans every block and reads ahead itself, still correct.
+    let mut stream = StreamSession::with_respawn_limit(4, 64, 0);
+    kill_workers(stream.pool(), 3);
+    for (text, &expected) in texts.iter().zip(&expected) {
+        let out = stream.recognize_stream(&ca, Cursor::new(text)).unwrap();
+        assert_eq!(out.accepted, expected);
+        assert_eq!(
+            stream.last_degraded(),
+            Some(Degraded::PoolBelowQuorum {
+                live: 1,
+                configured: 4
+            })
+        );
+    }
 }
 
 #[test]

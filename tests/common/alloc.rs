@@ -4,9 +4,11 @@
 //! which is why each of those suites is its own test binary.
 //!
 //! The allocator sees every thread in the process, so it counts only on
-//! threads that opted in through a `const` thread-local flag: one thread
-//! at a time with [`allocations_in`], or the test thread plus every
-//! worker of a pool with [`count_on`] and then [`allocations`].
+//! threads that opted in through a `const` thread-local slot, into the
+//! counter of the group they joined: one thread with [`allocations_in`],
+//! or the test thread plus every worker of a pool with [`count_on`].
+//! Groups count apart, so the `#[test]`s of one binary, which libtest
+//! runs on parallel threads, never see each other's allocations.
 
 // Each binary uses the half of the API that fits its threads.
 #![allow(dead_code)]
@@ -21,22 +23,23 @@ use ridfa::core::parallel::ThreadPool;
 struct CountingAlloc;
 
 thread_local! {
-    /// Allocations this thread made since it opted in; `None` while it
+    /// The counter of the group this thread opted in to; `None` while it
     /// has not. A `const` initializer, so reading it never allocates.
-    static OWN: Cell<Option<u64>> = const { Cell::new(None) };
+    static GROUP: Cell<Option<&'static AtomicU64>> = const { Cell::new(None) };
 }
-
-/// Allocations made by all opted-in threads.
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
 
 fn record_allocation() {
     // `try_with`: the slot is gone while the thread tears down.
-    let _ = OWN.try_with(|own| {
-        if let Some(n) = own.get() {
-            own.set(Some(n + 1));
-            ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+    let _ = GROUP.try_with(|group| {
+        if let Some(count) = group.get() {
+            count.fetch_add(1, Ordering::Relaxed);
         }
     });
+}
+
+/// A fresh group counter. Leaked: a test binary makes a handful.
+fn new_group() -> &'static AtomicU64 {
+    Box::leak(Box::new(AtomicU64::new(0)))
 }
 
 // SAFETY: delegates verbatim to `System`; the counters are a
@@ -63,25 +66,24 @@ static ALLOC: CountingAlloc = CountingAlloc;
 /// Runs `f` with counting on for the calling thread only and returns the
 /// allocations it made there; the thread is opted out afterwards.
 pub fn allocations_in(f: impl FnOnce()) -> u64 {
-    OWN.with(|own| own.set(Some(0)));
+    let count = new_group();
+    GROUP.with(|group| group.set(Some(count)));
     f();
-    OWN.with(|own| own.replace(None)).unwrap_or(0)
+    GROUP.with(|group| group.set(None));
+    count.load(Ordering::Relaxed)
 }
 
-/// Allocations made so far by every thread [`count_on`] opted in.
-pub fn allocations() -> u64 {
-    ALLOCATIONS.load(Ordering::Relaxed)
-}
-
-/// Opts the calling thread and every worker of `pool` in to counting,
-/// in one barrier batch: each of the `workers + 1` claimants sets its
-/// flag and waits for all the others, so every worker takes exactly one
-/// task.
-pub fn count_on(pool: &ThreadPool) {
+/// Opts the calling thread and every worker of `pool` in to one counting
+/// group, in one barrier batch: each of the `workers + 1` claimants joins
+/// and waits for all the others, so every worker takes exactly one task.
+/// Returns the group's running count of allocations.
+pub fn count_on(pool: &ThreadPool) -> impl Fn() -> u64 {
+    let count = new_group();
     let claimants = pool.num_workers() + 1;
     let barrier = Barrier::new(claimants);
     pool.invoke_all(claimants, |_| {
-        OWN.with(|own| own.set(Some(0)));
+        GROUP.with(|group| group.set(Some(count)));
         barrier.wait();
     });
+    move || count.load(Ordering::Relaxed)
 }

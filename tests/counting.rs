@@ -80,18 +80,6 @@ fn speculation_overhead_ordering_on_winning_benchmark() {
 }
 
 #[test]
-fn per_chunk_stats_sum_to_total() {
-    let (nfa, _, rid) = artifacts("(a|b|c)*abc(a|b|c)*");
-    let _ = nfa;
-    let text = b"abcabcabcabcabcabcabcabc".repeat(64);
-    let out = recognize_counted(&RidCa::new(&rid), &text, 8, Executor::PerChunk);
-    let sum: u64 = out.per_chunk.iter().map(|s| s.transitions).sum();
-    assert_eq!(sum, out.transitions);
-    let len_sum: usize = out.per_chunk.iter().map(|s| s.len).sum();
-    assert_eq!(len_sum, text.len());
-}
-
-#[test]
 fn counted_and_uncounted_agree_on_acceptance() {
     for b in ridfa::workloads::standard_benchmarks() {
         let rid = RiDfa::from_nfa(&b.nfa).minimized();

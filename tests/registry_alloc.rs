@@ -2,7 +2,9 @@
 //! lanes: once a [`StreamScan`] is warm, a request through
 //! `scan_block` + `finish_scan` performs **zero** heap allocations, and
 //! the pooled lane (`scan_block_pooled` + `finish_scan`) allocates
-//! nothing per request — for every engine a pattern can resolve to.
+//! nothing per request — for every engine a pattern can resolve to. The
+//! registry's streams, which every pattern reads through one shared
+//! block ring, allocate nothing once warm either.
 //!
 //! Lives in its own test binary because of the counting allocator of
 //! `common::alloc`, which counts only on threads that opted in:
@@ -11,8 +13,9 @@
 
 mod common;
 
-use common::alloc::{allocations, count_on};
+use common::alloc::count_on;
 use ridfa::core::csdpa::{EnginePlan, PatternRegistry, RegistryConfig, StreamScan};
+use ridfa::core::ridfa::{artifact, RiDfa};
 use ridfa::workloads::{fasta, traffic};
 
 /// Body size of one request.
@@ -62,7 +65,7 @@ fn warm_scan_lanes_do_not_allocate_per_request() {
         reg.insert_nfa_planned(id, nfa, *plan).unwrap();
         assert_eq!(reg.plan(id), Some(*plan));
     }
-    count_on(reg.pool());
+    let allocations = count_on(reg.pool());
 
     for (id, _, _, body) in &entries {
         // Serial lane: one warm request sizes every buffer of the scan;
@@ -93,4 +96,43 @@ fn warm_scan_lanes_do_not_allocate_per_request() {
             "{id}: {POOLED_REQUESTS} warm scan_block_pooled requests allocated {delta} times"
         );
     }
+}
+
+#[test]
+fn warm_streams_alternating_patterns_share_the_ring_without_allocating() {
+    let mut reg = PatternRegistry::new(RegistryConfig {
+        num_workers: 2,
+        block_size: BLOCK,
+        ..RegistryConfig::default()
+    });
+    // "records" carries a record separator from its artifact, so every
+    // switch between the two patterns re-arms the shared ring's
+    // separator and resets its carry.
+    let rid = RiDfa::from_nfa(&traffic::nfa()).minimized();
+    let bytes =
+        artifact::ridfa_to_bytes_with_engine(&rid, EnginePlan::Lockstep, None, None, Some(b'\n'));
+    reg.insert_artifact("records", &bytes).unwrap();
+    reg.insert_nfa_planned("plain", &traffic::nfa(), EnginePlan::Lockstep)
+        .unwrap();
+    assert_eq!(reg.separator("records"), Some(b'\n'));
+    assert_eq!(reg.separator("plain"), None);
+    let allocations = count_on(reg.pool());
+
+    let text = traffic::text(BODY, 4);
+    let round = |reg: &mut PatternRegistry| {
+        for id in ["records", "plain", "records", "plain"] {
+            let out = reg.recognize_stream(id, &text[..]).unwrap();
+            assert!(out.accepted, "{id}");
+            assert_eq!(out.bytes, text.len() as u64, "{id}");
+        }
+    };
+    // One round sizes each pattern's session buffers.
+    round(&mut reg);
+    let before = allocations();
+    round(&mut reg);
+    assert_eq!(
+        allocations() - before,
+        0,
+        "warm streams alternating between patterns allocated"
+    );
 }

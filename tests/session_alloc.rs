@@ -1,8 +1,8 @@
 //! Asserts the session's allocation contract: once a [`Session`] is warm
-//! (scratches pre-warmed, mapping/span/join buffers sized by a first
-//! recognition), recognizing the next text performs **zero** heap
-//! allocations — across the caller, the pool dispatch, and every worker
-//! thread.
+//! (scratches pre-warmed, mapping and join buffers sized by a first
+//! recognition), recognizing the next text — counted or not — performs
+//! **zero** heap allocations, across the caller, the pool dispatch, and
+//! every worker thread.
 //!
 //! Lives in its own test binary because of the counting allocator of
 //! `common::alloc`, which counts only on threads that opted in:
@@ -11,7 +11,7 @@
 
 mod common;
 
-use common::alloc::{allocations, count_on};
+use common::alloc::count_on;
 use ridfa::core::csdpa::{Kernel, RidCa, Session};
 use ridfa::core::ridfa::RiDfa;
 use ridfa::workloads::traffic;
@@ -30,7 +30,7 @@ fn warm_session_recognizes_and_batches_without_allocating() {
     let text2 = &text2[..text2.len().min(text1.len())];
 
     let mut session = Session::new(2);
-    count_on(session.pool());
+    let allocations = count_on(session.pool());
     // Deterministically warm every per-worker scratch (task claiming is
     // racy, so a first recognition alone might leave a slow worker's
     // scratch cold), then size mapping/span/join buffers with full
@@ -76,4 +76,31 @@ fn warm_session_recognizes_and_batches_without_allocating() {
         "warm batch allocated {delta} times (expected only the verdict vec)"
     );
     assert!(verdicts.iter().all(|&v| v));
+}
+
+#[test]
+fn warm_counted_recognition_allocates_nothing() {
+    let rid = RiDfa::from_nfa(&traffic::nfa()).minimized();
+    let ca = RidCa::new(&rid).with_kernel(Kernel::Auto);
+    let text1 = traffic::text(32 << 10, 1);
+    let text2 = traffic::text(text1.len(), 2);
+    let text2 = &text2[..text2.len().min(text1.len())];
+
+    let mut session = Session::new(2);
+    let allocations = count_on(session.pool());
+    session.warm(&ca, &text1[..4096]);
+    let warm = session.recognize_counted(&ca, &text1, 8);
+    assert!(warm.accepted);
+
+    // The tally is one atomic counter on the caller's stack: a counted
+    // recognition rides on the same warm buffers as an uncounted one.
+    let before = allocations();
+    let counted = session.recognize_counted(&ca, text2, 8);
+    assert_eq!(
+        allocations() - before,
+        0,
+        "a warm counted recognition must not allocate"
+    );
+    assert!(counted.accepted);
+    assert!(counted.transitions >= text2.len() as u64);
 }

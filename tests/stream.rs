@@ -2,13 +2,18 @@
 //! adversarial `Read` implementation (1-byte reads, block-misaligned
 //! partial reads, `Interrupted` retries) must agree with one-shot
 //! `recognize` for all six chunk automata across block sizes and worker
-//! counts — and a ≥ 256 MiB generated record stream must be recognized
-//! with buffer memory provably independent of stream length.
+//! counts, every stream, block and counted lane must agree over the
+//! edge cuts of a wave — and a ≥ 256 MiB generated record stream must
+//! be recognized with buffer memory provably independent of stream
+//! length.
 
 use std::io::{self, Cursor, Read};
 
 use ridfa::automata::dfa::{minimize, powerset};
-use ridfa::core::csdpa::{recognize, DfaCa, Executor, Kernel, NfaCa, RidCa, StreamSession};
+use ridfa::core::csdpa::{
+    recognize, recognize_counted, DfaCa, EnginePlan, Executor, FeasibleTable, Kernel, NfaCa,
+    PatternRegistry, RegistryConfig, RidCa, Session, StreamScan, StreamSession,
+};
 use ridfa::core::ridfa::RiDfa;
 use ridfa::core::sfa::{Sfa, SfaCa};
 use ridfa::workloads::regen::{random_ast, sample_into, RegenConfig};
@@ -190,6 +195,143 @@ fn mid_stream_io_faults_leave_sessions_reusable_for_all_six_cas() {
     check!(&SfaCa::new(&sfa), "sfa");
 }
 
+/// The cuts where a stream's special cases used to live — no block, a
+/// block shorter than its size, exactly one block, exactly one wave, and
+/// a prefix that dies in the first block, in the last block of the first
+/// wave or in the first block of the second wave — fed through every
+/// lane over the same cuts: `StreamSession`, the registry's stream,
+/// `scan_block`, `scan_block_pooled` + `finish_scan`, and the counted
+/// one-shot and session paths, for the RID with `Auto`, the RID with
+/// feasible-start pruning, the DFA with `Auto`, the NFA and the SFA.
+#[test]
+fn edge_cuts_agree_across_stream_block_and_counted_lanes() {
+    const BLOCK: usize = 64;
+    const WORKERS: usize = 2;
+    const WAVE: usize = WORKERS + 1;
+    let pattern = "[ab]*a[ab]{4}";
+    let nfa =
+        ridfa::automata::nfa::glushkov::build(&ridfa::automata::regex::parse(pattern).unwrap())
+            .unwrap();
+    let dfa = minimize::minimize(&powerset::determinize(&nfa));
+    let rid = RiDfa::from_nfa(&nfa).minimized();
+    let feasible = FeasibleTable::build(&rid);
+    let sfa = Sfa::build_limited(&dfa, 1 << 14).expect("small machine fits");
+
+    // A member of `len` bytes (its fifth-last byte is the `a`), and the
+    // same text with a byte outside the alphabet at `at`, which kills
+    // every run.
+    let member = |len: usize| {
+        let mut t = vec![b'b'; len];
+        if len >= 5 {
+            t[len - 5] = b'a';
+        }
+        t
+    };
+    let killed = |len: usize, at: usize| {
+        let mut t = member(len);
+        t[at] = b'z';
+        t
+    };
+    let long = 3 * WAVE * BLOCK;
+    // (row, text, blocks composed, rejected early)
+    let rows: Vec<(&str, Vec<u8>, u64, bool)> = vec![
+        ("empty", Vec::new(), 0, false),
+        ("shorter than one block", member(BLOCK - 7), 1, false),
+        ("exactly one block", member(BLOCK), 1, false),
+        ("exactly one wave", member(WAVE * BLOCK), WAVE as u64, false),
+        (
+            "rejected at EOF, never dead",
+            vec![b'b'; 2 * WAVE * BLOCK],
+            2 * WAVE as u64,
+            false,
+        ),
+        ("dies in block 0", killed(long, 5), WAVE as u64, true),
+        (
+            "dies in the last block of wave 1",
+            killed(long, (WAVE - 1) * BLOCK + 10),
+            WAVE as u64,
+            true,
+        ),
+        (
+            "dies in the first block of wave 2",
+            killed(long, WAVE * BLOCK + 10),
+            2 * WAVE as u64,
+            true,
+        ),
+    ];
+
+    let mut stream = StreamSession::new(WORKERS, BLOCK);
+    let mut session = Session::new(WORKERS);
+    let mut registry = PatternRegistry::new(RegistryConfig {
+        num_workers: WORKERS,
+        block_size: BLOCK,
+        ..RegistryConfig::default()
+    });
+    let engines = [
+        ("rid", EnginePlan::Lockstep),
+        ("feasible", EnginePlan::FeasibleStart),
+        ("sfa", EnginePlan::Sfa),
+    ];
+    for (id, plan) in engines {
+        registry.insert_regex_planned(id, pattern, plan).unwrap();
+    }
+    let mut scan = StreamScan::new();
+
+    for (row, text, blocks, early) in &rows {
+        let accepted = dfa.accepts(text);
+        let bytes = (*blocks as usize * BLOCK).min(text.len());
+        let expected = (accepted, bytes as u64, *blocks, *early);
+        // The same cuts as one-shot chunks: the consumed prefix in
+        // `blocks` chunks, and the whole text in block-sized ones.
+        let consumed = &text[..bytes];
+        let consumed_chunks = (*blocks as usize).max(1);
+        let all_chunks = text.len().div_ceil(BLOCK).max(1);
+
+        macro_rules! check {
+            ($ca:expr, $label:literal) => {{
+                let ca = $ca;
+                let out = stream.recognize_stream(&ca, Cursor::new(text)).unwrap();
+                let got = (out.accepted, out.bytes, out.blocks, out.rejected_early);
+                assert_eq!(got, expected, "{} {row}: stream", $label);
+                let counted = recognize_counted(&ca, consumed, consumed_chunks, Executor::Serial);
+                assert_eq!(out.transitions, counted.transitions, "{} {row}", $label);
+                let pooled = session.recognize_counted(&ca, consumed, consumed_chunks);
+                assert_eq!(pooled.transitions, counted.transitions, "{} {row}", $label);
+                let whole = recognize_counted(&ca, text, all_chunks, Executor::Serial);
+                assert_eq!(whole.accepted, accepted, "{} {row}: counted", $label);
+                let whole = session.recognize_counted(&ca, text, all_chunks);
+                assert_eq!(whole.accepted, accepted, "{} {row}: session", $label);
+            }};
+        }
+        check!(RidCa::new(&rid).with_kernel(Kernel::Auto), "rid");
+        check!(
+            RidCa::new(&rid)
+                .with_kernel(Kernel::Auto)
+                .with_feasible(&feasible),
+            "rid+feasible"
+        );
+        check!(DfaCa::new(&dfa).with_kernel(Kernel::Auto), "dfa");
+        check!(NfaCa::new(&nfa), "nfa");
+        check!(SfaCa::new(&sfa), "sfa");
+
+        for (id, _) in engines {
+            let out = registry.recognize_stream(id, Cursor::new(text)).unwrap();
+            let got = (out.accepted, out.bytes, out.blocks, out.rejected_early);
+            assert_eq!(got, expected, "{id} {row}: registry stream");
+            for block in text.chunks(BLOCK) {
+                registry.scan_block(id, &mut scan, block).unwrap();
+            }
+            let serial = registry.finish_scan(id, &mut scan).unwrap();
+            assert_eq!(serial, accepted, "{id} {row}: scan_block");
+            for block in text.chunks(BLOCK) {
+                registry.scan_block_pooled(id, &mut scan, block).unwrap();
+            }
+            let pooled = registry.finish_scan(id, &mut scan).unwrap();
+            assert_eq!(pooled, accepted, "{id} {row}: scan_block_pooled");
+        }
+    }
+}
+
 #[test]
 fn stream_traffic_pipe_accepts_and_rejects() {
     let rid = RiDfa::from_nfa(&traffic::nfa()).minimized();
@@ -253,7 +395,9 @@ fn quarter_gib_stream_runs_in_bounded_memory() {
     let ring_bytes = session.ring_blocks() * BLOCK;
     assert_eq!(session.buffer_bytes(), ring_bytes);
     let live_mappings = session.live_mappings();
-    assert_eq!(live_mappings, session.ring_blocks() + 3);
+    // One mapping slot per block of a wave (half the ring) plus the
+    // join fold's two.
+    assert_eq!(live_mappings, session.ring_blocks() / 2 + 2);
 
     let out = session
         .recognize_stream(&ca, traffic::RecordSource::new(TARGET, 42))

@@ -13,7 +13,7 @@
 
 mod common;
 
-use common::alloc::{allocations, count_on};
+use common::alloc::count_on;
 use ridfa::core::csdpa::{Kernel, RidCa, StreamSession};
 use ridfa::core::ridfa::RiDfa;
 use ridfa::workloads::traffic;
@@ -32,7 +32,7 @@ fn warm_stream_session_allocates_nothing_per_block() {
 
     // 64 KiB blocks → the 4 MiB streams cross ~64 block boundaries each.
     let mut session = StreamSession::new(2, 64 << 10);
-    count_on(session.pool());
+    let allocations = count_on(session.pool());
     session.warm(&conv, &text1[..64 << 10]);
     let first = session.recognize_stream(&conv, &text1[..]).unwrap();
     assert!(first.accepted);
