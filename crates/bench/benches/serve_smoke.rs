@@ -17,23 +17,13 @@
 //! loop is overlapping socket waits with recognition rather than
 //! serializing on any one client. Results are recorded in
 //! `crates/bench/baselines/serve_throughput.json`.
-//!
-//! A second group, `serve_sharded`, runs the identical 8-connection mux
-//! workload against spec-built servers at `--shards 1` and `--shards 4`
-//! (per-shard registry replicas, round-robin connection dealing). The
-//! shard win is core-bound: on a multi-core box 4 shards should clear
-//! ~2× the 1-shard figure; on a 1-core box the two are expected to be
-//! within noise of each other (sharding only removes loop-level
-//! serialization, it cannot mint CPUs). Results and the hardware note
-//! live in `crates/bench/baselines/serve_sharded.json`.
 
 use std::net::TcpStream;
 use std::time::Duration;
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 
-use ridfa_automata::ConstructionBudget;
-use ridfa_core::csdpa::{CancelToken, PatternRegistry, PatternSpec, RegistryConfig};
+use ridfa_core::csdpa::{CancelToken, PatternRegistry, RegistryConfig};
 use ridfa_core::serve::protocol::{self, Status};
 use ridfa_core::serve::{ServeConfig, Server};
 
@@ -105,79 +95,5 @@ fn bench_serve_throughput(c: &mut Criterion) {
     server_thread.join().unwrap().unwrap();
 }
 
-/// The same mux workload against spec-built servers at 1 and 4 shards:
-/// the only variable is the shard count, so the ratio isolates what
-/// round-robin dealing over per-shard replicas buys on this hardware.
-fn bench_serve_sharded(c: &mut Criterion) {
-    let member = vec![b'7'; BODY];
-    let stray = {
-        let mut t = vec![b'7'; BODY];
-        t[BODY / 2] = b'x';
-        t
-    };
-
-    let mut group = c.benchmark_group("serve_sharded");
-    group.measurement_time(std::time::Duration::from_secs(2));
-    group.warm_up_time(std::time::Duration::from_secs(1));
-    group.sample_size(10);
-    group.throughput(Throughput::Bytes((CONNS * REQS * BODY) as u64));
-
-    for shards in [1usize, 4] {
-        let spec = PatternSpec::parse(
-            "digits [0-9]+\nabb (a|b)*abb\n",
-            &ConstructionBudget::UNLIMITED,
-            None,
-        )
-        .unwrap();
-        let mut server = Server::bind_spec(
-            "127.0.0.1:0",
-            spec,
-            RegistryConfig {
-                num_workers: 2,
-                ..RegistryConfig::default()
-            },
-            ServeConfig {
-                shards,
-                ..ServeConfig::default()
-            },
-        )
-        .unwrap();
-        let cancel = CancelToken::new();
-        server.set_cancel(cancel.clone());
-        let addr = server.local_addr().unwrap();
-        let server_thread = std::thread::spawn(move || server.run());
-
-        group.bench_function(format!("mux_{CONNS}conn_{shards}shard"), |b| {
-            b.iter(|| {
-                std::thread::scope(|scope| {
-                    for _ in 0..CONNS {
-                        scope.spawn(|| {
-                            let mut stream = TcpStream::connect(addr).unwrap();
-                            stream
-                                .set_read_timeout(Some(Duration::from_secs(30)))
-                                .unwrap();
-                            for i in 0..REQS {
-                                let (body, want) = if i % 2 == 0 {
-                                    (&member, Status::Accepted)
-                                } else {
-                                    (&stray, Status::Rejected)
-                                };
-                                let response =
-                                    protocol::query(&mut stream, "digits", body).unwrap();
-                                assert_eq!(response.status, want);
-                            }
-                        });
-                    }
-                });
-            });
-        });
-
-        cancel.cancel();
-        let report = server_thread.join().unwrap().unwrap();
-        report.verify().unwrap_or_else(|e| panic!("{e}"));
-    }
-    group.finish();
-}
-
-criterion_group!(benches, bench_serve_throughput, bench_serve_sharded);
+criterion_group!(benches, bench_serve_throughput);
 criterion_main!(benches);

@@ -170,14 +170,14 @@ USAGE:
                    [--idle-ms MS] [--max-body BYTES]    picks a free port),
                    [--threads N] [--block-size BYTES]   load the pattern
                    [--max-states N] [--max-table-bytes N] file, serve until
-                   [--shards N]                         the request quota;
-                                                        N loop threads, each
-                                                        with its own registry
-                                                        replica
+                                                        the request quota
+                                                        from one loop thread
+                                                        (--threads sizes its
+                                                        scan pool)
                    [--reload-ms MS]                     watch the pattern
                                                         file, hot-reload
-                                                        edits into running
-                                                        shards
+                                                        edits into the
+                                                        running loop
                    [--offload-bytes BYTES]              bodies above BYTES
                                                         scan in bounded
                                                         slices off the tick
@@ -1108,11 +1108,12 @@ fn cmd_inspect_artifact(opts: &Opts) -> Result<(), CliError> {
     Ok(())
 }
 
-/// `ridfa serve --listen`: the real network mode — an acceptor dealing
-/// connections to `--shards` non-blocking loops, each serving its own
-/// registry replica built from the `--patterns` file. Prints
-/// `listening on ADDR` (resolved port) before serving so a driver
-/// script can connect, and a reconciled counter report after.
+/// `ridfa serve --listen`: the real network mode — one non-blocking
+/// loop serving every connection from a registry built from the
+/// `--patterns` file, whose pool of `--threads` − 1 workers runs the
+/// offload lane's chunked scans. Prints `listening on ADDR` (resolved
+/// port) before serving so a script can connect, and a reconciled
+/// counter report after.
 fn cmd_serve_listen(opts: &Opts) -> Result<(), CliError> {
     let Some(addr) = opts.get_value("listen")? else {
         return Err(CliError::Usage("need --listen ADDR".into()));
@@ -1120,19 +1121,18 @@ fn cmd_serve_listen(opts: &Opts) -> Result<(), CliError> {
     let Some(patterns) = opts.get_value("patterns")? else {
         return Err(CliError::Usage("need --patterns FILE".into()));
     };
-    let threads = opts.get_usize("threads", default_threads())?;
-    let shards = opts.get_usize("shards", 1)?;
-    if !(1..=64).contains(&shards) {
-        return Err(CliError::Usage(format!(
-            "--shards must be 1..=64, got {shards}"
-        )));
+    // `Opts` ignores flags a command does not read; this one would
+    // otherwise be dropped silently.
+    if opts.get("shards").is_some() {
+        return Err(CliError::Usage(
+            "--shards was removed: one loop serves every connection".into(),
+        ));
     }
-    // Split the thread budget across the shard replicas: each shard's
-    // pool gets its share minus the shard thread itself (which joins
-    // every pooled reach phase).
-    let per_shard_threads = (threads / shards).max(1);
+    // The loop thread joins every pooled reach phase, so the pool gets
+    // the rest of the thread budget.
+    let threads = opts.get_usize("threads", default_threads())?;
     let registry_config = RegistryConfig {
-        num_workers: per_shard_threads.saturating_sub(1).max(1),
+        num_workers: threads.saturating_sub(1).max(1),
         block_size: opts.block_size(64 * 1024)?,
         budget: construction_budget(opts)?.unwrap_or(ConstructionBudget::UNLIMITED),
         max_table_bytes: opts.get_usize("max-table-bytes", usize::MAX)?,
@@ -1148,7 +1148,6 @@ fn cmd_serve_listen(opts: &Opts) -> Result<(), CliError> {
         request_deadline: millis("deadline-ms")?,
         idle_timeout: Some(millis("idle-ms")?.unwrap_or(Duration::from_secs(30))),
         max_body_bytes: opts.get_usize("max-body", usize::MAX)? as u64,
-        shards,
         offload_bytes: opts
             .get_parsed("offload-bytes", "a non-negative integer")?
             .unwrap_or(u64::MAX),
@@ -1193,24 +1192,11 @@ fn cmd_serve_listen(opts: &Opts) -> Result<(), CliError> {
         t.io_errors,
         t.idle_closed,
     );
-    for shard in &report.shards {
-        let s = &shard.tally;
-        let errors = s.protocol_errors + s.deadline_errors + s.budget_errors + s.faults;
-        println!(
-            "shard {}: {} requests ({} accepted / {} rejected / {} errors), {} bytes | \
-             reload: {} generations (+{} / -{} / {} failed)",
-            shard.shard,
-            s.requests,
-            s.accepted,
-            s.rejected,
-            errors,
-            s.bytes,
-            shard.reload.generations,
-            shard.reload.inserted,
-            shard.reload.evicted,
-            shard.reload.failed,
-        );
-    }
+    let r = &report.reload;
+    println!(
+        "reload: {} generations (+{} / -{} / {} failed)",
+        r.generations, r.inserted, r.evicted, r.failed
+    );
     if report.reload_errors > 0 {
         println!("reload errors: {}", report.reload_errors);
     }
@@ -1230,11 +1216,7 @@ fn cmd_serve_listen(opts: &Opts) -> Result<(), CliError> {
         );
     }
     match report.verify() {
-        Ok(()) => println!(
-            "reconcile: ok ({} shards, {} requests)",
-            report.shards.len(),
-            t.requests
-        ),
+        Ok(()) => println!("reconcile: ok ({} requests)", t.requests),
         Err(msg) => return Err(CliError::Internal(format!("reconcile failed: {msg}"))),
     }
     Ok(())
@@ -1244,7 +1226,7 @@ fn cmd_serve_listen(opts: &Opts) -> Result<(), CliError> {
 /// the worst response status seen (the taxonomies coincide). `--repeat`
 /// pipelines N requests per connection, `--concurrency` opens C
 /// connections in parallel — `C × N` requests total, a one-command load
-/// generator for the sharded server.
+/// generator for a server.
 fn cmd_query(opts: &Opts) -> Result<(), CliError> {
     let Some(addr) = opts.get_value("connect")? else {
         return Err(CliError::Usage("need --connect ADDR".into()));

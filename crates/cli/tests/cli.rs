@@ -445,6 +445,75 @@ fn zero_block_size_is_rejected_by_every_block_command() {
 }
 
 #[test]
+fn serve_listen_rejects_the_removed_shards_flag() {
+    let out = ridfa()
+        .args([
+            "serve",
+            "--listen",
+            "127.0.0.1:0",
+            "--patterns",
+            "patterns.txt",
+            "--shards",
+            "4",
+        ])
+        .output()
+        .unwrap();
+    assert_eq!(out.status.code(), Some(2));
+    let err = String::from_utf8(out.stderr).unwrap();
+    assert!(err.contains("--shards was removed"), "{err}");
+}
+
+#[test]
+fn serve_listen_prints_one_reload_line_and_reconciles() {
+    use std::io::{BufRead, BufReader, Read};
+
+    let patterns =
+        std::env::temp_dir().join(format!("ridfa-cli-listen-{}.txt", std::process::id()));
+    std::fs::write(&patterns, "digits [0-9]+\n").unwrap();
+    let mut server = ridfa()
+        .args(["serve", "--listen", "127.0.0.1:0", "--max-requests", "2"])
+        .arg("--patterns")
+        .arg(&patterns)
+        .stdout(Stdio::piped())
+        .spawn()
+        .unwrap();
+    let mut stdout = BufReader::new(server.stdout.take().unwrap());
+    let mut line = String::new();
+    stdout.read_line(&mut line).unwrap();
+    let Some(addr) = line
+        .strip_prefix("listening on ")
+        .and_then(|rest| rest.split(' ').next())
+    else {
+        let _ = server.kill();
+        panic!("no listening line: {line:?}");
+    };
+    let mut query = ridfa()
+        .args(["query", "--connect", addr, "--pattern", "digits"])
+        .args(["--text", "-", "--repeat", "2"])
+        .stdin(Stdio::piped())
+        .spawn()
+        .unwrap();
+    query.stdin.take().unwrap().write_all(b"123").unwrap();
+    let queried = query.wait().unwrap();
+    if !queried.success() {
+        // The quota would never be met; do not wait on the server.
+        let _ = server.kill();
+    }
+    let served = server.wait().unwrap();
+    let _ = std::fs::remove_file(&patterns);
+    let mut report = String::new();
+    stdout.read_to_string(&mut report).unwrap();
+    assert!(queried.success() && served.success(), "{report}");
+    assert!(
+        report
+            .lines()
+            .any(|l| l == "reload: 0 generations (+0 / -0 / 0 failed)"),
+        "{report}"
+    );
+    assert!(report.contains("reconcile: ok (2 requests)"), "{report}");
+}
+
+#[test]
 fn serve_stream_validates_a_generated_pipe() {
     let out = ridfa()
         .args([

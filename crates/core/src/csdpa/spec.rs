@@ -1,18 +1,18 @@
 //! Pattern specs and generation-stamped snapshots: one parsed,
-//! compiled-once description of a pattern set, from which any number of
-//! per-shard [`PatternRegistry`] replicas can be built or *delta-patched*.
+//! compiled-once description of a pattern set, from which a
+//! [`PatternRegistry`] can be built or *delta-patched*.
 //!
 //! A [`PatternSpec`] is the in-memory form of a `--patterns` file: every
 //! entry carries the pattern id, a content fingerprint, and the pattern
 //! as a sealed **binary artifact** (`ID REGEX` lines are compiled once at
 //! parse time and serialized; `ID @FILE.rida` lines are read and
 //! validated). Building a registry from a spec is therefore always a
-//! *load*, never a powerset construction — the property that makes
-//! per-shard registry replicas affordable.
+//! *load*, never a powerset construction, and a reload re-loads only
+//! the entries whose source changed.
 //!
 //! [`RegistrySnapshot`] is the publication cell for hot reload: a spec
 //! watcher re-parses the pattern file, [`publish`](RegistrySnapshot::publish)es
-//! the new spec under a bumped generation, and each shard loop notices
+//! the new spec under a bumped generation, and the serve loop notices
 //! the generation change between ticks and applies the insert/evict
 //! delta ([`PatternSpec::apply_to`]) without dropping a connection.
 //! In-flight incremental scans on a replaced pattern fail typed
@@ -61,7 +61,8 @@ pub struct SpecEntry {
     /// Fingerprint of the entry's *source* (regex text or artifact
     /// bytes), used to compute reload deltas.
     pub fingerprint: u64,
-    /// The pattern as a sealed RI-DFA artifact, shared between shards.
+    /// The pattern as a sealed RI-DFA artifact, shared between spec
+    /// generations that leave it unchanged.
     pub artifact: Arc<Vec<u8>>,
 }
 
@@ -121,7 +122,7 @@ impl PatternSpec {
                         reused
                     } else {
                         // Validate now so a bad artifact is a parse error,
-                        // not a per-shard insert error later.
+                        // not an insert error later.
                         ridfa_from_bytes(&bytes).map_err(|e| err(format!("{path}: {e}")))?;
                         SpecEntry {
                             id: id.to_string(),
@@ -253,7 +254,7 @@ impl PatternSpec {
     }
 
     /// The id → fingerprint map of this spec, the initial `applied` state
-    /// of a shard built with [`build_registry`](PatternSpec::build_registry).
+    /// of a registry built with [`build_registry`](PatternSpec::build_registry).
     pub fn fingerprints(&self) -> HashMap<String, u64> {
         self.entries
             .iter()
@@ -274,7 +275,7 @@ pub struct ReloadDelta {
 }
 
 /// A generation-stamped [`PatternSpec`] publication cell: one writer
-/// (the spec watcher) publishes, many readers (the shard loops) poll the
+/// (the spec watcher) publishes, readers (the serve loop) poll the
 /// generation cheaply each tick and load the spec only when it changed.
 pub struct RegistrySnapshot {
     generation: AtomicU64,

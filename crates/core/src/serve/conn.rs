@@ -3,11 +3,11 @@
 //!
 //! [`ingest`] feeds freshly read bytes through one connection's state
 //! machine. Small bodies (at or below [`ServeConfig::offload_bytes`])
-//! are scanned *inline* as they arrive — the PR-5 behavior. Larger
-//! bodies are routed to the **offload lane**: the bytes are staged in
-//! [`Conn::offload_buf`] and scanned in bounded slices by the shard's
-//! [`lanes`](super::lanes) pass between ticks, so one huge body never
-//! stalls the other connections sharing the tick.
+//! are scanned *inline* as they arrive. Larger bodies are routed to the
+//! **offload lane**: the bytes are staged in [`Conn::offload_buf`] and
+//! scanned in bounded slices by the loop's [`lanes`](super::lanes) pass
+//! between ticks, so one huge body never stalls the other connections
+//! sharing the tick.
 //!
 //! A mid-scan registry error (contained fault, or the pattern being
 //! evicted/reloaded under the scan) no longer kills the connection: the
@@ -31,7 +31,7 @@ pub(crate) enum Phase {
     /// Consuming `remaining` body bytes. `pending` carries the error
     /// status of a request whose body is drained unscanned (unknown
     /// pattern, oversized body, mid-scan fault) so frame sync survives
-    /// the error; `offload` marks bodies staged for the shard's offload
+    /// the error; `offload` marks bodies staged for the loop's offload
     /// lane instead of being scanned inline.
     Body {
         /// Body bytes not yet received.

@@ -1,103 +1,94 @@
-//! The shard loop: one thread, one registry replica, one set of
-//! connections — the PR-5 readiness tick, re-homed so N of them can run
-//! side by side.
-//!
-//! Each shard owns a private [`PatternRegistry`] (built by loading the
-//! same compiled [`PatternSpec`](crate::csdpa::PatternSpec) artifacts,
-//! so replicas cost a validated load each, not a powerset construction)
-//! and a private connection table fed by the acceptor over an SPSC
-//! [`ring`](super::ring). Ticks interleave four passes:
+//! The event loop: one thread owns the listener, the registry and every
+//! connection, and runs readiness ticks of five passes:
 //!
 //! 1. **reload** — if the spec snapshot's generation moved, apply the
 //!    insert/evict delta between requests (connections stay open;
 //!    in-flight scans on replaced patterns fail typed);
-//! 2. **adopt** — drain newly accepted connections from the ring;
-//! 3. **serve** — flush, police deadlines/idle, read under the tick
+//! 2. **serve** — flush, police deadlines/idle, read under the tick
 //!    budget, ingest (small bodies scan inline; large ones stage for
 //!    the offload lane);
-//! 4. **pump** — scan one bounded slice per offloading connection
+//! 3. **pump** — scan one bounded slice per offloading connection
 //!    ([`lanes`](super::lanes)), answer completed ones, and re-ingest
-//!    any pipelined carry-over.
+//!    any pipelined carry-over;
+//! 4. **reap** — close connections that hung up, failed or idled out;
+//! 5. **accept** — take every connection pending on the non-blocking
+//!    listener, at the end of a tick that made no other progress and at
+//!    most once per [`ACCEPT_PERIOD`] on a busy one.
 //!
-//! Request quotas are global: every completed request is pushed to a
-//! shared counter, and every shard (and the acceptor) watches it, so
-//! `max_requests` means the same thing at any shard count.
+//! The loop checks the cancel token and the request quota itself.
 
 use std::collections::HashMap;
-use std::io::{Read, Write};
-use std::net::TcpStream;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::io::{self, Read, Write};
+use std::net::TcpListener;
 use std::time::{Duration, Instant};
 
+use crate::csdpa::budget::CancelToken;
 use crate::csdpa::registry::{PatternRegistry, PatternStats};
 use crate::csdpa::spec::RegistrySnapshot;
 
 use super::conn::{ingest, Conn, Phase};
 use super::lanes;
 use super::protocol::Status;
-use super::ring::SpscRing;
-use super::{ConnectionReport, PatternReport, ReloadTally, ServeConfig, ServeTally, ShardReport};
+use super::{PatternReport, ReloadTally, ServeConfig, ServeTally, ServerReport};
 
-/// Everything one shard loop needs to run; consumed by [`run`].
-pub(crate) struct ShardRuntime {
-    /// This shard's index (reporting only).
-    pub(crate) index: usize,
-    /// The shard-private registry replica.
-    pub(crate) registry: PatternRegistry,
-    pub(crate) config: ServeConfig,
-    /// Connection handoff from the acceptor (this shard is the only
-    /// consumer).
-    pub(crate) ring: Arc<SpscRing<(TcpStream, String)>>,
-    /// Set by the acceptor (cancel, listener failure) or by a shard
-    /// that met the request quota.
-    pub(crate) shutdown: Arc<AtomicBool>,
-    /// Requests completed across *all* shards (the quota counter).
-    pub(crate) requests_done: Arc<AtomicU64>,
-    /// Hot-reload publication cell, when serving from a watched spec.
-    pub(crate) snapshot: Option<Arc<RegistrySnapshot>>,
-    /// id → fingerprint of what this shard's registry currently holds.
-    pub(crate) applied: HashMap<String, u64>,
-    /// This shard's connection cap (the server cap split across shards).
-    pub(crate) max_conns: usize,
+/// Least time between two accept polls on ticks that made progress. A
+/// non-blocking accept that finds nothing costs 3–4 µs on a 2-core VM,
+/// and a busy offload tick does little more than one 16 KiB read per
+/// connection, so polling on every tick would weigh on the loop. Polling
+/// at most once per period spends under half a percent of a busy loop's
+/// time and delays a new connection by about one period at most.
+const ACCEPT_PERIOD: Duration = Duration::from_millis(1);
+
+/// The loop's side of hot reload: the spec generation the registry
+/// holds, and the id → fingerprint map of its patterns.
+pub(crate) struct Reload<'a> {
+    snapshot: &'a RegistrySnapshot,
+    generation: u64,
+    applied: HashMap<String, u64>,
 }
 
-pub(crate) fn run(runtime: ShardRuntime) -> ShardReport {
-    let ShardRuntime {
-        index,
-        mut registry,
-        config,
-        ring,
-        shutdown,
-        requests_done,
-        snapshot,
-        mut applied,
-        max_conns,
-    } = runtime;
+impl<'a> Reload<'a> {
+    /// The state of a registry built from `snapshot`'s current spec.
+    pub(crate) fn new(snapshot: &'a RegistrySnapshot) -> Reload<'a> {
+        let (generation, spec) = snapshot.load();
+        Reload {
+            snapshot,
+            generation,
+            applied: spec.fingerprints(),
+        }
+    }
+}
 
+/// Serves until the cancel token trips or the request quota is met, and
+/// reports what it saw (`reload_errors` is the watcher's to fill in).
+/// Only a listener error ends the run with `Err`.
+pub(crate) fn run(
+    listener: &TcpListener,
+    registry: &mut PatternRegistry,
+    mut reload: Option<Reload<'_>>,
+    config: &ServeConfig,
+    cancel: Option<&CancelToken>,
+) -> io::Result<ServerReport> {
     let mut tally = ServeTally::default();
-    let mut reload = ReloadTally::default();
+    let mut reloads = ReloadTally::default();
     // A prebuilt registry may arrive with history (warm-up traffic, a
     // previous run): report only what *this* run adds, so the server's
     // per-pattern sums reconcile against its connection tally.
     let baseline: HashMap<String, PatternStats> = registry.all_stats().into_iter().collect();
     let mut conns: Vec<Conn> = Vec::new();
-    let mut closed: Vec<ConnectionReport> = Vec::new();
+    let mut closed = Vec::new();
     let mut buf = vec![0u8; config.read_buf_bytes.max(1)];
     let mut rotate: usize = 0;
-    let mut applied_generation = snapshot.as_ref().map_or(0, |s| s.generation());
-    let mut pushed_requests: u64 = 0;
+    let mut last_accept = Instant::now();
 
-    let quota_hit = |requests_done: &AtomicU64| {
+    let quota_hit = |tally: &ServeTally| {
         config
             .max_requests
-            .is_some_and(|quota| requests_done.load(Ordering::Relaxed) >= quota)
+            .is_some_and(|quota| tally.requests >= quota)
     };
 
-    'serve: loop {
-        if shutdown.load(Ordering::Acquire) {
-            // Another loop (acceptor or a sibling shard) ended the run;
-            // flush what is already queued before leaving.
+    loop {
+        if cancel.is_some_and(CancelToken::is_cancelled) {
             grace_flush(&mut conns);
             break;
         }
@@ -106,34 +97,17 @@ pub(crate) fn run(runtime: ShardRuntime) -> ShardReport {
         // Reload pass: apply the spec delta between ticks. Open
         // connections are untouched; a scan in flight on a replaced
         // pattern fails typed at its next block.
-        if let Some(cell) = &snapshot {
-            if cell.generation() != applied_generation {
-                let (generation, spec) = cell.load();
-                let delta = spec.apply_to(&mut registry, &mut applied);
-                applied_generation = generation;
-                reload.generations += 1;
-                reload.inserted += delta.inserted;
-                reload.evicted += delta.evicted;
-                reload.failed += delta.failed;
+        if let Some(reload) = &mut reload {
+            if reload.snapshot.generation() != reload.generation {
+                let (generation, spec) = reload.snapshot.load();
+                let delta = spec.apply_to(registry, &mut reload.applied);
+                reload.generation = generation;
+                reloads.generations += 1;
+                reloads.inserted += delta.inserted;
+                reloads.evicted += delta.evicted;
+                reloads.failed += delta.failed;
                 progressed = true;
             }
-        }
-
-        // Adopt newly accepted connections, up to this shard's cap.
-        while let Some((stream, peer)) = ring.pop() {
-            progressed = true;
-            if conns.len() >= max_conns {
-                // Over the cap: drop so the client sees EOF, not a hang.
-                tally.refused += 1;
-                drop(stream);
-                continue;
-            }
-            if stream.set_nonblocking(true).is_err() {
-                tally.io_errors += 1;
-                continue;
-            }
-            let _ = stream.set_nodelay(true);
-            conns.push(Conn::new(stream, peer, Instant::now()));
         }
 
         // One read/write pass over every connection, rotating the start
@@ -167,8 +141,8 @@ pub(crate) fn run(runtime: ShardRuntime) -> ShardReport {
                             }
                         }
                     }
-                    Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
-                    Err(e) if e.kind() == std::io::ErrorKind::Interrupted => break,
+                    Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
+                    Err(e) if e.kind() == io::ErrorKind::Interrupted => break,
                     Err(_) => {
                         tally.io_errors += 1;
                         drop_list.push(i);
@@ -216,7 +190,7 @@ pub(crate) fn run(runtime: ShardRuntime) -> ShardReport {
                 || conn.pending_out() > config.max_pending_response_bytes
                 || read_budget == 0
                 || conn.phase == Phase::Finishing
-                || lanes::offload_backlogged(conn, &config)
+                || lanes::offload_backlogged(conn, config)
             {
                 continue;
             }
@@ -232,22 +206,21 @@ pub(crate) fn run(runtime: ShardRuntime) -> ShardReport {
                     read_budget -= got;
                     conn.last_activity = now;
                     progressed = true;
-                    if !ingest(conn, &mut registry, &config, &mut tally, &buf[..got]) {
+                    if !ingest(conn, registry, config, &mut tally, &buf[..got]) {
                         conn.close_after_flush = true;
                     }
                 }
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {}
-                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+                Err(e) if e.kind() == io::ErrorKind::WouldBlock => {}
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
                 Err(_) => {
                     tally.io_errors += 1;
                     drop_list.push(i);
                 }
             }
 
-            push_requests(&mut pushed_requests, &tally, &requests_done);
-            if quota_hit(&requests_done) {
-                // Stop reading; the flush loop below answers what is
-                // already queued.
+            if quota_hit(&tally) {
+                // Stop reading; the flush below answers what is already
+                // queued.
                 break;
             }
         }
@@ -261,7 +234,7 @@ pub(crate) fn run(runtime: ShardRuntime) -> ShardReport {
             if conn.close_after_flush || drop_list.contains(&i) {
                 continue;
             }
-            if lanes::pump_offload(conn, &mut registry, &config, &mut tally) {
+            if lanes::pump_offload(conn, registry, config, &mut tally) {
                 conn.last_activity = now;
                 progressed = true;
             }
@@ -269,12 +242,11 @@ pub(crate) fn run(runtime: ShardRuntime) -> ShardReport {
             // request once its verdict is out.
             if conn.phase != Phase::Finishing && !conn.carry.is_empty() {
                 let carry = std::mem::take(&mut conn.carry);
-                if !ingest(conn, &mut registry, &config, &mut tally, &carry) {
+                if !ingest(conn, registry, config, &mut tally, &carry) {
                     conn.close_after_flush = true;
                 }
             }
         }
-        push_requests(&mut pushed_requests, &tally, &requests_done);
 
         // Reap (highest index first so the indices stay valid).
         drop_list.sort_unstable();
@@ -285,22 +257,30 @@ pub(crate) fn run(runtime: ShardRuntime) -> ShardReport {
             progressed = true;
         }
 
+        // Graceful quota shutdown: flush every queued response (bounded
+        // by a short grace period) and stop accepting.
+        if quota_hit(&tally) {
+            grace_flush(&mut conns);
+            break;
+        }
+
+        let polled = Instant::now();
+        if !progressed || polled.duration_since(last_accept) >= ACCEPT_PERIOD {
+            last_accept = polled;
+            match accept_pending(listener, &mut conns, config, &mut tally) {
+                Ok(arrived) => progressed |= arrived,
+                Err(e) => {
+                    grace_flush(&mut conns);
+                    return Err(e);
+                }
+            }
+        }
         if !progressed {
             std::thread::sleep(Duration::from_micros(500));
         }
-
-        // Graceful quota shutdown: flush every queued response (bounded
-        // by a short grace period), then stop every other loop too.
-        if quota_hit(&requests_done) {
-            grace_flush(&mut conns);
-            shutdown.store(true, Ordering::Release);
-            break 'serve;
-        }
     }
 
-    for conn in conns {
-        closed.push(conn.report());
-    }
+    closed.extend(conns.iter().map(Conn::report));
     // `all_stats` covers retired patterns too, so requests served by a
     // pattern that was later evicted or hot-reloaded still show up (the
     // registry carries counters across reload generations).
@@ -317,12 +297,42 @@ pub(crate) fn run(runtime: ShardRuntime) -> ShardReport {
         })
         .filter(|p| p.stats != PatternStats::default() || registry.contains(&p.id))
         .collect();
-    ShardReport {
-        shard: index,
+    Ok(ServerReport {
         tally,
         patterns,
         connections: closed,
-        reload,
+        reload: reloads,
+        reload_errors: 0,
+    })
+}
+
+/// Accepts every connection pending on `listener`. One past the
+/// connection cap, or whose socket cannot be made non-blocking, is
+/// dropped at once, so its client reads EOF instead of hanging, and
+/// counted as refused. Returns whether any connection arrived.
+fn accept_pending(
+    listener: &TcpListener,
+    conns: &mut Vec<Conn>,
+    config: &ServeConfig,
+    tally: &mut ServeTally,
+) -> io::Result<bool> {
+    let mut arrived = false;
+    loop {
+        match listener.accept() {
+            Ok((stream, peer)) => {
+                arrived = true;
+                tally.connections += 1;
+                if conns.len() >= config.max_connections || stream.set_nonblocking(true).is_err() {
+                    tally.refused += 1;
+                    continue;
+                }
+                let _ = stream.set_nodelay(true);
+                conns.push(Conn::new(stream, peer.to_string(), Instant::now()));
+            }
+            Err(e) if e.kind() == io::ErrorKind::WouldBlock => return Ok(arrived),
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+            Err(e) => return Err(e),
+        }
     }
 }
 
@@ -336,20 +346,11 @@ fn grace_flush(conns: &mut [Conn]) {
                 match conn.stream.write(&conn.outbuf[conn.out_written..]) {
                     Ok(0) => break,
                     Ok(written) => conn.out_written += written,
-                    Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
+                    Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
                     Err(_) => break,
                 }
             }
         }
         std::thread::sleep(Duration::from_micros(200));
-    }
-}
-
-/// Publishes this shard's newly completed requests to the global quota
-/// counter.
-fn push_requests(pushed: &mut u64, tally: &ServeTally, requests_done: &AtomicU64) {
-    if tally.requests > *pushed {
-        requests_done.fetch_add(tally.requests - *pushed, Ordering::Relaxed);
-        *pushed = tally.requests;
     }
 }

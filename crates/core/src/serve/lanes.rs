@@ -7,12 +7,12 @@
 //! [`Conn::offload_buf`] — and scanned here, one bounded slice
 //! ([`ServeConfig::offload_tick_bytes`]) per connection per tick,
 //! through [`PatternRegistry::scan_block_pooled`] (a parallel reach
-//! phase over the shard's worker pool). The tick's latency therefore
+//! phase over the registry's worker pool). The tick's latency therefore
 //! stays bounded no matter how large a body is: the cheap path never
 //! waits behind the expensive one (PaREM's feasible-start discipline
 //! applied to serving).
 //!
-//! Backpressure: the shard stops reading a connection whose staged
+//! Backpressure: the loop stops reading a connection whose staged
 //! backlog exceeds a few slices (see
 //! [`offload_backlogged`]), which propagates to the sender as TCP flow
 //! control — staging is O(slices), not O(body).
@@ -23,7 +23,7 @@ use super::conn::{scan_error_status, Conn, Phase};
 use super::protocol::Status;
 use super::{ServeConfig, ServeTally};
 
-/// Staged-byte level above which the shard stops reading a connection
+/// Staged-byte level above which the loop stops reading a connection
 /// (the client keeps its bytes in the socket buffers instead).
 pub(crate) fn offload_backlogged(conn: &Conn, config: &ServeConfig) -> bool {
     conn.offload_buf.len() >= config.offload_tick_bytes.max(1).saturating_mul(4)
@@ -31,7 +31,7 @@ pub(crate) fn offload_backlogged(conn: &Conn, config: &ServeConfig) -> bool {
 
 /// Scans at most one slice of a connection's staged offload bytes, and
 /// answers the request once the body is complete and fully drained.
-/// Returns `true` when it made progress (the shard's idle detection).
+/// Returns `true` when it made progress (the loop's idle detection).
 pub(crate) fn pump_offload(
     conn: &mut Conn,
     registry: &mut PatternRegistry,

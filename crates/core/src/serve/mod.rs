@@ -1,26 +1,24 @@
-//! The socket front-end, layered: an **acceptor** deals connections to
-//! N **shard** loops, each owning a private registry replica and an
-//! inline/offload **lane** split per connection.
+//! The socket front-end: one non-blocking **event loop** that accepts
+//! its own connections and splits each one's requests into an inline
+//! and an offload **lane**.
 //!
-//! [`Server`] serves a pattern set over TCP with *non-blocking*
-//! readiness loops over `std::net` (`set_nonblocking` + a small poll
-//! tick — no external event-loop dependency). The PR-5 single loop
-//! still exists — it is what one shard runs — but the plumbing around
-//! it is now three layers:
+//! [`Server`] serves a pattern set over TCP with a readiness loop over
+//! `std::net` (`set_nonblocking` + a small poll tick — no external
+//! event-loop dependency). It is layered as:
 //!
-//! * [`acceptor`] — the only thread touching the listener; accepts and
-//!   deals sockets round-robin to the shards over wait-free SPSC
-//!   [`ring`]s;
-//! * [`shard`] — N loop threads ([`ServeConfig::shards`]), each with a
-//!   private [`PatternRegistry`] replica built by *loading* the same
-//!   compiled [`PatternSpec`] artifacts (never by re-running powerset
-//!   construction), so shards share no scan state and scale without a
-//!   registry lock;
+//! * [`event_loop`] — the thread that calls [`Server::run`]: it owns
+//!   the listener, the [`PatternRegistry`] and every connection, and
+//!   interleaves reload, read/write, offload and accept passes per
+//!   tick;
 //! * [`lanes`]/[`conn`] — per connection, bodies at or below
 //!   [`ServeConfig::offload_bytes`] scan inline as they arrive, while
 //!   larger bodies are staged and scanned one bounded slice per tick
-//!   through the pooled reach phase, so one huge body never stalls the
-//!   tick for the small requests sharing the shard.
+//!   through the registry's pooled reach phase, so one huge body never
+//!   stalls the tick for the small requests sharing the loop.
+//!
+//! Parallelism comes from that pooled reach phase — the paper's chunked
+//! scan — and not from replicated loops: loop replicas fed by an
+//! acceptor thread measured below one loop on one and on two cores.
 //!
 //! # Hot reload
 //!
@@ -28,7 +26,7 @@
 //! ([`bind_spec_file`](Server::bind_spec_file)) with
 //! [`ServeConfig::reload_interval`] set runs a watcher thread that
 //! re-parses the file and publishes changed specs into a
-//! generation-stamped [`RegistrySnapshot`]. Each shard notices the
+//! generation-stamped [`RegistrySnapshot`]. The loop notices the
 //! generation change between ticks and applies the insert/evict delta
 //! without dropping a connection; an in-flight scan on a replaced
 //! pattern fails typed (wire status `Protocol`), never with a wrong
@@ -36,8 +34,8 @@
 //!
 //! # Backpressure
 //!
-//! Per shard, two bounds keep a flood of fast writers or slow readers
-//! from starving the loop or the heap:
+//! Two bounds keep a flood of fast writers or slow readers from
+//! starving the loop or the heap:
 //!
 //! * **read budget** — each tick reads at most
 //!   [`ServeConfig::tick_read_budget`] bytes *across all connections*;
@@ -53,41 +51,39 @@
 //!
 //! # Lifecycle
 //!
-//! [`Server::run`] spawns the shards (and the watcher, if any), runs
-//! the acceptor on the calling thread until an optional request quota
-//! ([`ServeConfig::max_requests`]) is met or an optional [`CancelToken`]
-//! trips, then joins everything and *reconciles*: per-shard reports are
-//! summed into the server-level tally and cross-checked
-//! ([`ServerReport::verify`]) so a lost or double-counted request is an
-//! invariant failure, not a silent skew.
+//! [`Server::run`] starts the watcher, if any, and runs the loop on the
+//! calling thread until an optional request quota
+//! ([`ServeConfig::max_requests`]) is met or an optional
+//! [`CancelToken`] trips. It then flushes pending responses, joins the
+//! watcher and returns a report whose counters are cross-checked
+//! ([`ServerReport::verify`]), so a lost or double-counted request is
+//! an invariant failure, not a silent skew.
 
 pub mod protocol;
 
-mod acceptor;
 mod conn;
+mod event_loop;
 mod lanes;
-mod ring;
-mod shard;
 
 use std::io;
-use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::net::{SocketAddr, TcpListener, ToSocketAddrs};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
+
+use ridfa_automata::ConstructionBudget;
 
 use crate::csdpa::budget::CancelToken;
 use crate::csdpa::plan::EnginePlan;
 use crate::csdpa::registry::{PatternRegistry, PatternStats, RegistryConfig};
 use crate::csdpa::spec::{PatternSpec, RegistrySnapshot};
 
-use ring::SpscRing;
-
 /// Sizing, bounding and termination knobs of a [`Server`].
 #[derive(Debug, Clone)]
 pub struct ServeConfig {
-    /// Stop after this many completed requests (any status, summed
-    /// across shards). `None` runs until cancelled.
+    /// Stop after this many completed requests (any status). `None`
+    /// runs until cancelled.
     pub max_requests: Option<u64>,
     /// Per-request wall-clock deadline, measured from the first header
     /// byte; expiry answers [`Status`](protocol::Status)`::Deadline` and
@@ -96,14 +92,13 @@ pub struct ServeConfig {
     /// Close connections silent for this long (stalled mid-request or
     /// idle between requests alike).
     pub idle_timeout: Option<Duration>,
-    /// Accepted-connection cap, split evenly across shards; connections
-    /// beyond it are accepted and immediately dropped so the client sees
-    /// EOF, not a hang.
+    /// Open-connection cap; connections beyond it are accepted and
+    /// immediately dropped so the client sees EOF, not a hang.
     pub max_connections: usize,
     /// Per-connection read size per tick.
     pub read_buf_bytes: usize,
-    /// Total bytes read per tick across one shard's connections
-    /// (backpressure; see the [module docs](self)).
+    /// Total bytes read per tick across all connections (backpressure;
+    /// see the [module docs](self)).
     pub tick_read_budget: usize,
     /// Largest declared request body; larger ones are drained and
     /// answered [`Status`](protocol::Status)`::Budget`.
@@ -111,11 +106,6 @@ pub struct ServeConfig {
     /// Unflushed-response high-water mark above which a connection is
     /// not read from.
     pub max_pending_response_bytes: usize,
-    /// Shard (loop thread) count; clamped to at least 1. Counts above 1
-    /// need a spec-bound server ([`Server::bind_spec`] /
-    /// [`Server::bind_spec_file`]) so each shard can build its own
-    /// registry replica.
-    pub shards: usize,
     /// Declared body size above which a request leaves the inline lane
     /// and is scanned in bounded slices by the offload lane. The default
     /// (`u64::MAX`) keeps every body inline.
@@ -139,7 +129,6 @@ impl Default for ServeConfig {
             tick_read_budget: 1 << 20,
             max_body_bytes: u64::MAX,
             max_pending_response_bytes: 4096,
-            shards: 1,
             offload_bytes: u64::MAX,
             offload_tick_bytes: 256 * 1024,
             reload_interval: None,
@@ -169,31 +158,13 @@ pub struct ServeTally {
     pub io_errors: u64,
     /// Connections closed by the idle timeout.
     pub idle_closed: u64,
-    /// Connections accepted over the cap and immediately dropped.
+    /// Connections accepted and immediately dropped: over the cap, or
+    /// with a socket that could not be made non-blocking.
     pub refused: u64,
-    /// Connections accepted (including later-refused ones). Counted by
-    /// the acceptor: per-shard tallies leave it 0.
+    /// Connections accepted, refused ones included.
     pub connections: u64,
     /// Request-body bytes consumed (scanned or drained).
     pub bytes: u64,
-}
-
-impl ServeTally {
-    /// Adds `other` into `self`, field by field.
-    fn absorb(&mut self, other: &ServeTally) {
-        self.requests += other.requests;
-        self.accepted += other.accepted;
-        self.rejected += other.rejected;
-        self.protocol_errors += other.protocol_errors;
-        self.deadline_errors += other.deadline_errors;
-        self.budget_errors += other.budget_errors;
-        self.faults += other.faults;
-        self.io_errors += other.io_errors;
-        self.idle_closed += other.idle_closed;
-        self.refused += other.refused;
-        self.connections += other.connections;
-        self.bytes += other.bytes;
-    }
 }
 
 /// Counters of one (closed or still-open) connection.
@@ -225,10 +196,10 @@ pub struct PatternReport {
     pub plan: Option<EnginePlan>,
 }
 
-/// What hot reload did to one shard's registry over the run.
+/// What hot reload did to the registry over the run.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ReloadTally {
-    /// Spec generations this shard applied.
+    /// Spec generations the loop applied.
     pub generations: u64,
     /// Patterns inserted across all applied deltas.
     pub inserted: u64,
@@ -238,38 +209,17 @@ pub struct ReloadTally {
     pub failed: u64,
 }
 
-/// Everything one shard loop observed.
+/// Everything a finished [`Server::run`] observed.
 #[derive(Debug, Clone, Default)]
-pub struct ShardReport {
-    /// The shard's index.
-    pub shard: usize,
-    /// The shard's counters (`connections` stays 0 — accepts are counted
-    /// by the acceptor).
+pub struct ServerReport {
+    /// Global counters.
     pub tally: ServeTally,
-    /// Per-pattern counters of the shard's registry replica.
+    /// Per-pattern counters, retired patterns included.
     pub patterns: Vec<PatternReport>,
     /// Per-connection counters, in close order.
     pub connections: Vec<ConnectionReport>,
     /// Hot-reload activity.
     pub reload: ReloadTally,
-}
-
-/// Everything a finished [`Server::run`] observed, reconciled across
-/// shards.
-#[derive(Debug, Clone, Default)]
-pub struct ServerReport {
-    /// Global counters: the sum of every shard's tally plus the
-    /// acceptor's connection counts.
-    pub tally: ServeTally,
-    /// Per-pattern counters, summed across shard replicas by id (in
-    /// first-appearance order).
-    pub patterns: Vec<PatternReport>,
-    /// Per-connection counters from every shard, in close order within
-    /// each shard.
-    pub connections: Vec<ConnectionReport>,
-    /// The per-shard reports the totals were reconciled from (one entry,
-    /// index 0, for a single-shard server).
-    pub shards: Vec<ShardReport>,
     /// Spec re-parse failures of the hot-reload watcher (the previous
     /// spec stays published).
     pub reload_errors: u64,
@@ -277,9 +227,10 @@ pub struct ServerReport {
 
 impl ServerReport {
     /// Cross-checks the reconciliation invariants: the status breakdown
-    /// sums to the request total, and shard-level and connection-level
-    /// counters both re-sum to the same totals. Returns the first
-    /// violated invariant as text.
+    /// sums to the request total, connection-level counters re-sum to
+    /// the same totals, every accepted connection is either reported or
+    /// refused, and per-pattern verdicts match the tally. Returns the
+    /// first violated invariant as text.
     pub fn verify(&self) -> Result<(), String> {
         let t = &self.tally;
         let by_status = t.accepted
@@ -291,13 +242,6 @@ impl ServerReport {
         if by_status != t.requests {
             return Err(format!(
                 "status breakdown sums to {by_status}, tally says {} requests",
-                t.requests
-            ));
-        }
-        let by_shard: u64 = self.shards.iter().map(|s| s.tally.requests).sum();
-        if by_shard != t.requests {
-            return Err(format!(
-                "shard tallies sum to {by_shard} requests, tally says {}",
                 t.requests
             ));
         }
@@ -313,6 +257,15 @@ impl ServerReport {
             return Err(format!(
                 "connection reports sum to {bytes_by_conn} bytes, tally says {}",
                 t.bytes
+            ));
+        }
+        let reported = self.connections.len() as u64 + t.refused;
+        if reported != t.connections {
+            return Err(format!(
+                "{} connection reports plus {} refused, tally says {} connections",
+                self.connections.len(),
+                t.refused,
+                t.connections
             ));
         }
         // Per-pattern reconciliation — possible since registries carry
@@ -348,65 +301,23 @@ impl ServerReport {
         }
         Ok(())
     }
-
-    /// Builds the reconciled report from the per-shard reports plus the
-    /// acceptor's counts.
-    fn reconcile(shards: Vec<ShardReport>, stats: acceptor::AcceptorStats) -> ServerReport {
-        let mut tally = ServeTally::default();
-        let mut patterns: Vec<PatternReport> = Vec::new();
-        let mut connections: Vec<ConnectionReport> = Vec::new();
-        for report in &shards {
-            tally.absorb(&report.tally);
-            connections.extend(report.connections.iter().cloned());
-            for p in &report.patterns {
-                match patterns.iter_mut().find(|q| q.id == p.id) {
-                    Some(q) => {
-                        q.stats.requests += p.stats.requests;
-                        q.stats.accepted += p.stats.accepted;
-                        q.stats.rejected += p.stats.rejected;
-                        q.stats.errors += p.stats.errors;
-                        q.stats.bytes += p.stats.bytes;
-                        // Shard replicas resolve the same spec the same
-                        // way; keep the first reported plan (a retired
-                        // pattern on one shard may report `None`).
-                        if q.plan.is_none() {
-                            q.plan = p.plan;
-                        }
-                    }
-                    None => patterns.push(p.clone()),
-                }
-            }
-        }
-        tally.connections += stats.connections;
-        tally.refused += stats.refused;
-        ServerReport {
-            tally,
-            patterns,
-            connections,
-            shards,
-            reload_errors: 0,
-        }
-    }
 }
 
-/// Where a server's patterns come from.
-enum Source {
-    /// A caller-built registry, served as-is by a single shard.
-    Prebuilt(Box<PatternRegistry>),
-    /// A compiled spec each shard builds its own replica from.
-    Spec {
-        spec: Arc<PatternSpec>,
-        registry: RegistryConfig,
-        /// The pattern file to watch for hot reload, when bound from one.
-        path: Option<PathBuf>,
-    },
+/// The pattern file a spec-bound server re-reads for hot reload.
+struct Watch {
+    path: PathBuf,
+    interval: Duration,
+    budget: ConstructionBudget,
+    /// The spec generation the watcher publishes and the loop applies.
+    snapshot: RegistrySnapshot,
 }
 
-/// The sharded, non-blocking multi-pattern recognition server. See the
+/// The non-blocking multi-pattern recognition server. See the
 /// [module docs](self).
 pub struct Server {
     listener: TcpListener,
-    source: Source,
+    registry: PatternRegistry,
+    watch: Option<Watch>,
     config: ServeConfig,
     cancel: Option<CancelToken>,
 }
@@ -414,76 +325,50 @@ pub struct Server {
 impl Server {
     /// Binds `addr` (port 0 picks a free port — read it back with
     /// [`local_addr`](Server::local_addr)) and prepares to serve
-    /// `registry`'s patterns on a single shard. For multiple shards,
-    /// bind from a spec ([`bind_spec`](Server::bind_spec) /
-    /// [`bind_spec_file`](Server::bind_spec_file)) so each shard can
-    /// build its own replica.
+    /// `registry`'s patterns.
     pub fn bind<A: ToSocketAddrs>(
         addr: A,
         registry: PatternRegistry,
         config: ServeConfig,
     ) -> io::Result<Server> {
-        let listener = Self::listen(addr)?;
+        let listener = TcpListener::bind(addr)?;
+        listener.set_nonblocking(true)?;
         Ok(Server {
             listener,
-            source: Source::Prebuilt(Box::new(registry)),
+            registry,
+            watch: None,
             config,
             cancel: None,
         })
     }
 
-    /// Binds `addr` and prepares to serve `spec`, building one registry
-    /// replica per shard from its compiled artifacts (with
-    /// `registry_config`'s workers, block size and residency cap each).
-    pub fn bind_spec<A: ToSocketAddrs>(
-        addr: A,
-        spec: PatternSpec,
-        registry_config: RegistryConfig,
-        config: ServeConfig,
-    ) -> io::Result<Server> {
-        let listener = Self::listen(addr)?;
-        Ok(Server {
-            listener,
-            source: Source::Spec {
-                spec: Arc::new(spec),
-                registry: registry_config,
-                path: None,
-            },
-            config,
-            cancel: None,
-        })
-    }
-
-    /// Binds `addr` and serves the pattern file at `path` (parsed with
-    /// `registry_config.budget`). With [`ServeConfig::reload_interval`]
-    /// set, the file is watched and edits hot-reload into the running
-    /// shards.
+    /// Binds `addr` and serves the pattern file at `path`, parsed with
+    /// `registry_config.budget` into a registry built from its compiled
+    /// artifacts. With [`ServeConfig::reload_interval`] set, the file is
+    /// watched and edits hot-reload into the running loop.
     pub fn bind_spec_file<A: ToSocketAddrs>(
         addr: A,
         path: PathBuf,
         registry_config: RegistryConfig,
         config: ServeConfig,
     ) -> io::Result<Server> {
+        let invalid = |e: String| io::Error::new(io::ErrorKind::InvalidInput, e);
         let text = std::fs::read_to_string(&path)?;
-        let spec = PatternSpec::parse(&text, &registry_config.budget, None)
-            .map_err(|e| io::Error::new(io::ErrorKind::InvalidInput, e.to_string()))?;
-        let listener = Self::listen(addr)?;
+        let budget = registry_config.budget;
+        let spec = PatternSpec::parse(&text, &budget, None).map_err(|e| invalid(e.to_string()))?;
+        let registry = spec
+            .build_registry(registry_config)
+            .map_err(|e| invalid(e.to_string()))?;
+        let watch = config.reload_interval.map(|interval| Watch {
+            path,
+            interval,
+            budget,
+            snapshot: RegistrySnapshot::new(Arc::new(spec)),
+        });
         Ok(Server {
-            listener,
-            source: Source::Spec {
-                spec: Arc::new(spec),
-                registry: registry_config,
-                path: Some(path),
-            },
-            config,
-            cancel: None,
+            watch,
+            ..Server::bind(addr, registry, config)?
         })
-    }
-
-    fn listen<A: ToSocketAddrs>(addr: A) -> io::Result<TcpListener> {
-        let listener = TcpListener::bind(addr)?;
-        listener.set_nonblocking(true)?;
-        Ok(listener)
     }
 
     /// The bound address.
@@ -494,10 +379,7 @@ impl Server {
     /// Patterns the server starts out serving (hot reload can change
     /// the set later).
     pub fn pattern_count(&self) -> usize {
-        match &self.source {
-            Source::Prebuilt(registry) => registry.ids().count(),
-            Source::Spec { spec, .. } => spec.len(),
-        }
+        self.registry.ids().count()
     }
 
     /// Installs a cancellation token: tripping it ends
@@ -506,156 +388,90 @@ impl Server {
         self.cancel = Some(token);
     }
 
-    /// Runs acceptor, shards and (optionally) the spec watcher until the
-    /// request quota is met or the cancel token trips, then joins
-    /// everything, flushes pending responses and returns the reconciled
-    /// counters. No loop ever blocks on any one connection; only `Err`
-    /// values of the *listener* abort the run.
+    /// Runs the event loop on the calling thread (and the spec watcher
+    /// beside it, if any) until the request quota is met or the cancel
+    /// token trips, then flushes pending responses and returns the
+    /// counters. The loop never blocks on any one connection; only
+    /// `Err` values of the *listener* abort the run.
     pub fn run(self) -> io::Result<ServerReport> {
-        let shards = self.config.shards.max(1);
-
-        // Build the per-shard registry replicas and the (optional)
-        // hot-reload snapshot cell up front, before any thread starts.
-        let mut snapshot: Option<Arc<RegistrySnapshot>> = None;
-        let mut watch: Option<(PathBuf, Duration, RegistryConfig)> = None;
-        let mut registries: Vec<(PatternRegistry, std::collections::HashMap<String, u64>)> =
-            Vec::with_capacity(shards);
-        match self.source {
-            Source::Prebuilt(registry) => {
-                if shards > 1 {
-                    return Err(io::Error::new(
-                        io::ErrorKind::InvalidInput,
-                        "a multi-shard server needs a pattern spec (bind_spec / \
-                         bind_spec_file), not a prebuilt registry",
-                    ));
-                }
-                registries.push((*registry, std::collections::HashMap::new()));
-            }
-            Source::Spec {
-                spec,
-                registry,
-                path,
-            } => {
-                for _ in 0..shards {
-                    let replica = spec
-                        .build_registry(registry.clone())
-                        .map_err(|e| io::Error::new(io::ErrorKind::InvalidInput, e.to_string()))?;
-                    registries.push((replica, spec.fingerprints()));
-                }
-                if let (Some(path), Some(interval)) = (path, self.config.reload_interval) {
-                    snapshot = Some(Arc::new(RegistrySnapshot::new(Arc::clone(&spec))));
-                    watch = Some((path, interval, registry));
-                }
-            }
-        }
-
-        let shutdown = Arc::new(AtomicBool::new(false));
-        let requests_done = Arc::new(AtomicU64::new(0));
-        let per_shard_conns = self.config.max_connections.div_ceil(shards).max(1);
-        let ring_capacity = per_shard_conns.clamp(4, 1024);
-
-        let mut rings: Vec<Arc<SpscRing<(TcpStream, String)>>> = Vec::with_capacity(shards);
-        let mut handles = Vec::with_capacity(shards);
-        for (index, (registry, applied)) in registries.into_iter().enumerate() {
-            let ring = Arc::new(SpscRing::with_capacity(ring_capacity));
-            rings.push(Arc::clone(&ring));
-            let runtime = shard::ShardRuntime {
-                index,
-                registry,
-                config: self.config.clone(),
-                ring,
-                shutdown: Arc::clone(&shutdown),
-                requests_done: Arc::clone(&requests_done),
-                snapshot: snapshot.clone(),
-                applied,
-                max_conns: per_shard_conns,
+        let Server {
+            listener,
+            mut registry,
+            watch,
+            config,
+            cancel,
+        } = self;
+        let shutdown = AtomicBool::new(false);
+        std::thread::scope(|scope| {
+            // What the registry holds, read before the watcher can
+            // publish a newer generation.
+            let reload = watch.as_ref().map(|w| event_loop::Reload::new(&w.snapshot));
+            let watcher = watch
+                .as_ref()
+                .map(|w| scope.spawn(|| watch_spec_file(w, &shutdown)));
+            let report = {
+                // Stops the watcher when the loop returns or panics.
+                let _stop = SetOnDrop(&shutdown);
+                event_loop::run(&listener, &mut registry, reload, &config, cancel.as_ref())
             };
-            let handle = std::thread::Builder::new()
-                .name(format!("ridfa-shard-{index}"))
-                .spawn(move || shard::run(runtime))?;
-            handles.push(handle);
-        }
-
-        let watcher = watch.map(|(path, interval, registry_config)| {
-            let snapshot = Arc::clone(snapshot.as_ref().expect("watch implies snapshot"));
-            let shutdown = Arc::clone(&shutdown);
-            std::thread::spawn(move || {
-                watch_spec_file(&path, interval, &registry_config, &snapshot, &shutdown)
-            })
-        });
-
-        let accepted = acceptor::run(
-            &self.listener,
-            &rings,
-            &shutdown,
-            &requests_done,
-            self.config.max_requests,
-            self.cancel.as_ref(),
-        );
-        // Whatever ended the acceptor (cancel, quota, listener error),
-        // every other thread must now wind down.
-        shutdown.store(true, Ordering::Release);
-        drop(rings);
-
-        let mut shard_reports: Vec<ShardReport> = Vec::with_capacity(shards);
-        for handle in handles {
-            match handle.join() {
-                Ok(report) => shard_reports.push(report),
-                Err(panic) => std::panic::resume_unwind(panic),
-            }
-        }
-        let reload_errors = match watcher {
-            Some(handle) => handle.join().unwrap_or(0),
-            None => 0,
-        };
-        shard_reports.sort_by_key(|r| r.shard);
-
-        let stats = accepted?;
-        let mut report = ServerReport::reconcile(shard_reports, stats);
-        report.reload_errors = reload_errors;
-        debug_assert!(
-            report.verify().is_ok(),
-            "reconciliation invariant violated: {:?}",
-            report.verify()
-        );
-        Ok(report)
+            let reload_errors = match watcher {
+                Some(handle) => handle
+                    .join()
+                    .unwrap_or_else(|panic| std::panic::resume_unwind(panic)),
+                None => 0,
+            };
+            let report = ServerReport {
+                reload_errors,
+                ..report?
+            };
+            debug_assert!(
+                report.verify().is_ok(),
+                "reconciliation invariant violated: {:?}",
+                report.verify()
+            );
+            Ok(report)
+        })
     }
 }
 
-/// The spec watcher loop: re-parses `path` every `interval`, publishing
-/// specs whose fingerprint actually changed. Parse failures are counted
-/// and the previous spec stays live. Returns the failure count.
-fn watch_spec_file(
-    path: &PathBuf,
-    interval: Duration,
-    registry_config: &RegistryConfig,
-    snapshot: &RegistrySnapshot,
-    shutdown: &AtomicBool,
-) -> u64 {
+/// Sets its flag when dropped, unwinding included.
+struct SetOnDrop<'a>(&'a AtomicBool);
+
+impl Drop for SetOnDrop<'_> {
+    fn drop(&mut self) {
+        self.0.store(true, Ordering::Release);
+    }
+}
+
+/// The spec watcher loop: re-parses the watched file every interval,
+/// publishing specs whose fingerprint actually changed. Parse failures
+/// are counted and the previous spec stays live. Returns the failure
+/// count.
+fn watch_spec_file(watch: &Watch, shutdown: &AtomicBool) -> u64 {
     let mut errors = 0u64;
-    let (_, mut current) = snapshot.load();
+    let (_, mut current) = watch.snapshot.load();
     'watch: loop {
         // Sleep in small slices so shutdown stays prompt even with a
         // long reload interval.
         let mut slept = Duration::ZERO;
-        while slept < interval {
+        while slept < watch.interval {
             if shutdown.load(Ordering::Acquire) {
                 break 'watch;
             }
-            let slice = Duration::from_millis(50).min(interval - slept);
+            let slice = Duration::from_millis(50).min(watch.interval - slept);
             std::thread::sleep(slice);
             slept += slice;
         }
-        let Ok(text) = std::fs::read_to_string(path) else {
+        let Ok(text) = std::fs::read_to_string(&watch.path) else {
             // Mid-edit or replaced file; try again next interval.
             errors += 1;
             continue;
         };
-        match PatternSpec::parse(&text, &registry_config.budget, Some(&current)) {
+        match PatternSpec::parse(&text, &watch.budget, Some(&current)) {
             Ok(spec) if spec.fingerprint() != current.fingerprint() => {
                 let spec = Arc::new(spec);
                 current = Arc::clone(&spec);
-                snapshot.publish(spec);
+                watch.snapshot.publish(spec);
             }
             Ok(_) => {}
             Err(_) => errors += 1,

@@ -21,7 +21,7 @@ use ridfa::core::csdpa::{
     recognize_budgeted, Budget, CancelToken, Degraded, Executor, Kernel, RecognizeError, RidCa,
     Session, StreamError, StreamSession,
 };
-use ridfa::core::csdpa::{PatternRegistry, PatternSpec, RegistryConfig};
+use ridfa::core::csdpa::{PatternRegistry, RegistryConfig};
 use ridfa::core::ridfa::RiDfa;
 use ridfa::core::serve::protocol::{self, Status};
 use ridfa::core::serve::{ServeConfig, Server};
@@ -348,24 +348,31 @@ fn construction_budgets_turn_state_explosions_into_typed_errors() {
     );
 }
 
-/// The hostile-client serving knobs shared by the single-shard and
-/// sharded runs.
-fn hostile_config() -> ServeConfig {
-    ServeConfig {
-        request_deadline: Some(Duration::from_millis(150)),
-        idle_timeout: Some(Duration::from_millis(400)),
-        ..ServeConfig::default()
-    }
-}
-
 /// Hostile loopback clients — stalling mid-request, writing garbage,
 /// resetting mid-frame — must never wedge the serve loop or starve a
 /// well-behaved client, and every casualty must land in a typed counter.
-/// Runs unchanged against any shard count (the `server` decides).
-fn hostile_clients_scenario(mut server: Server) {
+#[test]
+fn hostile_clients_never_wedge_the_serve_loop() {
     use std::io::Write as _;
     use std::net::TcpStream;
 
+    let mut registry = PatternRegistry::new(RegistryConfig {
+        num_workers: 2,
+        block_size: 128,
+        ..RegistryConfig::default()
+    });
+    registry.insert_regex("abb", "(a|b)*abb").unwrap();
+    registry.insert_regex("digits", "[0-9]+").unwrap();
+    let mut server = Server::bind(
+        "127.0.0.1:0",
+        registry,
+        ServeConfig {
+            request_deadline: Some(Duration::from_millis(150)),
+            idle_timeout: Some(Duration::from_millis(400)),
+            ..ServeConfig::default()
+        },
+    )
+    .unwrap();
     let cancel = CancelToken::new();
     server.set_cancel(cancel.clone());
     let addr = server.local_addr().unwrap();
@@ -463,47 +470,6 @@ fn hostile_clients_scenario(mut server: Server) {
     assert_eq!(report.tally.connections, 6, "{:?}", report.tally);
     // Every connection is accounted for — none leaked past shutdown.
     assert_eq!(report.connections.len(), 6);
-}
-
-fn hostile_registry_config() -> RegistryConfig {
-    RegistryConfig {
-        num_workers: 2,
-        block_size: 128,
-        ..RegistryConfig::default()
-    }
-}
-
-#[test]
-fn hostile_clients_never_wedge_the_serve_loop() {
-    let mut registry = PatternRegistry::new(hostile_registry_config());
-    registry.insert_regex("abb", "(a|b)*abb").unwrap();
-    registry.insert_regex("digits", "[0-9]+").unwrap();
-    let server = Server::bind("127.0.0.1:0", registry, hostile_config()).unwrap();
-    hostile_clients_scenario(server);
-}
-
-/// The identical hostile workload against a 2-shard server: every typed
-/// casualty counter must come out the same after cross-shard
-/// reconciliation — sharding may not change containment semantics.
-#[test]
-fn hostile_clients_never_wedge_a_sharded_server() {
-    let spec = PatternSpec::parse(
-        "abb (a|b)*abb\ndigits [0-9]+\n",
-        &ConstructionBudget::UNLIMITED,
-        None,
-    )
-    .unwrap();
-    let server = Server::bind_spec(
-        "127.0.0.1:0",
-        spec,
-        hostile_registry_config(),
-        ServeConfig {
-            shards: 2,
-            ..hostile_config()
-        },
-    )
-    .unwrap();
-    hostile_clients_scenario(server);
 }
 
 /// A client that sends pipelined requests but never reads responses hits

@@ -1,15 +1,19 @@
 //! Loopback serving: one process, many concurrent TCP connections with
-//! mixed verdicts — multiplexed by the non-blocking loop, both on a
-//! single shard (a prebuilt registry) and across four shards (per-shard
-//! replicas built from a pattern spec), with identical observable
-//! behavior.
+//! mixed verdicts — multiplexed by the non-blocking loop, whether its
+//! registry is prebuilt or built from a pattern file — plus a seeded
+//! differential oracle over pipelined frames on both lanes, and the
+//! connection cap.
 
+use std::io::{Read as _, Write as _};
 use std::net::TcpStream;
+use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::Duration;
 
-use ridfa::automata::ConstructionBudget;
-use ridfa::core::csdpa::{CancelToken, PatternRegistry, PatternSpec, RegistryConfig};
+use ridfa::automata::dfa::powerset::determinize;
+use ridfa::automata::nfa::glushkov;
+use ridfa::automata::regex;
+use ridfa::core::csdpa::{CancelToken, PatternRegistry, PatternStats, RegistryConfig};
 use ridfa::core::ridfa::ridfa_to_bytes;
 use ridfa::core::serve::protocol::{self, Status};
 use ridfa::core::serve::{ServeConfig, Server};
@@ -41,26 +45,31 @@ fn test_registry() -> PatternRegistry {
     reg
 }
 
-/// The same pattern set as [`test_registry`], as a spec multi-shard
-/// servers can build replicas from (the artifact rides via a temp file,
-/// like a prod deploy would ship it).
-fn test_spec(tag: &str) -> PatternSpec {
-    let path = std::env::temp_dir().join(format!("ridfa-mask-{tag}-{}.rida", std::process::id()));
-    std::fs::write(&path, mask_artifact()).unwrap();
+/// Binds a server on the pattern file holding the same pattern set as
+/// [`test_registry`] (the artifact rides via a second file, like a prod
+/// deploy would ship it). Both files are read at bind time and removed
+/// right after.
+fn bind_test_spec_file(tag: &str, config: ServeConfig) -> Server {
+    let temp = |ext: &str| -> PathBuf {
+        std::env::temp_dir().join(format!("ridfa-{tag}-{}.{ext}", std::process::id()))
+    };
+    let (artifact, patterns) = (temp("rida"), temp("txt"));
+    std::fs::write(&artifact, mask_artifact()).unwrap();
     let text = format!(
         "abb (a|b)*abb\ndigits [0-9]+\nword [a-z]+(-[a-z]+)*\nmask @{}\n",
-        path.display()
+        artifact.display()
     );
-    let spec = PatternSpec::parse(&text, &ConstructionBudget::UNLIMITED, None).unwrap();
-    let _ = std::fs::remove_file(&path);
-    spec
+    std::fs::write(&patterns, text).unwrap();
+    let server = Server::bind_spec_file("127.0.0.1:0", patterns.clone(), registry_config(), config);
+    let _ = std::fs::remove_file(&artifact);
+    let _ = std::fs::remove_file(&patterns);
+    server.unwrap()
 }
 
 /// 32 concurrent client threads × 4 requests each, across 4 patterns
 /// (one artifact-loaded), mixed accept/reject plus unknown-pattern
-/// probes: every verdict correct, every counter adds up — at any shard
-/// count.
-fn mixed_verdicts_scenario(server: Server, shards: usize) {
+/// probes: every verdict correct, every counter adds up.
+fn mixed_verdicts_scenario(server: Server) {
     const CLIENTS: usize = 32;
     const PER_CLIENT: usize = 4;
 
@@ -114,7 +123,6 @@ fn mixed_verdicts_scenario(server: Server, shards: usize) {
     assert_eq!(report.tally.requests, total);
     assert_eq!(report.tally.connections, CLIENTS as u64);
     assert_eq!(report.connections.len(), CLIENTS);
-    assert_eq!(report.shards.len(), shards);
     report.verify().expect("reconciliation invariants");
 
     let expected = expected.lock().unwrap();
@@ -123,8 +131,7 @@ fn mixed_verdicts_scenario(server: Server, shards: usize) {
     assert_eq!(report.tally.rejected, sum(1));
     assert_eq!(report.tally.protocol_errors, sum(2));
 
-    // Per-pattern counters (summed across shard replicas) agree with
-    // what the clients sent.
+    // Per-pattern counters agree with what the clients sent.
     for pattern in &report.patterns {
         let [accepted, rejected, _] = expected
             .get(pattern.id.as_str())
@@ -150,27 +157,23 @@ fn thirty_two_concurrent_connections_mixed_verdicts() {
         },
     )
     .unwrap();
-    mixed_verdicts_scenario(server, 1);
+    mixed_verdicts_scenario(server);
 }
 
-/// The identical client workload against a 4-shard server: verdicts,
-/// totals and reconciliation must be indistinguishable from the
-/// single-shard run.
+/// The identical client workload against a server whose registry is
+/// built from a pattern file: verdicts, totals and reconciliation must
+/// be indistinguishable from the prebuilt-registry run.
 #[test]
-fn thirty_two_concurrent_connections_mixed_verdicts_four_shards() {
-    let server = Server::bind_spec(
-        "127.0.0.1:0",
-        test_spec("mixed"),
-        registry_config(),
+fn thirty_two_concurrent_connections_mixed_verdicts_from_a_spec_file() {
+    let server = bind_test_spec_file(
+        "mixed",
         ServeConfig {
             max_requests: Some(32 * 4),
             idle_timeout: Some(Duration::from_secs(10)),
-            shards: 4,
             ..ServeConfig::default()
         },
-    )
-    .unwrap();
-    mixed_verdicts_scenario(server, 4);
+    );
+    mixed_verdicts_scenario(server);
 }
 
 /// A request body larger than the configured budget is drained and
@@ -225,4 +228,197 @@ fn cancel_token_stops_the_loop() {
     cancel.cancel();
     let report = server_thread.join().unwrap();
     assert_eq!(report.tally.requests, 0);
+}
+
+/// The patterns of the differential oracle.
+const ORACLE_PATTERNS: [(&str, &str); 4] = [
+    ("abb", "(a|b)*abb"),
+    ("digits", "[0-9]+"),
+    ("word", "[a-z]+(-[a-z]+)*"),
+    ("mask", "[ab]*a[ab]{4}"),
+];
+
+/// A 0–8 KiB body for `ORACLE_PATTERNS[pattern]`: a member where the
+/// length allows one, and one XOR-corrupted byte half the time.
+fn oracle_body(pattern: usize, rng: &mut XorShift64) -> Vec<u8> {
+    let len = rng.below(8 * 1024 + 1) as usize;
+    let alphabet: &[u8] = match pattern {
+        1 => b"0123456789",
+        2 => b"abcdefghijklmnopqrstuvwxyz",
+        _ => b"ab",
+    };
+    let mut body: Vec<u8> = (0..len)
+        .map(|_| alphabet[rng.below(alphabet.len() as u64) as usize])
+        .collect();
+    match pattern {
+        0 if len >= 3 => body[len - 3..].copy_from_slice(b"abb"),
+        // Hyphens only between letters: never first, last or doubled.
+        2 => {
+            for i in 1..len.saturating_sub(1) {
+                if body[i - 1] != b'-' && rng.below(8) == 0 {
+                    body[i] = b'-';
+                }
+            }
+        }
+        3 if len >= 5 => body[len - 5] = b'a',
+        _ => {}
+    }
+    if len > 0 && rng.below(2) == 0 {
+        let at = rng.below(len as u64) as usize;
+        body[at] ^= 1 + rng.below(255) as u8;
+    }
+    body
+}
+
+/// Seeded differential oracle over one server: four clients each write
+/// 1–4 frames back to back, then read their responses in order. Bodies
+/// of 0–8 KiB cross the 2 KiB offload threshold, so both lanes run and
+/// frames arrive right behind offloaded bodies (the lane's carry
+/// re-ingest). Every status and `scanned` value must match a serial DFA
+/// built independently of the server, and the per-pattern stats must
+/// equal the clients' counts.
+#[test]
+fn pipelined_frames_on_both_lanes_match_a_serial_dfa_oracle() {
+    const CLIENTS: usize = 4;
+    const PER_CLIENT: usize = 64;
+
+    let oracles: Vec<_> = ORACLE_PATTERNS
+        .iter()
+        .map(|(_, re)| determinize(&glushkov::build(&regex::parse(re).unwrap()).unwrap()))
+        .collect();
+    let mut registry = PatternRegistry::new(registry_config());
+    for (id, re) in ORACLE_PATTERNS {
+        registry.insert_regex(id, re).unwrap();
+    }
+    let server = Server::bind(
+        "127.0.0.1:0",
+        registry,
+        ServeConfig {
+            max_requests: Some((CLIENTS * PER_CLIENT) as u64),
+            offload_bytes: 2048,
+            offload_tick_bytes: 512,
+            ..ServeConfig::default()
+        },
+    )
+    .unwrap();
+    let addr = server.local_addr().unwrap();
+    let server_thread = std::thread::spawn(move || server.run().unwrap());
+
+    let mut expected = [PatternStats::default(); ORACLE_PATTERNS.len()];
+    std::thread::scope(|scope| {
+        let clients: Vec<_> = (0..CLIENTS)
+            .map(|client| {
+                let oracles = &oracles;
+                scope.spawn(move || {
+                    let mut rng = XorShift64::new(0x0ac1e + client as u64);
+                    let mut stream = TcpStream::connect(addr).unwrap();
+                    stream
+                        .set_read_timeout(Some(Duration::from_secs(30)))
+                        .unwrap();
+                    let mut counts = [PatternStats::default(); ORACLE_PATTERNS.len()];
+                    let mut sent = 0;
+                    while sent < PER_CLIENT {
+                        let depth = (1 + rng.below(4) as usize).min(PER_CLIENT - sent);
+                        let mut frames = Vec::new();
+                        let mut wanted = Vec::new();
+                        for _ in 0..depth {
+                            let pattern = rng.below(ORACLE_PATTERNS.len() as u64) as usize;
+                            let body = oracle_body(pattern, &mut rng);
+                            let id = ORACLE_PATTERNS[pattern].0;
+                            frames.extend(protocol::encode_request(id, &body).unwrap());
+                            wanted.push((pattern, oracles[pattern].accepts(&body), body.len()));
+                        }
+                        stream.write_all(&frames).unwrap();
+                        for (pattern, accepted, len) in wanted {
+                            let response = protocol::read_response(&mut stream).unwrap();
+                            let status = if accepted {
+                                Status::Accepted
+                            } else {
+                                Status::Rejected
+                            };
+                            assert_eq!(
+                                (response.status, response.scanned),
+                                (status, len as u64),
+                                "client {client}, request {sent}: {} on {len} bytes",
+                                ORACLE_PATTERNS[pattern].0
+                            );
+                            let count = &mut counts[pattern];
+                            count.requests += 1;
+                            count.accepted += accepted as u64;
+                            count.rejected += !accepted as u64;
+                            count.bytes += len as u64;
+                            sent += 1;
+                        }
+                    }
+                    counts
+                })
+            })
+            .collect();
+        for client in clients {
+            for (total, counts) in expected.iter_mut().zip(client.join().unwrap()) {
+                total.merge(counts);
+            }
+        }
+    });
+
+    let report = server_thread.join().unwrap();
+    report.verify().expect("reconciliation invariants");
+    assert_eq!(report.tally.requests, (CLIENTS * PER_CLIENT) as u64);
+    for ((id, _), expected) in ORACLE_PATTERNS.iter().zip(expected) {
+        assert!(
+            expected.accepted > 0 && expected.rejected > 0,
+            "{id}: one-sided mix"
+        );
+        let served = report.patterns.iter().find(|p| p.id == *id).unwrap();
+        assert_eq!(served.stats, expected, "{id}");
+    }
+}
+
+/// With `max_connections: 2`, a third concurrent connection is accepted
+/// and dropped at once, so its client reads EOF instead of hanging, while
+/// the first two keep getting verdicts; the report counts all three
+/// connections and the one refused.
+#[test]
+fn a_connection_past_the_cap_reads_eof_and_is_counted_refused() {
+    let mut server = Server::bind(
+        "127.0.0.1:0",
+        test_registry(),
+        ServeConfig {
+            max_connections: 2,
+            ..ServeConfig::default()
+        },
+    )
+    .unwrap();
+    let cancel = CancelToken::new();
+    server.set_cancel(cancel.clone());
+    let addr = server.local_addr().unwrap();
+    let server_thread = std::thread::spawn(move || server.run().unwrap());
+
+    let connect = || {
+        let stream = TcpStream::connect(addr).unwrap();
+        stream
+            .set_read_timeout(Some(Duration::from_secs(10)))
+            .unwrap();
+        stream
+    };
+    // Both are served before the third connects, so they hold the two
+    // slots when it arrives.
+    let mut open = [connect(), connect()];
+    for stream in &mut open {
+        let response = protocol::query(stream, "digits", b"1").unwrap();
+        assert_eq!(response.status, Status::Accepted);
+    }
+    let mut third = connect();
+    assert_eq!(third.read(&mut [0u8; 1]).unwrap(), 0, "refused: EOF");
+    for stream in &mut open {
+        let response = protocol::query(stream, "abb", b"abb").unwrap();
+        assert_eq!(response.status, Status::Accepted);
+    }
+    drop(open);
+    cancel.cancel();
+    let report = server_thread.join().unwrap();
+    assert_eq!(report.tally.connections, 3, "{:?}", report.tally);
+    assert_eq!(report.tally.refused, 1, "{:?}", report.tally);
+    assert_eq!(report.tally.accepted, 4);
+    report.verify().expect("reconciliation invariants");
 }

@@ -1,9 +1,7 @@
-//! Sharded-serving behaviors that have no single-shard equivalent: live
-//! spec reload without dropping connections, eviction landing under an
-//! in-flight scan (typed error, never a stale verdict), the offload lane
-//! keeping small requests responsive next to a multi-megabyte body, and
-//! the prebuilt-registry/multi-shard misconfiguration being rejected up
-//! front.
+//! Serving behaviours around a live pattern set and large bodies: spec
+//! reload without dropping connections, eviction landing under an
+//! in-flight scan (typed error, never a stale verdict), and the offload
+//! lane keeping small requests responsive next to a multi-megabyte body.
 
 use std::io::Write as _;
 use std::net::TcpStream;
@@ -11,8 +9,7 @@ use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::{Duration, Instant};
 
-use ridfa::automata::ConstructionBudget;
-use ridfa::core::csdpa::{CancelToken, PatternRegistry, PatternSpec, RegistryConfig};
+use ridfa::core::csdpa::{CancelToken, PatternRegistry, RegistryConfig};
 use ridfa::core::serve::protocol::{self, Status};
 use ridfa::core::serve::{ServeConfig, Server};
 
@@ -48,13 +45,9 @@ impl Drop for SpecFile {
     }
 }
 
-fn spec(text: &str) -> PatternSpec {
-    PatternSpec::parse(text, &ConstructionBudget::UNLIMITED, None).unwrap()
-}
-
 /// Rewriting the spec file swaps a pattern and adds a new one on a live
-/// 2-shard server: the open connection sees the new verdicts without
-/// ever being dropped, and every shard reports the applied generation.
+/// server: the open connection sees the new verdicts without ever being
+/// dropped, and the report counts the applied generation.
 #[test]
 fn hot_reload_swaps_patterns_without_dropping_connections() {
     let file = SpecFile::new("reload", "digits [0-9]+\n");
@@ -63,7 +56,6 @@ fn hot_reload_swaps_patterns_without_dropping_connections() {
         file.path.clone(),
         registry_config(),
         ServeConfig {
-            shards: 2,
             reload_interval: Some(Duration::from_millis(20)),
             ..ServeConfig::default()
         },
@@ -85,7 +77,7 @@ fn hot_reload_swaps_patterns_without_dropping_connections() {
     file.rewrite("digits [0-9]{5}\nword [a-z]+\n");
 
     // Poll the *same* connection until the new generation answers: "123"
-    // flips from Accepted to Rejected the moment the shard applies it.
+    // flips from Accepted to Rejected the moment the loop applies it.
     let deadline = Instant::now() + Duration::from_secs(10);
     loop {
         let response = protocol::query(&mut stream, "digits", b"123").unwrap();
@@ -93,7 +85,7 @@ fn hot_reload_swaps_patterns_without_dropping_connections() {
             break;
         }
         assert_eq!(response.status, Status::Accepted, "unexpected verdict");
-        assert!(Instant::now() < deadline, "reload never reached the shard");
+        assert!(Instant::now() < deadline, "reload never reached the loop");
         std::thread::sleep(Duration::from_millis(5));
     }
     let response = protocol::query(&mut stream, "word", b"hello").unwrap();
@@ -105,17 +97,10 @@ fn hot_reload_swaps_patterns_without_dropping_connections() {
     cancel.cancel();
     let report = server_thread.join().unwrap();
     assert_eq!(report.reload_errors, 0);
-    assert_eq!(report.shards.len(), 2);
-    for shard in &report.shards {
-        assert!(
-            shard.reload.generations >= 1,
-            "shard {} never applied the reload",
-            shard.shard
-        );
-        assert!(shard.reload.inserted >= 2, "shard {}", shard.shard);
-        assert!(shard.reload.evicted >= 1, "shard {}", shard.shard);
-        assert_eq!(shard.reload.failed, 0, "shard {}", shard.shard);
-    }
+    assert!(report.reload.generations >= 1, "{:?}", report.reload);
+    assert!(report.reload.inserted >= 2, "{:?}", report.reload);
+    assert!(report.reload.evicted >= 1, "{:?}", report.reload);
+    assert_eq!(report.reload.failed, 0, "{:?}", report.reload);
     // One connection, held across the reload — never dropped.
     assert_eq!(report.tally.connections, 1);
     assert_eq!(report.connections.len(), 1);
@@ -137,7 +122,6 @@ fn eviction_under_in_flight_scan_is_typed_and_keeps_the_connection() {
         file.path.clone(),
         registry_config(),
         ServeConfig {
-            shards: 1,
             reload_interval: Some(Duration::from_millis(20)),
             ..ServeConfig::default()
         },
@@ -156,7 +140,7 @@ fn eviction_under_in_flight_scan_is_typed_and_keeps_the_connection() {
     assert_eq!(response.status, Status::Accepted);
 
     // Send the header plus the first slice of a large inline body: the
-    // shard starts scanning and the scan binds to the current epoch.
+    // loop starts scanning and the scan binds to the current epoch.
     let frame = protocol::encode_request("digits", &vec![b'7'; BODY]).unwrap();
     let header = frame.len() - BODY;
     stream.write_all(&frame[..header + FIRST]).unwrap();
@@ -188,7 +172,7 @@ fn eviction_under_in_flight_scan_is_typed_and_keeps_the_connection() {
     assert_eq!(report.tally.accepted, 2);
     assert_eq!(report.tally.rejected, 1);
     assert_eq!(report.tally.connections, 1, "connection was dropped");
-    assert!(report.shards[0].reload.generations >= 1);
+    assert!(report.reload.generations >= 1);
     report.verify().expect("reconciliation invariants");
 }
 
@@ -200,12 +184,12 @@ fn eviction_under_in_flight_scan_is_typed_and_keeps_the_connection() {
 fn offloaded_big_body_does_not_stall_small_requests() {
     const BIG: usize = 4 << 20;
 
-    let mut server = Server::bind_spec(
+    let mut registry = PatternRegistry::new(registry_config());
+    registry.insert_regex("digits", "[0-9]+").unwrap();
+    let mut server = Server::bind(
         "127.0.0.1:0",
-        spec("digits [0-9]+\n"),
-        registry_config(),
+        registry,
         ServeConfig {
-            shards: 1,
             offload_bytes: 1024,
             offload_tick_bytes: 4096,
             ..ServeConfig::default()
@@ -269,25 +253,4 @@ fn offloaded_big_body_does_not_stall_small_requests() {
     let report = server_thread.join().unwrap();
     assert!(report.tally.bytes >= BIG as u64);
     report.verify().expect("reconciliation invariants");
-}
-
-/// A prebuilt registry cannot be replicated across shards (it is one
-/// mutable instance, not a spec to build replicas from): asking for
-/// `shards > 1` on `Server::bind` is rejected up front with
-/// `InvalidInput`, not discovered by a wedged shard later.
-#[test]
-fn prebuilt_registry_with_multiple_shards_is_rejected() {
-    let mut registry = PatternRegistry::new(registry_config());
-    registry.insert_regex("digits", "[0-9]+").unwrap();
-    let server = Server::bind(
-        "127.0.0.1:0",
-        registry,
-        ServeConfig {
-            shards: 2,
-            ..ServeConfig::default()
-        },
-    )
-    .unwrap();
-    let err = server.run().unwrap_err();
-    assert_eq!(err.kind(), std::io::ErrorKind::InvalidInput);
 }
