@@ -33,13 +33,15 @@
 //!   ([`ByteClasses::classify_into`]).
 //! * **Dependency-breaking finishes.** Once every run has died or merged
 //!   into one group, or the partition has stopped changing, no more
-//!   bookkeeping pays, and each survivor in turn takes `strided_walk`:
-//!   64 KiB windows, each cut into four interleaved strides whose
-//!   speculative chains re-seed from the start row when they die,
-//!   repaired against per-stride checkpoints. It keeps its buffers on
-//!   the stack, so the scratch-less first chunk can call it too. On a
-//!   rest below the walk's floor, two to four survivors instead advance
-//!   as interleaved chains in one pass.
+//!   bookkeeping pays. A survivor on an *absorbing* row (every class
+//!   leads back to it, like an accept-all `[\s\S]*` suffix) ends the
+//!   chunk where it stands and is not walked. Each other survivor in
+//!   turn takes `strided_walk`: 64 KiB windows, each cut into four
+//!   interleaved strides whose speculative chains re-seed from the start
+//!   row when they die, repaired against per-stride checkpoints. It
+//!   keeps its buffers on the stack, so the scratch-less first chunk can
+//!   call it too. On a rest below the walk's floor, two to four moving
+//!   survivors instead advance as interleaved chains in one pass.
 //!
 //! The byte classifier is the one vectorized step (AVX2, detected at run
 //! time, switched off by `RIDFA_NO_SIMD`); the kernel itself is the same
@@ -72,12 +74,14 @@ pub enum Kernel {
     /// The fused kernel: a single lockstep pass with convergence merging
     /// and block-wise shared byte classification, until one group is
     /// left or the partition is stable (no merge, no death for a
-    /// horizon). Then finishes that break the per-byte load-to-load
-    /// dependency chain: each survivor takes the windowed, re-seeding
-    /// checkpoint-and-repair stride walk (`strided_walk`, Ko et al.) in
-    /// turn, or, on a rest too short for the walk, two to four survivors
-    /// advance as interleaved chains. A first chunk's single run takes
-    /// the same walk when this kernel resolves for it.
+    /// horizon). A survivor on an absorbing row keeps that row to the
+    /// chunk's end without a walk. Finishes that break the per-byte
+    /// load-to-load dependency chain then move the others: each takes
+    /// the windowed, re-seeding checkpoint-and-repair stride walk
+    /// (`strided_walk`, Ko et al.) in turn, or, on a rest too short for
+    /// the walk, two to four advance as interleaved chains. A first
+    /// chunk's single run takes the same walk when this kernel resolves
+    /// for it.
     LockstepShared,
     /// Pick per chunk via [`select`], from the number of runs, the chunk
     /// length and the table size.
@@ -282,7 +286,8 @@ impl Scratch {
 /// * lockstep: the work actually executed — one increment per *group*
 ///   advance while runs merge, then one per live transition of each
 ///   finishing chain, stride-walk speculation that repair discards
-///   included.
+///   included. A survivor on an absorbing row counts nothing past the
+///   merge phase: it is not walked.
 #[allow(clippy::too_many_arguments)] // the kernel entry point is the hot seam; a config struct would cost a rebuild of every caller's borrows
 pub fn scan_into(
     table: DenseTable<'_>,
@@ -592,13 +597,15 @@ fn lockstep_scan(
     }
     scratch.class_buf = class_buf;
 
-    // The finishes, once one group is left or the partition is stable:
-    // each survivor takes the stride walk in turn; below the walk's
+    // The finishes, once one group is left or the partition is stable.
+    // A survivor on an absorbing row ends the chunk where it stands, so
+    // it is moved past the survivors that still move and walked by none
+    // of them. Those take the stride walk in turn; below the walk's
     // floor, where that would be one serial loop per survivor, two to
-    // four survivors advance interleaved instead. A group that dies parks
-    // on row 0, whose state is DEAD — exactly what its origins should map
-    // to. Merging before walking trades never-merging languages for
-    // pruned wide interfaces. Measured on a 2-core AVX2 Xeon: RID
+    // four advance interleaved instead. A group that dies parks on row 0,
+    // whose state is DEAD — exactly what its origins should map to.
+    // Merging before walking trades never-merging languages for pruned
+    // wide interfaces. Measured on a 2-core AVX2 Xeon: RID
     // interiors under `Auto` at 16 positions of a 4 MiB text, medians of
     // 11 pairs alternated with a kernel that gathered eight rows per
     // byte, stopped merging at four groups and skipped merging when four
@@ -620,19 +627,52 @@ fn lockstep_scan(
     // fewer runs started: with a 32-byte horizon (5 pairs), n = 3 at
     // 4 KiB ran 1.28× faster, n = 6–32 only 1.09–1.10×, and traffic from
     // 16 KiB up 0.75–0.86× as fast.
+    // Every bible and fasta interior ends the merge phase with two
+    // survivors, one of them the accept-all `[\s\S]*` suffix. Leaving
+    // that one where it stands took bible's interiors, at the same
+    // positions on the same host (3 runs alternated with a kernel that
+    // walked both), from 2.03–2.25 to 1.02–1.22 executed transitions/B
+    // at 4–512 KiB, and from 3.1–3.7 to 1.1–1.9 ns/B at 0.5–1 MiB;
+    // fasta's from 2.00–2.14 to 1.01–1.11 transitions/B.
     if consumed < chunk.len() {
         let rest = &chunk[consumed..];
-        if (2..=NUM_CHAINS).contains(&len) && rest.len() < STRIDE_MIN {
-            multi_chain_finish(table, scratch, len, rest, counter);
+        let moving = park_absorbing(table, scratch, len);
+        if (2..=NUM_CHAINS).contains(&moving) && rest.len() < STRIDE_MIN {
+            multi_chain_finish(table, scratch, moving, rest, counter);
         } else {
             let probe = scratch.interrupt.as_ref();
-            for row in &mut scratch.rows[..len] {
+            for row in &mut scratch.rows[..moving] {
                 *row = strided_walk(table, *row as usize, rest, probe, counter) as StateId;
             }
         }
     }
 
     write_mapping(scratch, len, stride, out);
+}
+
+/// Moves the groups among the first `len` whose row is absorbing (each
+/// of its `stride` entries points back to it) behind the rest, and
+/// returns how many still move. An absorbing group's end state is its
+/// row whatever bytes follow, so the finishes skip it and count nothing
+/// for it.
+fn park_absorbing(table: DenseTable<'_>, scratch: &mut Scratch, len: usize) -> usize {
+    let mut moving = len;
+    let mut g = 0;
+    while g < moving {
+        let row = scratch.rows[g] as usize;
+        if table.ptable[row..row + table.stride]
+            .iter()
+            .all(|&next| next as usize == row)
+        {
+            moving -= 1;
+            scratch.rows.swap(g, moving);
+            scratch.heads.swap(g, moving);
+            scratch.tails.swap(g, moving);
+        } else {
+            g += 1;
+        }
+    }
+    moving
 }
 
 /// Runs the 2..=[`NUM_CHAINS`] surviving groups to the end of the chunk
@@ -816,7 +856,16 @@ mod tests {
 
     #[test]
     fn all_kernels_match_the_oracle() {
-        for pattern in ["(a|b)*abb", "a{2,4}b*", "[ab]*a[ab][ab]", "abc"] {
+        // The last pattern's accept-all state is absorbing: on `ab…` its
+        // runs park there, ahead of the never-merging `(ab)*` phases,
+        // which still move.
+        for pattern in [
+            "(a|b)*abb",
+            "a{2,4}b*",
+            "[ab]*a[ab][ab]",
+            "abc",
+            r"a[\s\S]*|b(ab)*",
+        ] {
             let dfa = dfa_for(pattern);
             for chunk in [
                 &b""[..],

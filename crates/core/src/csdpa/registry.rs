@@ -464,7 +464,9 @@ impl PatternRegistry {
             ptable,
             engine,
         };
-        // Pre-warm the session, so the first request hits warm caches.
+        // Pre-warm the session, so the first request hits warm caches
+        // (`warm` repeats the short sample to the lockstep kernel's floor,
+        // so every claimant's kernel scratch is sized).
         let mut session = Session::with_shared_pool(Arc::clone(&self.pool));
         session.warm(&tables.ca(), b"warm");
         let last_used = self.next_stamp();

@@ -48,6 +48,7 @@ use crate::parallel::{PoolHealth, ThreadPool};
 
 use super::budget::{run_budgeted, Budget, Degraded, InterruptProbe, RecognizeError};
 use super::chunking::{chunk_count, chunk_span};
+use super::kernel::LOCKSTEP_ANY_RUNS_MIN_CHUNK;
 use super::{
     recognizer, ChunkAutomaton, CountedOutcome, Executor, JoinScratch, JoinScratchOf, Outcome,
 };
@@ -197,14 +198,28 @@ impl Session {
 
     /// Pre-warms every per-worker scratch, one mapping slot per claimant
     /// and the join fold against `ca` by scanning `sample` on the
-    /// calling thread.
+    /// calling thread. A sample shorter than
+    /// [`LOCKSTEP_ANY_RUNS_MIN_CHUNK`] is repeated to that length (zeros
+    /// if it is empty), so a [`Kernel::Auto`](super::Kernel::Auto) scan
+    /// resolves to the lockstep kernel and sizes its scratch whatever
+    /// the sample: a shorter scan would run per run and size none.
     ///
     /// Without this, a pool worker that happens not to claim any chunk of
     /// the first few texts still pays its scratch warm-up allocations the
     /// first time it does — harmless, but latency-visible. After `warm`
     /// plus one recognition (which sizes the rest of the mapping slots),
-    /// a session recognizes without allocating.
+    /// a session recognizes without allocating, whichever claimant takes
+    /// which chunk.
     pub fn warm<CA: ChunkAutomaton>(&mut self, ca: &CA, sample: &[u8]) {
+        let mut padded = [0u8; LOCKSTEP_ANY_RUNS_MIN_CHUNK];
+        let sample = if sample.len() < padded.len() {
+            for (byte, &s) in padded.iter_mut().zip(sample.iter().cycle()) {
+                *byte = s;
+            }
+            &padded[..]
+        } else {
+            sample
+        };
         let claimants = self.pool.num_workers() + 1;
         let cache = typed_cache::<CA>(&mut self.cache, claimants);
         if cache.mappings.len() < claimants {

@@ -298,7 +298,10 @@ impl StreamSession {
     /// Pre-warms the session's per-worker scratches, one mapping slot per
     /// block of a wave and the join fold against `ca` so the next
     /// [`recognize_stream`](StreamSession::recognize_stream) runs
-    /// allocation-free from its first block.
+    /// allocation-free from its first block, whichever worker claims it.
+    /// As in [`Session::warm`], a sample shorter than the lockstep
+    /// kernel's floor is repeated to it, so every worker's kernel scratch
+    /// is sized even by a few-byte sample.
     pub fn warm<CA: ChunkAutomaton>(&mut self, ca: &CA, sample: &[u8]) {
         self.session.warm(ca, sample);
     }

@@ -18,7 +18,7 @@ use ridfa::core::csdpa::{
 };
 use ridfa::core::ridfa::RiDfa;
 use ridfa::workloads::regen::{random_ast, sample_into, RegenConfig};
-use ridfa::workloads::traffic;
+use ridfa::workloads::{bible, traffic};
 
 const CASES: u64 = 48;
 
@@ -222,33 +222,40 @@ fn convergent_variants_agree_on_benchmarks() {
 }
 
 #[test]
-fn pruned_traffic_interiors_merge_before_they_are_walked() {
+fn pruned_interiors_execute_few_transitions_per_byte() {
     // Feasible-start pruning leaves a traffic interior with a few seeds,
     // which merge within a record. They must merge before the finishes
     // walk them, so an interior executes barely more than one exact
     // transition per byte at every chunk size — where a scan that walks
-    // each pruned seed to the chunk's end pays 1.2–1.5.
-    let rid = RiDfa::from_nfa(&traffic::nfa()).minimized();
-    let table = FeasibleTable::build(&rid);
-    let ca = RidCa::new(&rid)
-        .with_kernel(Kernel::Auto)
-        .with_feasible(&table);
-    let text = traffic::text(4 << 20, 11);
-    for chunk_len in [4 << 10, 16 << 10, 64 << 10, 512 << 10] {
-        let mut executed = TransitionCount::default();
-        let mut bytes = 0;
-        for i in 0..16 {
-            // Sixteen starts spread evenly over the text.
-            let start = (2 * i + 1) * (text.len() - chunk_len) / 32;
-            let chunk = &text[start..start + chunk_len];
-            ca.scan(chunk, &mut executed);
-            bytes += chunk.len();
+    // each pruned seed to the chunk's end pays 1.2–1.5. A bible interior
+    // ends the merge phase with two survivors, one of them the
+    // accept-all `[\s\S]*` suffix: its row is absorbing, so only the
+    // other one is walked — where walking both pays 2.0–2.3.
+    for (name, nfa, text, bound) in [
+        ("traffic", traffic::nfa(), traffic::text(4 << 20, 11), 1.1),
+        ("bible", bible::nfa(), bible::text(4 << 20, 11), 1.25),
+    ] {
+        let rid = RiDfa::from_nfa(&nfa).minimized();
+        let table = FeasibleTable::build(&rid);
+        let ca = RidCa::new(&rid)
+            .with_kernel(Kernel::Auto)
+            .with_feasible(&table);
+        for chunk_len in [4 << 10, 16 << 10, 64 << 10, 512 << 10] {
+            let mut executed = TransitionCount::default();
+            let mut bytes = 0;
+            for i in 0..16 {
+                // Sixteen starts spread evenly over the text.
+                let start = (2 * i + 1) * (text.len() - chunk_len) / 32;
+                let chunk = &text[start..start + chunk_len];
+                ca.scan(chunk, &mut executed);
+                bytes += chunk.len();
+            }
+            let per_byte = executed.get() as f64 / bytes as f64;
+            assert!(
+                per_byte <= bound,
+                "{name}: {} KiB interiors executed {per_byte:.3} transitions/B",
+                chunk_len >> 10
+            );
         }
-        let per_byte = executed.get() as f64 / bytes as f64;
-        assert!(
-            per_byte <= 1.1,
-            "{} KiB interiors executed {per_byte:.3} transitions/B",
-            chunk_len >> 10
-        );
     }
 }
