@@ -2,7 +2,7 @@
 //!
 //! The table layout is the one production matchers use: a flat
 //! `Vec<StateId>` indexed by `state * stride + byte_class`, where `stride`
-//! is the number of byte equivalence classes. State [`DEAD`](crate::DEAD)
+//! is the number of byte equivalence classes. State [`DEAD`]
 //! (always id 0) has an all-zero row, so a speculative run that leaves the
 //! language's substring set parks there and can be detected with a single
 //! compare — the "premature termination in error" that makes speculation
@@ -22,7 +22,7 @@ use crate::error::{Error, Result};
 use crate::{BitSet, StateId, DEAD};
 
 /// A complete DFA over bytes (every state has a transition for every byte;
-/// missing language transitions go to [`DEAD`](crate::DEAD)).
+/// missing language transitions go to [`DEAD`]).
 #[derive(Debug, Clone, PartialEq)]
 pub struct Dfa {
     classes: ByteClasses,
@@ -155,7 +155,7 @@ impl Dfa {
     /// Scan loops that track premultiplied row offsets instead of state
     /// ids advance with a single indexed load per byte
     /// (`row = ptable[row + class]`), with no per-transition multiply.
-    /// Row `0` still denotes the dead state ([`DEAD`](crate::DEAD)` * stride = 0`).
+    /// Row `0` still denotes the dead state ([`DEAD`]` * stride = 0`).
     /// Build once at automaton-wrapping time and reuse; see
     /// `ridfa-core`'s lockstep kernel.
     pub fn premultiplied_table(&self) -> Vec<StateId> {
@@ -170,7 +170,7 @@ impl Dfa {
         last != DEAD && self.is_final(last)
     }
 
-    /// Runs from an arbitrary state over `text`; returns [`DEAD`](crate::DEAD)
+    /// Runs from an arbitrary state over `text`; returns [`DEAD`]
     /// if the run dies. Counts one transition per consumed byte (steps into
     /// the dead state are not counted: the run has terminated in error).
     #[inline]

@@ -3,12 +3,16 @@
 //!
 //! One server process-local event loop, two patterns, one shared worker
 //! pool. Each iteration pushes the same request volume (128 requests ×
-//! 4 KiB bodies, mixed accept/reject) through two shapes:
+//! 4 KiB bodies, mixed accept/reject) through three shapes:
 //!
 //! * `mux_8conn` — 8 concurrent client threads × 16 requests each: the
 //!   multiplexed serving shape, connection setup included;
-//! * `serial_1conn` — one connection, 128 pipelined request/response
-//!   round trips: the no-concurrency reference.
+//! * `serial_1conn` — one connection, 128 request/response round trips,
+//!   each sent after the previous answer: the no-concurrency reference;
+//! * `inprocess_1conn` — the same 128 bodies through the registry's
+//!   inline lane (`scan_block` + `finish_scan`) on the calling thread,
+//!   no socket: the floor `serial_1conn` is measured against (within 2×
+//!   is the serve loop's latency target).
 //!
 //! This is a *smoke* bench: the bar is that multiplexing 8 connections
 //! stays within a small constant factor of the single-connection
@@ -23,7 +27,7 @@ use std::time::Duration;
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 
-use ridfa_core::csdpa::{CancelToken, PatternRegistry, RegistryConfig};
+use ridfa_core::csdpa::{CancelToken, PatternRegistry, RegistryConfig, StreamScan};
 use ridfa_core::serve::protocol::{self, Status};
 use ridfa_core::serve::{ServeConfig, Server};
 
@@ -31,15 +35,18 @@ const CONNS: usize = 8;
 const REQS: usize = 16;
 const BODY: usize = 4 << 10;
 
-fn bench_serve_throughput(c: &mut Criterion) {
+fn registry() -> PatternRegistry {
     let mut reg = PatternRegistry::new(RegistryConfig {
         num_workers: 2,
         ..RegistryConfig::default()
     });
     reg.insert_regex("digits", "[0-9]+").unwrap();
     reg.insert_regex("abb", "(a|b)*abb").unwrap();
+    reg
+}
 
-    let mut server = Server::bind("127.0.0.1:0", reg, ServeConfig::default()).unwrap();
+fn bench_serve_throughput(c: &mut Criterion) {
+    let mut server = Server::bind("127.0.0.1:0", registry(), ServeConfig::default()).unwrap();
     let cancel = CancelToken::new();
     server.set_cancel(cancel.clone());
     let addr = server.local_addr().unwrap();
@@ -88,6 +95,18 @@ fn bench_serve_throughput(c: &mut Criterion) {
     group.bench_function("serial_1conn", |b| {
         let mut stream = connect();
         b.iter(|| run_requests(&mut stream, CONNS * REQS));
+    });
+    group.bench_function("inprocess_1conn", |b| {
+        let mut local = registry();
+        let mut scan = StreamScan::new();
+        b.iter(|| {
+            for i in 0..CONNS * REQS {
+                let body = if i % 2 == 0 { &member } else { &stray };
+                local.scan_block("digits", &mut scan, body).unwrap();
+                let accepted = local.finish_scan("digits", &mut scan).unwrap();
+                assert_eq!(accepted, i % 2 == 0);
+            }
+        });
     });
     group.finish();
 

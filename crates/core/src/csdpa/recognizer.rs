@@ -159,7 +159,7 @@ pub fn recognize<CA: ChunkAutomaton>(
 /// unwinding through the caller.
 ///
 /// Granularity caveat: first-chunk scans and chunk automata without a
-/// kernel scratch ([`NfaCa`](super::NfaCa), [`SfaCa`](super::SfaCa)) are
+/// kernel scratch ([`NfaCa`](super::NfaCa), [`SfaCa`](crate::sfa::SfaCa)) are
 /// only interruptible *between* chunks, not mid-scan.
 pub fn recognize_budgeted<CA: ChunkAutomaton>(
     ca: &CA,

@@ -16,7 +16,7 @@
 //! the generation change between ticks and applies the insert/evict
 //! delta ([`PatternSpec::apply_to`]) without dropping a connection.
 //! In-flight incremental scans on a replaced pattern fail typed
-//! ([`RegistryError::PatternReloaded`](super::RegistryError::PatternReloaded)),
+//! ([`RegistryError::PatternReloaded`]),
 //! never with a wrong verdict.
 
 use std::collections::HashMap;

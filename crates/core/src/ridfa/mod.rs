@@ -188,7 +188,7 @@ impl RiDfa {
     }
 
     /// Runs from state `p` over `chunk`; returns the last active state or
-    /// [`DEAD`](ridfa_automata::DEAD) if the run terminated in error.
+    /// [`DEAD`] if the run terminated in error.
     /// Counts one transition per consumed byte (the step that discovers
     /// death is not counted — same convention as the DFA scanner).
     #[inline]

@@ -15,7 +15,15 @@
 //!    listener, at the end of a tick that made no other progress and at
 //!    most once per [`ACCEPT_PERIOD`] on a busy one.
 //!
-//! The loop checks the cancel token and the request quota itself.
+//! A tick that made no progress ends in a readiness wait
+//! ([`readiness`](super::readiness)): the loop blocks in `poll(2)` on the
+//! listener and every connection until a socket it would act on is
+//! ready, the earliest request deadline or idle expiry comes due, or
+//! [`WAIT_CAP`] runs out.
+//!
+//! The loop checks the cancel token, the request quota and the reload
+//! generation itself. A cancel or a published reload wakes no socket, so
+//! an idle loop sees it within one cap.
 
 use std::collections::HashMap;
 use std::io::{self, Read, Write};
@@ -29,6 +37,7 @@ use crate::csdpa::spec::RegistrySnapshot;
 use super::conn::{ingest, Conn, Phase};
 use super::lanes;
 use super::protocol::Status;
+use super::readiness::{self, PollFd};
 use super::{PatternReport, ReloadTally, ServeConfig, ServeTally, ServerReport};
 
 /// Least time between two accept polls on ticks that made progress. A
@@ -36,8 +45,15 @@ use super::{PatternReport, ReloadTally, ServeConfig, ServeTally, ServerReport};
 /// and a busy offload tick does little more than one 16 KiB read per
 /// connection, so polling on every tick would weigh on the loop. Polling
 /// at most once per period spends under half a percent of a busy loop's
-/// time and delays a new connection by about one period at most.
+/// time and delays a new connection by about one period at most. An
+/// idle loop accepts at once: the listener is in its wait set, and the
+/// tick a pending connection wakes makes no other progress.
 const ACCEPT_PERIOD: Duration = Duration::from_millis(1);
+
+/// Longest readiness wait: how late an idle loop sees a cancel or a
+/// published reload, which wake no socket. An idle loop wakes about
+/// `1 s / WAIT_CAP` times a second.
+const WAIT_CAP: Duration = Duration::from_millis(10);
 
 /// The loop's side of hot reload: the spec generation the registry
 /// holds, and the id → fingerprint map of its patterns.
@@ -80,6 +96,8 @@ pub(crate) fn run(
     let mut buf = vec![0u8; config.read_buf_bytes.max(1)];
     let mut rotate: usize = 0;
     let mut last_accept = Instant::now();
+    // The wait set, rebuilt before each wait in the same allocation.
+    let mut waits: Vec<PollFd> = Vec::new();
 
     let quota_hit = |tally: &ServeTally| {
         config
@@ -182,16 +200,8 @@ pub(crate) fn run(
                 }
             }
 
-            // Read under the tick budget and the write high-water mark
-            // (backpressure). A connection whose offload lane is backed
-            // up, or whose verdict is pending in the lane, is not read
-            // from either — TCP flow control holds the sender.
-            if conn.close_after_flush
-                || conn.pending_out() > config.max_pending_response_bytes
-                || read_budget == 0
-                || conn.phase == Phase::Finishing
-                || lanes::offload_backlogged(conn, config)
-            {
+            // Read under the tick budget and the backpressure bounds.
+            if read_budget == 0 || !wants_read(conn, config) {
                 continue;
             }
             let want = buf.len().min(read_budget);
@@ -276,7 +286,10 @@ pub(crate) fn run(
             }
         }
         if !progressed {
-            std::thread::sleep(Duration::from_micros(500));
+            if let Err(e) = wait_ready(listener, &conns, config, &mut waits) {
+                grace_flush(&mut conns);
+                return Err(e);
+            }
         }
     }
 
@@ -304,6 +317,55 @@ pub(crate) fn run(
         reload: reloads,
         reload_errors: 0,
     })
+}
+
+/// Whether the serve pass reads `conn` when the tick's read budget
+/// allows: not closing, under the write high-water mark, and neither
+/// waiting on its offload lane's verdict nor backed up in it (TCP flow
+/// control holds the sender meanwhile). The wait set asks for
+/// [`readiness::READ`] on the same condition, so the loop neither wakes
+/// for bytes it would leave unread nor sleeps through bytes it would
+/// read.
+fn wants_read(conn: &Conn, config: &ServeConfig) -> bool {
+    !conn.close_after_flush
+        && conn.pending_out() <= config.max_pending_response_bytes
+        && conn.phase != Phase::Finishing
+        && !lanes::offload_backlogged(conn, config)
+}
+
+/// Blocks until the listener has a connection pending, a connection is
+/// readable that [`wants_read`] or writable with responses queued, the
+/// earliest request deadline or idle expiry comes due, or [`WAIT_CAP`]
+/// runs out.
+fn wait_ready(
+    listener: &TcpListener,
+    conns: &[Conn],
+    config: &ServeConfig,
+    waits: &mut Vec<PollFd>,
+) -> io::Result<()> {
+    let now = Instant::now();
+    let left = |limit: Duration, since: Instant| limit.saturating_sub(now.duration_since(since));
+    let mut timeout = WAIT_CAP;
+    waits.clear();
+    waits.push(PollFd::new(listener, readiness::READ));
+    for conn in conns {
+        if let (Some(deadline), Some(started)) = (config.request_deadline, conn.req_started) {
+            timeout = timeout.min(left(deadline, started));
+        }
+        if let Some(idle) = config.idle_timeout {
+            timeout = timeout.min(left(idle, conn.last_activity));
+        }
+        let mut events = 0;
+        if wants_read(conn, config) {
+            events |= readiness::READ;
+        }
+        if conn.pending_out() > 0 {
+            events |= readiness::WRITE;
+        }
+        waits.push(PollFd::new(&conn.stream, events));
+    }
+    readiness::wait(waits, timeout)?;
+    Ok(())
 }
 
 /// Accepts every connection pending on `listener`. One past the

@@ -3,14 +3,17 @@
 //! and an offload **lane**.
 //!
 //! [`Server`] serves a pattern set over TCP with a readiness loop over
-//! `std::net` (`set_nonblocking` + a small poll tick — no external
-//! event-loop dependency). It is layered as:
+//! non-blocking `std::net` sockets (no external event-loop dependency).
+//! It is layered as:
 //!
-//! * [`event_loop`] — the thread that calls [`Server::run`]: it owns
+//! * the event loop — the thread that calls [`Server::run`]: it owns
 //!   the listener, the [`PatternRegistry`] and every connection, and
 //!   interleaves reload, read/write, offload and accept passes per
-//!   tick;
-//! * [`lanes`]/[`conn`] — per connection, bodies at or below
+//!   tick. A tick that made no progress blocks in `poll(2)` on the
+//!   listener and the connections until one is ready for what the next
+//!   tick would do with it, the earliest request deadline or idle expiry
+//!   comes due, or a 10 ms cap runs out;
+//! * the lanes — per connection, bodies at or below
 //!   [`ServeConfig::offload_bytes`] scan inline as they arrive, while
 //!   larger bodies are staged and scanned one bounded slice per tick
 //!   through the registry's pooled reach phase, so one huge body never
@@ -20,6 +23,9 @@
 //! scan — and not from replicated loops: loop replicas fed by an
 //! acceptor thread measured below one loop on one and on two cores.
 //!
+//! The `poll` call is the module's only `unsafe` code, and the reason
+//! the server needs a Unix target.
+//!
 //! # Hot reload
 //!
 //! A server bound from a pattern *file*
@@ -27,7 +33,8 @@
 //! [`ServeConfig::reload_interval`] set runs a watcher thread that
 //! re-parses the file and publishes changed specs into a
 //! generation-stamped [`RegistrySnapshot`]. The loop notices the
-//! generation change between ticks and applies the insert/evict delta
+//! generation change at its next tick, within the wait cap on an idle
+//! loop, and applies the insert/evict delta
 //! without dropping a connection; an in-flight scan on a replaced
 //! pattern fails typed (wire status `Protocol`), never with a wrong
 //! verdict.
@@ -64,6 +71,7 @@ pub mod protocol;
 mod conn;
 mod event_loop;
 mod lanes;
+mod readiness;
 
 use std::io;
 use std::net::{SocketAddr, TcpListener, ToSocketAddrs};
@@ -383,7 +391,8 @@ impl Server {
     }
 
     /// Installs a cancellation token: tripping it ends
-    /// [`run`](Server::run) at the next tick.
+    /// [`run`](Server::run) within about 10 ms, the cap on how long the
+    /// loop blocks waiting for sockets (the token wakes no socket).
     pub fn set_cancel(&mut self, token: CancelToken) {
         self.cancel = Some(token);
     }
@@ -391,8 +400,11 @@ impl Server {
     /// Runs the event loop on the calling thread (and the spec watcher
     /// beside it, if any) until the request quota is met or the cancel
     /// token trips, then flushes pending responses and returns the
-    /// counters. The loop never blocks on any one connection; only
-    /// `Err` values of the *listener* abort the run.
+    /// counters. The loop never blocks on any one connection: with
+    /// nothing to do it waits for readiness on all of them and the
+    /// listener at once, and sees a tripped cancel token within about
+    /// 10 ms. Only an error of the *listener* or of that wait aborts
+    /// the run with `Err`.
     pub fn run(self) -> io::Result<ServerReport> {
         let Server {
             listener,

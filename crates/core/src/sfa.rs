@@ -31,11 +31,11 @@
 //! * **One premultiplied table.** Entries are `target * stride`, so a step
 //!   is a single indexed load `table[row + class]`; serialization divides
 //!   the rows back out ([`Sfa::table`]), so artifacts are unchanged.
-//! * **Block classification.** Bytes are translated to classes one
-//!   [`CLASS_BLOCK`] at a time through [`ByteClasses::classify_into`] into
-//!   a stack buffer, instead of one class lookup per byte inside the chain.
-//! * **Four exact chains.** A chunk of at least [`SPLIT_MIN`] bytes is cut
-//!   into [`CHAINS`] contiguous quarters, walked as interleaved chains that
+//! * **Block classification.** Bytes are translated to classes one 4 KiB
+//!   block at a time through [`ByteClasses::classify_into`] into a stack
+//!   buffer, instead of one class lookup per byte inside the chain.
+//! * **Four exact chains.** A chunk of at least four such blocks is cut
+//!   into four contiguous quarters, walked as interleaved chains that
 //!   each start at the identity, then joined by three [`Sfa::compose`]
 //!   lookups. The independent dependent-load chains overlap in the
 //!   pipeline (Ko et al.'s dependency-breaking interleave), so the walk is
@@ -46,8 +46,8 @@
 //! chain here computes the exact function of its quarter: nothing is
 //! guessed, so nothing is repaired. The walk allocates nothing — the class
 //! blocks and the join key live on the stack — and counts exactly one
-//! transition per byte. Base automata with more than [`KEY_CAP`] states,
-//! whose join key would not fit the stack buffer, walk unsplit.
+//! transition per byte. Base automata with more than 512 states, whose
+//! join key would not fit the stack buffer, walk unsplit.
 
 use std::collections::HashMap;
 
@@ -148,7 +148,7 @@ pub struct Sfa {
 
 impl Sfa {
     /// Builds the SFA of `dfa`, failing with
-    /// [`Error::LimitExceeded`](ridfa_automata::Error::LimitExceeded) once
+    /// [`Error::LimitExceeded`] once
     /// more than `max_states` function states have been discovered.
     pub fn build_limited(dfa: &Dfa, max_states: usize) -> Result<Sfa> {
         // Historical convention: `max_states` is a cap on the total state

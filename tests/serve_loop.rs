@@ -1,14 +1,16 @@
 //! Loopback serving: one process, many concurrent TCP connections with
 //! mixed verdicts — multiplexed by the non-blocking loop, whether its
 //! registry is prebuilt or built from a pattern file — plus a seeded
-//! differential oracle over pipelined frames on both lanes, and the
-//! connection cap.
+//! differential oracle over pipelined frames on both lanes, the
+//! connection cap, and the idle loop's readiness wait (it sleeps until a
+//! socket, a deadline or a cancel needs it).
 
 use std::io::{Read as _, Write as _};
 use std::net::TcpStream;
 use std::path::PathBuf;
 use std::sync::Arc;
-use std::time::Duration;
+use std::thread::JoinHandle;
+use std::time::{Duration, Instant};
 
 use ridfa::automata::dfa::powerset::determinize;
 use ridfa::automata::nfa::glushkov;
@@ -216,8 +218,24 @@ fn oversized_body_answers_budget_and_keeps_the_connection() {
     assert_eq!(report.tally.accepted, 2);
 }
 
+/// Joins the server thread, failing the test if it is still running
+/// `bound` after the call: a loop that waits through its cancel would
+/// otherwise hang the test.
+fn join_within<T>(server: JoinHandle<T>, bound: Duration) -> T {
+    let cutoff = Instant::now() + bound;
+    while !server.is_finished() {
+        assert!(
+            Instant::now() < cutoff,
+            "the loop still ran {bound:?} after its cancel"
+        );
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    server.join().unwrap()
+}
+
 /// The cancel token stops an idle server promptly — the shutdown path a
-/// supervisor would use.
+/// supervisor would use — although it wakes none of the sockets the
+/// loop waits on.
 #[test]
 fn cancel_token_stops_the_loop() {
     let mut server = Server::bind("127.0.0.1:0", test_registry(), ServeConfig::default()).unwrap();
@@ -226,8 +244,126 @@ fn cancel_token_stops_the_loop() {
     let server_thread = std::thread::spawn(move || server.run().unwrap());
     std::thread::sleep(Duration::from_millis(50));
     cancel.cancel();
-    let report = server_thread.join().unwrap();
+    let report = join_within(server_thread, Duration::from_secs(1));
     assert_eq!(report.tally.requests, 0);
+}
+
+/// The `/proc` directory of this process's thread named `name`.
+#[cfg(target_os = "linux")]
+fn task_named(name: &str) -> PathBuf {
+    std::fs::read_dir("/proc/self/task")
+        .unwrap()
+        .flatten()
+        .map(|task| task.path())
+        .find(|task| {
+            std::fs::read_to_string(task.join("comm")).is_ok_and(|comm| comm.trim_end() == name)
+        })
+        .unwrap_or_else(|| panic!("no thread named {name}"))
+}
+
+/// How often the thread at `task` blocked and woke again (its voluntary
+/// context switches), and the CPU time it used, in clock ticks.
+#[cfg(target_os = "linux")]
+fn wakeups_and_cpu_ticks(task: &std::path::Path) -> (u64, u64) {
+    let status = std::fs::read_to_string(task.join("status")).unwrap();
+    let wakeups = status
+        .lines()
+        .find_map(|line| line.strip_prefix("voluntary_ctxt_switches:"))
+        .expect("status reports voluntary_ctxt_switches")
+        .trim()
+        .parse()
+        .unwrap();
+    // `utime` and `stime` are fields 14 and 15 of `stat`, the 12th and
+    // 13th after the parenthesised thread name.
+    let stat = std::fs::read_to_string(task.join("stat")).unwrap();
+    let cpu = stat[stat.rfind(')').unwrap() + 1..]
+        .split_whitespace()
+        .skip(11)
+        .take(2)
+        .map(|ticks| ticks.parse::<u64>().unwrap())
+        .sum();
+    (wakeups, cpu)
+}
+
+/// With one silent connection open, the loop blocks in its readiness
+/// wait instead of ticking: over 500 ms its thread wakes at most 150
+/// times and uses at most 10 clock ticks (100 ms at the usual 100 Hz) of
+/// CPU. Its 10 ms wait cap allows about 50 wakes. A loop that sleeps
+/// 500 µs per idle tick wakes about 850 times, and one that spins
+/// through zero-timeout waits never blocks but burns the window's CPU.
+#[cfg(target_os = "linux")]
+#[test]
+fn an_idle_loop_waits_instead_of_ticking() {
+    const LOOP: &str = "idle-serve-loop";
+    let mut server = Server::bind("127.0.0.1:0", test_registry(), ServeConfig::default()).unwrap();
+    let cancel = CancelToken::new();
+    server.set_cancel(cancel.clone());
+    let addr = server.local_addr().unwrap();
+    let server_thread = std::thread::Builder::new()
+        .name(LOOP.into())
+        .spawn(move || server.run().unwrap())
+        .unwrap();
+    let silent = TcpStream::connect(addr).unwrap();
+    std::thread::sleep(Duration::from_millis(100));
+
+    let task = task_named(LOOP);
+    let (wakeups, cpu) = wakeups_and_cpu_ticks(&task);
+    std::thread::sleep(Duration::from_millis(500));
+    let (wakeups_after, cpu_after) = wakeups_and_cpu_ticks(&task);
+    let (woke, ticks) = (wakeups_after - wakeups, cpu_after - cpu);
+
+    drop(silent);
+    cancel.cancel();
+    let report = join_within(server_thread, Duration::from_secs(1));
+    assert!(woke <= 150, "the idle loop woke {woke} times in 500 ms");
+    assert!(
+        ticks <= 10,
+        "the idle loop used {ticks} CPU ticks in 500 ms"
+    );
+    assert_eq!(report.tally.connections, 1);
+    assert_eq!(report.tally.requests, 0);
+}
+
+/// A request that stalls after its first byte on an otherwise idle loop
+/// is answered `Deadline` when its deadline expires: not before, and not
+/// an unbounded wait later (the loop's wait ends at the earliest
+/// deadline; the client's 1 s read timeout fails the test past that).
+#[test]
+fn a_stalled_request_on_an_idle_loop_meets_its_deadline() {
+    let deadline = Duration::from_millis(100);
+    let mut server = Server::bind(
+        "127.0.0.1:0",
+        test_registry(),
+        ServeConfig {
+            request_deadline: Some(deadline),
+            ..ServeConfig::default()
+        },
+    )
+    .unwrap();
+    let cancel = CancelToken::new();
+    server.set_cancel(cancel.clone());
+    let addr = server.local_addr().unwrap();
+    let server_thread = std::thread::spawn(move || server.run().unwrap());
+
+    let mut stream = TcpStream::connect(addr).unwrap();
+    stream
+        .set_read_timeout(Some(Duration::from_secs(1)))
+        .unwrap();
+    let written = Instant::now();
+    stream.write_all(&[protocol::MAGIC]).unwrap();
+    let response = protocol::read_response(&mut stream).unwrap();
+    let waited = written.elapsed();
+    assert_eq!(response.status, Status::Deadline);
+    assert!(
+        waited >= deadline && waited < Duration::from_secs(1),
+        "answered {waited:?} after the write"
+    );
+
+    drop(stream);
+    cancel.cancel();
+    let report = join_within(server_thread, Duration::from_secs(1));
+    assert_eq!(report.tally.deadline_errors, 1, "{:?}", report.tally);
+    report.verify().expect("reconciliation invariants");
 }
 
 /// The patterns of the differential oracle.

@@ -1,6 +1,7 @@
 //! Differential tests for the lockstep kernel's finishes: the fused scan
-//! (merging, then the checkpointed stride walk of each survivor in turn
-//! and, on short rests, the interleaved multi-chain finish) must produce
+//! (merging; then survivors on an absorbing row keep it unwalked, and the
+//! others take the checkpointed stride walk one at a time or, on short
+//! rests, the interleaved multi-chain finish) must produce
 //! λ mappings byte-identical to the per-run kernel — and verdicts
 //! identical to the serial DFA — across the standard benchmarks,
 //! never-merging counters, unaligned chunk starts, random span layouts
