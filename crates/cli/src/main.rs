@@ -179,10 +179,11 @@ USAGE:
                                                         edits into the
                                                         running loop
                    [--offload-bytes BYTES]              bodies above BYTES
-                                                        scan in bounded
-                                                        slices off the tick
-                                                        (big bodies never
-                                                        stall small ones)
+                                                        scan in pooled
+                                                        slices as they
+                                                        arrive (big bodies
+                                                        never stall small
+                                                        ones)
   ridfa compile    (--regex PATTERN | --nfa FILE | --workload NAME)
                    --out FILE [--kind ridfa|dfa]        build the (minimized)
                    [--max-states N]                     automaton once, seal
@@ -200,9 +201,10 @@ USAGE:
   ridfa query      --connect ADDR --pattern ID          request(s) against a
                    --text FILE [--repeat N]             running server; C
                    [--concurrency C]                    connections × N
-                                                        pipelined requests;
-                                                        exit code = worst
-                                                        verdict seen
+                                                        requests, each sent
+                                                        after the previous
+                                                        response; exit code
+                                                        = worst verdict seen
   ridfa help
 
 A `--patterns FILE` holds one pattern per line: `ID REGEX`, or
@@ -1224,9 +1226,9 @@ fn cmd_serve_listen(opts: &Opts) -> Result<(), CliError> {
 
 /// `ridfa query`: requests against a running server; the exit code *is*
 /// the worst response status seen (the taxonomies coincide). `--repeat`
-/// pipelines N requests per connection, `--concurrency` opens C
-/// connections in parallel — `C × N` requests total, a one-command load
-/// generator for a server.
+/// sends N requests per connection one after another, each after the
+/// previous response; `--concurrency` opens C connections in parallel —
+/// `C × N` requests total, a one-command load generator for a server.
 fn cmd_query(opts: &Opts) -> Result<(), CliError> {
     let Some(addr) = opts.get_value("connect")? else {
         return Err(CliError::Usage("need --connect ADDR".into()));
@@ -1256,8 +1258,8 @@ fn cmd_query(opts: &Opts) -> Result<(), CliError> {
         );
         response.status
     } else {
-        // One thread per connection, `repeat` pipelined requests each;
-        // every thread reports its per-status counts.
+        // One thread per connection, `repeat` requests each, one after
+        // another; every thread reports its per-status counts.
         let results: Vec<Result<[u64; 7], String>> = std::thread::scope(|scope| {
             let handles: Vec<_> = (0..concurrency)
                 .map(|_| {

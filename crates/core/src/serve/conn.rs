@@ -1,19 +1,22 @@
 //! The per-connection request state machine: header accumulation, lane
-//! routing, inline body scanning, and response/counter bookkeeping.
+//! routing, body scanning, and response/counter bookkeeping.
 //!
 //! [`ingest`] feeds freshly read bytes through one connection's state
-//! machine. Small bodies (at or below [`ServeConfig::offload_bytes`])
-//! are scanned *inline* as they arrive. Larger bodies are routed to the
-//! **offload lane**: the bytes are staged in [`Conn::offload_buf`] and
-//! scanned in bounded slices by the loop's [`lanes`](super::lanes) pass
-//! between ticks, so one huge body never stalls the other connections
-//! sharing the tick.
+//! machine and scans them as they arrive. Small bodies (at or below
+//! [`ServeConfig::offload_bytes`]) are scanned *inline*. Larger bodies
+//! take the **offload lane**: the bytes are staged in
+//! [`Conn::offload_buf`], and each full
+//! [`ServeConfig::offload_tick_bytes`] slice is scanned through the
+//! registry's pooled reach phase as soon as it is staged, the tail once
+//! the body completes. Less than one slice stays staged, and a read
+//! smaller than a slice completes at most one, so one huge body holds up
+//! the other connections sharing the tick for one pooled scan at a time.
 //!
 //! A mid-scan registry error (contained fault, or the pattern being
-//! evicted/reloaded under the scan) no longer kills the connection: the
-//! verdict is decided immediately, the rest of the body is drained
-//! unscanned, and frame sync survives — exactly how unknown-pattern and
-//! over-budget requests were already handled.
+//! evicted/reloaded under the scan) does not kill the connection: the
+//! verdict is decided immediately, the staged bytes are dropped, the rest
+//! of the body is drained unscanned, and frame sync survives — exactly
+//! how unknown-pattern and over-budget requests are handled.
 
 use std::net::TcpStream;
 use std::time::Instant;
@@ -31,19 +34,16 @@ pub(crate) enum Phase {
     /// Consuming `remaining` body bytes. `pending` carries the error
     /// status of a request whose body is drained unscanned (unknown
     /// pattern, oversized body, mid-scan fault) so frame sync survives
-    /// the error; `offload` marks bodies staged for the loop's offload
-    /// lane instead of being scanned inline.
+    /// the error; `offload` marks bodies staged and scanned in pooled
+    /// slices instead of inline.
     Body {
         /// Body bytes not yet received.
         remaining: u64,
         /// Already-decided error verdict, if any (body drains unscanned).
         pending: Option<Status>,
-        /// Whether the body is staged for the offload lane.
+        /// Whether the body takes the offload lane.
         offload: bool,
     },
-    /// An offloaded body arrived completely, but the lane still has
-    /// staged bytes to scan before the verdict can go out.
-    Finishing,
 }
 
 /// One accepted connection and everything it owns.
@@ -53,19 +53,12 @@ pub(crate) struct Conn {
     pub(crate) hdr: Vec<u8>,
     pub(crate) phase: Phase,
     pub(crate) pattern: String,
-    pub(crate) scan: StreamScan,
+    scan: StreamScan,
     /// Body bytes consumed for the current request (scanned or drained).
     pub(crate) consumed: u64,
-    /// Offload lane: received-but-unscanned body bytes (drained from the
-    /// front as the lane scans slices).
-    pub(crate) offload_buf: Vec<u8>,
-    /// Offload lane: pipelined bytes past the offloaded request's body,
-    /// re-ingested once its verdict is out. Bounded by one read, because
-    /// a `Finishing` connection is not read from.
-    pub(crate) carry: Vec<u8>,
-    /// Offload lane: error verdict decided mid-scan (remaining staged
-    /// bytes are dropped unscanned).
-    pub(crate) offload_status: Option<Status>,
+    /// Offload lane: staged body bytes short of a full slice, scanned
+    /// once the slice fills or the body completes.
+    offload_buf: Vec<u8>,
     pub(crate) outbuf: Vec<u8>,
     pub(crate) out_written: usize,
     pub(crate) close_after_flush: bool,
@@ -89,8 +82,6 @@ impl Conn {
             scan: StreamScan::new(),
             consumed: 0,
             offload_buf: Vec::new(),
-            carry: Vec::new(),
-            offload_status: None,
             outbuf: Vec::new(),
             out_written: 0,
             close_after_flush: false,
@@ -254,7 +245,7 @@ pub(crate) fn ingest(
                     offload,
                 };
                 if remaining == 0 {
-                    finish_inline_body(conn, registry, tally);
+                    finish_body(conn, registry, tally, pending);
                 }
             }
             Phase::Body {
@@ -270,15 +261,16 @@ pub(crate) fn ingest(
                 conn.bytes += take as u64;
                 tally.bytes += take as u64;
                 let mut pending = pending;
-                if offload {
-                    conn.offload_buf.extend_from_slice(chunk);
-                } else if pending.is_none() && !chunk.is_empty() {
-                    if let Err(e) = registry.scan_block(&conn.pattern, &mut conn.scan, chunk) {
+                if pending.is_none() {
+                    let complete = remaining == 0;
+                    if let Err(e) = scan_chunk(conn, registry, config, chunk, offload, complete) {
                         // Typed mid-scan failure: the verdict is decided
-                        // now, the rest of the body drains unscanned, and
-                        // the connection survives (frame sync is intact —
+                        // now, the staged bytes drop, the rest of the body
+                        // drains unscanned and unstaged, and the
+                        // connection survives (frame sync is intact —
                         // `remaining` is known).
                         registry.record_error(&conn.pattern);
+                        conn.offload_buf.clear();
                         pending = Some(scan_error_status(&e));
                     }
                 }
@@ -288,34 +280,54 @@ pub(crate) fn ingest(
                     offload,
                 };
                 if remaining == 0 {
-                    finish_inline_body(conn, registry, tally);
+                    finish_body(conn, registry, tally, pending);
                 }
-            }
-            Phase::Finishing => {
-                // The offload lane owns the current request; bytes the
-                // client pipelines behind it wait in `carry` (bounded:
-                // a Finishing connection is not read from again).
-                conn.carry.extend_from_slice(data);
-                data = &[];
             }
         }
     }
     true
 }
 
-/// Completes a fully received body: inline bodies answer now; offloaded
-/// bodies hand over to the lane ([`Phase::Finishing`]).
-fn finish_inline_body(conn: &mut Conn, registry: &mut PatternRegistry, tally: &mut ServeTally) {
-    let Phase::Body {
-        pending, offload, ..
-    } = conn.phase
-    else {
-        return;
-    };
-    if offload {
-        conn.phase = Phase::Finishing;
-        return;
+/// Scans one received body chunk on its lane. Inline, the chunk is one
+/// block. Offloaded, it is staged, and every full slice of the staged
+/// bytes is scanned through the pooled reach phase, the tail too once the
+/// body is `complete`; slices start at multiples of the slice size into
+/// the body, and less than one slice stays staged.
+fn scan_chunk(
+    conn: &mut Conn,
+    registry: &mut PatternRegistry,
+    config: &ServeConfig,
+    chunk: &[u8],
+    offload: bool,
+    complete: bool,
+) -> Result<(), RegistryError> {
+    if !offload {
+        registry.scan_block(&conn.pattern, &mut conn.scan, chunk)?;
+        return Ok(());
     }
+    let slice = config.offload_tick_bytes.max(1);
+    conn.offload_buf.extend_from_slice(chunk);
+    let staged = conn.offload_buf.len();
+    let end = if complete {
+        staged
+    } else {
+        staged - staged % slice
+    };
+    for block in conn.offload_buf[..end].chunks(slice) {
+        registry.scan_block_pooled(&conn.pattern, &mut conn.scan, block)?;
+    }
+    conn.offload_buf.drain(..end);
+    Ok(())
+}
+
+/// Answers a fully received body on either lane: its decided error, or
+/// the verdict of its finished scan.
+fn finish_body(
+    conn: &mut Conn,
+    registry: &mut PatternRegistry,
+    tally: &mut ServeTally,
+    pending: Option<Status>,
+) {
     let consumed = conn.consumed;
     match pending {
         Some(status) => conn.respond(status, consumed, tally),

@@ -1,17 +1,15 @@
 //! The event loop: one thread owns the listener, the registry and every
-//! connection, and runs readiness ticks of five passes:
+//! connection, and runs readiness ticks of four passes:
 //!
 //! 1. **reload** — if the spec snapshot's generation moved, apply the
 //!    insert/evict delta between requests (connections stay open;
 //!    in-flight scans on replaced patterns fail typed);
 //! 2. **serve** — flush, police deadlines/idle, read under the tick
-//!    budget, ingest (small bodies scan inline; large ones stage for
-//!    the offload lane);
-//! 3. **pump** — scan one bounded slice per offloading connection
-//!    ([`lanes`](super::lanes)), answer completed ones, and re-ingest
-//!    any pipelined carry-over;
-//! 4. **reap** — close connections that hung up, failed or idled out;
-//! 5. **accept** — take every connection pending on the non-blocking
+//!    budget, and ingest: each read is scanned as it arrives, inline or
+//!    in pooled offload slices ([`conn`](super::conn)), and completed
+//!    requests are answered;
+//! 3. **reap** — close connections that hung up, failed or idled out;
+//! 4. **accept** — take every connection pending on the non-blocking
 //!    listener, at the end of a tick that made no other progress and at
 //!    most once per [`ACCEPT_PERIOD`] on a busy one.
 //!
@@ -34,11 +32,16 @@ use crate::csdpa::budget::CancelToken;
 use crate::csdpa::registry::{PatternRegistry, PatternStats};
 use crate::csdpa::spec::RegistrySnapshot;
 
-use super::conn::{ingest, Conn, Phase};
-use super::lanes;
+use super::conn::{ingest, Conn};
 use super::protocol::Status;
 use super::readiness::{self, PollFd};
 use super::{PatternReport, ReloadTally, ServeConfig, ServeTally, ServerReport};
+
+/// Most bytes one read takes from one connection.
+const READ_BUF_BYTES: usize = 16 * 1024;
+
+/// Most bytes one tick reads across all connections (backpressure).
+const TICK_READ_BUDGET: usize = 1 << 20;
 
 /// Least time between two accept polls on ticks that made progress. A
 /// non-blocking accept that finds nothing costs 3–4 µs on a 2-core VM,
@@ -93,7 +96,7 @@ pub(crate) fn run(
     let baseline: HashMap<String, PatternStats> = registry.all_stats().into_iter().collect();
     let mut conns: Vec<Conn> = Vec::new();
     let mut closed = Vec::new();
-    let mut buf = vec![0u8; config.read_buf_bytes.max(1)];
+    let mut buf = vec![0u8; READ_BUF_BYTES];
     let mut rotate: usize = 0;
     let mut last_accept = Instant::now();
     // The wait set, rebuilt before each wait in the same allocation.
@@ -132,7 +135,7 @@ pub(crate) fn run(
         // so a tick-budget shortfall is not always paid by the same
         // sockets.
         let now = Instant::now();
-        let mut read_budget = config.tick_read_budget;
+        let mut read_budget = TICK_READ_BUDGET;
         let n = conns.len();
         let mut drop_list: Vec<usize> = Vec::new();
         for k in 0..n {
@@ -180,10 +183,6 @@ pub(crate) fn run(
                     if !conn.pattern.is_empty() {
                         registry.record_error(&conn.pattern);
                     }
-                    // Abandon any staged offload work with the request.
-                    conn.offload_buf.clear();
-                    conn.carry.clear();
-                    conn.offload_status = None;
                     conn.close_after_flush = true;
                     progressed = true;
                     continue;
@@ -236,26 +235,6 @@ pub(crate) fn run(
         }
         if n > 0 {
             rotate = (rotate + 1) % n;
-        }
-
-        // Offload pump: at most one bounded pooled scan per staging
-        // connection per tick, so a huge body never owns the tick.
-        for (i, conn) in conns.iter_mut().enumerate() {
-            if conn.close_after_flush || drop_list.contains(&i) {
-                continue;
-            }
-            if lanes::pump_offload(conn, registry, config, &mut tally) {
-                conn.last_activity = now;
-                progressed = true;
-            }
-            // Re-ingest bytes the client pipelined behind an offloaded
-            // request once its verdict is out.
-            if conn.phase != Phase::Finishing && !conn.carry.is_empty() {
-                let carry = std::mem::take(&mut conn.carry);
-                if !ingest(conn, registry, config, &mut tally, &carry) {
-                    conn.close_after_flush = true;
-                }
-            }
         }
 
         // Reap (highest index first so the indices stay valid).
@@ -320,17 +299,13 @@ pub(crate) fn run(
 }
 
 /// Whether the serve pass reads `conn` when the tick's read budget
-/// allows: not closing, under the write high-water mark, and neither
-/// waiting on its offload lane's verdict nor backed up in it (TCP flow
+/// allows: not closing and under the write high-water mark (TCP flow
 /// control holds the sender meanwhile). The wait set asks for
 /// [`readiness::READ`] on the same condition, so the loop neither wakes
 /// for bytes it would leave unread nor sleeps through bytes it would
 /// read.
 fn wants_read(conn: &Conn, config: &ServeConfig) -> bool {
-    !conn.close_after_flush
-        && conn.pending_out() <= config.max_pending_response_bytes
-        && conn.phase != Phase::Finishing
-        && !lanes::offload_backlogged(conn, config)
+    !conn.close_after_flush && conn.pending_out() <= config.max_pending_response_bytes
 }
 
 /// Blocks until the listener has a connection pending, a connection is

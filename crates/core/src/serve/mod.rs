@@ -8,16 +8,18 @@
 //!
 //! * the event loop — the thread that calls [`Server::run`]: it owns
 //!   the listener, the [`PatternRegistry`] and every connection, and
-//!   interleaves reload, read/write, offload and accept passes per
-//!   tick. A tick that made no progress blocks in `poll(2)` on the
-//!   listener and the connections until one is ready for what the next
-//!   tick would do with it, the earliest request deadline or idle expiry
-//!   comes due, or a 10 ms cap runs out;
-//! * the lanes — per connection, bodies at or below
-//!   [`ServeConfig::offload_bytes`] scan inline as they arrive, while
-//!   larger bodies are staged and scanned one bounded slice per tick
-//!   through the registry's pooled reach phase, so one huge body never
-//!   stalls the tick for the small requests sharing the loop.
+//!   interleaves reload, read/write and accept passes per tick. A tick
+//!   that made no progress blocks in `poll(2)` on the listener and the
+//!   connections until one is ready for what the next tick would do
+//!   with it, the earliest request deadline or idle expiry comes due,
+//!   or a 10 ms cap runs out;
+//! * the lanes — per connection, every read is scanned as it arrives:
+//!   bodies at or below [`ServeConfig::offload_bytes`] inline, larger
+//!   ones staged, each full [`ServeConfig::offload_tick_bytes`] slice
+//!   scanned through the registry's pooled reach phase as soon as it is
+//!   staged. Less than one slice stays staged, and one huge body holds
+//!   up the small requests sharing the loop for one pooled scan at a
+//!   time.
 //!
 //! Parallelism comes from that pooled reach phase — the paper's chunked
 //! scan — and not from replicated loops: loop replicas fed by an
@@ -44,17 +46,13 @@
 //! Two bounds keep a flood of fast writers or slow readers from
 //! starving the loop or the heap:
 //!
-//! * **read budget** — each tick reads at most
-//!   [`ServeConfig::tick_read_budget`] bytes *across all connections*;
-//!   sockets left unread stay queued in their kernel buffers (TCP flow
-//!   control propagates the pressure to the sender);
+//! * **read budget** — each tick reads at most 16 KiB per connection
+//!   and 1 MiB *across all connections*; sockets left unread stay
+//!   queued in their kernel buffers (TCP flow control propagates the
+//!   pressure to the sender);
 //! * **write high-water mark** — a connection with more than
 //!   [`ServeConfig::max_pending_response_bytes`] of unflushed responses
 //!   is not read from until the client drains its responses.
-//!
-//! The offload lane adds a third: a connection whose staged backlog
-//! exceeds a few scan slices is not read from either, so staging is
-//! O(slices), not O(body).
 //!
 //! # Lifecycle
 //!
@@ -70,7 +68,6 @@ pub mod protocol;
 
 mod conn;
 mod event_loop;
-mod lanes;
 mod readiness;
 
 use std::io;
@@ -103,23 +100,19 @@ pub struct ServeConfig {
     /// Open-connection cap; connections beyond it are accepted and
     /// immediately dropped so the client sees EOF, not a hang.
     pub max_connections: usize,
-    /// Per-connection read size per tick.
-    pub read_buf_bytes: usize,
-    /// Total bytes read per tick across all connections (backpressure;
-    /// see the [module docs](self)).
-    pub tick_read_budget: usize,
     /// Largest declared request body; larger ones are drained and
     /// answered [`Status`](protocol::Status)`::Budget`.
     pub max_body_bytes: u64,
     /// Unflushed-response high-water mark above which a connection is
     /// not read from.
     pub max_pending_response_bytes: usize,
-    /// Declared body size above which a request leaves the inline lane
-    /// and is scanned in bounded slices by the offload lane. The default
-    /// (`u64::MAX`) keeps every body inline.
+    /// Declared body size above which a request leaves the inline lane:
+    /// its body is staged and scanned in pooled slices as it arrives.
+    /// The default (`u64::MAX`) keeps every body inline.
     pub offload_bytes: u64,
-    /// Slice size of one offload-lane pooled scan (per connection per
-    /// tick).
+    /// Size of one offload-lane pooled scan: every full slice is scanned
+    /// as soon as it is staged, the last, shorter one when the body
+    /// completes.
     pub offload_tick_bytes: usize,
     /// Poll interval of the spec watcher (hot reload). `None` — or a
     /// server not bound from a spec *file* — disables reloading.
@@ -133,8 +126,6 @@ impl Default for ServeConfig {
             request_deadline: None,
             idle_timeout: Some(Duration::from_secs(30)),
             max_connections: 256,
-            read_buf_bytes: 16 * 1024,
-            tick_read_budget: 1 << 20,
             max_body_bytes: u64::MAX,
             max_pending_response_bytes: 4096,
             offload_bytes: u64::MAX,

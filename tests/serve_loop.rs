@@ -409,10 +409,10 @@ fn oracle_body(pattern: usize, rng: &mut XorShift64) -> Vec<u8> {
 /// Seeded differential oracle over one server: four clients each write
 /// 1–4 frames back to back, then read their responses in order. Bodies
 /// of 0–8 KiB cross the 2 KiB offload threshold, so both lanes run and
-/// frames arrive right behind offloaded bodies (the lane's carry
-/// re-ingest). Every status and `scanned` value must match a serial DFA
-/// built independently of the server, and the per-pattern stats must
-/// equal the clients' counts.
+/// frames arrive right behind offloaded bodies, often in the same read as
+/// the body's last bytes. Every status and `scanned` value must match a
+/// serial DFA built independently of the server, and the per-pattern
+/// stats must equal the clients' counts.
 #[test]
 fn pipelined_frames_on_both_lanes_match_a_serial_dfa_oracle() {
     const CLIENTS: usize = 4;

@@ -110,19 +110,31 @@ fn hot_reload_swaps_patterns_without_dropping_connections() {
 /// Satellite: a reload that evicts the pattern *under an in-flight scan*
 /// answers a typed `Protocol` error for that request — never a panic,
 /// never a verdict mixing two generations — and the connection survives
-/// to serve the next request against the new automaton.
+/// to serve the next request against the new automaton. Both lanes: on
+/// the offload lane the first 10 KB bind the scan through two pooled
+/// 4 KiB slices before the reload lands, and the error must drop the
+/// staged bytes, or they would lead the next offloaded body.
 #[test]
 fn eviction_under_in_flight_scan_is_typed_and_keeps_the_connection() {
+    for (lane, offload_bytes) in [("inline", u64::MAX), ("offload", 1024)] {
+        eviction_under_in_flight_scan(lane, offload_bytes);
+    }
+}
+
+fn eviction_under_in_flight_scan(lane: &str, offload_bytes: u64) {
     const BODY: usize = 100_000;
     const FIRST: usize = 10_000;
+    const NEXT: usize = 2000;
 
-    let file = SpecFile::new("evict", "digits [0-9]+\n");
+    let file = SpecFile::new(&format!("evict-{lane}"), "digits [0-9]+\n");
     let mut server = Server::bind_spec_file(
         "127.0.0.1:0",
         file.path.clone(),
         registry_config(),
         ServeConfig {
             reload_interval: Some(Duration::from_millis(20)),
+            offload_bytes,
+            offload_tick_bytes: 4096,
             ..ServeConfig::default()
         },
     )
@@ -139,8 +151,8 @@ fn eviction_under_in_flight_scan_is_typed_and_keeps_the_connection() {
     let response = protocol::query(&mut stream, "digits", b"123").unwrap();
     assert_eq!(response.status, Status::Accepted);
 
-    // Send the header plus the first slice of a large inline body: the
-    // loop starts scanning and the scan binds to the current epoch.
+    // Send the header plus the first 10 KB of a large body: the loop
+    // starts scanning and the scan binds to the current epoch.
     let frame = protocol::encode_request("digits", &vec![b'7'; BODY]).unwrap();
     let header = frame.len() - BODY;
     stream.write_all(&frame[..header + FIRST]).unwrap();
@@ -149,17 +161,27 @@ fn eviction_under_in_flight_scan_is_typed_and_keeps_the_connection() {
 
     // Reload lands mid-scan: digits is evicted and re-inserted with a
     // fresh epoch while the request above is still incomplete.
-    file.rewrite("digits [0-9]{5}\n");
+    file.rewrite("digits 1[0-9]{4}|2[0-9]*\n");
     std::thread::sleep(Duration::from_millis(400));
 
     // The remainder drains; the verdict is the typed reload error with
     // the full body accounted for, not a cross-generation answer.
     stream.write_all(&frame[header + FIRST..]).unwrap();
     let response = protocol::read_response(&mut stream).unwrap();
-    assert_eq!(response.status, Status::Protocol, "reload mid-scan");
-    assert_eq!(response.scanned, BODY as u64, "body fully drained");
+    assert_eq!(response.status, Status::Protocol, "{lane}: reload mid-scan");
+    assert_eq!(response.scanned, BODY as u64, "{lane}: body fully drained");
 
-    // Same connection, next request: served by the new generation.
+    // Same connection, next requests: served by the new generation. The
+    // first takes the same lane; a stale staged `7` would lead its body
+    // and flip the verdict.
+    let mut next = vec![b'0'; NEXT];
+    next[0] = b'2';
+    let response = protocol::query(&mut stream, "digits", &next).unwrap();
+    assert_eq!(
+        (response.status, response.scanned),
+        (Status::Accepted, NEXT as u64),
+        "{lane}: follow-up body"
+    );
     let response = protocol::query(&mut stream, "digits", b"12345").unwrap();
     assert_eq!(response.status, Status::Accepted);
     let response = protocol::query(&mut stream, "digits", b"123").unwrap();
@@ -168,8 +190,12 @@ fn eviction_under_in_flight_scan_is_typed_and_keeps_the_connection() {
 
     cancel.cancel();
     let report = server_thread.join().unwrap();
-    assert_eq!(report.tally.protocol_errors, 1, "{:?}", report.tally);
-    assert_eq!(report.tally.accepted, 2);
+    assert_eq!(
+        report.tally.protocol_errors, 1,
+        "{lane}: {:?}",
+        report.tally
+    );
+    assert_eq!(report.tally.accepted, 3);
     assert_eq!(report.tally.rejected, 1);
     assert_eq!(report.tally.connections, 1, "connection was dropped");
     assert!(report.reload.generations >= 1);
@@ -178,7 +204,7 @@ fn eviction_under_in_flight_scan_is_typed_and_keeps_the_connection() {
 
 /// A multi-megabyte body above `offload_bytes` goes through the offload
 /// lane in bounded slices: a small inline request on another connection
-/// gets its verdict while the big body is still being pumped, instead of
+/// gets its verdict while the big body is still being scanned, instead of
 /// waiting behind it.
 #[test]
 fn offloaded_big_body_does_not_stall_small_requests() {
@@ -228,9 +254,9 @@ fn offloaded_big_body_does_not_stall_small_requests() {
             big_done.store(true, Ordering::SeqCst);
         });
 
-        // Once the big body is in flight (the lane pumps it 4 KiB per
-        // tick, so it has ~1000 ticks to go), a small request must clear
-        // in a handful of ticks.
+        // Once the big body is in flight (each 16 KiB read of it scans
+        // four 4 KiB slices, so it has ~250 reads to go), a small request
+        // must clear in a handful of ticks.
         while !big_started.load(Ordering::SeqCst) {
             std::thread::sleep(Duration::from_millis(1));
         }
@@ -244,7 +270,7 @@ fn offloaded_big_body_does_not_stall_small_requests() {
         }
         assert!(
             small_before_big >= 1,
-            "no small request finished while the big body was pumping"
+            "no small request finished while the big body was scanning"
         );
     });
     drop(small);
