@@ -1,23 +1,27 @@
 //! Short-text / batch latency bench: the serving regime the session
 //! layer exists for.
 //!
-//! A stream of ~2 KiB `traffic` syslog texts is recognized four ways:
+//! A stream of ~2 KiB `traffic` syslog texts is recognized five ways:
 //!
-//! * `spawn_per_call` — the pre-session hot path: the free `recognize`
-//!   spawns OS threads for every text (`Executor::PerChunk`);
-//! * `spawn_team` — same, with the bounded dynamic team;
+//! * `spawn_per_call` — the free `recognize` with `Executor::PerChunk`:
+//!   every text runs on a throwaway session that starts one pool worker
+//!   per chunk but the first;
+//! * `spawn_team` — same, with a throwaway session of `threads`
+//!   claimants (at most one per chunk);
 //! * `pooled_per_text` — one warm [`Session`], one `recognize` call per
 //!   text (no spawn, warm per-worker scratches, zero allocations);
 //! * `pooled_batch` — `Session::recognize_many`, the whole stream as one
 //!   pipelined task wave over the pool;
-//! * `serial` — single-threaded reference.
+//! * `serial` — the free `recognize` with `Executor::Serial`: a
+//!   throwaway session without workers, so the caller scans every chunk.
 //!
 //! The per-iteration unit is the **whole stream**, so per-text overhead
 //! differences multiply by the batch size. The harness writes the
 //! group's results to `target/criterion-shim/batch_latency.json`; the
 //! checked-in baseline lives at
 //! `crates/bench/baselines/batch_latency.json` — the acceptance bar is
-//! pooled per-text cost measurably below the spawn-per-call path.
+//! a kept session's per-text cost measurably below the spawn-per-call
+//! path.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 

@@ -7,7 +7,6 @@
 //! ridfa gen --regex '(a|b)*abb' --out machine.nfa      # RE → NFA (text format)
 //! ridfa info --regex '(a|b)*abb'                       # construction report
 //! ridfa recognize --regex '(a|b)*abb' --text input.txt --variant rid --chunks 8
-//! ridfa recognize --regex '(a|b)*abb' --text input.txt --pool  # warm session
 //! ridfa drive --regex '(a|b)*abb' --text input.txt     # compare all variants
 //! ridfa serve --requests 1024 --len 2048               # batch/serving mode
 //! ridfa compile --regex '(a|b)*abb' --out p.rida       # RE → binary artifact
@@ -27,9 +26,8 @@ use ridfa_automata::nfa::{glushkov, Nfa};
 use ridfa_automata::serialize::binary;
 use ridfa_automata::{regex, serialize, ConstructionBudget};
 use ridfa_core::csdpa::{
-    recognize_counted, resident_footprint, Budget, ChunkAutomaton, CountedOutcome, DfaCa, Engine,
-    EnginePlan, Executor, Kernel, NfaCa, Outcome, RecognizeError, RegistryConfig, RidCa, Session,
-    StreamError, StreamOutcome, StreamSession,
+    resident_footprint, Budget, ChunkAutomaton, DfaCa, Engine, EnginePlan, Kernel, NfaCa,
+    RecognizeError, RegistryConfig, RidCa, Session, StreamError, StreamOutcome, StreamSession,
 };
 use ridfa_core::parallel::ThreadPool;
 use ridfa_core::ridfa::{ridfa_from_bytes, ridfa_to_bytes, ridfa_to_bytes_with_engine, RiDfa};
@@ -139,7 +137,7 @@ USAGE:
   ridfa recognize  (--regex PATTERN | --nfa FILE | --workload NAME)
                    --text FILE
                    [--variant dfa|nfa|rid|convergent-dfa|convergent-rid]
-                   [--chunks N] [--threads N] [--pool]  recognize one text
+                   [--chunks N] [--threads N]           recognize one text
                    [--timeout-ms MS] [--max-states N]   …under a deadline /
                                                         construction cap
                    [--stream] [--block-size BYTES]      …or recognize the
@@ -154,9 +152,9 @@ USAGE:
                                                         start on record
                                                         boundaries
   ridfa drive      (--regex PATTERN | --nfa FILE | --workload NAME)
-                   --text FILE [--chunks N] [--pool]    compare all variants
+                   --text FILE [--chunks N]             compare all variants
   ridfa serve      [--requests N] [--len BYTES] [--chunks N] [--threads N]
-                   [--variant ...] [--no-pool]          batch-recognize a
+                   [--variant ...]                      batch-recognize a
                                                         generated syslog
                                                         stream (workloads::
                                                         traffic) through a
@@ -211,8 +209,8 @@ A `--patterns FILE` holds one pattern per line: `ID REGEX`, or
 `ID @FILE.rida` to load a compiled artifact (cold start without any
 powerset construction). Blank lines and `#` comments are skipped.
 
-`--pool` recognizes through a persistent Session (no thread spawn per
-text, warm per-worker scan state) instead of spawning threads per call.
+`--threads N` is the number of threads that scan: the calling thread
+plus N − 1 pool workers (none for `--threads 1`).
 `--stream` reads fixed-size blocks through a reusable ring and composes
 chunk mappings eagerly: live memory is O(threads × block-size) no matter
 how large the input. `--workload traffic|bible` uses a built-in benchmark
@@ -515,93 +513,12 @@ macro_rules! with_variant {
     };
 }
 
-/// How a command's recognitions are executed: spawn threads per call, or
-/// dispatch to a warm [`Session`].
-enum Runner {
-    Spawn(Executor),
-    Pool(Session),
-}
-
-impl Runner {
-    fn from_opts(opts: &Opts) -> Result<Runner, String> {
-        let threads = opts.get_usize("threads", default_threads())?;
-        Ok(Runner::new(opts.get_bool("pool"), threads))
-    }
-
-    fn new(pooled: bool, threads: usize) -> Runner {
-        if pooled {
-            // The session's caller thread participates in every reach
-            // phase, so size the pool one below the requested width.
-            Runner::Pool(Session::new(threads.saturating_sub(1).max(1)))
-        } else {
-            Runner::Spawn(Executor::Team(threads))
-        }
-    }
-
-    fn name(&self) -> &'static str {
-        match self {
-            Runner::Spawn(_) => "spawn",
-            Runner::Pool(_) => "pooled",
-        }
-    }
-
-    fn recognize<CA: ChunkAutomaton>(
-        &mut self,
-        ca: &CA,
-        text: &[u8],
-        chunks: usize,
-    ) -> CountedOutcome {
-        match self {
-            Runner::Spawn(executor) => recognize_counted(ca, text, chunks, *executor),
-            Runner::Pool(session) => session.recognize_counted(ca, text, chunks),
-        }
-    }
-
-    /// Recognizes under a deadline/cancellation budget; typed errors, no
-    /// partial verdicts.
-    fn recognize_budgeted<CA: ChunkAutomaton>(
-        &mut self,
-        ca: &CA,
-        text: &[u8],
-        chunks: usize,
-        budget: &Budget,
-    ) -> Result<Outcome, RecognizeError> {
-        match self {
-            Runner::Spawn(executor) => {
-                ridfa_core::csdpa::recognize_budgeted(ca, text, chunks, *executor, budget)
-            }
-            Runner::Pool(session) => session.recognize_budgeted(ca, text, chunks, budget),
-        }
-    }
-
-    /// Pre-warms the pooled shape's per-worker state (no-op for spawn),
-    /// so timed runs start from steady state.
-    fn warm<CA: ChunkAutomaton>(&mut self, ca: &CA, sample: &[u8]) {
-        if let Runner::Pool(session) = self {
-            session.warm(ca, &sample[..sample.len().min(4096)]);
-        }
-    }
-
-    /// Recognizes a whole stream, returning the accepted count — the
-    /// pooled shape pipelines it as one `recognize_many` batch.
-    fn recognize_batch<CA: ChunkAutomaton>(
-        &mut self,
-        ca: &CA,
-        texts: &[Vec<u8>],
-        chunks: usize,
-    ) -> usize {
-        match self {
-            Runner::Spawn(executor) => texts
-                .iter()
-                .filter(|text| ridfa_core::csdpa::recognize(ca, text, chunks, *executor).accepted)
-                .count(),
-            Runner::Pool(session) => session
-                .recognize_many(ca, texts, chunks)
-                .iter()
-                .filter(|&&v| v)
-                .count(),
-        }
-    }
+/// Pool workers for `--threads` scanning threads: the calling thread
+/// scans chunks too, so a session or registry gets one worker fewer.
+fn pool_workers(opts: &Opts) -> Result<usize, String> {
+    Ok(opts
+        .get_usize("threads", default_threads())?
+        .saturating_sub(1))
 }
 
 fn cmd_recognize(opts: &Opts) -> Result<(), CliError> {
@@ -613,10 +530,10 @@ fn cmd_recognize(opts: &Opts) -> Result<(), CliError> {
     let text = load_text(opts)?;
     let chunks = opts.get_usize("chunks", default_threads())?;
     let budget = timeout_budget(opts)?;
-    let mut runner = Runner::from_opts(opts)?;
+    let mut session = Session::new(pool_workers(opts)?);
 
     let accepted = with_variant!(variant, &nfa, opts, |ca| {
-        run(ca, &text, chunks, &mut runner, budget.as_ref())?
+        run(ca, &text, chunks, &mut session, budget.as_ref())?
     });
     if accepted {
         Ok(())
@@ -625,19 +542,19 @@ fn cmd_recognize(opts: &Opts) -> Result<(), CliError> {
     }
 }
 
-/// Recognizes through the runner — budgeted (typed errors, no transition
+/// Recognizes on the session — budgeted (typed errors, no transition
 /// counter) when `--timeout-ms` is set, the counted report otherwise.
 fn run<CA: ChunkAutomaton>(
     ca: &CA,
     text: &[u8],
     chunks: usize,
-    runner: &mut Runner,
+    session: &mut Session,
     budget: Option<&Budget>,
 ) -> Result<bool, CliError> {
     let Some(budget) = budget else {
-        return Ok(report(ca, text, chunks, runner));
+        return Ok(report(ca, text, chunks, session));
     };
-    let out = runner
+    let out = session
         .recognize_budgeted(ca, text, chunks, budget)
         .map_err(recognize_error)?;
     println!(
@@ -659,11 +576,10 @@ fn kernel_suffix(kernel: Option<Kernel>) -> String {
     kernel.map_or_else(String::new, |k| format!(", kernel {}", k.name()))
 }
 
-fn report<CA: ChunkAutomaton>(ca: &CA, text: &[u8], chunks: usize, runner: &mut Runner) -> bool {
-    let out = runner.recognize(ca, text, chunks);
-    // `out.executor` is the shape that actually ran, not the one asked
-    // for — Executor::Pooled without a session degrades to Auto and says
-    // so here.
+fn report<CA: ChunkAutomaton>(ca: &CA, text: &[u8], chunks: usize, session: &mut Session) -> bool {
+    let out = session.recognize_counted(ca, text, chunks);
+    // `out.executor` is the shape that actually ran: `Serial` for one
+    // claimant (no pool workers, fewer chunks, or a pool below quorum).
     println!(
         "{}: {} | {} bytes, {} chunks, {} transitions, reach {:.3} ms, join {:.3} ms, via {:?}{}",
         ca.name(),
@@ -682,15 +598,9 @@ fn report<CA: ChunkAutomaton>(ca: &CA, text: &[u8], chunks: usize, runner: &mut 
 /// The `recognize --stream` path: never loads the text; reads the file or
 /// stdin through a [`StreamSession`] in `--block-size` blocks.
 fn cmd_recognize_stream(opts: &Opts, nfa: &Nfa, variant: Variant) -> Result<(), CliError> {
-    if opts.get_bool("pool") {
-        return Err(CliError::Usage(
-            "--stream manages its own worker pool; drop --pool".into(),
-        ));
-    }
     let block_size = opts.block_size(1 << 20)?;
-    let threads = opts.get_usize("threads", default_threads())?;
     let budget = timeout_budget(opts)?;
-    let mut session = StreamSession::new(threads.saturating_sub(1).max(1), block_size);
+    let mut session = StreamSession::new(pool_workers(opts)?, block_size);
     session.set_separator(opts.get_parsed("separator", "a byte 0-255")?);
 
     let accepted = with_variant!(variant, nfa, opts, |ca| {
@@ -768,25 +678,25 @@ fn cmd_drive(opts: &Opts) -> Result<(), CliError> {
     let nfa = load_nfa(opts)?;
     let text = load_text(opts)?;
     let chunks = opts.get_usize("chunks", default_threads())?;
-    let mut runner = Runner::from_opts(opts)?;
+    let mut session = Session::new(pool_workers(opts)?);
 
     let dfa = build_dfa(&nfa, opts)?;
     let rid = build_rid(&nfa, opts)?;
     let verdicts = [
-        report(&DfaCa::new(&dfa), &text, chunks, &mut runner),
-        report(&NfaCa::new(&nfa), &text, chunks, &mut runner),
-        report(&RidCa::new(&rid), &text, chunks, &mut runner),
+        report(&DfaCa::new(&dfa), &text, chunks, &mut session),
+        report(&NfaCa::new(&nfa), &text, chunks, &mut session),
+        report(&RidCa::new(&rid), &text, chunks, &mut session),
         report(
             &DfaCa::new(&dfa).with_kernel(Kernel::Auto),
             &text,
             chunks,
-            &mut runner,
+            &mut session,
         ),
         report(
             &RidCa::new(&rid).with_kernel(Kernel::Auto),
             &text,
             chunks,
-            &mut runner,
+            &mut session,
         ),
     ];
     if verdicts.iter().any(|&v| v != verdicts[0]) {
@@ -800,8 +710,7 @@ fn cmd_drive(opts: &Opts) -> Result<(), CliError> {
 /// Batch/serving mode: generate `--requests` syslog texts with the
 /// `traffic` workload generator and recognize them all through a warm
 /// [`Session`] (one pipelined task stream), reporting aggregate
-/// throughput and mean per-text latency. `--no-pool` recognizes each
-/// text with the spawning executor instead, for comparison.
+/// throughput and mean per-text latency.
 fn cmd_serve(opts: &Opts) -> Result<(), CliError> {
     if opts.get("listen").is_some() {
         return cmd_serve_listen(opts);
@@ -812,18 +721,16 @@ fn cmd_serve(opts: &Opts) -> Result<(), CliError> {
     let requests = opts.get_usize("requests", 256)?;
     let len = opts.get_usize("len", 2048)?;
     let chunks = opts.get_usize("chunks", 4)?;
-    let threads = opts.get_usize("threads", default_threads())?;
     let variant = Variant::parse(opts, "convergent-rid")?;
-    let pooled = !opts.get_bool("no-pool");
 
     let nfa = ridfa_workloads::traffic::nfa();
     // One malformed record stream in eight keeps the rejection path warm.
     let texts = ridfa_workloads::traffic::request_stream(requests, len, 8);
     let total_bytes: usize = texts.iter().map(Vec::len).sum();
 
-    let mut runner = Runner::new(pooled, threads);
+    let mut session = Session::new(pool_workers(opts)?);
     let accepted = with_variant!(variant, &nfa, opts, |ca| {
-        serve(ca, &texts, chunks, &mut runner)
+        serve(ca, &texts, chunks, &mut session)
     });
     let expected = texts.len() - texts.len() / 8;
     if accepted != expected {
@@ -850,11 +757,10 @@ fn cmd_serve(opts: &Opts) -> Result<(), CliError> {
 fn cmd_serve_stream(opts: &Opts) -> Result<(), CliError> {
     let bytes = opts.get_usize("bytes", 64 << 20)? as u64;
     let block_size = opts.block_size(1 << 20)?;
-    let threads = opts.get_usize("threads", default_threads())?;
     let variant = Variant::parse(opts, "convergent-rid")?;
 
     let nfa = ridfa_workloads::traffic::nfa();
-    let mut session = StreamSession::new(threads.saturating_sub(1).max(1), block_size);
+    let mut session = StreamSession::new(pool_workers(opts)?, block_size);
     with_variant!(variant, &nfa, opts, |ca| {
         serve_stream(ca, bytes, &mut session)
     })
@@ -907,19 +813,22 @@ fn serve<CA: ChunkAutomaton>(
     ca: &CA,
     texts: &[Vec<u8>],
     chunks: usize,
-    runner: &mut Runner,
+    session: &mut Session,
 ) -> usize {
     if let Some(sample) = texts.first() {
-        runner.warm(ca, sample);
+        session.warm(ca, &sample[..sample.len().min(4096)]);
     }
     let start = Instant::now();
-    let accepted = runner.recognize_batch(ca, texts, chunks);
+    let accepted = session
+        .recognize_many(ca, texts, chunks)
+        .iter()
+        .filter(|&&v| v)
+        .count();
     let elapsed = start.elapsed();
     let total_bytes: usize = texts.iter().map(Vec::len).sum();
     println!(
-        "{} [{}]: {} texts in {:.3} ms | {:.1} texts/s | {:.1} MiB/s | {:.1} µs/text",
+        "{}: {} texts in {:.3} ms | {:.1} texts/s | {:.1} MiB/s | {:.1} µs/text",
         ca.name(),
-        runner.name(),
         texts.len(),
         elapsed.as_secs_f64() * 1e3,
         texts.len() as f64 / elapsed.as_secs_f64(),
@@ -974,7 +883,7 @@ fn cmd_compile(opts: &Opts) -> Result<(), CliError> {
                     // (exit 5) instead of falling back.
                     let budget =
                         construction_budget(opts)?.unwrap_or(ConstructionBudget::UNLIMITED);
-                    let pool = ThreadPool::new(default_threads());
+                    let pool = ThreadPool::new(default_threads() - 1);
                     let engine =
                         Engine::resolve(&rid, requested, None, None, &budget, usize::MAX, &pool)
                             .map_err(|e| CliError::Budget(e.to_string()))?;
@@ -1132,9 +1041,8 @@ fn cmd_serve_listen(opts: &Opts) -> Result<(), CliError> {
     }
     // The loop thread joins every pooled reach phase, so the pool gets
     // the rest of the thread budget.
-    let threads = opts.get_usize("threads", default_threads())?;
     let registry_config = RegistryConfig {
-        num_workers: threads.saturating_sub(1).max(1),
+        num_workers: pool_workers(opts)?,
         block_size: opts.block_size(64 * 1024)?,
         budget: construction_budget(opts)?.unwrap_or(ConstructionBudget::UNLIMITED),
         max_table_bytes: opts.get_usize("max-table-bytes", usize::MAX)?,

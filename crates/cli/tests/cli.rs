@@ -211,43 +211,6 @@ fn convergent_variants_recognize() {
 }
 
 #[test]
-fn pooled_recognition_matches_spawned() {
-    for pool in [false, true] {
-        for (input, expect_ok) in [("abababaabb", true), ("abba", false)] {
-            let mut args = vec![
-                "recognize",
-                "--regex",
-                "(a|b)*abb",
-                "--text",
-                "-",
-                "--chunks",
-                "4",
-                "--threads",
-                "3",
-            ];
-            if pool {
-                args.push("--pool");
-            }
-            let mut child = ridfa()
-                .args(&args)
-                .stdin(Stdio::piped())
-                .stdout(Stdio::null())
-                .stderr(Stdio::null())
-                .spawn()
-                .unwrap();
-            child
-                .stdin
-                .as_mut()
-                .unwrap()
-                .write_all(input.as_bytes())
-                .unwrap();
-            let status = child.wait().unwrap();
-            assert_eq!(status.success(), expect_ok, "pool={pool} input={input:?}");
-        }
-    }
-}
-
-#[test]
 fn drive_includes_convergent_variants() {
     let mut child = ridfa()
         .args(["drive", "--regex", "(xy)*", "--text", "-", "--chunks", "3"])
@@ -397,25 +360,6 @@ fn stream_recognize_reads_files_without_loading() {
 }
 
 #[test]
-fn stream_rejects_pool_flag() {
-    let out = ridfa()
-        .args([
-            "recognize",
-            "--regex",
-            "a*",
-            "--stream",
-            "--pool",
-            "--text",
-            "-",
-        ])
-        .output()
-        .unwrap();
-    assert!(!out.status.success());
-    let err = String::from_utf8(out.stderr).unwrap();
-    assert!(err.contains("--stream"), "{err}");
-}
-
-#[test]
 fn zero_block_size_is_rejected_by_every_block_command() {
     // `serve --listen` used to turn `--block-size 0` into a 1-byte ring.
     for args in [
@@ -540,39 +484,46 @@ fn serve_stream_validates_a_generated_pipe() {
 
 #[test]
 fn recognize_reports_effective_executor() {
-    // The outcome line must say which executor shape actually ran —
-    // pooled when --pool, the spawning team otherwise.
-    for (pool, needle) in [(true, "via Pooled"), (false, "via Team")] {
-        let mut args = vec![
-            "recognize",
-            "--regex",
-            "a*",
-            "--text",
-            "-",
-            "--threads",
-            "2",
-        ];
-        if pool {
-            args.push("--pool");
+    // `--threads N` is N claimants on one session, and the outcome line
+    // says which shape ran: the caller alone for `--threads 1`, a team of
+    // the caller and two workers for `--threads 3`. Both agree on the
+    // verdict.
+    for (threads, needle) in [("1", "via Serial"), ("3", "via Team(3)")] {
+        for (input, expect_ok) in [("abababaabb", true), ("abba", false)] {
+            let mut child = ridfa()
+                .args([
+                    "recognize",
+                    "--regex",
+                    "(a|b)*abb",
+                    "--text",
+                    "-",
+                    "--chunks",
+                    "4",
+                    "--threads",
+                    threads,
+                ])
+                .stdin(Stdio::piped())
+                .stdout(Stdio::piped())
+                .stderr(Stdio::null())
+                .spawn()
+                .unwrap();
+            child
+                .stdin
+                .as_mut()
+                .unwrap()
+                .write_all(input.as_bytes())
+                .unwrap();
+            let out = child.wait_with_output().unwrap();
+            assert_eq!(out.status.success(), expect_ok, "{threads} {input:?}");
+            let text = String::from_utf8(out.stdout).unwrap();
+            assert!(text.contains(needle), "--threads {threads}: {text}");
         }
-        let mut child = ridfa()
-            .args(&args)
-            .stdin(Stdio::piped())
-            .stdout(Stdio::piped())
-            .stderr(Stdio::null())
-            .spawn()
-            .unwrap();
-        child.stdin.as_mut().unwrap().write_all(b"aaa").unwrap();
-        let out = child.wait_with_output().unwrap();
-        assert!(out.status.success(), "pool={pool}");
-        let text = String::from_utf8(out.stdout).unwrap();
-        assert!(text.contains(needle), "pool={pool}: {text}");
     }
 }
 
 #[test]
 fn serve_batch_mode_reports_throughput() {
-    for mode in [&["--no-pool"][..], &[][..]] {
+    for threads in ["1", "2"] {
         let out = ridfa()
             .args([
                 "serve",
@@ -581,14 +532,13 @@ fn serve_batch_mode_reports_throughput() {
                 "--len",
                 "512",
                 "--threads",
-                "2",
+                threads,
                 "--chunks",
                 "2",
             ])
-            .args(mode)
             .output()
             .unwrap();
-        assert!(out.status.success(), "mode {mode:?}");
+        assert!(out.status.success(), "--threads {threads}");
         let text = String::from_utf8(out.stdout).unwrap();
         assert!(text.contains("texts/s"), "{text}");
         assert!(text.contains("24 texts OK"), "{text}");
@@ -646,7 +596,7 @@ fn expired_timeout_exits_with_deadline_code() {
     // one-line message, never a verdict.
     for extra in [
         &[][..],
-        &["--pool"][..],
+        &["--threads", "1"][..],
         &["--stream", "--block-size", "64"][..],
     ] {
         let mut child = ridfa()

@@ -1,15 +1,14 @@
 //! Deadlines and cooperative cancellation for recognition.
 //!
 //! A [`Budget`] carries an optional wall-clock deadline and an optional
-//! [`CancelToken`]; the budgeted entry points
-//! ([`recognize_budgeted`](super::recognize_budgeted),
-//! [`Session::recognize_budgeted`](super::Session::recognize_budgeted),
-//! [`Session::recognize_many_budgeted`](super::Session::recognize_many_budgeted),
+//! [`CancelToken`]; the two budgeted entry points
+//! ([`Session::recognize_budgeted`](super::Session::recognize_budgeted)
+//! and
 //! [`StreamSession::recognize_stream_budgeted`](super::StreamSession::recognize_stream_budgeted))
 //! thread it through the reach phase as an [`InterruptProbe`]. Each is
 //! its unbudgeted twin's body run under one wrapper that also contains
-//! panics, and every reach — spawned, pooled, or a stream's wave — runs
-//! its chunks through one chunk task that checks the probe:
+//! panics, and every reach — a text's or a stream's wave — runs its
+//! chunks through one chunk task that checks the probe:
 //!
 //! * at every chunk claim, before the chunk is scanned (a stream's task 0
 //!   also checks before it reads the next wave), and

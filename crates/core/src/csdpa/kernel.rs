@@ -210,8 +210,8 @@ pub struct DenseTable<'a> {
 ///
 /// All vectors grow to the high-water mark of the automata scanned and
 /// then stay put: after this warm-up a scan allocates nothing. One
-/// `Scratch` must not be shared between concurrent scans (each worker
-/// thread owns one; see `parallel::run_indexed_with`).
+/// `Scratch` must not be shared between concurrent scans (each reach
+/// claimant owns one; see [`Session`](super::Session)).
 #[derive(Debug, Default)]
 pub struct Scratch {
     /// Premultiplied row offset of each live group (compacted prefix).

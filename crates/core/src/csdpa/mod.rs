@@ -28,14 +28,14 @@
 //! [`RidCa::with_feasible`] adds PaREM-style feasible-start pruning
 //! through a [`FeasibleTable`].
 //!
-//! The reach phase runs under one of two execution shapes: the one-shot
-//! spawning executors of [`recognize`] ([`Executor`]), or a persistent
-//! [`Session`] that keeps a worker pool and per-worker scan scratches
-//! warm across texts — the right shape for high-traffic streams of short
-//! texts, where thread-spawn cost would otherwise dominate. A
-//! [`StreamSession`]'s waves and the [`PatternRegistry`]'s lanes are
-//! reach phases of a `Session` too, and every join folds through one
-//! incremental [`JoinScratch`].
+//! Every reach phase is one of a [`Session`], which keeps a worker pool
+//! and per-worker scan scratches warm across texts — the right shape for
+//! high-traffic streams of short texts, where thread start-up would
+//! otherwise dominate. The free [`recognize`] functions run on a
+//! throwaway session whose claimant count their [`Executor`] names, a
+//! [`StreamSession`]'s waves and the [`PatternRegistry`]'s lanes on a
+//! kept one, and every join folds through one incremental
+//! [`JoinScratch`].
 
 pub mod budget;
 mod chunking;
@@ -57,8 +57,8 @@ pub use kernel::{Kernel, Scratch};
 pub use nfa_ca::NfaCa;
 pub use plan::{Engine, EnginePlan, FeasibleTable};
 pub use recognizer::{
-    recognize, recognize_budgeted, recognize_counted, recognize_serial, recognize_spans,
-    CountedOutcome, Executor, Outcome,
+    recognize, recognize_counted, recognize_serial, recognize_spans, CountedOutcome, Executor,
+    Outcome,
 };
 pub use registry::{
     resident_footprint, PatternRegistry, PatternStats, RegistryConfig, RegistryError, StreamScan,

@@ -1,8 +1,9 @@
 //! The full recognition device: chunking + parallel reach + serial join.
 //!
-//! The free entry points run the reach phase on spawned threads (see
-//! [`Executor`]); a [`Session`](super::Session) runs it on its pool. Both
-//! scan every chunk through the one chunk task of this module, which
+//! The free entry points run on a throwaway [`Session`] whose pool their
+//! [`Executor`] sizes, so they and a warm session share one body: the
+//! session's reach over the chunk spans, then its join. Every reach
+//! scans its chunks through the one chunk task of this module, which
 //! checks the budget probe, scans a first chunk from the initial state
 //! and an interior one speculatively, and adds the transitions of a
 //! counted recognition to one atomic tally — [`CountedOutcome`] carries
@@ -13,12 +14,13 @@ use std::time::{Duration, Instant};
 
 use ridfa_automata::counter::{Counter, NoCount, TransitionCount};
 
-use crate::parallel::run_indexed_with;
+use super::budget::InterruptProbe;
+use super::chunking::chunk_count;
+use super::{ChunkAutomaton, Kernel, Session};
 
-use super::budget::{run_budgeted, Budget, InterruptProbe, RecognizeError};
-use super::{chunk_spans, ChunkAutomaton, Kernel};
-
-/// How the reach phase distributes chunk scans over OS threads.
+/// How many threads claim the chunks of a free [`recognize`] call: the
+/// calling thread plus the workers of a throwaway [`Session`], never
+/// more claimants than chunks.
 ///
 /// This is the thread-shape half of the adaptive execution layer; the
 /// scan-strategy half (per-run vs lockstep per chunk) lives in
@@ -26,50 +28,37 @@ use super::{chunk_spans, ChunkAutomaton, Kernel};
 /// chunk automata themselves.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Executor {
-    /// All chunks on the calling thread (debug / baseline).
+    /// One claimant: the calling thread scans every chunk and no thread
+    /// is spawned (debug / baseline).
     Serial,
-    /// One thread per chunk — the paper's Java-thread model, appropriate
-    /// when `c ≤` available cores.
+    /// One claimant per chunk — the paper's Java-thread model,
+    /// appropriate when `c ≤` available cores.
     PerChunk,
-    /// A bounded team of `n` threads claiming chunks dynamically.
+    /// `n` claimants taking chunks dynamically.
     Team(usize),
-    /// Adaptive: one thread per chunk while chunks fit the available
-    /// cores, a core-sized dynamic team beyond that, serial for a single
-    /// chunk.
+    /// One claimant per chunk while chunks fit the available cores, a
+    /// core-sized team beyond that.
     Auto,
-    /// The persistent worker pool of a [`Session`](super::Session): no
-    /// thread spawn per text, per-worker scan scratches stay warm across
-    /// texts. Meaningful through
-    /// [`Session::recognize_with`](super::Session::recognize_with);
-    /// through the free [`recognize`] functions (which have no pool at
-    /// hand) it degrades to [`Executor::Auto`] — the degrade is visible
-    /// in [`Outcome::executor`] / [`CountedOutcome::executor`], which
-    /// always record the shape that actually ran.
-    Pooled,
 }
 
 impl Executor {
-    fn workers(self, num_chunks: usize) -> usize {
-        match self {
+    /// The throwaway session a free entry point scans `num_chunks`
+    /// chunks on: one worker per claimant but the caller.
+    fn session(self, num_chunks: usize) -> Session {
+        let claimants = match self {
             Executor::Serial => 1,
             Executor::PerChunk => num_chunks,
-            Executor::Team(n) => n.max(1),
-            Executor::Auto | Executor::Pooled => {
-                let cores = std::thread::available_parallelism().map_or(4, |n| n.get());
-                num_chunks.min(cores)
-            }
-        }
+            Executor::Team(n) => n,
+            Executor::Auto => std::thread::available_parallelism().map_or(4, |n| n.get()),
+        };
+        Session::new(claimants.min(num_chunks).saturating_sub(1))
     }
 
-    /// The executor shape the free [`recognize`] functions actually run:
-    /// [`Executor::Pooled`] needs a [`Session`](super::Session) and
-    /// degrades to [`Executor::Auto`] here. Callers comparing execution
-    /// shapes should check the recorded outcome executor rather than the
-    /// one they requested.
-    pub fn effective_spawning(self) -> Executor {
-        match self {
-            Executor::Pooled => Executor::Auto,
-            other => other,
+    /// The shape recorded for a reach of `claimants` claimants.
+    pub(super) fn of_claimants(claimants: usize) -> Executor {
+        match claimants {
+            0 | 1 => Executor::Serial,
+            k => Executor::Team(k),
         }
     }
 }
@@ -85,9 +74,10 @@ pub struct Outcome {
     pub reach: Duration,
     /// Wall time of the serial join phase.
     pub join: Duration,
-    /// The executor shape that actually ran — [`Executor::Pooled`]
-    /// requested through the free [`recognize`] degrades to
-    /// [`Executor::Auto`] and is recorded as such.
+    /// What ran: [`Executor::Serial`] when one claimant scanned every
+    /// chunk (a session without workers, a pool below quorum, or a
+    /// single chunk), [`Executor::Team`]`(k)` for `k` claimants — pool
+    /// workers plus the caller, at most one per chunk.
     pub executor: Executor,
     /// The scan strategy the interior (speculative) chunk scans actually
     /// executed, resolved through
@@ -110,7 +100,7 @@ pub struct CountedOutcome {
     pub reach: Duration,
     /// Wall time of the serial join phase.
     pub join: Duration,
-    /// The executor shape that actually ran (see [`Outcome::executor`]).
+    /// What ran (see [`Outcome::executor`]).
     pub executor: Executor,
     /// The scan strategy of the interior chunk scans (see
     /// [`Outcome::kernel`]).
@@ -134,44 +124,18 @@ impl CountedOutcome {
 }
 
 /// Recognizes `text` with chunk automaton `ca`, split into `num_chunks`
-/// chunks, using `executor` for the reach phase. No instrumentation: this
-/// is the entry point to *time*.
+/// chunks, on a throwaway session of the claimants `executor` names. No
+/// instrumentation: this is the entry point to *time*. Keep a
+/// [`Session`] instead when texts arrive back to back: it starts its
+/// pool and warms its scan scratches once, not per call.
 pub fn recognize<CA: ChunkAutomaton>(
     ca: &CA,
     text: &[u8],
     num_chunks: usize,
     executor: Executor,
 ) -> Outcome {
-    let spans = chunk_spans(text.len(), num_chunks);
-    recognize_over(ca, text, &spans, executor, None, None)
-        .expect("unbudgeted recognition cannot be interrupted")
-}
-
-/// Like [`recognize`] but bounded by `budget`: the reach phase checks the
-/// deadline/cancellation probe at chunk-claim boundaries and (through
-/// [`ChunkAutomaton::arm_interrupt`]) once per classification block inside
-/// kernel scans, so even a single giant chunk notices expiry promptly.
-/// The check is amortized — an unexpired budget costs one relaxed atomic
-/// load per block — and allocation-free.
-///
-/// Any panic escaping the chunk automaton during the reach or join phase
-/// is trapped and surfaced as [`RecognizeError::Panicked`] instead of
-/// unwinding through the caller.
-///
-/// Granularity caveat: first-chunk scans and chunk automata without a
-/// kernel scratch ([`NfaCa`](super::NfaCa), [`SfaCa`](crate::sfa::SfaCa)) are
-/// only interruptible *between* chunks, not mid-scan.
-pub fn recognize_budgeted<CA: ChunkAutomaton>(
-    ca: &CA,
-    text: &[u8],
-    num_chunks: usize,
-    executor: Executor,
-    budget: &Budget,
-) -> Result<Outcome, RecognizeError> {
-    let spans = chunk_spans(text.len(), num_chunks);
-    run_budgeted(budget, |probe| {
-        recognize_over(ca, text, &spans, executor, probe, None)
-    })
+    let n = chunk_count(text.len(), num_chunks);
+    executor.session(n).recognize(ca, text, n)
 }
 
 /// Like [`recognize`] but over caller-provided chunk spans — the entry
@@ -179,67 +143,27 @@ pub fn recognize_budgeted<CA: ChunkAutomaton>(
 /// ([`chunk_spans_snapped`](super::chunk_spans_snapped)), where the cut
 /// points depend on the text's record structure rather than its length
 /// alone. `spans` must cover `text` contiguously from 0 (the
-/// [`chunk_spans`]/`chunk_spans_snapped` contract); the first span is
-/// scanned as the first chunk.
+/// [`chunk_spans`](super::chunk_spans)/`chunk_spans_snapped` contract);
+/// the first span is scanned as the first chunk.
 pub fn recognize_spans<CA: ChunkAutomaton>(
     ca: &CA,
     text: &[u8],
     spans: &[std::ops::Range<usize>],
     executor: Executor,
 ) -> Outcome {
-    recognize_over(ca, text, spans, executor, None, None)
+    executor
+        .session(spans.len())
+        .recognize_over(ca, text, spans.len(), |i| spans[i].clone(), None, None)
         .expect("unbudgeted recognition cannot be interrupted")
 }
 
-/// The reach + join body over explicit spans, shared by every free entry
-/// point: [`Executor::Pooled`] degrades to its spawning shape, `probe`
-/// makes the scans interruptible, and `tally` (when given) receives the
-/// executed transitions.
-fn recognize_over<CA: ChunkAutomaton>(
-    ca: &CA,
-    text: &[u8],
-    spans: &[std::ops::Range<usize>],
-    executor: Executor,
-    probe: Option<&InterruptProbe>,
-    tally: Option<&AtomicU64>,
-) -> Result<Outcome, RecognizeError> {
-    debug_assert!(!spans.is_empty());
-    let executor = executor.effective_spawning();
-    let reach_start = Instant::now();
-    let mappings = run_indexed_with(
-        executor.workers(spans.len()),
-        spans.len(),
-        CA::Scratch::default,
-        |scratch, i| {
-            let mut mapping = CA::Mapping::default();
-            let task = || (&text[spans[i].clone()], i == 0);
-            scan_task(ca, task, scratch, &mut mapping, probe, tally);
-            mapping
-        },
-    );
-    let reach = reach_start.elapsed();
-    if let Some(err) = probe.and_then(|p| p.status()) {
-        return Err(err);
-    }
-    let join_start = Instant::now();
-    let accepted = ca.join(&mappings);
-    Ok(Outcome {
-        accepted,
-        num_chunks: spans.len(),
-        reach,
-        join: join_start.elapsed(),
-        executor,
-        kernel: effective_kernel_for(ca, spans.iter().skip(1).map(|s| s.len())),
-    })
-}
-
-/// One chunk task of a reach phase, spawned or pooled: arms (or clears)
-/// the budget probe on the scan scratch and gives the chunk up if the
-/// budget has tripped (the reach then returns the probe's error instead
-/// of the mappings). Otherwise it scans the chunk `task` names into
-/// `out` — from the initial state when it is a first chunk,
-/// speculatively through `scratch` otherwise — adding the executed
-/// transitions to `tally` when one is given.
+/// One chunk task of a reach phase: arms (or clears) the budget probe on
+/// the scan scratch and gives the chunk up if the budget has tripped
+/// (the reach then returns the probe's error instead of the mappings).
+/// Otherwise it scans the chunk `task` names into `out` — from the
+/// initial state when it is a first chunk, speculatively through
+/// `scratch` otherwise — adding the executed transitions to `tally` when
+/// one is given.
 pub(super) fn scan_task<'t, CA: ChunkAutomaton>(
     ca: &CA,
     task: impl FnOnce() -> (&'t [u8], bool),
@@ -302,11 +226,8 @@ pub fn recognize_counted<CA: ChunkAutomaton>(
     num_chunks: usize,
     executor: Executor,
 ) -> CountedOutcome {
-    let spans = chunk_spans(text.len(), num_chunks);
-    let tally = AtomicU64::new(0);
-    let out = recognize_over(ca, text, &spans, executor, None, Some(&tally))
-        .expect("unbudgeted recognition cannot be interrupted");
-    CountedOutcome::from_parts(out, tally.into_inner())
+    let n = chunk_count(text.len(), num_chunks);
+    executor.session(n).recognize_counted(ca, text, n)
 }
 
 /// Serial whole-text recognition with the same automaton — the speedup
@@ -406,60 +327,74 @@ mod tests {
 
     #[test]
     fn pooled_degrade_is_recorded() {
-        // Regression: the free recognizer has no pool, so requesting
-        // `Executor::Pooled` silently ran `Auto` — the outcome must now
-        // say so instead of letting callers believe they measured the
-        // pooled path.
+        // The free recognizer runs on a pool of at most one claimant per
+        // chunk, and the outcome records the shape that ran, not the one
+        // requested.
         let nfa = figure1_nfa();
         let rid = RiDfa::from_nfa(&nfa);
         let ca = RidCa::new(&rid);
-        let out = recognize(&ca, b"aabcab", 2, Executor::Pooled);
-        assert!(out.accepted);
-        assert_eq!(out.executor, Executor::Auto, "degrade must be visible");
-        let counted = recognize_counted(&ca, b"aabcab", 2, Executor::Pooled);
-        assert_eq!(counted.executor, Executor::Auto);
-        // Non-degrading shapes are recorded verbatim.
+        for (executor, ran) in [
+            (Executor::Serial, Executor::Serial),
+            (Executor::Team(1), Executor::Serial),
+            (Executor::Team(2), Executor::Team(2)),
+            (Executor::Team(3), Executor::Team(2)),
+            (Executor::PerChunk, Executor::Team(2)),
+        ] {
+            let out = recognize(&ca, b"aabcab", 2, executor);
+            assert!(out.accepted);
+            assert_eq!(out.executor, ran, "{executor:?}");
+            let counted = recognize_counted(&ca, b"aabcab", 2, executor);
+            assert_eq!(counted.executor, ran, "{executor:?}");
+        }
+        // One chunk leaves one claimant, whatever was asked for.
         assert_eq!(
-            recognize(&ca, b"aabcab", 2, Executor::Team(3)).executor,
-            Executor::Team(3)
-        );
-        assert_eq!(
-            recognize(&ca, b"aabcab", 2, Executor::Serial).executor,
+            recognize(&ca, b"aabcab", 1, Executor::Team(4)).executor,
             Executor::Serial
         );
     }
 
     #[test]
     fn budgeted_recognition_matches_plain_and_fails_typed() {
-        use super::super::budget::{Budget, CancelToken};
+        use super::super::budget::{Budget, CancelToken, RecognizeError};
         let nfa = figure1_nfa();
         let rid = RiDfa::from_nfa(&nfa);
         let ca = RidCa::new(&rid);
         let text = b"aabcab".repeat(100);
-        // Unlimited budget: same verdict as the plain path.
-        let out = recognize_budgeted(&ca, &text, 4, Executor::Auto, &Budget::unlimited()).unwrap();
-        assert!(out.accepted);
-        // Pre-expired deadline: deterministic typed failure.
-        let expired = Budget::with_timeout(Duration::ZERO);
-        assert_eq!(
-            recognize_budgeted(&ca, &text, 4, Executor::Auto, &expired).unwrap_err(),
-            RecognizeError::DeadlineExceeded
-        );
-        // Pre-cancelled token: ditto.
-        let token = CancelToken::new();
-        token.cancel();
-        let cancelled = Budget::with_cancel(&token);
-        assert_eq!(
-            recognize_budgeted(&ca, &text, 4, Executor::Auto, &cancelled).unwrap_err(),
-            RecognizeError::Cancelled
-        );
-        // A generous budget does not perturb the verdict.
-        let roomy = Budget::with_timeout(Duration::from_secs(3600));
-        assert!(
-            recognize_budgeted(&ca, &text, 4, Executor::Serial, &roomy)
-                .unwrap()
-                .accepted
-        );
+        // Zero workers (the caller scans every chunk) and a pool alike.
+        for workers in [0, 3] {
+            let mut session = Session::new(workers);
+            // Unlimited budget: same verdict as the plain path.
+            let out = session
+                .recognize_budgeted(&ca, &text, 4, &Budget::unlimited())
+                .unwrap();
+            assert!(out.accepted);
+            // Pre-expired deadline: deterministic typed failure.
+            let expired = Budget::with_timeout(Duration::ZERO);
+            assert_eq!(
+                session
+                    .recognize_budgeted(&ca, &text, 4, &expired)
+                    .unwrap_err(),
+                RecognizeError::DeadlineExceeded
+            );
+            // Pre-cancelled token: ditto.
+            let token = CancelToken::new();
+            token.cancel();
+            let cancelled = Budget::with_cancel(&token);
+            assert_eq!(
+                session
+                    .recognize_budgeted(&ca, &text, 4, &cancelled)
+                    .unwrap_err(),
+                RecognizeError::Cancelled
+            );
+            // A generous budget does not perturb the verdict.
+            let roomy = Budget::with_timeout(Duration::from_secs(3600));
+            assert!(
+                session
+                    .recognize_budgeted(&ca, &text, 4, &roomy)
+                    .unwrap()
+                    .accepted
+            );
+        }
     }
 
     #[test]

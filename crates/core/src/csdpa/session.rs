@@ -1,12 +1,13 @@
 //! Persistent recognition sessions: the warm execution layer for
 //! high-traffic streams of (mostly short) texts.
 //!
-//! The free [`recognize`](super::recognize) functions spawn OS threads
-//! per text through `std::thread::scope`. That mirrors the paper's
-//! one-measurement-at-a-time driver, but under serving traffic the spawn
-//! cost dominates short texts, and every per-worker scan
-//! [`Scratch`](super::Scratch) is thrown away between calls, re-paying
-//! warm-up allocations each text. A [`Session`] fixes both:
+//! The free [`recognize`](super::recognize) functions run on a throwaway
+//! session: each call starts a pool of one worker per claimant but the
+//! caller (none for [`Executor::Serial`]) and throws every per-worker
+//! scan [`Scratch`](super::Scratch) away afterwards, re-paying warm-up
+//! allocations each text. That mirrors how the paper measures one text
+//! at a time, but under serving traffic the start-up cost dominates
+//! short texts. A [`Session`] kept across texts fixes both:
 //!
 //! * a persistent [`ThreadPool`] — workers park on a condvar between
 //!   texts; dispatching a text is a notify, not `c` thread spawns;
@@ -23,10 +24,11 @@
 //!   `t+1` start while scans of text `t` are still in flight, with a
 //!   single quiescence point per *batch* instead of a barrier per text.
 //!
-//! Every pooled chunk scan of the crate goes through one reach phase,
-//! the crate-private `Session::reach`: single texts, counted texts,
-//! batches, each wave of a [`StreamSession`](super::StreamSession) and
-//! the registry's block lanes. It is one
+//! Every chunk scan of the crate goes through one reach phase, the
+//! crate-private `Session::reach`: single texts (the free recognizers'
+//! included), counted texts, batches, each wave of a
+//! [`StreamSession`](super::StreamSession) and the registry's block
+//! lanes. It is one
 //! [`ThreadPool::invoke_each`] batch in which task `i` receives
 //! `&mut mappings[i]` from the pool, claimed by index, so each chunk's
 //! mapping slot is a plain `&mut` held by the one claimant that scans
@@ -39,6 +41,7 @@
 //! changes (keep one session per CA type if that matters for latency).
 
 use std::any::Any;
+use std::ops::Range;
 use std::sync::atomic::AtomicU64;
 use std::time::Instant;
 
@@ -132,9 +135,10 @@ pub struct Session {
 }
 
 impl Session {
-    /// Creates a session with `num_workers` (≥ 1) pool workers. The
-    /// calling thread participates in every reach phase too, so total
-    /// scan parallelism is `num_workers + 1`.
+    /// Creates a session with `num_workers` pool workers. The calling
+    /// thread participates in every reach phase too, so total scan
+    /// parallelism is `num_workers + 1`; a session of zero workers spawns
+    /// no thread and scans every chunk on the caller.
     pub fn new(num_workers: usize) -> Session {
         Session::from_pool(ThreadPool::new(num_workers))
     }
@@ -163,13 +167,6 @@ impl Session {
             cache: None,
             last_degraded: None,
         }
-    }
-
-    /// Creates a session sized to the machine: one pool worker per
-    /// available core, minus the calling thread.
-    pub fn with_available_parallelism() -> Session {
-        let cores = std::thread::available_parallelism().map_or(4, |n| n.get());
-        Session::new(cores.saturating_sub(1).max(1))
     }
 
     /// Number of pool workers (excluding the participating caller).
@@ -297,8 +294,8 @@ impl Session {
     }
 
     /// Recognizes `text` on the session pool — the warm counterpart of
-    /// the free [`recognize`](super::recognize) with
-    /// [`Executor::Pooled`]. Allocation-free once the session is warm.
+    /// the free [`recognize`](super::recognize), which runs this on a
+    /// throwaway session. Allocation-free once the session is warm.
     ///
     /// Availability: dead pool workers are respawned first
     /// ([`ThreadPool::heal`]); if the pool is still below quorum (more
@@ -312,7 +309,7 @@ impl Session {
         text: &[u8],
         num_chunks: usize,
     ) -> Outcome {
-        self.recognize_inner(ca, text, num_chunks, None, None)
+        self.recognize_balanced(ca, text, num_chunks, None, None)
             .expect("unbudgeted recognition cannot be interrupted")
     }
 
@@ -329,15 +326,13 @@ impl Session {
         budget: &Budget,
     ) -> Result<Outcome, RecognizeError> {
         run_budgeted(budget, |probe| {
-            self.recognize_inner(ca, text, num_chunks, probe, None)
+            self.recognize_balanced(ca, text, num_chunks, probe, None)
         })
     }
 
-    /// Shared body of the single-text entry points: the
-    /// [`reach`](Session::reach) over balanced chunks, then the join —
-    /// the serial fold, or the parallel tree reduction once the chunk
-    /// count makes the O(c) fold a barrier.
-    fn recognize_inner<CA: ChunkAutomaton>(
+    /// [`recognize_over`](Session::recognize_over) `text` cut into
+    /// `num_chunks` balanced chunks.
+    fn recognize_balanced<CA: ChunkAutomaton>(
         &mut self,
         ca: &CA,
         text: &[u8],
@@ -345,15 +340,39 @@ impl Session {
         probe: Option<&InterruptProbe>,
         tally: Option<&AtomicU64>,
     ) -> Result<Outcome, RecognizeError> {
-        let reach_start = Instant::now();
         let n = chunk_count(text.len(), num_chunks);
-        let span = |i| chunk_span(text.len(), n, i);
+        self.recognize_over(ca, text, n, |i| chunk_span(text.len(), n, i), probe, tally)
+    }
+
+    /// Shared body of the single-text entry points, the free ones
+    /// included: the [`reach`](Session::reach) over the `n` chunks
+    /// `span(i)` cuts from `text`, then the join — the serial fold, or
+    /// the parallel tree reduction once the chunk count makes the O(c)
+    /// fold a barrier.
+    pub(super) fn recognize_over<CA, S>(
+        &mut self,
+        ca: &CA,
+        text: &[u8],
+        n: usize,
+        span: S,
+        probe: Option<&InterruptProbe>,
+        tally: Option<&AtomicU64>,
+    ) -> Result<Outcome, RecognizeError>
+    where
+        CA: ChunkAutomaton,
+        S: Fn(usize) -> Range<usize> + Sync,
+    {
+        let reach_start = Instant::now();
         self.reach(ca, n, |i| (&text[span(i)], i == 0), probe, tally)?;
         let reach = reach_start.elapsed();
         let join_start = Instant::now();
-        let degraded = self.last_degraded.is_some();
-        let cache = typed_cache::<CA>(&mut self.cache, self.pool.num_workers() + 1);
-        let accepted = if degraded || n < TREE_JOIN_MIN {
+        let pool_claimants = self.pool.num_workers() + 1;
+        let claimants = match self.last_degraded {
+            Some(_) => 1,
+            None => pool_claimants.min(n),
+        };
+        let cache = typed_cache::<CA>(&mut self.cache, pool_claimants);
+        let accepted = if claimants == 1 || n < TREE_JOIN_MIN {
             cache.join.join(ca, &mut cache.mappings[..n])
         } else {
             tree_join(&self.pool, ca, cache, n)
@@ -363,12 +382,8 @@ impl Session {
             num_chunks: n,
             reach,
             join: join_start.elapsed(),
-            executor: if degraded {
-                Executor::Serial
-            } else {
-                Executor::Pooled
-            },
-            kernel: recognizer::effective_kernel_for(ca, (n > 1).then(|| span(1).len())),
+            executor: Executor::of_claimants(claimants),
+            kernel: recognizer::effective_kernel_for(ca, (1..n).map(|i| span(i).len())),
         })
     }
 
@@ -385,28 +400,9 @@ impl Session {
     ) -> CountedOutcome {
         let tally = AtomicU64::new(0);
         let out = self
-            .recognize_inner(ca, text, num_chunks, None, Some(&tally))
+            .recognize_balanced(ca, text, num_chunks, None, Some(&tally))
             .expect("unbudgeted recognition cannot be interrupted");
         CountedOutcome::from_parts(out, tally.into_inner())
-    }
-
-    /// Recognizes with an explicit [`Executor`] shape:
-    /// [`Executor::Pooled`] and [`Executor::Auto`] run on the session
-    /// pool (a session *is* the preferred executor when one exists);
-    /// the spawning shapes delegate to the free
-    /// [`recognize`](super::recognize) unchanged — useful for
-    /// apples-to-apples comparisons over one code path.
-    pub fn recognize_with<CA: ChunkAutomaton>(
-        &mut self,
-        ca: &CA,
-        text: &[u8],
-        num_chunks: usize,
-        executor: Executor,
-    ) -> Outcome {
-        match executor {
-            Executor::Pooled | Executor::Auto => self.recognize(ca, text, num_chunks),
-            other => recognizer::recognize(ca, text, num_chunks, other),
-        }
     }
 
     /// Recognizes a whole batch of texts as **one** pipelined task stream
@@ -419,42 +415,6 @@ impl Session {
     /// Peak memory holds one λ mapping per chunk across the whole batch;
     /// chop very large streams into waves of a few thousand texts.
     pub fn recognize_many<CA, T>(&mut self, ca: &CA, texts: &[T], num_chunks: usize) -> Vec<bool>
-    where
-        CA: ChunkAutomaton,
-        T: AsRef<[u8]> + Sync,
-    {
-        self.recognize_many_inner(ca, texts, num_chunks, None)
-            .expect("unbudgeted recognition cannot be interrupted")
-    }
-
-    /// Like [`Session::recognize_many`] but bounded by `budget`: on
-    /// deadline expiry or cancellation the whole batch fails with one
-    /// typed error (no partial verdicts — a half-scanned batch has no
-    /// meaningful prefix). Panics escaping the chunk automaton are
-    /// trapped and surfaced as [`RecognizeError::Panicked`].
-    pub fn recognize_many_budgeted<CA, T>(
-        &mut self,
-        ca: &CA,
-        texts: &[T],
-        num_chunks: usize,
-        budget: &Budget,
-    ) -> Result<Vec<bool>, RecognizeError>
-    where
-        CA: ChunkAutomaton,
-        T: AsRef<[u8]> + Sync,
-    {
-        run_budgeted(budget, |probe| {
-            self.recognize_many_inner(ca, texts, num_chunks, probe)
-        })
-    }
-
-    fn recognize_many_inner<CA, T>(
-        &mut self,
-        ca: &CA,
-        texts: &[T],
-        num_chunks: usize,
-        probe: Option<&InterruptProbe>,
-    ) -> Result<Vec<bool>, RecognizeError>
     where
         CA: ChunkAutomaton,
         T: AsRef<[u8]> + Sync,
@@ -485,14 +445,13 @@ impl Session {
             let text = texts[task.text as usize].as_ref();
             (&text[task.start..task.end], task.first)
         };
-        let verdicts =
-            self.reach(ca, batch.tasks.len(), task, probe, None)
-                .map(|(mappings, join)| {
-                    let offsets = &batch.offsets;
-                    (0..texts.len())
-                        .map(|t| join.join(ca, &mut mappings[offsets[t]..offsets[t + 1]]))
-                        .collect()
-                });
+        let (mappings, join) = self
+            .reach(ca, batch.tasks.len(), task, None, None)
+            .expect("unbudgeted recognition cannot be interrupted");
+        let offsets = &batch.offsets;
+        let verdicts = (0..texts.len())
+            .map(|t| join.join(ca, &mut mappings[offsets[t]..offsets[t + 1]]))
+            .collect();
         self.batch = batch;
         verdicts
     }
@@ -693,7 +652,7 @@ mod tests {
         let cancelled = Budget::with_cancel(&token);
         assert_eq!(
             session
-                .recognize_many_budgeted(&ca, &texts, 2, &cancelled)
+                .recognize_budgeted(&ca, &text, 4, &cancelled)
                 .unwrap_err(),
             RecognizeError::Cancelled
         );
@@ -713,21 +672,23 @@ mod tests {
 
     #[test]
     fn executor_shapes_through_session_agree() {
+        // The free recognizer's throwaway sessions, the caller-only one of
+        // `Executor::Serial` included, agree with a warm session.
         let nfa = figure1_nfa();
         let rid = RiDfa::from_nfa(&nfa).minimized();
         let ca = RidCa::new(&rid);
         let mut session = Session::new(2);
         for accept in [true, false] {
             let text = sample_text(accept);
+            assert_eq!(session.recognize(&ca, &text, 5).accepted, accept);
             for executor in [
                 Executor::Serial,
                 Executor::PerChunk,
                 Executor::Team(2),
                 Executor::Auto,
-                Executor::Pooled,
             ] {
                 assert_eq!(
-                    session.recognize_with(&ca, &text, 5, executor).accepted,
+                    recognizer::recognize(&ca, &text, 5, executor).accepted,
                     accept,
                     "{executor:?}"
                 );

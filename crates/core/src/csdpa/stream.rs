@@ -179,11 +179,11 @@ pub struct StreamSession {
 }
 
 impl StreamSession {
-    /// Creates a stream session with `num_workers` (≥ 1) pool workers
-    /// reading in `block_size`-byte (≥ 1) blocks. The calling thread
-    /// participates in every wave, so scan parallelism is
-    /// `num_workers + 1` and the block ring holds
-    /// `2 × (num_workers + 1)` buffers.
+    /// Creates a stream session with `num_workers` pool workers reading
+    /// in `block_size`-byte (≥ 1) blocks. The calling thread participates
+    /// in every wave, so scan parallelism is `num_workers + 1` and the
+    /// block ring holds `2 × (num_workers + 1)` buffers; with zero
+    /// workers the caller reads and scans one block per wave.
     pub fn new(num_workers: usize, block_size: usize) -> StreamSession {
         StreamSession::from_pool(ThreadPool::new(num_workers), block_size)
     }
@@ -239,13 +239,6 @@ impl StreamSession {
     /// The record separator blocks are snapped to, if any.
     pub fn separator(&self) -> Option<u8> {
         self.ring.separator
-    }
-
-    /// Creates a session sized to the machine (one pool worker per core,
-    /// minus the calling thread).
-    pub fn with_available_parallelism(block_size: usize) -> StreamSession {
-        let cores = std::thread::available_parallelism().map_or(4, |n| n.get());
-        StreamSession::new(cores.saturating_sub(1).max(1), block_size)
     }
 
     /// Number of pool workers (excluding the participating caller).

@@ -16,9 +16,10 @@
 //!   *reach* phase and the serial *join* phase, with three interchangeable
 //!   chunk-automaton variants — classic [`DfaCa`](csdpa::DfaCa), classic
 //!   [`NfaCa`](csdpa::NfaCa), and the paper's [`RidCa`](csdpa::RidCa);
-//! * a small **parallel runtime** ([`parallel`]): a scoped fork-join
-//!   executor (one task per chunk, as in the paper's Java implementation)
-//!   and a persistent worker pool;
+//! * a small **parallel runtime** ([`parallel`]): one persistent worker
+//!   pool whose caller claims chunks next to its workers — the free
+//!   recognizers run on a throwaway pool sized to their executor, a
+//!   [`Session`](csdpa::Session) keeps one warm across texts;
 //! * the **SFA** ([`sfa`]) comparator \[25\], which trades state explosion
 //!   for zero speculation — built as an ablation.
 //!

@@ -2,20 +2,17 @@
 //!
 //! The paper's implementation runs each chunk automaton as a Java thread
 //! and joins them with an `ExecutorService` before the serial join phase —
-//! the only synchronization point. We mirror that structure with two
-//! executors:
-//!
-//! * [`scoped::run_indexed`] — fork-join over borrowed data with
-//!   `std::thread::scope`: either one OS thread per chunk (the paper's
-//!   model) or a bounded team pulling chunk indices from an atomic
-//!   counter. Simple and dependency-free, but it pays thread-spawn cost
-//!   on every call — fine for long texts, ruinous for short ones;
-//! * [`pool::ThreadPool`] — a persistent worker pool whose scoped
-//!   [`invoke_all_scoped`](pool::ThreadPool::invoke_all_scoped) runs
-//!   borrowed-data batches with per-worker resident state and zero
-//!   allocations per warm call. This is what a
-//!   [`Session`](crate::csdpa::Session) dispatches texts through when
-//!   recognitions arrive by the thousands.
+//! the only synchronization point. We mirror that structure with one
+//! runtime, the persistent [`pool::ThreadPool`]: its scoped
+//! [`invoke_all_scoped`](pool::ThreadPool::invoke_all_scoped) runs
+//! borrowed-data batches with per-worker resident state and zero
+//! allocations per warm call, and the calling thread claims tasks next to
+//! the workers, so a pool of `n` workers runs a batch on `n + 1`
+//! claimants and a pool of none runs it on the caller alone. Every
+//! recognition dispatches through it: a
+//! [`Session`](crate::csdpa::Session) keeps one pool warm across texts,
+//! and the free [`recognize`](crate::csdpa::recognize) functions build a
+//! throwaway session sized by their [`Executor`](crate::csdpa::Executor).
 //!
 //! Every pooled scan — a session's reach, batch and tree join, a stream
 //! wave, the registry's pooled lane — claims its work through
@@ -26,7 +23,5 @@
 //! protocol and that slot hand-out are the only `unsafe` code behind it.
 
 pub mod pool;
-pub mod scoped;
 
 pub use pool::{PoolHealth, ThreadPool};
-pub use scoped::{run_indexed, run_indexed_with};

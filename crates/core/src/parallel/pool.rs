@@ -1,10 +1,10 @@
 //! A persistent worker pool — the `ExecutorService` analogue.
 //!
 //! Recognition traffic is dominated by *short* texts: spawning `c` OS
-//! threads per text (as the scoped executor does) costs more than the
-//! scan itself once chunks drop below a few tens of kilobytes. The pool
-//! keeps `n` workers parked on a condvar and offers three submission
-//! paths:
+//! threads per text costs more than the scan itself once chunks drop
+//! below a few tens of kilobytes. The pool keeps `n` workers parked on a
+//! condvar (none at all for `n = 0`: the caller then runs every task
+//! itself) and offers three submission paths:
 //!
 //! * [`ThreadPool::execute`] — fire-and-forget boxed `'static` jobs
 //!   (queued behind a mutex, like a classic executor);
@@ -269,18 +269,18 @@ impl Latch {
 }
 
 impl ThreadPool {
-    /// Spawns `num_workers` (≥ 1) parked worker threads with an unlimited
-    /// respawn budget.
+    /// Spawns `num_workers` parked worker threads with an unlimited
+    /// respawn budget. A pool of zero workers spawns no thread: every
+    /// task and job runs on the submitting thread.
     pub fn new(num_workers: usize) -> ThreadPool {
         ThreadPool::with_respawn_limit(num_workers, u64::MAX)
     }
 
-    /// Spawns `num_workers` (≥ 1) parked worker threads, respawning at
-    /// most `respawn_limit` dead workers over the pool's lifetime. A
-    /// limit of 0 makes every worker death permanent — useful to test
-    /// the degraded (below-quorum) path deterministically.
+    /// Spawns `num_workers` parked worker threads, respawning at most
+    /// `respawn_limit` dead workers over the pool's lifetime. A limit of
+    /// 0 makes every worker death permanent — useful to test the
+    /// degraded (below-quorum) path deterministically.
     pub fn with_respawn_limit(num_workers: usize, respawn_limit: u64) -> ThreadPool {
-        let num_workers = num_workers.max(1);
         let shared = Arc::new(PoolShared {
             state: Mutex::new(PoolState {
                 queue: VecDeque::new(),
@@ -368,11 +368,16 @@ impl ThreadPool {
         respawned
     }
 
-    /// Submits a fire-and-forget job (runs as soon as a worker is free).
-    /// A panicking job is contained by the worker; pair with a
+    /// Submits a fire-and-forget job (runs as soon as a worker is free;
+    /// on the calling thread, before `execute` returns, when the pool has
+    /// no workers). A panicking job is contained; pair with a
     /// [`WaitGroup`] and [`WaitGroup::done_guard`] to observe completion
     /// robustly.
     pub fn execute(&self, job: impl FnOnce() + Send + 'static) {
+        if self.configured == 0 {
+            run_contained(&self.shared, job);
+            return;
+        }
         self.heal();
         let mut state = self.shared.state.lock().expect("pool lock poisoned");
         assert!(!state.shutdown, "pool is shutting down");
@@ -401,9 +406,10 @@ impl ThreadPool {
     /// which participates in claiming.
     ///
     /// Tasks are claimed dynamically from an atomic counter, so skewed
-    /// task costs self-balance exactly like the scoped team executor.
-    /// Panics in tasks are contained and the first one is re-raised here
-    /// once the batch is quiescent.
+    /// task costs self-balance. Panics in tasks are contained and the
+    /// first one is re-raised here once the batch is quiescent. A single
+    /// task, or a pool without workers, runs on the caller without
+    /// waking the pool, and a task panic then unwinds straight through.
     ///
     /// Not re-entrant: calling this from inside a `work` closure of the
     /// same pool deadlocks (the scope slot is single-occupancy).
@@ -426,9 +432,10 @@ impl ThreadPool {
         }
         let (worker_slots, caller_slots) = locals.split_at_mut(num_workers);
         let caller_slot = &mut caller_slots[0];
-        if num_tasks == 1 {
-            // Single task: not worth waking the pool.
-            work(caller_slot, 0);
+        if num_tasks == 1 || num_workers == 0 {
+            for i in 0..num_tasks {
+                work(caller_slot, i);
+            }
             return;
         }
 
@@ -598,16 +605,10 @@ fn worker_loop(shared: &PoolShared, index: usize) {
         }
         if let Some(job) = state.queue.pop_front() {
             drop(state);
-            // Contain panics so one bad job cannot kill the worker. Count
-            // the trap *before* dropping the payload: if the payload's
-            // own `Drop` panics, that unwind escapes this loop (no lock
-            // held here) and is recorded as a worker death by
+            // No lock is held here, so a payload whose own `Drop` panics
+            // escapes this loop and is recorded as a worker death by
             // `spawn_worker`'s top frame.
-            let trapped = catch_unwind(AssertUnwindSafe(job));
-            if trapped.is_err() {
-                shared.panics_trapped.fetch_add(1, Ordering::Relaxed);
-            }
-            drop(trapped);
+            run_contained(shared, job);
             state = shared.state.lock().expect("pool lock poisoned");
             continue;
         }
@@ -616,6 +617,17 @@ fn worker_loop(shared: &PoolShared, index: usize) {
         }
         state = shared.signal.wait(state).expect("pool lock poisoned");
     }
+}
+
+/// Runs a queued job with its panic contained, so one bad job cannot
+/// kill its thread. The trap is counted *before* the payload is dropped,
+/// since a payload whose own `Drop` panics unwinds out of here.
+fn run_contained(shared: &PoolShared, job: impl FnOnce()) {
+    let trapped = catch_unwind(AssertUnwindSafe(job));
+    if trapped.is_err() {
+        shared.panics_trapped.fetch_add(1, Ordering::Relaxed);
+    }
+    drop(trapped);
 }
 
 impl Drop for ThreadPool {
@@ -894,14 +906,31 @@ mod tests {
     }
 
     #[test]
-    fn zero_workers_clamps_to_one() {
+    fn zero_workers_run_every_task_on_the_caller() {
         let pool = ThreadPool::new(0);
-        assert_eq!(pool.num_workers(), 1);
-        let flag = AtomicUsize::new(0);
-        pool.invoke_all(1, |_| {
-            flag.store(7, Ordering::Relaxed);
+        assert_eq!(pool.num_workers(), 0);
+        let h = pool.health();
+        assert_eq!((h.configured, h.live), (0, 0));
+        assert!(!h.below_quorum());
+        let caller = std::thread::current().id();
+        let mut locals = [0usize];
+        let mut slots = [None; 5];
+        pool.invoke_each(&mut locals, &mut slots, |claims, _, slot| {
+            *claims += 1;
+            *slot = Some(std::thread::current().id());
         });
-        assert_eq!(flag.load(Ordering::Relaxed), 7);
+        assert_eq!(locals, [5]);
+        assert!(slots.iter().all(|&id| id == Some(caller)));
+        // A queued job runs on the caller too, its panic contained.
+        let ran = Arc::new(AtomicUsize::new(0));
+        let hits = Arc::clone(&ran);
+        pool.execute(move || {
+            assert_eq!(std::thread::current().id(), caller);
+            hits.fetch_add(1, Ordering::Relaxed);
+        });
+        pool.execute(|| panic!("queued job exploded"));
+        assert_eq!(ran.load(Ordering::Relaxed), 1);
+        assert_eq!(pool.health().panics_trapped, 1);
     }
 
     #[test]

@@ -18,8 +18,8 @@ use std::time::Duration;
 use ridfa::automata::nfa::glushkov;
 use ridfa::automata::{regex, ConstructionBudget, Error};
 use ridfa::core::csdpa::{
-    recognize_budgeted, Budget, CancelToken, Degraded, Executor, Kernel, RecognizeError, RidCa,
-    Session, StreamError, StreamSession,
+    Budget, CancelToken, Degraded, Executor, Kernel, RecognizeError, RidCa, Session, StreamError,
+    StreamSession,
 };
 use ridfa::core::csdpa::{PatternRegistry, RegistryConfig};
 use ridfa::core::ridfa::RiDfa;
@@ -234,15 +234,20 @@ fn a_panicking_chunk_automaton_cannot_cross_a_budgeted_api() {
     let text = b"abbaabbbaabab".repeat(100);
     let roomy = Budget::with_timeout(Duration::from_secs(3600));
 
-    // Through the free budgeted recognizer (scoped spawning executor).
+    // Through a session without workers (the caller scans every chunk).
     let faulty = PanicCa::new(RidCa::new(&rid).with_kernel(Kernel::Auto), 2);
-    let err = recognize_budgeted(&faulty, &text, 8, Executor::PerChunk, &roomy).unwrap_err();
+    let mut serial = Session::new(0);
+    let err = serial
+        .recognize_budgeted(&faulty, &text, 8, &roomy)
+        .unwrap_err();
     match err {
         RecognizeError::Panicked(msg) => assert!(msg.contains("injected fault"), "{msg}"),
         other => panic!("expected Panicked, got {other:?}"),
     }
     // The injected panic fired exactly once: the same automaton now works.
-    let out = recognize_budgeted(&faulty, &text, 8, Executor::PerChunk, &roomy).unwrap();
+    let out = serial
+        .recognize_budgeted(&faulty, &text, 8, &roomy)
+        .unwrap();
     assert!(out.accepted);
 
     // Through a session (pooled executor) — and the pool survives. An
@@ -264,22 +269,6 @@ fn a_panicking_chunk_automaton_cannot_cross_a_budgeted_api() {
         assert_eq!(health.live, health.configured, "pool lost workers");
         assert!(session.recognize(&faulty, &text, 8).accepted);
     }
-
-    // Through a session's batch path: two 8-chunk texts make 14
-    // interior scans, so ordinal 5 fires inside the budgeted batch.
-    let texts = [&text[..], &text[..]];
-    let faulty = PanicCa::new(RidCa::new(&rid).with_kernel(Kernel::Auto), 5);
-    let mut session = Session::new(2);
-    let err = session
-        .recognize_many_budgeted(&faulty, &texts, 8, &roomy)
-        .unwrap_err();
-    match err {
-        RecognizeError::Panicked(msg) => assert!(msg.contains("injected fault"), "{msg}"),
-        other => panic!("expected Panicked, got {other:?}"),
-    }
-    let health = session.health();
-    assert_eq!(health.live, health.configured, "pool lost workers");
-    assert_eq!(session.recognize_many(&faulty, &texts, 8), [true, true]);
 
     // Through the budgeted stream — reusable afterwards.
     let faulty = PanicCa::new(RidCa::new(&rid).with_kernel(Kernel::Auto), 1);
@@ -342,7 +331,8 @@ fn construction_budgets_turn_state_explosions_into_typed_errors() {
     let rid = RiDfa::from_nfa_budgeted(&tame_nfa, &ok_budget).unwrap();
     let ca = RidCa::new(&rid);
     assert!(
-        recognize_budgeted(&ca, b"abbaab", 2, Executor::Serial, &Budget::unlimited())
+        Session::new(0)
+            .recognize_budgeted(&ca, b"abbaab", 2, &Budget::unlimited())
             .unwrap()
             .accepted
     );

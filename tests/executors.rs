@@ -1,8 +1,8 @@
-//! Integration tests for the parallel runtime: all executors (including
-//! the pooled session) agree, the persistent pool behaves like
-//! `invokeAll` even under panics, batch recognition matches one-by-one
-//! recognition, and chunking edge cases (tiny texts, more chunks than
-//! bytes, huge chunk counts) are safe.
+//! Integration tests for the parallel runtime: all executors (the free
+//! recognizer's throwaway sessions and a warm session) agree, the
+//! persistent pool behaves like `invokeAll` even under panics, batch
+//! recognition matches one-by-one recognition, and chunking edge cases
+//! (tiny texts, more chunks than bytes, huge chunk counts) are safe.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -13,7 +13,7 @@ use ridfa::automata::NoCount;
 use ridfa::core::csdpa::{
     chunk_spans, recognize, ChunkAutomaton, DfaCa, Executor, Kernel, NfaCa, RidCa, Session,
 };
-use ridfa::core::parallel::{run_indexed, ThreadPool};
+use ridfa::core::parallel::ThreadPool;
 use ridfa::core::ridfa::RiDfa;
 use ridfa::workloads::regen::{random_ast, sample_into, RegenConfig};
 use ridfa::workloads::{bible, traffic};
@@ -35,21 +35,18 @@ fn executors_agree_on_real_workload() {
             Executor::Team(7),
             Executor::Team(64),
             Executor::Auto,
-            Executor::Pooled,
         ] {
             assert_eq!(
                 recognize(&ca, &text, chunks, executor).accepted,
                 expected,
                 "{chunks} chunks, {executor:?}"
             );
-            assert_eq!(
-                session
-                    .recognize_with(&ca, &text, chunks, executor)
-                    .accepted,
-                expected,
-                "session, {chunks} chunks, {executor:?}"
-            );
         }
+        assert_eq!(
+            session.recognize(&ca, &text, chunks).accepted,
+            expected,
+            "session, {chunks} chunks"
+        );
     }
 }
 
@@ -130,26 +127,32 @@ fn pooled_session_matches_spawned_executors_on_random_cases() {
 
 #[test]
 fn pooled_request_is_recorded_as_degraded_by_free_recognizer() {
-    // Regression: `recognize(..., Executor::Pooled)` has no pool and runs
-    // Auto; the outcome must record the effective shape, and the session
-    // must record Pooled.
+    // The free recognizer runs on a throwaway pool of at most one
+    // claimant per chunk: a request for more is recorded as the shape
+    // that ran, the same shape a session of that many claimants records.
     let rid = RiDfa::from_nfa(&traffic::nfa()).minimized();
     let ca = RidCa::new(&rid);
     let text = traffic::text(4096, 5);
-    let free = recognize(&ca, &text, 4, Executor::Pooled);
-    assert_eq!(free.executor, Executor::Auto, "free path degrades");
-    let mut session = Session::new(2);
+    let free = recognize(&ca, &text, 4, Executor::Team(8));
+    assert_eq!(free.executor, Executor::Team(4), "free path degrades");
+    assert_eq!(
+        recognize(&ca, &text, 4, Executor::PerChunk).executor,
+        Executor::Team(4)
+    );
+    let mut session = Session::new(3);
     assert_eq!(
         session.recognize(&ca, &text, 4).executor,
-        Executor::Pooled,
-        "session path is genuinely pooled"
+        Executor::Team(4),
+        "session of three workers and the caller"
     );
     assert_eq!(
-        session
-            .recognize_with(&ca, &text, 4, Executor::Team(2))
-            .executor,
-        Executor::Team(2),
-        "explicit spawning shapes pass through"
+        recognize(&ca, &text, 4, Executor::Serial).executor,
+        Executor::Serial
+    );
+    assert_eq!(
+        Session::new(0).recognize(&ca, &text, 4).executor,
+        Executor::Serial,
+        "a session without workers scans on the caller"
     );
 }
 
@@ -243,11 +246,14 @@ fn panicking_chunk_scan_does_not_hang_the_session_pool() {
 }
 
 #[test]
-fn run_indexed_handles_skewed_work() {
+fn invoke_each_handles_skewed_work() {
     // Task 0 is much heavier than the rest; dynamic claiming must still
-    // return results in task order.
-    let out = run_indexed(4, 40, |i| {
-        if i == 0 {
+    // fill every slot in task order.
+    let pool = ThreadPool::new(3);
+    let mut locals = vec![(); pool.num_workers() + 1];
+    let mut out = vec![(usize::MAX, false); 40];
+    pool.invoke_each(&mut locals, &mut out, |_, i, slot| {
+        *slot = if i == 0 {
             // A deliberately slow task.
             let mut acc = 0u64;
             for k in 0..2_000_000u64 {
@@ -256,9 +262,8 @@ fn run_indexed_handles_skewed_work() {
             (i, acc != 1)
         } else {
             (i, true)
-        }
+        };
     });
-    assert_eq!(out.len(), 40);
     for (i, item) in out.iter().enumerate() {
         assert_eq!(item.0, i);
     }
