@@ -211,6 +211,42 @@ fn convergent_variants_recognize() {
 }
 
 #[test]
+fn pooled_recognition_matches_spawned() {
+    // A session whose pool spawned two workers (`--threads 3`) must give
+    // the same verdict as the caller alone (`--threads 1`), which spawns
+    // no thread at all.
+    for threads in ["1", "3"] {
+        for (input, expect_ok) in [("abababaabb", true), ("abba", false)] {
+            let mut child = ridfa()
+                .args([
+                    "recognize",
+                    "--regex",
+                    "(a|b)*abb",
+                    "--text",
+                    "-",
+                    "--chunks",
+                    "4",
+                    "--threads",
+                    threads,
+                ])
+                .stdin(Stdio::piped())
+                .stdout(Stdio::null())
+                .stderr(Stdio::null())
+                .spawn()
+                .unwrap();
+            child
+                .stdin
+                .as_mut()
+                .unwrap()
+                .write_all(input.as_bytes())
+                .unwrap();
+            let status = child.wait().unwrap();
+            assert_eq!(status.success(), expect_ok, "--threads {threads} {input:?}");
+        }
+    }
+}
+
+#[test]
 fn drive_includes_convergent_variants() {
     let mut child = ridfa()
         .args(["drive", "--regex", "(xy)*", "--text", "-", "--chunks", "3"])
@@ -486,38 +522,35 @@ fn serve_stream_validates_a_generated_pipe() {
 fn recognize_reports_effective_executor() {
     // `--threads N` is N claimants on one session, and the outcome line
     // says which shape ran: the caller alone for `--threads 1`, a team of
-    // the caller and two workers for `--threads 3`. Both agree on the
-    // verdict.
+    // the caller and two workers for `--threads 3`.
     for (threads, needle) in [("1", "via Serial"), ("3", "via Team(3)")] {
-        for (input, expect_ok) in [("abababaabb", true), ("abba", false)] {
-            let mut child = ridfa()
-                .args([
-                    "recognize",
-                    "--regex",
-                    "(a|b)*abb",
-                    "--text",
-                    "-",
-                    "--chunks",
-                    "4",
-                    "--threads",
-                    threads,
-                ])
-                .stdin(Stdio::piped())
-                .stdout(Stdio::piped())
-                .stderr(Stdio::null())
-                .spawn()
-                .unwrap();
-            child
-                .stdin
-                .as_mut()
-                .unwrap()
-                .write_all(input.as_bytes())
-                .unwrap();
-            let out = child.wait_with_output().unwrap();
-            assert_eq!(out.status.success(), expect_ok, "{threads} {input:?}");
-            let text = String::from_utf8(out.stdout).unwrap();
-            assert!(text.contains(needle), "--threads {threads}: {text}");
-        }
+        let mut child = ridfa()
+            .args([
+                "recognize",
+                "--regex",
+                "(a|b)*abb",
+                "--text",
+                "-",
+                "--chunks",
+                "4",
+                "--threads",
+                threads,
+            ])
+            .stdin(Stdio::piped())
+            .stdout(Stdio::piped())
+            .stderr(Stdio::null())
+            .spawn()
+            .unwrap();
+        child
+            .stdin
+            .as_mut()
+            .unwrap()
+            .write_all(b"abababaabb")
+            .unwrap();
+        let out = child.wait_with_output().unwrap();
+        assert!(out.status.success(), "--threads {threads}");
+        let text = String::from_utf8(out.stdout).unwrap();
+        assert!(text.contains(needle), "--threads {threads}: {text}");
     }
 }
 
