@@ -1,13 +1,17 @@
 //! Stream-throughput bench: what does bounded-memory streaming cost
 //! against the load-everything one-shot recognizer?
 //!
-//! An 8 MiB `traffic` syslog text is recognized five ways:
+//! An 8 MiB `traffic` syslog text is recognized six ways:
 //!
 //! * `oneshot_team` — the whole text resident, free `recognize` with a
 //!   bounded team (the pre-streaming fast path);
 //! * `stream_256k` / `stream_1m` — a warm [`StreamSession`] reading the
 //!   same bytes from memory in 256 KiB / 1 MiB blocks: read + scan +
 //!   eager composition, live memory O(workers · block_size);
+//! * `stream_1m_budgeted` — `stream_1m` through
+//!   `recognize_stream_budgeted` with a one-hour deadline, so every block
+//!   claim and every 4 KiB classification block checks the probe (CI
+//!   bounds its median at 1.10× `stream_1m`'s);
 //! * `stream_pipe_1m` — the same session fed by the *lazy*
 //!   `RecordSource` generator (includes record-generation cost: the
 //!   serving shape of `ridfa serve --stream`);
@@ -22,7 +26,7 @@
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 
-use ridfa_core::csdpa::{recognize, Executor, Kernel, RidCa, StreamSession};
+use ridfa_core::csdpa::{recognize, Budget, Executor, Kernel, RidCa, StreamSession};
 use ridfa_core::ridfa::RiDfa;
 use ridfa_workloads::traffic;
 
@@ -51,6 +55,19 @@ fn bench_stream_throughput(c: &mut Criterion) {
         session.warm(&ca, &text[..64 << 10]);
         group.bench_function(name, |b| {
             b.iter(|| session.recognize_stream(&ca, &text[..]).unwrap().accepted);
+        });
+    }
+    {
+        let mut session = StreamSession::new(threads.saturating_sub(1).max(1), 1 << 20);
+        session.warm(&ca, &text[..64 << 10]);
+        let budget = Budget::with_timeout(std::time::Duration::from_secs(3600));
+        group.bench_function("stream_1m_budgeted", |b| {
+            b.iter(|| {
+                session
+                    .recognize_stream_budgeted(&ca, &text[..], &budget)
+                    .unwrap()
+                    .accepted
+            });
         });
     }
     {

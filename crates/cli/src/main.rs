@@ -578,8 +578,8 @@ fn kernel_suffix(kernel: Option<Kernel>) -> String {
 
 fn report<CA: ChunkAutomaton>(ca: &CA, text: &[u8], chunks: usize, session: &mut Session) -> bool {
     let out = session.recognize_counted(ca, text, chunks);
-    // `out.executor` is the shape that actually ran: `Serial` for one
-    // claimant (no pool workers, fewer chunks, or a pool below quorum).
+    // `out.executor` is the shape that actually ran: the session's
+    // claimants capped at the chunk count, `Serial` for one.
     println!(
         "{}: {} | {} bytes, {} chunks, {} transitions, reach {:.3} ms, join {:.3} ms, via {:?}{}",
         ca.name(),

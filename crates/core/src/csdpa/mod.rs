@@ -50,7 +50,7 @@ mod session;
 pub mod spec;
 pub mod stream;
 
-pub use budget::{Budget, CancelToken, Degraded, RecognizeError, StreamError};
+pub use budget::{Budget, CancelToken, RecognizeError, StreamError};
 pub use chunking::{chunk_spans, chunk_spans_into, chunk_spans_snapped};
 pub use dfa_ca::DfaCa;
 pub use kernel::{Kernel, Scratch};

@@ -54,7 +54,8 @@ impl Executor {
         Session::new(claimants.min(num_chunks).saturating_sub(1))
     }
 
-    /// The shape recorded for a reach of `claimants` claimants.
+    /// The shape recorded for a reach of `claimants` claimants: `Serial`
+    /// for one (or none), `Team(k)` for `k`.
     pub(super) fn of_claimants(claimants: usize) -> Executor {
         match claimants {
             0 | 1 => Executor::Serial,
@@ -74,10 +75,10 @@ pub struct Outcome {
     pub reach: Duration,
     /// Wall time of the serial join phase.
     pub join: Duration,
-    /// What ran: [`Executor::Serial`] when one claimant scanned every
-    /// chunk (a session without workers, a pool below quorum, or a
-    /// single chunk), [`Executor::Team`]`(k)` for `k` claimants — pool
-    /// workers plus the caller, at most one per chunk.
+    /// What ran: the session's claimants (pool workers plus the caller),
+    /// capped at the chunk count — [`Executor::Serial`] for one (a
+    /// session without workers, or a single chunk),
+    /// [`Executor::Team`]`(k)` for `k`.
     pub executor: Executor,
     /// The scan strategy the interior (speculative) chunk scans actually
     /// executed, resolved through

@@ -571,9 +571,9 @@ impl PatternRegistry {
     /// Like [`scan_block`](PatternRegistry::scan_block), but the block is
     /// split into one span per reach-phase claimant (workers + 1) and
     /// scanned *in parallel* by the pattern's warm [`Session`] — the
-    /// reach phase of [`recognize`](PatternRegistry::recognize), quorum
-    /// policy included — then the per-span mappings are composed in
-    /// order onto the scan's prefix. This is the big-body lane of the
+    /// reach phase of [`recognize`](PatternRegistry::recognize) — then
+    /// the per-span mappings are composed in order onto the scan's
+    /// prefix. This is the big-body lane of the
     /// serve layer: a block large enough to be worth a parallel reach
     /// phase goes through here; small blocks should keep using the
     /// serial `scan_block` (the fork-join barrier costs more than it

@@ -28,8 +28,8 @@
 //! crate-private `Session::reach`: single texts (the free recognizers'
 //! included), counted texts, batches, each wave of a
 //! [`StreamSession`](super::StreamSession) and the registry's block
-//! lanes. It is one
-//! [`ThreadPool::invoke_each`] batch in which task `i` receives
+//! lanes. It is one [`ThreadPool::invoke_each`] batch, whose head
+//! respawns any pool worker that died, and in which task `i` receives
 //! `&mut mappings[i]` from the pool, claimed by index, so each chunk's
 //! mapping slot is a plain `&mut` held by the one claimant that scans
 //! it, and this module needs no `unsafe`. Its callers fold the filled
@@ -49,7 +49,7 @@ use ridfa_automata::counter::NoCount;
 
 use crate::parallel::{PoolHealth, ThreadPool};
 
-use super::budget::{run_budgeted, Budget, Degraded, InterruptProbe, RecognizeError};
+use super::budget::{run_budgeted, Budget, InterruptProbe, RecognizeError};
 use super::chunking::{chunk_count, chunk_span};
 use super::kernel::LOCKSTEP_ANY_RUNS_MIN_CHUNK;
 use super::{
@@ -129,9 +129,6 @@ pub struct Session {
     batch: Batch,
     /// The [`TypedCache`] of the most recent CA type.
     cache: Option<Box<dyn Any + Send>>,
-    /// Why the most recent reach ran degraded, if it did (cleared at the
-    /// start of every reach).
-    last_degraded: Option<Degraded>,
 }
 
 impl Session {
@@ -140,20 +137,7 @@ impl Session {
     /// parallelism is `num_workers + 1`; a session of zero workers spawns
     /// no thread and scans every chunk on the caller.
     pub fn new(num_workers: usize) -> Session {
-        Session::from_pool(ThreadPool::new(num_workers))
-    }
-
-    /// Like [`Session::new`] but with a bounded worker-respawn budget
-    /// (see [`ThreadPool::with_respawn_limit`]): once the budget is
-    /// exhausted and the pool drops below quorum, recognitions degrade to
-    /// an explicit serial path and record
-    /// [`Degraded::PoolBelowQuorum`] in [`Session::last_degraded`].
-    pub fn with_respawn_limit(num_workers: usize, respawn_limit: u64) -> Session {
-        Session::from_pool(ThreadPool::with_respawn_limit(num_workers, respawn_limit))
-    }
-
-    fn from_pool(pool: ThreadPool) -> Session {
-        Session::with_shared_pool(std::sync::Arc::new(pool))
+        Session::with_shared_pool(std::sync::Arc::new(ThreadPool::new(num_workers)))
     }
 
     /// Creates a session on a pool shared with other sessions (the
@@ -165,7 +149,6 @@ impl Session {
             pool,
             batch: Batch::default(),
             cache: None,
-            last_degraded: None,
         }
     }
 
@@ -174,9 +157,8 @@ impl Session {
         self.pool.num_workers()
     }
 
-    /// The session's worker pool, for health inspection (and for fault
-    /// injection in tests — [`ThreadPool::execute`] is the only path
-    /// through which an untrappable panic can kill a worker).
+    /// The session's worker pool, for health inspection and for fault
+    /// injection in tests.
     pub fn pool(&self) -> &ThreadPool {
         &self.pool
     }
@@ -184,13 +166,6 @@ impl Session {
     /// Worker-pool health after the most recent heal pass.
     pub fn health(&self) -> PoolHealth {
         self.pool.health()
-    }
-
-    /// Why the most recent recognition ran degraded, or `None` if it ran
-    /// at full shape. Cleared at the start of every reach phase, so a
-    /// healed pool reads `None` again on the next call.
-    pub fn last_degraded(&self) -> Option<Degraded> {
-        self.last_degraded
     }
 
     /// Pre-warms every per-worker scratch, one mapping slot per claimant
@@ -236,12 +211,11 @@ impl Session {
     /// scans the chunk, right before the scan, so a stream's task 0
     /// reads the next wave there.
     ///
-    /// Dead pool workers are respawned first; if the pool is still below
-    /// quorum, every task runs serially on the caller and
-    /// [`Session::last_degraded`] records why. With `probe` the scans are
-    /// interruptible, and a tripped budget returns its error instead of
-    /// the mappings; with `tally` every scan adds its executed
-    /// transitions to it.
+    /// It is one [`ThreadPool::invoke_each`] batch, whose head respawns
+    /// any dead pool worker and whose caller drains every task a worker
+    /// leaves. With `probe` the scans are interruptible, and a tripped
+    /// budget returns its error instead of the mappings; with `tally`
+    /// every scan adds its executed transitions to it.
     pub(crate) fn reach<'t, CA, F>(
         &mut self,
         ca: &CA,
@@ -254,55 +228,24 @@ impl Session {
         CA: ChunkAutomaton,
         F: Fn(usize) -> (&'t [u8], bool) + Sync,
     {
-        let degraded = self.check_quorum();
         let cache = typed_cache::<CA>(&mut self.cache, self.pool.num_workers() + 1);
         if cache.mappings.len() < tasks {
             cache.mappings.resize_with(tasks, CA::Mapping::default);
         }
-        let slots = &mut cache.mappings[..tasks];
-        let work = |scratch: &mut CA::Scratch, i: usize, out: &mut CA::Mapping| {
-            recognizer::scan_task(ca, || task(i), scratch, out, probe, tally);
-        };
-        if degraded {
-            let caller = cache
-                .scratches
-                .last_mut()
-                .expect("one scratch per claimant");
-            for (i, slot) in slots.iter_mut().enumerate() {
-                work(caller, i, slot);
-            }
-        } else {
-            self.pool.invoke_each(&mut cache.scratches, slots, work);
-        }
+        self.pool.invoke_each(
+            &mut cache.scratches,
+            &mut cache.mappings[..tasks],
+            |scratch, i, out| recognizer::scan_task(ca, || task(i), scratch, out, probe, tally),
+        );
         if let Some(err) = probe.and_then(|p| p.status()) {
             return Err(err);
         }
         Ok((&mut cache.mappings[..tasks], &mut cache.join))
     }
 
-    /// Heals the pool and decides whether this reach must degrade:
-    /// `true` (with the reason in [`Session::last_degraded`]) when the
-    /// pool is below quorum after healing.
-    fn check_quorum(&mut self) -> bool {
-        self.pool.heal();
-        let health = self.pool.health();
-        self.last_degraded = health.below_quorum().then_some(Degraded::PoolBelowQuorum {
-            live: health.live,
-            configured: health.configured,
-        });
-        self.last_degraded.is_some()
-    }
-
     /// Recognizes `text` on the session pool — the warm counterpart of
     /// the free [`recognize`](super::recognize), which runs this on a
     /// throwaway session. Allocation-free once the session is warm.
-    ///
-    /// Availability: dead pool workers are respawned first
-    /// ([`ThreadPool::heal`]); if the pool is still below quorum (more
-    /// than half the configured workers dead with the respawn budget
-    /// spent), the text is recognized on an explicit serial path, the
-    /// outcome records [`Executor::Serial`], and
-    /// [`Session::last_degraded`] records why.
     pub fn recognize<CA: ChunkAutomaton>(
         &mut self,
         ca: &CA,
@@ -367,10 +310,7 @@ impl Session {
         let reach = reach_start.elapsed();
         let join_start = Instant::now();
         let pool_claimants = self.pool.num_workers() + 1;
-        let claimants = match self.last_degraded {
-            Some(_) => 1,
-            None => pool_claimants.min(n),
-        };
+        let claimants = pool_claimants.min(n);
         let cache = typed_cache::<CA>(&mut self.cache, pool_claimants);
         let accepted = if claimants == 1 || n < TREE_JOIN_MIN {
             cache.join.join(ca, &mut cache.mappings[..n])
@@ -388,10 +328,9 @@ impl Session {
     }
 
     /// Like [`Session::recognize`] but tallying the executed transitions
-    /// (paper Sect. 4.3) into one atomic counter, under the same quorum
-    /// policy; allocation-free once warm like the uncounted path. The
-    /// counted scans are slower, so never mix the two in one timing
-    /// comparison.
+    /// (paper Sect. 4.3) into one atomic counter; allocation-free once
+    /// warm like the uncounted path. The counted scans are slower, so
+    /// never mix the two in one timing comparison.
     pub fn recognize_counted<CA: ChunkAutomaton>(
         &mut self,
         ca: &CA,
@@ -661,7 +600,6 @@ mod tests {
         // unbudgeted paths unaffected.
         assert!(session.recognize(&ca, &text, 4).accepted);
         assert_eq!(session.recognize_many(&ca, &texts, 2), [true, false, true]);
-        assert!(session.last_degraded().is_none());
         assert!(
             session
                 .recognize_budgeted(&ca, &text, 4, &Budget::unlimited())

@@ -17,7 +17,8 @@
 //!   `2 × (workers + 1)` reusable buffers — live buffer memory is
 //!   `O(workers · block_size)` regardless of stream length
 //!   ([`StreamSession::buffer_bytes`] accounts for it exactly);
-//! * each wave is one reach phase of the session, with one task per
+//! * each wave is one reach phase of the session (so a wave starts with
+//!   the configured workers, any dead one respawned), with one task per
 //!   block of the current wave, and task 0 **reads the next wave** into
 //!   the other half of the ring before its scan — I/O overlaps the other
 //!   blocks' scans. The read-ahead state sits behind a lock only task 0
@@ -49,7 +50,7 @@ use std::time::{Duration, Instant};
 
 use crate::parallel::{PoolHealth, ThreadPool};
 
-use super::budget::{run_budgeted, Budget, Degraded, InterruptProbe, StreamError};
+use super::budget::{run_budgeted, Budget, InterruptProbe, StreamError};
 use super::{ChunkAutomaton, Kernel, Session};
 
 /// Result of a streaming recognition.
@@ -185,27 +186,10 @@ impl StreamSession {
     /// block ring holds `2 × (num_workers + 1)` buffers; with zero
     /// workers the caller reads and scans one block per wave.
     pub fn new(num_workers: usize, block_size: usize) -> StreamSession {
-        StreamSession::from_pool(ThreadPool::new(num_workers), block_size)
-    }
-
-    /// Like [`StreamSession::new`] but with a bounded worker-respawn
-    /// budget (see [`ThreadPool::with_respawn_limit`]). A pool below
-    /// quorum does not stop a stream — the calling thread scans every
-    /// wave itself — but the loss of parallelism is recorded in
-    /// [`StreamSession::last_degraded`].
-    pub fn with_respawn_limit(
-        num_workers: usize,
-        block_size: usize,
-        respawn_limit: u64,
-    ) -> StreamSession {
-        StreamSession::from_pool(
-            ThreadPool::with_respawn_limit(num_workers, respawn_limit),
+        StreamSession::with_shared_pool(
+            std::sync::Arc::new(ThreadPool::new(num_workers)),
             block_size,
         )
-    }
-
-    fn from_pool(pool: ThreadPool, block_size: usize) -> StreamSession {
-        StreamSession::with_shared_pool(std::sync::Arc::new(pool), block_size)
     }
 
     /// Creates a stream session on a pool shared with other sessions
@@ -255,12 +239,6 @@ impl StreamSession {
     /// Worker-pool health after the most recent heal pass.
     pub fn health(&self) -> PoolHealth {
         self.session.health()
-    }
-
-    /// Why the most recent wave ran degraded (serially on the caller), or
-    /// `None` if the pool was at quorum.
-    pub fn last_degraded(&self) -> Option<Degraded> {
-        self.session.last_degraded()
     }
 
     /// Block size in bytes.

@@ -3,12 +3,14 @@
 //! The paper's implementation runs each chunk automaton as a Java thread
 //! and joins them with an `ExecutorService` before the serial join phase —
 //! the only synchronization point. We mirror that structure with one
-//! runtime, the persistent [`pool::ThreadPool`]: its scoped
-//! [`invoke_all_scoped`](pool::ThreadPool::invoke_all_scoped) runs
+//! runtime, the persistent [`pool::ThreadPool`], and one mechanism: its
+//! scoped [`invoke_all_scoped`](pool::ThreadPool::invoke_all_scoped) runs
 //! borrowed-data batches with per-worker resident state and zero
 //! allocations per warm call, and the calling thread claims tasks next to
 //! the workers, so a pool of `n` workers runs a batch on `n + 1`
-//! claimants and a pool of none runs it on the caller alone. Every
+//! claimants and a pool of none runs it on the caller alone. The head of
+//! every batch respawns any worker that died, so a batch always starts
+//! with the configured workers. Every
 //! recognition dispatches through it: a
 //! [`Session`](crate::csdpa::Session) keeps one pool warm across texts,
 //! and the free [`recognize`](crate::csdpa::recognize) functions build a

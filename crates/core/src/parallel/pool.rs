@@ -4,45 +4,41 @@
 //! threads per text costs more than the scan itself once chunks drop
 //! below a few tens of kilobytes. The pool keeps `n` workers parked on a
 //! condvar (none at all for `n = 0`: the caller then runs every task
-//! itself) and offers three submission paths:
+//! itself) and runs one kind of work, the scoped batch:
 //!
-//! * [`ThreadPool::execute`] — fire-and-forget boxed `'static` jobs
-//!   (queued behind a mutex, like a classic executor);
-//! * [`ThreadPool::invoke_all_scoped`] — the hot path: a *scoped*
-//!   `invokeAll` over **borrowed** data with **per-worker resident
-//!   state**. No `Arc`, no boxing, no channel node: the call publishes a
-//!   raw descriptor of a stack-resident scope, workers claim task indices
-//!   from an atomic counter, and each worker reuses its own long-lived
-//!   slot of caller-provided state (the reach phase keeps one scan
-//!   `Scratch` per worker warm across *texts*, not just across the chunks
-//!   of one text). A warm call performs zero heap allocations;
+//! * [`ThreadPool::invoke_all_scoped`] — a *scoped* `invokeAll` over
+//!   **borrowed** data with **per-worker resident state**. No `Arc`, no
+//!   boxing, no channel node: the call publishes a raw descriptor of a
+//!   stack-resident scope, workers claim task indices from an atomic
+//!   counter, and each worker reuses its own long-lived slot of
+//!   caller-provided state (the reach phase keeps one scan `Scratch` per
+//!   worker warm across *texts*, not just across the chunks of one
+//!   text). A warm call performs zero heap allocations;
 //! * [`ThreadPool::invoke_each`] — the same batch over a slice of
 //!   disjoint output slots: task `i` gets `&mut slots[i]`, so every
 //!   pooled scan writes its own output slot through a plain `&mut`, and
 //!   its callers need no `unsafe` at all: the scope protocol below and
 //!   the one-claimant-per-index slot hand-out are the only `unsafe`
-//!   code behind either scoped path.
+//!   code behind either entry point.
 //!
-//! Panic safety (the liveness contract): a panicking job can neither kill
-//! a worker (each job runs under `catch_unwind`) nor strand a caller —
-//! scoped workers detach through a drop guard, so the invoking thread
-//! always drains, and the first panic payload is re-raised on the caller
-//! once the scope is quiescent. The same guard pattern is available to
-//! manual [`execute`](ThreadPool::execute)/[`WaitGroup`] users via
-//! [`WaitGroup::done_guard`].
+//! Panic safety (the liveness contract): every claimant runs its tasks
+//! under `catch_unwind`, the batch keeps the first panic payload and
+//! re-raises it on the caller once the batch is quiescent, and the caller
+//! leaves a batch — by return or by unwind — only after it has retracted
+//! the scope and every attached worker has detached, so no worker can
+//! touch the caller's frame once it is gone.
 //!
 //! Self-healing (the availability contract): `catch_unwind` cannot trap
-//! everything — a panic payload whose own `Drop` panics, or a panic from
-//! the worker's bookkeeping, unwinds the worker thread itself. Each
-//! worker's top frame records such a death in the shared defunct list;
-//! [`heal`](ThreadPool::heal) (called automatically at the head of every
-//! submission) joins the corpse and respawns a fresh worker under the
-//! same slot index, up to a configurable respawn budget.
-//! [`health`](ThreadPool::health) reports live workers, trapped panics,
-//! and respawns so callers can degrade (e.g. to a serial executor) when
-//! the pool falls [below quorum](PoolHealth::below_quorum). Correctness
-//! never depends on worker liveness: the scoped caller is itself a
-//! claimant and drains every task even with zero live workers.
+//! everything. A claimant whose task panics after the batch already holds
+//! a payload drops its own payload, and a payload whose `Drop` panics
+//! then unwinds the claimant itself: a worker thread dies, and a caller
+//! unwinds out of the batch once it has drained. Each worker's top frame
+//! records such a death, and the head of the next batch joins the corpse
+//! and respawns a fresh worker under the same slot index, so every batch
+//! starts with the configured workers. [`health`](ThreadPool::health)
+//! reports live workers, contained panics and respawns. Correctness never
+//! depends on worker liveness: the caller is itself a claimant and drains
+//! every task the workers leave.
 //!
 //! Built entirely on `std::sync`; no external runtime dependency.
 
@@ -53,37 +49,32 @@
 #![allow(unsafe_code)]
 
 use std::any::Any;
-use std::collections::VecDeque;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
+use std::thread::JoinHandle;
 
-type Job = Box<dyn FnOnce() + Send + 'static>;
 type PanicPayload = Box<dyn Any + Send + 'static>;
 
-/// A fixed-size pool of worker threads executing boxed jobs and scoped
-/// borrowed-data batches. Workers that die abnormally are respawned by
-/// [`heal`](ThreadPool::heal); see [`health`](ThreadPool::health).
+/// A fixed-size pool of worker threads running scoped borrowed-data
+/// batches. Workers that die abnormally are respawned at the head of the
+/// next batch; see [`health`](ThreadPool::health).
 pub struct ThreadPool {
     shared: Arc<PoolShared>,
-    /// Worker handles by slot index; `None` while a dead slot awaits
-    /// respawn (or permanently, once the respawn budget is spent).
-    workers: Mutex<Vec<Option<std::thread::JoinHandle<()>>>>,
+    /// Worker handles by slot index.
+    workers: Mutex<Vec<JoinHandle<()>>>,
     /// The worker count the pool was built with (stable across deaths).
     configured: usize,
-    /// Maximum number of respawns over the pool's lifetime.
-    respawn_limit: u64,
     /// Respawns performed so far.
     respawns: AtomicU64,
 }
 
 struct PoolShared {
     state: Mutex<PoolState>,
-    /// Signaled on every state change: new job, new scope, scope slot
-    /// freed, shutdown. Workers and scope-slot waiters both park here.
+    /// Signaled on every state change: new scope, scope slot freed,
+    /// shutdown. Workers and scope-slot waiters both park here.
     signal: Condvar,
-    /// Panics contained by the pool: queued jobs trapped in the worker
-    /// loop plus scoped-task panics re-raised on their caller.
+    /// Task panics re-raised on their batch's caller.
     panics_trapped: AtomicU64,
     /// Number of worker slots currently without a live thread.
     dead: AtomicUsize,
@@ -97,27 +88,17 @@ struct PoolShared {
 pub struct PoolHealth {
     /// Worker count the pool was configured with.
     pub configured: usize,
-    /// Workers currently alive (configured minus unhealed deaths).
+    /// Workers currently alive (configured minus deaths the next batch
+    /// has yet to heal).
     pub live: usize,
-    /// Panics the pool has contained so far (queued-job panics trapped in
-    /// the worker loop and scoped-task panics re-raised on the caller).
+    /// Task panics the pool has contained and re-raised on a batch's
+    /// caller.
     pub panics_trapped: u64,
     /// Workers respawned after an abnormal death.
     pub respawns: u64,
 }
 
-impl PoolHealth {
-    /// True when fewer than half of the configured workers are alive —
-    /// the point at which sessions degrade to serial execution rather
-    /// than run speculation on a gutted pool.
-    pub fn below_quorum(&self) -> bool {
-        self.live * 2 < self.configured
-    }
-}
-
 struct PoolState {
-    /// One-shot boxed jobs ([`ThreadPool::execute`]).
-    queue: VecDeque<Job>,
     /// The (single) scoped batch currently being broadcast, if any.
     scoped: Option<ScopedTask>,
     /// Monotonic batch id so a worker never re-enters a batch it has
@@ -150,8 +131,9 @@ unsafe impl Send for ScopedTask {}
 /// The header lives on the caller's stack. A worker may only learn of it
 /// by reading `PoolState::scoped` **while holding the pool lock**, and
 /// must [`attach`](Latch::attach) before releasing that lock. The caller
-/// tears down by clearing `PoolState::scoped` under the same lock and
-/// then blocking until the attach count drains to zero. Hence every
+/// tears down, from a drop guard ([`Retract`]) so that it does on unwind
+/// too, by clearing `PoolState::scoped` under the same lock and then
+/// blocking until the attach count drains to zero. Hence every
 /// worker dereference happens either under the pool lock (slot still
 /// published) or between attach and detach (caller still draining) — the
 /// header is alive for both.
@@ -166,8 +148,12 @@ struct ScopeHeader {
 }
 
 impl ScopeHeader {
+    /// Keeps the batch's first panic payload and drops any later one
+    /// here, on its claimant. A later payload whose `Drop` panics
+    /// unwinds out of this call with the slot locked, poisoning it, so
+    /// every access to the slot goes through `PoisonError::into_inner`.
     fn store_panic(&self, payload: PanicPayload) {
-        let mut slot = self.panic.lock().expect("scope panic slot poisoned");
+        let mut slot = self.panic.lock().unwrap_or_else(PoisonError::into_inner);
         slot.get_or_insert(payload);
     }
 }
@@ -260,30 +246,53 @@ impl Latch {
         }
     }
 
+    /// Runs from [`Retract`]'s `Drop`, so it must not panic: a poisoned
+    /// count is still exact (every update is one step under the lock).
     fn wait_zero(&self) {
-        let mut count = self.count.lock().expect("latch poisoned");
+        let mut count = self.count.lock().unwrap_or_else(PoisonError::into_inner);
         while *count > 0 {
-            count = self.zero.wait(count).expect("latch poisoned");
+            count = self
+                .zero
+                .wait(count)
+                .unwrap_or_else(PoisonError::into_inner);
         }
     }
 }
 
-impl ThreadPool {
-    /// Spawns `num_workers` parked worker threads with an unlimited
-    /// respawn budget. A pool of zero workers spawns no thread: every
-    /// task and job runs on the submitting thread.
-    pub fn new(num_workers: usize) -> ThreadPool {
-        ThreadPool::with_respawn_limit(num_workers, u64::MAX)
-    }
+/// The caller's end of a batch: retracts the published scope and waits
+/// until every attached worker has detached. It runs on drop, so a
+/// caller whose own claim unwinds (a later payload's panicking `Drop` in
+/// [`ScopeHeader::store_panic`]) still drains the batch before its frame,
+/// which the workers borrow, goes away.
+struct Retract<'a> {
+    shared: &'a PoolShared,
+    header: &'a ScopeHeader,
+}
 
-    /// Spawns `num_workers` parked worker threads, respawning at most
-    /// `respawn_limit` dead workers over the pool's lifetime. A limit of
-    /// 0 makes every worker death permanent — useful to test the
-    /// degraded (below-quorum) path deterministically.
-    pub fn with_respawn_limit(num_workers: usize, respawn_limit: u64) -> ThreadPool {
+impl Drop for Retract<'_> {
+    fn drop(&mut self) {
+        // No panic here (it may run while the caller unwinds): the state
+        // stays valid under a poisoned lock, as every update is one step.
+        let mut state = self
+            .shared
+            .state
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner);
+        state.scoped = None;
+        drop(state);
+        self.shared.signal.notify_all();
+        self.header.attached.wait_zero();
+    }
+}
+
+impl ThreadPool {
+    /// Spawns `num_workers` parked worker threads. A pool of zero workers
+    /// spawns no thread: every task runs on the calling thread. The
+    /// workers start in the background; a batch is served by the caller
+    /// and whichever workers have started.
+    pub fn new(num_workers: usize) -> ThreadPool {
         let shared = Arc::new(PoolShared {
             state: Mutex::new(PoolState {
-                queue: VecDeque::new(),
                 scoped: None,
                 scoped_seq: 0,
                 shutdown: false,
@@ -293,20 +302,13 @@ impl ThreadPool {
             dead: AtomicUsize::new(0),
             defunct: Mutex::new(Vec::new()),
         });
-        // Block until every worker has bootstrapped and entered its
-        // loop: OS thread start-up allocates on the child thread, and a
-        // lazily scheduled worker would otherwise pay that inside some
-        // later (supposedly allocation-free) batch.
-        let started = WaitGroup::new(num_workers);
         let workers = (0..num_workers)
-            .map(|index| Some(spawn_worker(&shared, index, Some(started.clone()))))
+            .map(|index| spawn_worker(&shared, index))
             .collect();
-        started.wait();
         ThreadPool {
             shared,
             workers: Mutex::new(workers),
             configured: num_workers,
-            respawn_limit,
             respawns: AtomicU64::new(0),
         }
     }
@@ -335,65 +337,22 @@ impl ThreadPool {
     }
 
     /// Joins workers that died abnormally and respawns replacements under
-    /// the same slot indices, up to the respawn budget. Returns the
-    /// number of workers respawned. Called automatically at the head of
-    /// [`execute`](ThreadPool::execute) and
-    /// [`invoke_all_scoped`](ThreadPool::invoke_all_scoped); the fast
-    /// path (no deaths) is a single relaxed atomic load.
-    pub fn heal(&self) -> usize {
+    /// the same slot indices. Runs at the head of every batch; the fast
+    /// path (no deaths) is a single atomic load.
+    fn heal(&self) {
         if self.shared.dead.load(Ordering::Acquire) == 0 {
-            return 0;
-        }
-        let mut handles = self.workers.lock().expect("pool worker list poisoned");
-        let defunct: Vec<usize> = {
-            let mut list = self.shared.defunct.lock().expect("defunct list poisoned");
-            list.drain(..).collect()
-        };
-        let mut respawned = 0;
-        for index in defunct {
-            // Reap the corpse so the OS thread is not leaked.
-            if let Some(handle) = handles[index].take() {
-                let _ = handle.join();
-            }
-            if self.respawns.load(Ordering::Relaxed) >= self.respawn_limit {
-                // Budget spent: the slot stays dead and `health()` keeps
-                // reporting it, letting sessions degrade.
-                continue;
-            }
-            handles[index] = Some(spawn_worker(&self.shared, index, None));
-            self.respawns.fetch_add(1, Ordering::Relaxed);
-            self.shared.dead.fetch_sub(1, Ordering::Release);
-            respawned += 1;
-        }
-        respawned
-    }
-
-    /// Submits a fire-and-forget job (runs as soon as a worker is free;
-    /// on the calling thread, before `execute` returns, when the pool has
-    /// no workers). A panicking job is contained; pair with a
-    /// [`WaitGroup`] and [`WaitGroup::done_guard`] to observe completion
-    /// robustly.
-    pub fn execute(&self, job: impl FnOnce() + Send + 'static) {
-        if self.configured == 0 {
-            run_contained(&self.shared, job);
             return;
         }
-        self.heal();
-        let mut state = self.shared.state.lock().expect("pool lock poisoned");
-        assert!(!state.shutdown, "pool is shutting down");
-        state.queue.push_back(Box::new(job));
-        drop(state);
-        self.shared.signal.notify_all();
-    }
-
-    /// Submits `num_tasks` indexed jobs and blocks until all complete —
-    /// the `invokeAll` pattern. `work` may borrow from the caller's
-    /// frame. If any task panics, the panic is re-raised here *after*
-    /// every in-flight task has finished (no deadlock, no leaked
-    /// borrows); the pool remains fully usable.
-    pub fn invoke_all(&self, num_tasks: usize, work: impl Fn(usize) + Sync) {
-        let mut locals = vec![(); self.num_workers() + 1];
-        self.invoke_all_scoped(num_tasks, &mut locals, |_, i| work(i));
+        let mut handles = self.workers.lock().expect("pool worker list poisoned");
+        let defunct =
+            std::mem::take(&mut *self.shared.defunct.lock().expect("defunct list poisoned"));
+        for index in defunct {
+            let corpse = std::mem::replace(&mut handles[index], spawn_worker(&self.shared, index));
+            // Reap the corpse so the OS thread is not leaked.
+            let _ = corpse.join();
+            self.respawns.fetch_add(1, Ordering::Relaxed);
+            self.shared.dead.fetch_sub(1, Ordering::Release);
+        }
     }
 
     /// The scoped `invokeAll` with per-worker resident state: runs
@@ -405,11 +364,12 @@ impl ThreadPool {
     /// to the next), and the last slot belongs to the calling thread,
     /// which participates in claiming.
     ///
-    /// Tasks are claimed dynamically from an atomic counter, so skewed
-    /// task costs self-balance. Panics in tasks are contained and the
-    /// first one is re-raised here once the batch is quiescent. A single
-    /// task, or a pool without workers, runs on the caller without
-    /// waking the pool, and a task panic then unwinds straight through.
+    /// Dead workers are respawned first. Tasks are claimed dynamically
+    /// from an atomic counter, so skewed task costs self-balance. Panics
+    /// in tasks are contained and the first one is re-raised here once
+    /// the batch is quiescent. A single task, or a pool without workers,
+    /// runs on the caller without waking the pool, and a task panic then
+    /// unwinds straight through.
     ///
     /// Not re-entrant: calling this from inside a `work` closure of the
     /// same pool deadlocks (the scope slot is single-occupancy).
@@ -470,25 +430,20 @@ impl ThreadPool {
         }
 
         // The caller is a claimant too: on short batches it often drains
-        // everything before a worker even wakes.
+        // everything before a worker even wakes. Teardown runs when
+        // `retract` drops, here or while the caller unwinds.
+        let retract = Retract {
+            shared: &self.shared,
+            header: &scope.header,
+        };
         scope.drive(caller_slot);
-
-        // Teardown: retract the descriptor, then wait for attached
-        // workers to finish their in-flight tasks.
-        {
-            let mut state = self.shared.state.lock().expect("pool lock poisoned");
-            state.scoped = None;
-            drop(state);
-            self.shared.signal.notify_all();
-        }
-        scope.header.attached.wait_zero();
+        drop(retract);
 
         let panic = scope
             .header
             .panic
-            .lock()
-            .expect("scope panic slot poisoned")
-            .take();
+            .into_inner()
+            .unwrap_or_else(PoisonError::into_inner);
         if let Some(payload) = panic {
             self.shared.panics_trapped.fetch_add(1, Ordering::Relaxed);
             resume_unwind(payload);
@@ -548,20 +503,13 @@ impl<T> SlotBase<T> {
 }
 
 /// Spawns the worker thread for slot `index`. The top frame traps any
-/// unwind escaping `worker_loop` (e.g. a panic payload whose own `Drop`
-/// panics) and records the death for [`ThreadPool::heal`] to repair.
-fn spawn_worker(
-    shared: &Arc<PoolShared>,
-    index: usize,
-    started: Option<WaitGroup>,
-) -> std::thread::JoinHandle<()> {
+/// unwind escaping `worker_loop` (a later panic payload whose own `Drop`
+/// panics) and records the death for the next batch's heal to repair.
+fn spawn_worker(shared: &Arc<PoolShared>, index: usize) -> JoinHandle<()> {
     let shared = Arc::clone(shared);
     std::thread::Builder::new()
         .name(format!("ridfa-worker-{index}"))
         .spawn(move || {
-            if let Some(started) = &started {
-                started.done();
-            }
             let outcome = catch_unwind(AssertUnwindSafe(|| worker_loop(&shared, index)));
             if let Err(payload) = outcome {
                 // Record the death before touching the payload: dropping
@@ -582,8 +530,6 @@ fn worker_loop(shared: &PoolShared, index: usize) {
     let mut last_seq = 0u64;
     let mut state = shared.state.lock().expect("pool lock poisoned");
     loop {
-        // Scoped batches take priority: a blocked invoke_all_scoped
-        // caller is latency-sensitive, queued jobs are not.
         if let Some(task) = state.scoped.filter(|t| t.seq != last_seq) {
             last_seq = task.seq;
             // SAFETY: the slot is published, so the scope is alive and
@@ -601,148 +547,51 @@ fn worker_loop(shared: &PoolShared, index: usize) {
                 // `_guard` detaches here, panic or not.
             }
             state = shared.state.lock().expect("pool lock poisoned");
-            continue;
-        }
-        if let Some(job) = state.queue.pop_front() {
-            drop(state);
-            // No lock is held here, so a payload whose own `Drop` panics
-            // escapes this loop and is recorded as a worker death by
-            // `spawn_worker`'s top frame.
-            run_contained(shared, job);
-            state = shared.state.lock().expect("pool lock poisoned");
-            continue;
-        }
-        if state.shutdown {
+        } else if state.shutdown {
             return;
+        } else {
+            state = shared.signal.wait(state).expect("pool lock poisoned");
         }
-        state = shared.signal.wait(state).expect("pool lock poisoned");
     }
-}
-
-/// Runs a queued job with its panic contained, so one bad job cannot
-/// kill its thread. The trap is counted *before* the payload is dropped,
-/// since a payload whose own `Drop` panics unwinds out of here.
-fn run_contained(shared: &PoolShared, job: impl FnOnce()) {
-    let trapped = catch_unwind(AssertUnwindSafe(job));
-    if trapped.is_err() {
-        shared.panics_trapped.fetch_add(1, Ordering::Relaxed);
-    }
-    drop(trapped);
 }
 
 impl Drop for ThreadPool {
     fn drop(&mut self) {
-        // Workers drain outstanding queued jobs (the queue is checked
-        // before the shutdown flag) and exit.
+        // No batch is in flight (each borrows the pool), so every worker
+        // is parked or starting: it sees the flag and exits.
         if let Ok(mut state) = self.shared.state.lock() {
             state.shutdown = true;
         }
         self.shared.signal.notify_all();
-        let mut handles = self
+        let handles = self
             .workers
-            .lock()
-            .unwrap_or_else(|poisoned| poisoned.into_inner());
-        for handle in handles.drain(..).flatten() {
+            .get_mut()
+            .unwrap_or_else(PoisonError::into_inner);
+        for handle in handles.drain(..) {
             let _ = handle.join();
         }
-    }
-}
-
-/// Counts outstanding jobs; `wait` parks until the count reaches zero.
-#[derive(Clone)]
-pub struct WaitGroup {
-    inner: Arc<WaitGroupInner>,
-}
-
-struct WaitGroupInner {
-    remaining: Mutex<usize>,
-    all_done: Condvar,
-}
-
-impl WaitGroup {
-    /// Creates a group expecting `count` completions.
-    pub fn new(count: usize) -> WaitGroup {
-        WaitGroup {
-            inner: Arc::new(WaitGroupInner {
-                remaining: Mutex::new(count),
-                all_done: Condvar::new(),
-            }),
-        }
-    }
-
-    /// Marks one job complete.
-    pub fn done(&self) {
-        let mut remaining = self.inner.remaining.lock().expect("waitgroup poisoned");
-        *remaining = remaining
-            .checked_sub(1)
-            .expect("WaitGroup::done called more times than jobs");
-        if *remaining == 0 {
-            self.inner.all_done.notify_all();
-        }
-    }
-
-    /// Returns a guard that calls [`done`](WaitGroup::done) when dropped —
-    /// **including on unwind**. Jobs submitted via
-    /// [`ThreadPool::execute`] should take one at entry so a panicking
-    /// job can never strand a [`wait`](WaitGroup::wait)ing caller.
-    pub fn done_guard(&self) -> DoneGuard {
-        DoneGuard {
-            group: self.clone(),
-        }
-    }
-
-    /// Blocks until every job has called [`done`](WaitGroup::done).
-    pub fn wait(&self) {
-        let mut remaining = self.inner.remaining.lock().expect("waitgroup poisoned");
-        while *remaining > 0 {
-            remaining = self
-                .inner
-                .all_done
-                .wait(remaining)
-                .expect("waitgroup poisoned");
-        }
-    }
-}
-
-/// Calls [`WaitGroup::done`] exactly once on drop (see
-/// [`WaitGroup::done_guard`]).
-pub struct DoneGuard {
-    group: WaitGroup,
-}
-
-impl Drop for DoneGuard {
-    fn drop(&mut self) {
-        self.group.done();
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+    use std::sync::Barrier;
+    use std::time::{Duration, Instant};
 
-    #[test]
-    fn executes_all_jobs() {
-        let pool = ThreadPool::new(4);
-        let hits = Arc::new(AtomicUsize::new(0));
-        let wg = WaitGroup::new(50);
-        for _ in 0..50 {
-            let hits = Arc::clone(&hits);
-            let wg = wg.clone();
-            pool.execute(move || {
-                let _done = wg.done_guard();
-                hits.fetch_add(1, Ordering::Relaxed);
-            });
-        }
-        wg.wait();
-        assert_eq!(hits.load(Ordering::Relaxed), 50);
+    /// Runs `work(i)` for every `i in 0..num_tasks` as one batch.
+    fn invoke(pool: &ThreadPool, num_tasks: usize, work: impl Fn(usize) + Sync) {
+        let mut locals = vec![(); pool.num_workers() + 1];
+        let mut slots = vec![(); num_tasks];
+        pool.invoke_each(&mut locals, &mut slots, |_, i, _| work(i));
     }
 
     #[test]
     fn invoke_all_blocks_until_done() {
         let pool = ThreadPool::new(3);
         let sum = AtomicUsize::new(0);
-        pool.invoke_all(10, |i| {
+        invoke(&pool, 10, |i| {
             sum.fetch_add(i + 1, Ordering::Relaxed);
         });
         assert_eq!(sum.load(Ordering::Relaxed), 55);
@@ -750,11 +599,11 @@ mod tests {
 
     #[test]
     fn invoke_all_borrows_without_arc() {
-        // The whole point of the scoped rewrite: plain borrows, no Arc.
+        // The whole point of the scoped batch: plain borrows, no Arc.
         let data = [1u64, 2, 3, 4, 5];
         let pool = ThreadPool::new(2);
         let sum = AtomicUsize::new(0);
-        pool.invoke_all(data.len(), |i| {
+        invoke(&pool, data.len(), |i| {
             sum.fetch_add(data[i] as usize, Ordering::Relaxed);
         });
         assert_eq!(sum.load(Ordering::Relaxed), 15);
@@ -763,12 +612,12 @@ mod tests {
     #[test]
     fn panicking_job_does_not_deadlock_invoke_all() {
         // The headline regression: before the drop-guard/drain protocol a
-        // panicking job skipped its completion signal and `invoke_all`
-        // hung forever. It must now return (by re-raising the panic).
+        // panicking task skipped its completion signal and the batch hung
+        // forever. It must now return (by re-raising the panic).
         let pool = ThreadPool::new(2);
         let ran = AtomicUsize::new(0);
         let result = catch_unwind(AssertUnwindSafe(|| {
-            pool.invoke_all(8, |i| {
+            invoke(&pool, 8, |i| {
                 if i == 3 {
                     panic!("job 3 exploded");
                 }
@@ -779,32 +628,10 @@ mod tests {
 
         // And the pool must still be fully alive afterwards.
         let sum = AtomicUsize::new(0);
-        pool.invoke_all(16, |i| {
+        invoke(&pool, 16, |i| {
             sum.fetch_add(i, Ordering::Relaxed);
         });
         assert_eq!(sum.load(Ordering::Relaxed), 120);
-    }
-
-    #[test]
-    fn panicking_queued_job_does_not_kill_workers() {
-        let pool = ThreadPool::new(1);
-        let wg = WaitGroup::new(2);
-        {
-            let wg = wg.clone();
-            pool.execute(move || {
-                let _done = wg.done_guard();
-                panic!("queued job exploded");
-            });
-        }
-        {
-            let wg = wg.clone();
-            pool.execute(move || {
-                let _done = wg.done_guard();
-            });
-        }
-        // With a single worker, the second job only runs if the worker
-        // survived the first one's panic.
-        wg.wait();
     }
 
     #[test]
@@ -891,18 +718,17 @@ mod tests {
 
     #[test]
     fn drop_joins_workers_after_draining() {
-        let hits = Arc::new(AtomicUsize::new(0));
-        {
-            let pool = ThreadPool::new(2);
-            for _ in 0..20 {
-                let hits = Arc::clone(&hits);
-                pool.execute(move || {
-                    hits.fetch_add(1, Ordering::Relaxed);
-                });
-            }
-            // Pool dropped here: all 20 jobs must still run.
-        }
-        assert_eq!(hits.load(Ordering::Relaxed), 20);
+        // Every worker holds the shared state until its thread ends, so
+        // once the pool is dropped nothing may hold it any more.
+        let pool = ThreadPool::new(2);
+        let count = AtomicUsize::new(0);
+        invoke(&pool, 20, |_| {
+            count.fetch_add(1, Ordering::Relaxed);
+        });
+        assert_eq!(count.load(Ordering::Relaxed), 20);
+        let shared = Arc::downgrade(&pool.shared);
+        drop(pool);
+        assert!(shared.upgrade().is_none(), "a worker outlived its pool");
     }
 
     #[test]
@@ -911,7 +737,6 @@ mod tests {
         assert_eq!(pool.num_workers(), 0);
         let h = pool.health();
         assert_eq!((h.configured, h.live), (0, 0));
-        assert!(!h.below_quorum());
         let caller = std::thread::current().id();
         let mut locals = [0usize];
         let mut slots = [None; 5];
@@ -921,21 +746,6 @@ mod tests {
         });
         assert_eq!(locals, [5]);
         assert!(slots.iter().all(|&id| id == Some(caller)));
-        // A queued job runs on the caller too, its panic contained.
-        let ran = Arc::new(AtomicUsize::new(0));
-        let hits = Arc::clone(&ran);
-        pool.execute(move || {
-            assert_eq!(std::thread::current().id(), caller);
-            hits.fetch_add(1, Ordering::Relaxed);
-        });
-        pool.execute(|| panic!("queued job exploded"));
-        assert_eq!(ran.load(Ordering::Relaxed), 1);
-        assert_eq!(pool.health().panics_trapped, 1);
-    }
-
-    #[test]
-    fn waitgroup_with_zero_jobs_returns_immediately() {
-        WaitGroup::new(0).wait();
     }
 
     #[test]
@@ -950,7 +760,7 @@ mod tests {
                 let total = Arc::clone(&total);
                 scope.spawn(move || {
                     for _ in 0..8 {
-                        pool.invoke_all(16, |_| {
+                        invoke(&pool, 16, |_| {
                             total.fetch_add(1, Ordering::Relaxed);
                         });
                     }
@@ -961,43 +771,19 @@ mod tests {
     }
 
     #[test]
-    fn queued_jobs_and_scoped_batches_interleave() {
-        let pool = ThreadPool::new(2);
-        let queued = Arc::new(AtomicUsize::new(0));
-        let wg = WaitGroup::new(32);
-        for _ in 0..32 {
-            let queued = Arc::clone(&queued);
-            let wg = wg.clone();
-            pool.execute(move || {
-                let _done = wg.done_guard();
-                queued.fetch_add(1, Ordering::Relaxed);
-            });
-        }
-        let scoped = AtomicUsize::new(0);
-        pool.invoke_all(64, |_| {
-            scoped.fetch_add(1, Ordering::Relaxed);
-        });
-        wg.wait();
-        assert_eq!(queued.load(Ordering::Relaxed), 32);
-        assert_eq!(scoped.load(Ordering::Relaxed), 64);
-    }
-
-    #[test]
     fn sequential_batches_reuse_the_pool() {
         let pool = ThreadPool::new(2);
         for n in [1usize, 2, 7, 33] {
             let count = AtomicUsize::new(0);
-            pool.invoke_all(n, |_| {
+            invoke(&pool, n, |_| {
                 count.fetch_add(1, Ordering::Relaxed);
             });
             assert_eq!(count.load(Ordering::Relaxed), n);
         }
     }
 
-    /// A panic payload whose own `Drop` panics: the one thing
-    /// `catch_unwind` in the worker loop cannot contain, so it kills the
-    /// worker thread (deterministically — the payload is dropped right
-    /// after the trap).
+    /// A panic payload whose own `Drop` panics: a claimant that drops it
+    /// outside a panic unwinds, and a worker thread that does so dies.
     struct DropBomb;
 
     impl Drop for DropBomb {
@@ -1010,15 +796,46 @@ mod tests {
 
     /// Waits (bounded) until `pool.health().live` drops to `expect`.
     fn wait_for_live(pool: &ThreadPool, expect: usize) {
-        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
+        let deadline = Instant::now() + Duration::from_secs(10);
         while pool.health().live != expect {
             assert!(
-                std::time::Instant::now() < deadline,
+                Instant::now() < deadline,
                 "worker death never recorded: {:?}",
                 pool.health()
             );
             std::thread::yield_now();
         }
+    }
+
+    /// Kills `n` workers (fewer than the pool has) in one batch: a
+    /// barrier gives each claimant one task, `n + 1` workers panic with a
+    /// [`DropBomb`], the first payload is kept and re-raised on the caller
+    /// (leaked here, since dropping it would panic) and every later one
+    /// is dropped on its worker, which dies.
+    fn kill(pool: &ThreadPool, n: usize) {
+        assert!(n < pool.num_workers(), "one worker must survive");
+        let live = pool.health().live;
+        let claimants = pool.num_workers() + 1;
+        let barrier = Barrier::new(claimants);
+        let caller = std::thread::current().id();
+        let bombs = AtomicUsize::new(0);
+        let result = catch_unwind(AssertUnwindSafe(|| {
+            invoke(pool, claimants, |_| {
+                barrier.wait();
+                if std::thread::current().id() != caller
+                    && bombs.fetch_add(1, Ordering::Relaxed) <= n
+                {
+                    std::panic::panic_any(DropBomb);
+                }
+            });
+        }));
+        let payload = result.expect_err("the first bomb is re-raised on the caller");
+        assert!(
+            payload.is::<DropBomb>(),
+            "the first payload, not a poison error"
+        );
+        std::mem::forget(payload);
+        wait_for_live(pool, live - n);
     }
 
     #[test]
@@ -1029,24 +846,25 @@ mod tests {
         assert_eq!(h.live, 3);
         assert_eq!(h.panics_trapped, 0);
         assert_eq!(h.respawns, 0);
-        assert!(!h.below_quorum());
-        assert_eq!(pool.heal(), 0);
+        pool.heal();
+        assert_eq!(pool.health(), h);
     }
 
     #[test]
     fn killed_worker_is_respawned_and_pool_keeps_working() {
         let pool = ThreadPool::new(2);
-        pool.execute(|| std::panic::panic_any(DropBomb));
-        wait_for_live(&pool, 1);
+        kill(&pool, 1);
+        // The slot the dying worker poisoned still re-raised the first
+        // payload, and the pool counted it.
+        assert_eq!(pool.health().panics_trapped, 1);
 
-        assert_eq!(pool.heal(), 1);
+        pool.heal();
         let h = pool.health();
         assert_eq!(h.live, 2, "{h:?}");
         assert_eq!(h.respawns, 1);
-        assert!(h.panics_trapped >= 1, "the original panic was trapped");
 
         let sum = AtomicUsize::new(0);
-        pool.invoke_all(16, |i| {
+        invoke(&pool, 16, |i| {
             sum.fetch_add(i, Ordering::Relaxed);
         });
         assert_eq!(sum.load(Ordering::Relaxed), 120);
@@ -1054,53 +872,84 @@ mod tests {
 
     #[test]
     fn submission_paths_heal_implicitly() {
-        let pool = ThreadPool::new(2);
-        pool.execute(|| std::panic::panic_any(DropBomb));
-        wait_for_live(&pool, 1);
-        // No explicit heal(): invoke_all's entry heals before running.
+        let pool = ThreadPool::new(3);
+        kill(&pool, 2);
+        // No explicit heal(): the batch's head heals before running.
         let count = AtomicUsize::new(0);
-        pool.invoke_all(8, |_| {
+        invoke(&pool, 8, |_| {
             count.fetch_add(1, Ordering::Relaxed);
         });
         assert_eq!(count.load(Ordering::Relaxed), 8);
-        assert_eq!(pool.health().live, 2);
-        assert_eq!(pool.health().respawns, 1);
-    }
-
-    #[test]
-    fn respawn_limit_zero_leaves_pool_degraded_but_functional() {
-        let pool = ThreadPool::with_respawn_limit(1, 0);
-        pool.execute(|| std::panic::panic_any(DropBomb));
-        wait_for_live(&pool, 0);
-
-        assert_eq!(pool.heal(), 0, "respawn budget of 0 must not respawn");
-        let h = pool.health();
-        assert_eq!(h.live, 0);
-        assert_eq!(h.respawns, 0);
-        assert!(h.below_quorum());
-
-        // Scoped batches still complete: the caller is a claimant and
-        // drains every task itself.
-        let sum = AtomicUsize::new(0);
-        pool.invoke_all(8, |i| {
-            sum.fetch_add(i + 1, Ordering::Relaxed);
-        });
-        assert_eq!(sum.load(Ordering::Relaxed), 36);
+        assert_eq!(pool.health().live, 3);
+        assert_eq!(pool.health().respawns, 2);
     }
 
     #[test]
     fn repeated_deaths_all_respawn_under_budget() {
-        let pool = ThreadPool::new(1);
+        let pool = ThreadPool::new(2);
         for round in 1..=3u64 {
-            pool.execute(|| std::panic::panic_any(DropBomb));
-            wait_for_live(&pool, 0);
-            assert_eq!(pool.heal(), 1);
+            kill(&pool, 1);
+            pool.heal();
             assert_eq!(pool.health().respawns, round);
             let count = AtomicUsize::new(0);
-            pool.invoke_all(4, |_| {
+            invoke(&pool, 4, |_| {
                 count.fetch_add(1, Ordering::Relaxed);
             });
             assert_eq!(count.load(Ordering::Relaxed), 4);
         }
+    }
+
+    #[test]
+    fn a_caller_unwinding_out_of_its_claim_still_drains_the_batch() {
+        // Worker 0 panics first; the caller panics 50 ms later with a
+        // payload whose drop panics, so its own claim unwinds out of the
+        // batch while worker 1 is still inside its task, which borrows
+        // the caller's frame. The batch must not end before that task.
+        // The sleeps only order the events so that a batch which skips
+        // its teardown on unwind is caught; a sound batch passes in any
+        // order, since it always waits for worker 1.
+        let pool = ThreadPool::new(2);
+        let mut locals = [0usize, 1, 2]; // worker 0, worker 1, the caller
+        let mut slots = [(); 3];
+        let barrier = Barrier::new(3);
+        let first = AtomicBool::new(false);
+        let finished = AtomicBool::new(false);
+        let result = catch_unwind(AssertUnwindSafe(|| {
+            pool.invoke_each(&mut locals, &mut slots, |&mut claimant, _, _| {
+                barrier.wait();
+                match claimant {
+                    0 => {
+                        first.store(true, Ordering::SeqCst);
+                        panic!("worker 0 panics first");
+                    }
+                    1 => {
+                        std::thread::sleep(Duration::from_millis(300));
+                        finished.store(true, Ordering::SeqCst);
+                    }
+                    _ => {
+                        while !first.load(Ordering::SeqCst) {
+                            std::thread::yield_now();
+                        }
+                        std::thread::sleep(Duration::from_millis(50));
+                        std::panic::panic_any(DropBomb);
+                    }
+                }
+            });
+        }));
+        // Leak whichever payload came out: a `DropBomb` would panic again.
+        std::mem::forget(result.expect_err("the caller's claim unwound"));
+        if !finished.load(Ordering::SeqCst) {
+            // Worker 1 still runs on the freed scope: dropping the pool
+            // would join it, which may never return.
+            std::mem::forget(pool);
+            panic!("the batch ended while worker 1 was still in its task");
+        }
+        // No worker died, and the pool serves the next batch.
+        assert_eq!(pool.health().live, 2);
+        let count = AtomicUsize::new(0);
+        invoke(&pool, 8, |_| {
+            count.fetch_add(1, Ordering::Relaxed);
+        });
+        assert_eq!(count.load(Ordering::Relaxed), 8);
     }
 }

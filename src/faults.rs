@@ -3,9 +3,11 @@
 //!
 //! Everything here is deterministic by construction: readers fail at
 //! exact byte offsets, the panic-injecting chunk automaton fires on an
-//! exact scan ordinal, and the only randomness available is the seeded
-//! [`XorShift64`] generator. Re-running a failing test reproduces the
-//! same fault schedule.
+//! exact scan ordinal, [`kill_workers`] kills an exact number of pool
+//! workers through an ordinary pool batch (the path production code
+//! runs, not a test-only entry point), and the only randomness available
+//! is the seeded [`XorShift64`] generator. Re-running a failing test
+//! reproduces the same fault schedule.
 //!
 //! The module is compiled into the library (not `#[cfg(test)]`) so both
 //! the integration tests of this crate and downstream robustness
@@ -14,6 +16,7 @@
 
 use std::io::{self, Read};
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Barrier;
 use std::time::{Duration, Instant};
 
 use ridfa_automata::counter::Counter;
@@ -203,9 +206,10 @@ impl<CA: ChunkAutomaton> ChunkAutomaton for PanicCa<CA> {
 }
 
 /// A panic payload whose `Drop` panics *again* (when not already
-/// unwinding): the untrappable-panic vector. A worker that catches a job
-/// panic carrying this payload dies when it drops the payload — the only
-/// way to kill a [`ThreadPool`] worker, exercising the self-healing path.
+/// unwinding): the untrappable-panic vector. A pool claimant whose task
+/// panics with it after its batch already holds a payload drops it and
+/// unwinds; a worker thread that does so dies, exercising the pool's
+/// self-healing path.
 pub struct WorkerKiller;
 
 impl Drop for WorkerKiller {
@@ -216,30 +220,49 @@ impl Drop for WorkerKiller {
     }
 }
 
-/// Kills `n` pool workers by submitting [`WorkerKiller`] jobs through
-/// [`ThreadPool::execute`], waiting (bounded) until each death registers
-/// in [`ThreadPool::health`]. Panics if a death fails to register within
-/// 10 s.
-///
-/// Keep `n` below the pool's live worker count: a pool with zero live
-/// workers never claims the next killer job.
+/// Kills `n` pool workers through an ordinary batch, the path production
+/// code runs, and waits (bounded) until each death registers in
+/// [`ThreadPool::health`]: one [`ThreadPool::invoke_each`] batch in
+/// which a barrier gives each claimant one task and `n + 1` worker tasks
+/// panic with a [`WorkerKiller`], so the first payload is re-raised on
+/// the caller (caught and leaked here) and each later one is dropped on
+/// its worker, which dies. The next batch respawns them. Panics if `n`
+/// is not below the pool's worker count or a death fails to register
+/// within 10 s.
 pub fn kill_workers(pool: &ThreadPool, n: usize) {
-    // `live` alone cannot observe a death: dispatch heals the pool, so a
+    let workers = pool.num_workers();
+    assert!(
+        n < workers,
+        "killing {n} of {workers} workers needs a survivor"
+    );
+    // `live` alone cannot observe a death: a batch heals the pool, so a
     // respawn can mask the drop. Total deaths (healed + still dead) is
     // monotonic and registers every kill exactly once.
-    let deaths = |pool: &ThreadPool| {
+    let deaths = || {
         let health = pool.health();
         health.respawns + (health.configured - health.live) as u64
     };
-    for k in 0..n {
-        assert!(pool.health().live > 0, "no live worker left to kill");
-        let deaths_before = deaths(pool);
-        pool.execute(|| std::panic::panic_any(WorkerKiller));
-        assert!(
-            wait_until(|| deaths(pool) > deaths_before),
-            "worker death {k} did not register within the wait bound"
-        );
-    }
+    let deaths_before = deaths();
+    let barrier = Barrier::new(workers + 1);
+    let caller = std::thread::current().id();
+    let killers = AtomicUsize::new(0);
+    let mut locals = vec![(); workers + 1];
+    let mut slots = vec![(); workers + 1];
+    let batch = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+        pool.invoke_each(&mut locals, &mut slots, |_, _, _| {
+            barrier.wait();
+            if std::thread::current().id() != caller && killers.fetch_add(1, Ordering::SeqCst) <= n
+            {
+                std::panic::panic_any(WorkerKiller);
+            }
+        });
+    }));
+    // Dropping the re-raised killer would panic here: leak it.
+    std::mem::forget(batch.expect_err("the first killer is re-raised on the caller"));
+    assert!(
+        wait_until(|| deaths() >= deaths_before + n as u64),
+        "{n} worker deaths did not register within the wait bound"
+    );
 }
 
 /// Spins (yielding) until `cond` holds, for at most 10 seconds. Returns

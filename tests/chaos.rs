@@ -1,7 +1,7 @@
 //! Deterministic chaos suite: every fault the library claims to contain
-//! is injected here — worker-killing panics, depleted respawn budgets,
-//! expired deadlines, cancellations, mid-stream I/O errors, panicking
-//! chunk automata, and state-exploding constructions — and every test
+//! is injected here — worker-killing panics, expired deadlines,
+//! cancellations, mid-stream I/O errors, panicking chunk automata, and
+//! state-exploding constructions — and every test
 //! asserts the documented containment: typed errors (never an unwinding
 //! panic across a public budgeted API), sessions that stay reusable, and
 //! buffer accounting that does not drift.
@@ -18,10 +18,11 @@ use std::time::Duration;
 use ridfa::automata::nfa::glushkov;
 use ridfa::automata::{regex, ConstructionBudget, Error};
 use ridfa::core::csdpa::{
-    Budget, CancelToken, Degraded, Executor, Kernel, RecognizeError, RidCa, Session, StreamError,
+    Budget, CancelToken, Executor, Kernel, RecognizeError, RidCa, Session, StreamError,
     StreamSession,
 };
 use ridfa::core::csdpa::{PatternRegistry, RegistryConfig};
+use ridfa::core::parallel::PoolHealth;
 use ridfa::core::ridfa::RiDfa;
 use ridfa::core::serve::protocol::{self, Status};
 use ridfa::core::serve::{ServeConfig, Server};
@@ -112,68 +113,58 @@ fn killed_workers_respawn_and_the_next_request_is_served_correctly() {
         let health = session.health();
         assert_eq!(health.live, health.configured, "round {round}");
         assert!(health.respawns >= killed_total, "round {round}");
-        assert!(session.last_degraded().is_none(), "round {round}");
     }
 }
 
+/// The pool's health after `kills` workers died: every one respawned, so
+/// the pool is back at its configured strength.
+fn assert_healed(health: PoolHealth, kills: u64) {
+    assert_eq!(health.live, health.configured, "{health:?}");
+    assert_eq!(health.respawns, kills, "{health:?}");
+}
+
 #[test]
-fn depleted_pool_degrades_to_serial_with_a_recorded_reason() {
+fn workers_killed_between_calls_are_respawned_by_every_entry_point() {
     let rid = machine();
     let ca = RidCa::new(&rid);
-    // Zero respawn budget: deaths are permanent, so killing 3 of 4
-    // workers leaves the pool below quorum (1 live × 2 < 4 configured).
-    let mut session = Session::with_respawn_limit(4, 0);
-    kill_workers(session.pool(), 3);
     let (texts, expected) = text_mix();
-
-    let out = session.recognize(&ca, &texts[0], 8);
-    assert!(out.accepted);
-    assert_eq!(out.executor, Executor::Serial, "must degrade, not limp");
-    assert_eq!(
-        session.last_degraded(),
-        Some(Degraded::PoolBelowQuorum {
-            live: 1,
-            configured: 4
-        })
-    );
-
-    // The batch, counted and budgeted paths degrade the same way and
-    // stay correct.
-    assert_eq!(session.recognize_many(&ca, &texts, 4), expected);
-    assert!(session.last_degraded().is_some());
-    let counted = session.recognize_counted(&ca, &texts[0], 8);
-    assert!(counted.accepted);
-    assert_eq!(counted.executor, Executor::Serial, "must degrade, not limp");
-    assert!(session.last_degraded().is_some());
     let roomy = Budget::with_timeout(Duration::from_secs(3600));
+
+    // Three of four workers die before each call; the call's reach heals
+    // the pool at its head and runs on all five claimants.
+    let mut session = Session::new(4);
+    kill_workers(session.pool(), 3);
+    assert_eq!(session.recognize_many(&ca, &texts, 4), expected);
+    assert_healed(session.health(), 3);
+
+    kill_workers(session.pool(), 3);
     let out = session
         .recognize_budgeted(&ca, &texts[0], 8, &roomy)
         .unwrap();
     assert!(out.accepted);
-    assert_eq!(out.executor, Executor::Serial);
+    assert_eq!(out.executor, Executor::Team(5));
+    assert_healed(session.health(), 6);
 
-    // A degraded session still honors budgets with typed errors.
+    // A healed session still honors budgets with typed errors.
+    kill_workers(session.pool(), 3);
     assert_eq!(
         session
             .recognize_budgeted(&ca, &texts[0], 8, &Budget::with_timeout(Duration::ZERO))
             .unwrap_err(),
         RecognizeError::DeadlineExceeded
     );
+    assert_healed(session.health(), 9);
 
-    // A stream's waves are reach phases of its session: below quorum the
-    // caller scans every block and reads ahead itself, still correct.
-    let mut stream = StreamSession::with_respawn_limit(4, 64, 0);
-    kill_workers(stream.pool(), 3);
+    // A stream's waves are reach phases of its session: the first wave
+    // of every stream heals the pool, the empty stream's included.
+    let mut stream = StreamSession::new(4, 64);
+    let mut kills = 0;
     for (text, &expected) in texts.iter().zip(&expected) {
+        kill_workers(stream.pool(), 3);
+        kills += 3;
         let out = stream.recognize_stream(&ca, Cursor::new(text)).unwrap();
         assert_eq!(out.accepted, expected);
-        assert_eq!(
-            stream.last_degraded(),
-            Some(Degraded::PoolBelowQuorum {
-                live: 1,
-                configured: 4
-            })
-        );
+        assert_healed(stream.health(), kills);
     }
 }
 

@@ -76,12 +76,17 @@ pub fn allocations_in(f: impl FnOnce()) -> u64 {
 /// Opts the calling thread and every worker of `pool` in to one counting
 /// group, in one barrier batch: each of the `workers + 1` claimants joins
 /// and waits for all the others, so every worker takes exactly one task.
-/// Returns the group's running count of allocations.
+/// The barrier is also what starts every worker before anything is
+/// counted: a pool spawns its workers without waiting for them, and a
+/// worker's thread start-up allocates. Returns the group's running count
+/// of allocations.
 pub fn count_on(pool: &ThreadPool) -> impl Fn() -> u64 {
     let count = new_group();
     let claimants = pool.num_workers() + 1;
     let barrier = Barrier::new(claimants);
-    pool.invoke_all(claimants, |_| {
+    let mut locals = vec![(); claimants];
+    let mut slots = vec![(); claimants];
+    pool.invoke_each(&mut locals, &mut slots, |_, _, _| {
         GROUP.with(|group| group.set(Some(count)));
         barrier.wait();
     });

@@ -5,8 +5,6 @@
 //! (tiny texts, more chunks than bytes, huge chunk counts) are safe.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Arc;
 
 use ridfa::automata::dfa::{minimize, powerset};
 use ridfa::automata::NoCount;
@@ -230,19 +228,18 @@ fn panicking_chunk_scan_does_not_hang_the_session_pool() {
     // End-to-end shape of the headline bugfix: a panic inside pooled
     // work propagates instead of deadlocking, and the pool survives.
     let pool = ThreadPool::new(2);
+    let mut locals = vec![(); pool.num_workers() + 1];
+    let mut slots = [false; 6];
     let result = catch_unwind(AssertUnwindSafe(|| {
-        pool.invoke_all(6, |i| {
+        pool.invoke_each(&mut locals, &mut slots, |_, i, _| {
             if i == 4 {
                 panic!("chunk scan exploded");
             }
         });
     }));
     assert!(result.is_err());
-    let done = AtomicUsize::new(0);
-    pool.invoke_all(6, |_| {
-        done.fetch_add(1, Ordering::Relaxed);
-    });
-    assert_eq!(done.load(Ordering::Relaxed), 6);
+    pool.invoke_each(&mut locals, &mut slots, |_, _, done| *done = true);
+    assert!(slots.iter().all(|&done| done));
 }
 
 #[test]
@@ -271,19 +268,16 @@ fn invoke_each_handles_skewed_work() {
 
 #[test]
 fn pool_runs_many_recognitions_concurrently() {
-    let rid = Arc::new(RiDfa::from_nfa(&bible::nfa()).minimized());
-    let texts: Arc<Vec<Vec<u8>>> = Arc::new((0..16).map(|s| bible::text(8 << 10, s)).collect());
-    let accepted = Arc::new(AtomicUsize::new(0));
-
+    let rid = RiDfa::from_nfa(&bible::nfa()).minimized();
+    let texts: Vec<Vec<u8>> = (0..16).map(|s| bible::text(8 << 10, s)).collect();
     let pool = ThreadPool::new(4);
-    let (rid2, texts2, accepted2) = (Arc::clone(&rid), Arc::clone(&texts), Arc::clone(&accepted));
-    pool.invoke_all(texts.len(), move |i| {
-        let ca = RidCa::new(&rid2);
-        if recognize(&ca, &texts2[i], 4, Executor::Serial).accepted {
-            accepted2.fetch_add(1, Ordering::Relaxed);
-        }
+    let mut locals = vec![(); pool.num_workers() + 1];
+    let mut verdicts = vec![false; texts.len()];
+    pool.invoke_each(&mut locals, &mut verdicts, |_, i, accepted| {
+        let ca = RidCa::new(&rid);
+        *accepted = recognize(&ca, &texts[i], 4, Executor::Serial).accepted;
     });
-    assert_eq!(accepted.load(Ordering::Relaxed), texts.len());
+    assert!(verdicts.iter().all(|&accepted| accepted));
 }
 
 #[test]
