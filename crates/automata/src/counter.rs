@@ -3,9 +3,14 @@
 //! The paper's Sect. 4.3 experiments count state transitions executed by the
 //! chunk automata, "almost directly related to the time speedup". Counting
 //! must not perturb the timed experiments, so the hot scanning loops are
-//! generic over a [`Counter`]: with [`NoCount`] (a zero-sized type) the
-//! increment compiles away entirely and the loop is the plain uninstrumented
+//! generic over a [`Counter`]: with [`NoCount`] (a zero-sized type) every
+//! count compiles away entirely and the loop is the plain uninstrumented
 //! scan; with [`TransitionCount`] every executed transition is tallied.
+//! The tally is exact either way it is taken: the simple loops add one per
+//! transition, while the core's scan kernel adds its walks' counts from
+//! loop indices when a phase exits (a run's end or death, a checkpoint
+//! interval, a classified segment), so a counted kernel scan costs about
+//! what an uncounted one does.
 
 /// A sink for transition-count events.
 pub trait Counter {

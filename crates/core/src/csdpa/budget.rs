@@ -7,19 +7,21 @@
 //! [`StreamSession::recognize_stream_budgeted`](super::StreamSession::recognize_stream_budgeted))
 //! thread it through the reach phase as an [`InterruptProbe`]. Each is
 //! its unbudgeted twin's body run under one wrapper that also contains
-//! panics, and every reach — a text's or a stream's wave — runs its
-//! chunks through one chunk task that checks the probe:
+//! panics, and every chunk of a text's reach and every block of a stream
+//! is scanned through one chunk task that checks the probe:
 //!
-//! * at every chunk claim, before the chunk is scanned (a stream's task 0
-//!   also checks before it reads the next wave), and
+//! * at every chunk claim, before the chunk is scanned (a stream's
+//!   claimant also checks before it reads its next block, and a tripped
+//!   probe stops the stream's claims), and
 //! * inside the scan [`kernel`](super::kernel) once per classification
 //!   block (4 KiB), so even a single giant chunk honors a deadline with
 //!   bounded latency;
 //! * a check is one relaxed atomic load on the already-tripped path, and
 //!   one `Instant::now()` per 4 KiB otherwise — entirely allocation-free,
 //!   and within run-to-run noise on the `stream_throughput` bench (its
-//!   budgeted 1 MiB-block row read 0.92–1.07× of the unbudgeted one over
-//!   ten quick-mode runs on a 2-core host; CI fails above 1.10×);
+//!   budgeted 1 MiB-block row read 0.83–1.14× of the unbudgeted one over
+//!   eleven quick-mode runs on a 2-core host, and 0.99–1.00× when the two
+//!   calls alternate in one process; CI fails above 1.10×);
 //! * once any claimant trips the probe, every other worker observes the
 //!   shared flag at its next boundary and abandons its chunk.
 //!

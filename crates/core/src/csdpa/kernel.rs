@@ -279,15 +279,18 @@ impl Scratch {
 /// `kernel` picks the strategy through [`resolve`], with `num_origins`
 /// as the run count (`starts` is not re-iterable); a caller that starts
 /// fewer runs than it has origins passes its own resolved kernel, which
-/// `resolve` returns unchanged. Counting semantics per strategy:
+/// `resolve` returns unchanged. Counts are exact executed transitions;
+/// the serial, strided and interleaved walks add theirs from loop
+/// indices when a phase exits (a run's end or death, a checkpoint
+/// interval, a classified segment), not per byte. Per strategy:
 ///
-/// * per-run: one increment per executed live transition per run — the
-///   paper's `k`-pass reach-phase workload measure;
-/// * lockstep: the work actually executed — one increment per *group*
-///   advance while runs merge, then one per live transition of each
-///   finishing chain, stride-walk speculation that repair discards
-///   included. A survivor on an absorbing row counts nothing past the
-///   merge phase: it is not walked.
+/// * per-run: every live transition of every run — the paper's `k`-pass
+///   reach-phase workload measure;
+/// * lockstep: the work actually executed — one per *group* advance
+///   while runs merge, then every live transition of each finishing
+///   chain, stride-walk speculation that repair discards included. A
+///   survivor on an absorbing row counts nothing past the merge phase:
+///   it is not walked.
 #[allow(clippy::too_many_arguments)] // the kernel entry point is the hot seam; a config struct would cost a rebuild of every caller's borrows
 pub fn scan_into(
     table: DenseTable<'_>,
@@ -317,10 +320,11 @@ pub fn scan_into(
 }
 
 /// Runs one premultiplied row serially over `bytes`: one indexed load per
-/// byte, counting each live transition. Returns the final row, or `0`
-/// (the dead row, whose state is [`DEAD`]) if the run died. Shared by the
-/// per-run strategy and the lockstep finishing loop so their counting and
-/// death semantics can never diverge.
+/// byte. Returns the final row, or `0` (the dead row, whose state is
+/// [`DEAD`]) if the run died. On exit it counts the live transitions it
+/// executed: the bytes it walked before the one it died at, or all of
+/// them. Shared by the per-run strategy and the lockstep finishing loop
+/// so their counting and death semantics can never diverge.
 #[inline(always)]
 fn run_row_serial(
     table: DenseTable<'_>,
@@ -328,14 +332,15 @@ fn run_row_serial(
     bytes: &[u8],
     counter: &mut impl Counter,
 ) -> usize {
-    for &byte in bytes {
+    for (walked, &byte) in bytes.iter().enumerate() {
         let next = table.ptable[row + table.classes.get(byte) as usize];
         if next == 0 {
+            counter.add(walked as u64);
             return 0;
         }
-        counter.incr();
         row = next as usize;
     }
+    counter.add(bytes.len() as u64);
     row
 }
 
@@ -418,8 +423,9 @@ pub(crate) fn scan_first(
 ///   end row is the true one — unless the chain died after that
 ///   checkpoint, in which case the true run dies at that same byte.
 ///
-/// Counts are per executed transition per chain, including speculation
-/// the repair discards.
+/// Counts are the executed transitions of every chain, speculation the
+/// repair discards included, added per checkpoint interval as
+/// `4 × steps − deaths`: the re-seed branch sees every death.
 pub(crate) fn strided_walk(
     table: DenseTable<'_>,
     mut row: usize,
@@ -474,18 +480,22 @@ fn walk_window(
         }
         for at in (0..seg_len).step_by(CKPT_INTERVAL) {
             let end = (at + CKPT_INTERVAL).min(seg_len);
+            // Chain steps of this interval that died: every other step
+            // executed a live transition.
+            let mut deaths = 0;
             for k in at..end {
-                let next = [
+                r = [
                     ptable[r[0] + class_bufs[0][k] as usize] as usize,
                     ptable[r[1] + class_bufs[1][k] as usize] as usize,
                     ptable[r[2] + class_bufs[2][k] as usize] as usize,
                     ptable[r[3] + class_bufs[3][k] as usize] as usize,
                 ];
-                counter.add(next.iter().map(|&n| (n != 0) as u64).sum());
-                r = next;
                 if (r[0] == 0) | (r[1] == 0) | (r[2] == 0) | (r[3] == 0) {
+                    deaths += r.iter().filter(|&&row| row == 0).count();
                     if r[0] == 0 {
-                        return 0; // the true run died
+                        // The true run died.
+                        counter.add((NUM_CHAINS * (k + 1 - at) - deaths) as u64);
+                        return 0;
                     }
                     for (chain, died) in r.iter_mut().zip(&mut died).skip(1) {
                         if *chain == 0 {
@@ -495,6 +505,7 @@ fn walk_window(
                     }
                 }
             }
+            counter.add((NUM_CHAINS * (end - at) - deaths) as u64);
             if end - at == CKPT_INTERVAL {
                 ckpt[n_ckpt] = r;
                 n_ckpt += 1;
@@ -679,7 +690,10 @@ fn park_absorbing(table: DenseTable<'_>, scratch: &mut Scratch, len: usize) -> u
 /// as *interleaved* independent chains: one shared classification pass,
 /// one loop, [`NUM_CHAINS`] in-flight loads per byte (unused chains are
 /// parked on the absorbing dead row and never counted). Replaces walking
-/// the rest `len` times, with a bare dependency chain each.
+/// the rest `len` times, with a bare dependency chain each. Each
+/// classified segment counts, per chain live at its start, the segment's
+/// length, or the bytes before its death byte, which a replay of the
+/// segment finds for a chain that died inside it.
 fn multi_chain_finish(
     table: DenseTable<'_>,
     scratch: &mut Scratch,
@@ -700,22 +714,44 @@ fn multi_chain_finish(
             break; // abandoned: the budgeted caller discards the mapping
         }
         table.classes.classify_into(seg, &mut class_buf);
-        for &class in &class_buf[..seg.len()] {
+        let classes = &class_buf[..seg.len()];
+        let entry = r;
+        for &class in classes {
             let c = class as usize;
-            let next = [
+            r = [
                 ptable[r[0] + c] as usize,
                 ptable[r[1] + c] as usize,
                 ptable[r[2] + c] as usize,
                 ptable[r[3] + c] as usize,
             ];
-            counter.add(next.iter().map(|&n| (n != 0) as u64).sum());
-            r = next;
+        }
+        for (&from, &to) in entry.iter().zip(&r) {
+            if from != 0 {
+                let walked = if to != 0 {
+                    classes.len()
+                } else {
+                    steps_before_death(ptable, from, classes)
+                };
+                counter.add(walked as u64);
+            }
         }
     }
     scratch.class_buf = class_buf;
     for (row, &chain) in scratch.rows[..len].iter_mut().zip(&r) {
         *row = chain as StateId;
     }
+}
+
+/// How many of `classes` the premultiplied `row` walks before its death
+/// byte, for [`multi_chain_finish`]'s count of a chain that died.
+fn steps_before_death(ptable: &[StateId], mut row: usize, classes: &[u8]) -> usize {
+    for (walked, &class) in classes.iter().enumerate() {
+        row = ptable[row + class as usize] as usize;
+        if row == 0 {
+            return walked;
+        }
+    }
+    classes.len()
 }
 
 /// Builds the initial origin groups from the `(origin, start)` pairs:
@@ -1035,6 +1071,177 @@ mod tests {
         assert_eq!(out[0], out[1]);
         assert_ne!(out[0], DEAD);
         assert_eq!(counter.get(), 4, "one merged run, one count per byte");
+    }
+
+    /// Per-step reference of [`run_row_serial`]: the end row, and one
+    /// count per live transition as it executes.
+    fn serial_steps(table: DenseTable<'_>, mut row: usize, bytes: &[u8]) -> (usize, u64) {
+        let mut count = 0;
+        for &byte in bytes {
+            row = table.ptable[row + table.classes.get(byte) as usize] as usize;
+            if row == 0 {
+                return (0, count);
+            }
+            count += 1;
+        }
+        (row, count)
+    }
+
+    /// Per-step reference of [`walk_window`]: the same chains, re-seeds,
+    /// checkpoints and repair, one byte at a time, counting every live
+    /// transition as it executes.
+    fn window_steps(table: DenseTable<'_>, entry: usize, window: &[u8]) -> (usize, u64) {
+        let step = |row: usize, byte: u8| table.ptable[row + table.classes.get(byte) as usize];
+        let stride_len = window.len() / NUM_CHAINS;
+        let mut count = 0;
+        let mut r = [entry; NUM_CHAINS];
+        let mut died = [0; NUM_CHAINS];
+        let mut ckpt = Vec::new();
+        for k in 0..stride_len {
+            for (j, row) in r.iter_mut().enumerate() {
+                *row = step(*row, window[j * stride_len + k]) as usize;
+                count += (*row != 0) as u64;
+            }
+            if r[0] == 0 {
+                return (0, count);
+            }
+            for j in 1..NUM_CHAINS {
+                if r[j] == 0 {
+                    r[j] = table.start_row;
+                    died[j] = k + 1;
+                }
+            }
+            if (k + 1) % CKPT_INTERVAL == 0 {
+                ckpt.push(r);
+            }
+        }
+        let mut cur = r[0];
+        'strides: for j in 1..NUM_CHAINS {
+            for k in 0..stride_len {
+                cur = step(cur, window[j * stride_len + k]) as usize;
+                if cur == 0 {
+                    return (0, count);
+                }
+                count += 1;
+                if (k + 1) % CKPT_INTERVAL == 0 && cur == ckpt[k / CKPT_INTERVAL][j] {
+                    if died[j] > k + 1 {
+                        return (0, count);
+                    }
+                    cur = r[j];
+                    continue 'strides;
+                }
+            }
+        }
+        let (row, rest) = serial_steps(table, cur, &window[NUM_CHAINS * stride_len..]);
+        (row, count + rest)
+    }
+
+    /// Runs `f` with a fresh tally; returns its result and the count.
+    fn tallied<T>(f: impl FnOnce(&mut TransitionCount) -> T) -> (T, u64) {
+        let mut counter = TransitionCount::default();
+        let out = f(&mut counter);
+        (out, counter.get())
+    }
+
+    #[test]
+    fn exit_counts_equal_per_step_counts() {
+        // Deaths at every offset of one checkpoint interval and across a
+        // classification-block boundary.
+        let offsets: Vec<usize> = (0..CKPT_INTERVAL)
+            .chain(CLASS_BLOCK - 4..CLASS_BLOCK + 4)
+            .collect();
+        // Four tracks: the state after `a`, `b`, `c` or `d` reads `x` and
+        // three of `pqrs`, so `p`, `q`, `r` or `s` kills exactly one
+        // track, `z` every one, and the start state dies on `x`.
+        let tracks = dfa_for("a[qrsx]*|b[prsx]*|c[pqsx]*|d[pqrx]*");
+        let after = |lead: &[u8]| tracks.run_from(tracks.start(), lead, &mut NoCount);
+
+        // The serial loop: no death, a death at the first and at the last
+        // byte, and at each offset.
+        let dfa = dfa_for("(a|b)*abb");
+        let ptable = dfa.premultiplied_table();
+        let table = dense(&dfa, &ptable);
+        let text = b"ab".repeat(CLASS_BLOCK);
+        let kills = [None, Some(0), Some(text.len() - 1)];
+        for at in kills.into_iter().chain(offsets.iter().map(|&o| Some(o))) {
+            let mut text = text.clone();
+            if let Some(at) = at {
+                text[at] = b'c';
+            }
+            for entry in dfa.live_states() {
+                let row = entry as usize * dfa.stride();
+                assert_eq!(
+                    tallied(|c| run_row_serial(table, row, &text, c)),
+                    serial_steps(table, row, &text),
+                    "serial loop from state {entry}, kill at {at:?}"
+                );
+            }
+        }
+
+        // The strided window: chain 0 and a speculative chain killed at
+        // each offset of their strides, on a universal kill byte, on
+        // out-of-phase pairs whose chains also die unprompted, and on a
+        // track whose re-seeded chain dies again on every byte.
+        let stride_len = CLASS_BLOCK + CKPT_INTERVAL + 7;
+        let window_len = NUM_CHAINS * stride_len + 3;
+        for (pattern, word, kill, lead) in [
+            ("(a|b)*abb", &b"ab"[..], b'c', &b""[..]),
+            ("(ab|ba)*", b"abba", b'c', b""),
+            ("a[qrsx]*|b[prsx]*|c[pqsx]*|d[pqrx]*", b"xqrsx", b'p', b"a"),
+        ] {
+            let dfa = dfa_for(pattern);
+            let ptable = dfa.premultiplied_table();
+            let table = dense(&dfa, &ptable);
+            let entry = dfa.run_from(dfa.start(), lead, &mut NoCount) as usize * dfa.stride();
+            let text: Vec<u8> = word.iter().copied().cycle().take(window_len).collect();
+            for chain in [0, 2] {
+                for &offset in &offsets {
+                    let mut text = text.clone();
+                    text[chain * stride_len + offset] = kill;
+                    assert_eq!(
+                        tallied(|c| walk_window(table, entry, &text, None, c)),
+                        window_steps(table, entry, &text),
+                        "{pattern}: chain {chain} killed at {offset}"
+                    );
+                }
+            }
+        }
+
+        // The interleaved finish: two to four chains (the rest parked on
+        // the dead row), the first or the last of them killed, or all at
+        // once, at each offset of a rest that spans two segments.
+        let ptable = tracks.premultiplied_table();
+        let table = dense(&tracks, &ptable);
+        let rest = vec![b'x'; CLASS_BLOCK + CKPT_INTERVAL];
+        let mut scratch = Scratch::default();
+        scratch.warm_up(ptable.len(), NUM_CHAINS);
+        for len in 2..=NUM_CHAINS {
+            let rows: Vec<usize> = [&b"a"[..], b"b", b"c", b"d"][..len]
+                .iter()
+                .map(|lead| after(lead) as usize * tracks.stride())
+                .collect();
+            for kill in [b'p', b"pqrs"[len - 1], b'z'] {
+                for &offset in &offsets {
+                    let mut rest = rest.clone();
+                    rest[offset] = kill;
+                    scratch.rows.clear();
+                    scratch.rows.extend(rows.iter().map(|&row| row as StateId));
+                    let ((), count) =
+                        tallied(|c| multi_chain_finish(table, &mut scratch, len, &rest, c));
+                    let mut expected = 0;
+                    for (g, &row) in rows.iter().enumerate() {
+                        let (end, steps) = serial_steps(table, row, &rest);
+                        assert_eq!(scratch.rows[g] as usize, end, "{len} chains, chain {g}");
+                        expected += steps;
+                    }
+                    assert_eq!(
+                        count, expected,
+                        "{len} chains, {:?} at {offset}",
+                        kill as char
+                    );
+                }
+            }
+        }
     }
 
     #[test]

@@ -33,7 +33,7 @@
 //! high-traffic streams of short texts, where thread start-up would
 //! otherwise dominate. The free [`recognize`] functions run on a
 //! throwaway session whose claimant count their [`Executor`] names, a
-//! [`StreamSession`]'s waves and the [`PatternRegistry`]'s lanes on a
+//! [`StreamSession`]'s streams and the [`PatternRegistry`]'s lanes on a
 //! kept one, and every join folds through one incremental
 //! [`JoinScratch`].
 

@@ -24,17 +24,19 @@
 //!   `t+1` start while scans of text `t` are still in flight, with a
 //!   single quiescence point per *batch* instead of a barrier per text.
 //!
-//! Every chunk scan of the crate goes through one reach phase, the
+//! Every chunk scan of a text goes through one reach phase, the
 //! crate-private `Session::reach`: single texts (the free recognizers'
-//! included), counted texts, batches, each wave of a
-//! [`StreamSession`](super::StreamSession) and the registry's block
-//! lanes. It is one [`ThreadPool::invoke_each`] batch, whose head
-//! respawns any pool worker that died, and in which task `i` receives
+//! included), counted texts, batches and the registry's block lanes. It
+//! is one [`ThreadPool::invoke_each`] batch, whose head respawns any
+//! pool worker that died, and in which task `i` receives
 //! `&mut mappings[i]` from the pool, claimed by index, so each chunk's
 //! mapping slot is a plain `&mut` held by the one claimant that scans
 //! it, and this module needs no `unsafe`. Its callers fold the filled
 //! slots left to right through the session's
-//! [`JoinScratch`](super::JoinScratch).
+//! [`JoinScratch`](super::JoinScratch). A
+//! [`StreamSession`](super::StreamSession) runs each stream as one
+//! batch of its own over the same pool, scratches and join fold, with
+//! one locked mapping slot per block of its ring.
 //!
 //! One session serves any mix of chunk-automaton types; the typed buffers
 //! are cached per CA type and rebuilt transparently when the type
@@ -43,6 +45,7 @@
 use std::any::Any;
 use std::ops::Range;
 use std::sync::atomic::AtomicU64;
+use std::sync::{Mutex, PoisonError};
 use std::time::Instant;
 
 use ridfa_automata::counter::NoCount;
@@ -52,6 +55,7 @@ use crate::parallel::{PoolHealth, ThreadPool};
 use super::budget::{run_budgeted, Budget, InterruptProbe, RecognizeError};
 use super::chunking::{chunk_count, chunk_span};
 use super::kernel::LOCKSTEP_ANY_RUNS_MIN_CHUNK;
+use super::stream::BLOCKS_PER_CLAIMANT;
 use super::{
     recognizer, ChunkAutomaton, CountedOutcome, Executor, JoinScratch, JoinScratchOf, Outcome,
 };
@@ -88,6 +92,9 @@ struct TypedCache<S, M, C> {
     /// λ-mapping slots, one per chunk task; grown to the high-water mark
     /// and reused across texts.
     mappings: Vec<M>,
+    /// A stream's mapping slots, one per block of its ring, each locked
+    /// by the claimant that scans the block and then by its fold.
+    ring: Vec<Mutex<M>>,
     /// The join fold.
     join: JoinScratch<M, C>,
     /// Output slots of one tree-reduce level (high-water sized).
@@ -95,6 +102,19 @@ struct TypedCache<S, M, C> {
     /// One compose scratch per pool worker plus one for the caller, for
     /// the parallel tree-reduce join.
     compose_slots: Vec<C>,
+}
+
+/// What a stream pipelines through, from [`Session::stream_parts`].
+pub(crate) struct StreamParts<'s, CA: ChunkAutomaton> {
+    /// The session's pool.
+    pub(crate) pool: &'s ThreadPool,
+    /// One scan scratch per claimant, in [`ThreadPool::invoke_all_scoped`]
+    /// slot order.
+    pub(crate) scratches: &'s mut [CA::Scratch],
+    /// One mapping slot per ring block.
+    pub(crate) mappings: &'s [Mutex<CA::Mapping>],
+    /// The join fold.
+    pub(crate) join: &'s mut JoinScratchOf<CA>,
 }
 
 /// The [`TypedCache`] of a chunk automaton.
@@ -168,9 +188,9 @@ impl Session {
         self.pool.health()
     }
 
-    /// Pre-warms every per-worker scratch, one mapping slot per claimant
-    /// and the join fold against `ca` by scanning `sample` on the
-    /// calling thread. A sample shorter than
+    /// Pre-warms every per-worker scratch, one mapping slot per claimant,
+    /// one per block of a stream's ring and the join fold against `ca` by
+    /// scanning `sample` on the calling thread. A sample shorter than
     /// [`LOCKSTEP_ANY_RUNS_MIN_CHUNK`] is repeated to that length (zeros
     /// if it is empty), so a [`Kernel::Auto`](super::Kernel::Auto) scan
     /// resolves to the lockstep kernel and sizes its scratch whatever
@@ -197,10 +217,38 @@ impl Session {
         if cache.mappings.len() < claimants {
             cache.mappings.resize_with(claimants, CA::Mapping::default);
         }
+        let ring = BLOCKS_PER_CLAIMANT * claimants;
+        if cache.ring.len() < ring {
+            cache.ring.resize_with(ring, Mutex::default);
+        }
         for (scratch, slot) in cache.scratches.iter_mut().zip(&mut cache.mappings) {
             ca.scan_into(sample, scratch, &mut NoCount, slot);
         }
+        for slot in &mut cache.ring {
+            let slot = slot.get_mut().unwrap_or_else(PoisonError::into_inner);
+            ca.scan_into(sample, &mut cache.scratches[0], &mut NoCount, slot);
+        }
         cache.join.warm(ca, sample, &mut cache.scratches[0]);
+    }
+
+    /// The pool and the typed buffers a stream over a ring of
+    /// `ring_blocks` blocks pipelines through (see [`StreamParts`]),
+    /// growing the mapping slots to one per block if
+    /// [`warm`](Session::warm) has not.
+    pub(crate) fn stream_parts<CA: ChunkAutomaton>(
+        &mut self,
+        ring_blocks: usize,
+    ) -> StreamParts<'_, CA> {
+        let cache = typed_cache::<CA>(&mut self.cache, self.pool.num_workers() + 1);
+        if cache.ring.len() < ring_blocks {
+            cache.ring.resize_with(ring_blocks, Mutex::default);
+        }
+        StreamParts {
+            pool: &self.pool,
+            scratches: &mut cache.scratches,
+            mappings: &cache.ring[..ring_blocks],
+            join: &mut cache.join,
+        }
     }
 
     /// The one pooled reach phase: runs `tasks` chunk scans into the
@@ -208,8 +256,7 @@ impl Session {
     /// the session's join fold (which the reach leaves untouched).
     /// `task(i)` names task `i`'s chunk and whether it is a first chunk
     /// (scanned from the initial state); it runs on the claimant that
-    /// scans the chunk, right before the scan, so a stream's task 0
-    /// reads the next wave there.
+    /// scans the chunk, right before the scan.
     ///
     /// It is one [`ThreadPool::invoke_each`] batch, whose head respawns
     /// any dead pool worker and whose caller drains every task a worker
@@ -407,6 +454,7 @@ fn typed_cache<CA: ChunkAutomaton>(
         *cache = Some(Box::new(TypedCache {
             scratches: (0..slots).map(|_| CA::Scratch::default()).collect(),
             mappings: Vec::new(),
+            ring: Vec::new(),
             join: JoinScratchOf::<CA>::default(),
             tree: Vec::new(),
             compose_slots: (0..slots).map(|_| CA::ComposeScratch::default()).collect(),

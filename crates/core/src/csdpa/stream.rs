@@ -7,77 +7,94 @@
 //! mappings before the join. A [`StreamSession`] instead exploits the
 //! associativity of λ-composition ([`ChunkAutomaton::compose_into`]):
 //! the join is an **incremental left fold**, so only the composed
-//! prefix mapping has to survive from one wave to the next, and blocks
+//! prefix mapping has to survive from one block to the next, and blocks
 //! can be scanned as they arrive.
 //!
-//! A stream session is a [`Session`] plus a block ring. The execution
-//! shape is a double-buffered wave pipeline:
+//! A stream session is a [`Session`] plus a block ring, and a stream is
+//! **one pool batch** in which every claimant (the pool's workers and
+//! the caller) runs the same claim loop until the stream ends:
 //!
 //! * the text is read in fixed-size **blocks** into a ring of
 //!   `2 × (workers + 1)` reusable buffers — live buffer memory is
 //!   `O(workers · block_size)` regardless of stream length
 //!   ([`StreamSession::buffer_bytes`] accounts for it exactly);
-//! * each wave is one reach phase of the session (so a wave starts with
-//!   the configured workers, any dead one respawned), with one task per
-//!   block of the current wave, and task 0 **reads the next wave** into
-//!   the other half of the ring before its scan — I/O overlaps the other
-//!   blocks' scans. The read-ahead state sits behind a lock only task 0
-//!   takes, so the wave needs no `unsafe`;
-//! * after each wave the session's [`JoinScratch`](super::JoinScratch)
-//!   **eagerly composes** the finished mappings onto the running prefix
-//!   *in arrival order*: a stream of any length holds one mapping slot
-//!   per block of a wave plus the fold's two — there is no O(c) buffered
-//!   join barrier;
+//! * a claimant takes the next block number under the reader lock,
+//!   waits until the ring slot's previous block has been folded, and
+//!   fills the slot from the reader (carry and separator snapping
+//!   included), so every claimant reads its own blocks and the reads
+//!   stay in stream order;
+//! * it scans the block outside the reader lock into the slot's mapping,
+//!   while the other claimants read and scan theirs: a claimant that
+//!   finishes early takes another block at once, up to a ring ahead of
+//!   the oldest block still being scanned, with no barrier between
+//!   blocks;
+//! * it then **eagerly folds** every consecutive scanned block onto the
+//!   session's [`JoinScratch`] *in stream order* and frees their slots:
+//!   a stream of any length holds one mapping slot per ring block plus
+//!   the fold's two — there is no O(c) buffered join barrier;
 //! * a composed prefix with no surviving run
 //!   ([`ChunkAutomaton::mapping_is_dead`]) rejects the entire stream, so
-//!   the session stops reading **early** instead of scanning gigabytes of
-//!   doomed suffix.
+//!   no claimant takes another block: the session stops reading
+//!   **early** instead of scanning gigabytes of doomed suffix. A tripped
+//!   budget or a reader error stops the claims the same way, and a
+//!   claimant that unwinds (a panicking automaton) wakes every claimant
+//!   waiting for a slot, so the panic reaches the caller.
 //!
-//! The verdict, a [`CountedOutcome`](super::CountedOutcome)-style
-//! transition tally, and byte/block counts are delivered at EOF as a
-//! [`StreamOutcome`]. Once warm, a stream session performs **zero heap
-//! allocations per block** (asserted by `tests/stream_alloc.rs` with a
-//! counting allocator).
+//! The verdict, the executed transitions and the byte/block counts of
+//! the folded blocks are delivered at EOF as a [`StreamOutcome`]; which
+//! claimant scanned which block does not change them. Once warm, a
+//! stream session performs **zero heap allocations per block** (asserted
+//! by `tests/stream_alloc.rs` with a counting allocator).
 //!
 //! The [`PatternRegistry`](super::PatternRegistry) streams every pattern
 //! through the pattern's own session and one block ring shared by all
 //! patterns.
 
 use std::io::{self, Read};
-use std::sync::atomic::AtomicU64;
-use std::sync::Mutex;
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
 use crate::parallel::{PoolHealth, ThreadPool};
 
 use super::budget::{run_budgeted, Budget, InterruptProbe, StreamError};
-use super::{ChunkAutomaton, Kernel, Session};
+use super::{recognizer, ChunkAutomaton, JoinScratch, Kernel, Session};
+
+/// Ring blocks per claimant: one being scanned and one read ahead, on
+/// average, so a fast claimant need not wait for a slow one.
+pub(crate) const BLOCKS_PER_CLAIMANT: usize = 2;
 
 /// Result of a streaming recognition.
 #[derive(Debug, Clone)]
 pub struct StreamOutcome {
     /// Did the device accept the stream?
     pub accepted: bool,
-    /// Bytes scanned *and composed into the verdict*. At EOF this is the
-    /// whole stream; on [`rejected_early`](StreamOutcome::rejected_early)
-    /// it is the validated prefix only — note the read-ahead may have
-    /// *consumed* up to one extra wave from the reader beyond this count,
+    /// Bytes of the blocks folded into the verdict: the whole stream at
+    /// EOF; on [`rejected_early`](StreamOutcome::rejected_early), the
+    /// blocks through the one at which the prefix died. Claimants may
+    /// have *consumed* up to a ring of blocks more from the reader (and
+    /// the session reads one more block to learn whether input remains),
     /// so it is not a resume offset for the underlying reader.
     pub bytes: u64,
-    /// Blocks scanned and composed (same caveat as
-    /// [`bytes`](StreamOutcome::bytes)).
+    /// Blocks folded into the verdict — the blocks
+    /// [`bytes`](StreamOutcome::bytes) counts.
     pub blocks: u64,
-    /// Total executed transitions across all block scans (the paper's
+    /// Executed transitions of the folded blocks' scans (the paper's
     /// workload measure, as in
-    /// [`CountedOutcome`](super::CountedOutcome)).
+    /// [`CountedOutcome`](super::CountedOutcome)): the one-shot counted
+    /// recognition of the same bytes over the same block cuts tallies
+    /// the same. Blocks scanned ahead of a dead prefix are not counted.
     pub transitions: u64,
-    /// Wall time of the whole stream (read + scan + compose).
+    /// Wall time of the whole stream (read + scan + fold).
     pub elapsed: Duration,
-    /// Time the caller spent in eager composition (the streaming
-    /// equivalent of the join phase).
+    /// Time the claimants spent folding scanned blocks onto the prefix,
+    /// summed (the streaming equivalent of the join phase; a fold runs on
+    /// the claimant that finished a block, overlapping other scans).
     pub compose: Duration,
-    /// `true` when the composed prefix died before EOF and the session
-    /// stopped reading — the verdict is a definite rejection.
+    /// `true` when the composed prefix died while input remained past
+    /// the block at which it died, so the session stopped reading — the
+    /// verdict is a definite rejection. A prefix that dies in the
+    /// stream's last block is a plain rejection (`false`).
     pub rejected_early: bool,
     /// The scan strategy the interior block scans actually executed,
     /// resolved through [`ChunkAutomaton::effective_kernel`] for the
@@ -87,21 +104,39 @@ pub struct StreamOutcome {
     pub kernel: Option<Kernel>,
 }
 
-/// A fixed-size reusable block buffer of the ring.
-struct Block {
-    data: Vec<u8>,
-    /// Valid bytes (`< data.len()` only for the final block).
+/// What a ring slot's scanned block leaves for the fold.
+#[derive(Clone, Copy)]
+struct Scanned {
+    /// The block's number in its stream; [`Scanned::NONE`] once a new
+    /// stream starts.
+    block: u64,
+    /// The block's length in bytes.
     len: usize,
+    /// Executed transitions of its scan.
+    transitions: u64,
 }
 
-/// The block ring of a stream: two waves of one fixed-size block per
-/// reach-phase claimant, the record separator blocks are snapped to, and
-/// the carry the snapping leaves. Its buffers are allocated once, so a
-/// ring serves any number of streams — of one session, or of every
-/// pattern of a registry.
+impl Scanned {
+    /// A slot holding no block of the current stream.
+    const NONE: Scanned = Scanned {
+        block: u64::MAX,
+        len: 0,
+        transitions: 0,
+    };
+}
+
+/// The block ring of a stream: [`BLOCKS_PER_CLAIMANT`] fixed-size blocks
+/// per claimant of the session's pool, what each slot's scanned block
+/// leaves for the fold, the record separator blocks are snapped to, and
+/// the carry the snapping leaves. Everything is allocated once, so a ring
+/// serves any number of streams — of one session, or of every pattern of
+/// a registry.
 pub(crate) struct BlockRing {
-    /// `2 × claimants` fixed-size buffers.
-    blocks: Vec<Block>,
+    /// The block buffers, each locked by the claimant that fills and
+    /// scans its block.
+    blocks: Vec<Mutex<Vec<u8>>>,
+    /// Per slot, its scanned block awaiting the fold.
+    scanned: Vec<Scanned>,
     /// Record separator for boundary snapping
     /// ([`StreamSession::set_separator`]); `None` = plain length-based
     /// blocks.
@@ -113,17 +148,16 @@ pub(crate) struct BlockRing {
 }
 
 impl BlockRing {
-    /// A ring for `claimants` reach-phase claimants of `block_size`-byte
-    /// (≥ 1) blocks.
+    /// A ring for `claimants` claimants of `block_size`-byte (≥ 1)
+    /// blocks.
     pub(crate) fn new(claimants: usize, block_size: usize) -> BlockRing {
         let block_size = block_size.max(1);
+        let slots = BLOCKS_PER_CLAIMANT * claimants;
         BlockRing {
-            blocks: (0..2 * claimants)
-                .map(|_| Block {
-                    data: vec![0u8; block_size],
-                    len: 0,
-                })
+            blocks: (0..slots)
+                .map(|_| Mutex::new(vec![0u8; block_size]))
                 .collect(),
+            scanned: vec![Scanned::NONE; slots],
             separator: None,
             // Worst-case carry is one byte short of a block; reserving it
             // here keeps every stream allocation-free.
@@ -132,25 +166,8 @@ impl BlockRing {
     }
 
     fn block_size(&self) -> usize {
-        self.blocks[0].data.len()
+        lock(&self.blocks[0]).len()
     }
-}
-
-/// State of the read-ahead, which task 0 of every wave runs.
-struct ReadAhead<'a, R> {
-    reader: &'a mut R,
-    blocks: &'a mut [Block],
-    /// Snap full blocks back to their last occurrence of this byte
-    /// (record separator); the cut-off tail rides in `carry`.
-    separator: Option<u8>,
-    /// Bytes deferred past the previous block's snap point, to seed the
-    /// next block. Always shorter than one block; owned by the ring so
-    /// it survives across waves.
-    carry: &'a mut Vec<u8>,
-    /// Blocks of the next wave holding at least one byte.
-    filled: usize,
-    eof: bool,
-    error: Option<io::Error>,
 }
 
 /// A persistent streaming recognition session: a [`Session`] (worker
@@ -181,10 +198,10 @@ pub struct StreamSession {
 
 impl StreamSession {
     /// Creates a stream session with `num_workers` pool workers reading
-    /// in `block_size`-byte (≥ 1) blocks. The calling thread participates
-    /// in every wave, so scan parallelism is `num_workers + 1` and the
-    /// block ring holds `2 × (num_workers + 1)` buffers; with zero
-    /// workers the caller reads and scans one block per wave.
+    /// in `block_size`-byte (≥ 1) blocks. The calling thread claims
+    /// blocks too, so scan parallelism is `num_workers + 1` and the block
+    /// ring holds `2 × (num_workers + 1)` buffers; with zero workers the
+    /// caller reads, scans and folds one block after another.
     pub fn new(num_workers: usize, block_size: usize) -> StreamSession {
         StreamSession::with_shared_pool(
             std::sync::Arc::new(ThreadPool::new(num_workers)),
@@ -194,8 +211,10 @@ impl StreamSession {
 
     /// Creates a stream session on a pool shared with other sessions
     /// (the multi-pattern registry shape: one pool, many warm sessions).
-    /// Waves from different sessions serialize on the pool's single
-    /// scope slot; each session keeps its own block ring and caches.
+    /// A stream is one batch on the pool, so it holds the pool's single
+    /// scope slot for its whole length: recognitions of other sessions
+    /// on the same pool wait until it ends. Each session keeps its own
+    /// block ring and caches.
     pub fn with_shared_pool(pool: std::sync::Arc<ThreadPool>, block_size: usize) -> StreamSession {
         StreamSession {
             ring: BlockRing::new(pool.num_workers() + 1, block_size),
@@ -257,17 +276,17 @@ impl StreamSession {
     /// [`ring_blocks`](StreamSession::ring_blocks)` × `
     /// [`block_size`](StreamSession::block_size).
     pub fn buffer_bytes(&self) -> usize {
-        self.ring.blocks.iter().map(|b| b.data.capacity()).sum()
+        self.ring.blocks.iter().map(|b| lock(b).capacity()).sum()
     }
 
     /// Number of live λ-mapping slots a stream of any length uses: one
-    /// per block of a wave (half the ring) and the join fold's two.
+    /// per ring block and the join fold's two.
     pub fn live_mappings(&self) -> usize {
-        self.ring.blocks.len() / 2 + 2
+        self.ring.blocks.len() + 2
     }
 
     /// Pre-warms the session's per-worker scratches, one mapping slot per
-    /// block of a wave and the join fold against `ca` so the next
+    /// ring block and the join fold against `ca` so the next
     /// [`recognize_stream`](StreamSession::recognize_stream) runs
     /// allocation-free from its first block, whichever worker claims it.
     /// As in [`Session::warm`], a sample shorter than the lockstep
@@ -287,7 +306,10 @@ impl StreamSession {
     /// `reader` needs no buffering of its own (the session reads whole
     /// blocks) and may hand out data in arbitrarily small pieces;
     /// [`ErrorKind::Interrupted`](io::ErrorKind::Interrupted) reads are
-    /// retried. Any other I/O error aborts recognition and is returned.
+    /// retried. Any other I/O error aborts recognition and is returned,
+    /// unless the prefix has already died: its rejection stands. A panic
+    /// escaping the chunk automaton unwinds to the caller once every
+    /// claimant has stopped, and the session stays usable.
     pub fn recognize_stream<CA, R>(&mut self, ca: &CA, reader: R) -> io::Result<StreamOutcome>
     where
         CA: ChunkAutomaton,
@@ -303,12 +325,13 @@ impl StreamSession {
     /// Like [`StreamSession::recognize_stream`] but bounded by `budget`:
     /// the deadline/cancellation probe is checked at every block claim
     /// and once per classification block inside kernel scans, and a
-    /// tripped probe fails the stream after its wave, so expiry is
-    /// noticed within one wave of I/O. On any error — typed interruption
-    /// or reader I/O failure — the session remains fully reusable and the
-    /// block ring does not grow ([`StreamSession::buffer_bytes`] is
-    /// unchanged). Panics escaping the chunk automaton are trapped and
-    /// surfaced as [`StreamError::Panicked`].
+    /// tripped probe stops further claims and fails the stream once the
+    /// blocks in flight end, so expiry is noticed within one block. On
+    /// any error — typed interruption or reader I/O failure — the
+    /// session remains fully reusable and the block ring does not grow
+    /// ([`StreamSession::buffer_bytes`] is unchanged). Panics escaping
+    /// the chunk automaton are trapped and surfaced as
+    /// [`StreamError::Panicked`].
     pub fn recognize_stream_budgeted<CA, R>(
         &mut self,
         ca: &CA,
@@ -325,16 +348,16 @@ impl StreamSession {
     }
 }
 
-/// Recognizes the `reader` stream through `session` and `ring`: each wave
-/// of blocks is one [`Session::reach`] (whose task 0 reads the next
-/// wave), and the session's join fold composes every finished wave onto
-/// the running prefix. `probe` is the only difference between the plain
+/// Recognizes the `reader` stream through `session` and `ring`: one
+/// batch on the session's pool, in which every claimant runs
+/// [`Pipeline::claim_loop`] over the session's scratches, ring mapping
+/// slots and join fold. `probe` is the only difference between the plain
 /// and the budgeted path.
 pub(crate) fn stream<CA, R>(
     session: &mut Session,
     ring: &mut BlockRing,
     ca: &CA,
-    mut reader: R,
+    reader: R,
     probe: Option<&InterruptProbe>,
 ) -> Result<StreamOutcome, StreamError>
 where
@@ -345,158 +368,323 @@ where
     let block_size = ring.block_size();
     let BlockRing {
         blocks,
+        scanned,
         separator,
         carry,
     } = ring;
-    let separator = *separator;
-    // Stale carry from an aborted stream must not leak into this one.
+    // Stale carry and slot records from an aborted stream must not leak
+    // into this one.
     carry.clear();
-    let half = blocks.len() / 2;
-    let (mut cur_wave, mut next_wave) = blocks.split_at_mut(half);
-
-    // Prologue: the first wave is read on the caller (nothing to overlap
-    // with yet).
-    let mut prologue = ReadAhead {
-        reader: &mut reader,
-        blocks: &mut *cur_wave,
-        separator,
-        carry: &mut *carry,
-        filled: 0,
-        eof: false,
-        error: None,
+    scanned.fill(Scanned::NONE);
+    let parts = session.stream_parts::<CA>(blocks.len());
+    parts.join.start();
+    let pipeline = Pipeline {
+        ca,
+        probe,
+        blocks,
+        mappings: parts.mappings,
+        feed: Mutex::new(Feed {
+            reader,
+            separator: *separator,
+            carry,
+            claimed: 0,
+            end: None,
+            error: None,
+        }),
+        fold: Mutex::new(Fold {
+            join: parts.join,
+            scanned,
+            folded: 0,
+            bytes: 0,
+            transitions: 0,
+            compose: Duration::ZERO,
+            waiting: 0,
+        }),
+        freed: Condvar::new(),
+        halted: AtomicBool::new(false),
     };
-    fill_wave(&mut prologue);
-    let mut eof = prologue.eof;
-    let mut count = prologue.filled;
-    if let Some(e) = prologue.error {
-        return Err(StreamError::Io(e));
+    // One claim loop per claimant. The batch's head heals the pool, so
+    // even an empty stream starts with every worker alive; a claimant
+    // that arrives after the stream has ended returns at once.
+    let claimants = parts.pool.num_workers() + 1;
+    parts
+        .pool
+        .invoke_all_scoped(claimants, parts.scratches, |scratch, _| {
+            pipeline.claim_loop(scratch)
+        });
+    if let Some(err) = probe.and_then(|p| p.status()) {
+        return Err(err.into());
     }
 
-    let tally = AtomicU64::new(0);
-    let mut compose = Duration::ZERO;
-    let mut bytes = 0u64;
-    let mut blocks_done = 0u64;
-    let mut first_wave = true;
-    let (accepted, rejected_early) = loop {
-        // Locked once per wave, by task 0 only.
-        let read_ahead = Mutex::new(ReadAhead {
-            reader: &mut reader,
-            blocks: &mut *next_wave,
-            separator,
-            carry: &mut *carry,
-            filled: 0,
-            eof: false,
-            error: None,
-        });
-        let wave = &cur_wave[..count];
-        let task = |i: usize| {
-            if i == 0 && !eof {
-                fill_wave(&mut read_ahead.lock().expect("read-ahead poisoned"));
-            }
-            (&wave[i].data[..wave[i].len], first_wave && i == 0)
+    let Pipeline { feed, fold, .. } = pipeline;
+    let mut feed = feed.into_inner().unwrap_or_else(PoisonError::into_inner);
+    let fold = fold.into_inner().unwrap_or_else(PoisonError::into_inner);
+    let (accepted, rejected_early) = if fold.join.is_dead() {
+        // Input remains past the block the prefix died in if the reader
+        // gave, or gives, another byte — or failed to say it had none.
+        let remains = match feed.end {
+            Some(end) => fold.folded < end,
+            None if feed.error.is_some() || feed.claimed > fold.folded => true,
+            None => feed
+                .fill(&mut lock(&blocks[0]))
+                .map_or(true, |(len, _)| len > 0),
         };
-        // An empty stream runs one empty wave: its reach still heals the
-        // pool and hands over the join fold.
-        let (mappings, fold) = session.reach(ca, count, task, probe, Some(&tally))?;
-        let read_ahead = read_ahead.into_inner().expect("read-ahead poisoned");
-
-        // Eager in-order composition of the finished wave: only the
-        // fold's prefix survives it.
-        let compose_start = Instant::now();
-        if first_wave {
-            fold.start();
-        }
-        for (mapping, block) in mappings.iter_mut().zip(wave) {
-            fold.push(ca, mapping);
-            bytes += block.len as u64;
-        }
-        blocks_done += count as u64;
-        compose += compose_start.elapsed();
-        first_wave = false;
-
-        if let Some(e) = read_ahead.error {
-            return Err(StreamError::Io(e));
-        }
-        eof |= read_ahead.eof;
-        count = read_ahead.filled;
-        if count == 0 {
-            break (fold.accepts(ca), false);
-        }
-        // A dead prefix rejects every possible continuation: stop
-        // reading instead of scanning the rest of the stream.
-        if fold.is_dead() {
-            break (false, true);
-        }
-        std::mem::swap(&mut cur_wave, &mut next_wave);
+        (false, remains)
+    } else if let Some(e) = feed.error {
+        return Err(StreamError::Io(e));
+    } else {
+        debug_assert_eq!(feed.end, Some(fold.folded), "every block is folded");
+        (fold.join.accepts(ca), false)
     };
     Ok(StreamOutcome {
         accepted,
-        bytes,
-        blocks: blocks_done,
-        transitions: tally.into_inner(),
+        bytes: fold.bytes,
+        blocks: fold.folded,
+        transitions: fold.transitions,
         elapsed: start.elapsed(),
-        compose,
+        compose: fold.compose,
         rejected_early,
         kernel: ca.effective_kernel(block_size),
     })
 }
 
-/// Fills consecutive blocks of `ra.blocks` until the reader is exhausted
-/// or the wave is full, recording the filled-block count and EOF. Runs on
-/// whichever claimant takes task 0 of the wave.
-///
-/// Each block is seeded with the carry left by the previous block's
-/// separator snap, then topped up from the reader. EOF is detected from
-/// the *raw* read (the reader could not fill the remainder) — a snapped
-/// block is legitimately short without being the last one. Full blocks
-/// are snapped back to their last separator (when one is configured and
-/// present), the severed tail becoming the next block's carry.
-fn fill_wave<R: Read>(ra: &mut ReadAhead<'_, R>) {
-    for block in ra.blocks.iter_mut() {
-        let seed = ra.carry.len();
-        debug_assert!(seed < block.data.len(), "carry is always < one block");
-        block.data[..seed].copy_from_slice(ra.carry);
-        ra.carry.clear();
-        match fill_block(ra.reader, &mut block.data[seed..]) {
-            Ok(n) => {
-                let total = seed + n;
-                if total == 0 {
-                    ra.eof = true;
-                    return;
-                }
-                if n < block.data.len() - seed {
-                    // The reader ran dry mid-block: this is the stream's
-                    // final block, emitted whole (never snapped).
-                    block.len = total;
-                    ra.filled += 1;
-                    ra.eof = true;
-                    return;
-                }
-                // A full block: snap back to the last record separator so
-                // the next block starts on a record boundary. No
-                // separator in the whole block → emit unsnapped.
-                block.len = total;
-                if let Some(sep) = ra.separator {
-                    if let Some(pos) = block.data[..total].iter().rposition(|&b| b == sep) {
-                        ra.carry.extend_from_slice(&block.data[pos + 1..total]);
-                        block.len = pos + 1;
-                    }
-                }
-                ra.filled += 1;
-            }
-            Err(e) => {
-                ra.error = Some(e);
-                ra.eof = true;
+/// The shared state of one stream's batch.
+struct Pipeline<'a, CA: ChunkAutomaton, R> {
+    ca: &'a CA,
+    probe: Option<&'a InterruptProbe>,
+    /// The ring's block buffers.
+    blocks: &'a [Mutex<Vec<u8>>],
+    /// The session's mapping slots, one per ring block.
+    mappings: &'a [Mutex<CA::Mapping>],
+    /// The reader side, locked to claim and fill a block.
+    feed: Mutex<Feed<'a, R>>,
+    /// The fold side, locked to fold scanned blocks or to wait for a
+    /// slot.
+    fold: Mutex<Fold<'a, CA::Mapping, CA::ComposeScratch>>,
+    /// Signalled when the fold frees slots a claimant waits for, or the
+    /// pipeline halts.
+    freed: Condvar,
+    /// Set once no further block may be claimed: the prefix died, the
+    /// budget tripped, the reader failed or a claimant unwound.
+    halted: AtomicBool,
+}
+
+/// The reader side of a stream.
+struct Feed<'a, R> {
+    reader: R,
+    /// Snap full blocks back to their last occurrence of this byte
+    /// (record separator); the cut-off tail rides in `carry`.
+    separator: Option<u8>,
+    /// Bytes deferred past the previous block's snap point, to seed the
+    /// next block. Always shorter than one block; owned by the ring.
+    carry: &'a mut Vec<u8>,
+    /// Blocks claimed so far: the number of the next one.
+    claimed: u64,
+    /// The stream's block count, once the reader has run dry.
+    end: Option<u64>,
+    /// The reader's error, which stopped the claims.
+    error: Option<io::Error>,
+}
+
+/// The fold side of a stream.
+struct Fold<'a, M, C> {
+    join: &'a mut JoinScratch<M, C>,
+    /// The ring's per-slot records of scanned blocks.
+    scanned: &'a mut [Scanned],
+    /// Blocks folded so far: the number of the next one to fold.
+    folded: u64,
+    /// Bytes of the folded blocks.
+    bytes: u64,
+    /// Executed transitions of the folded blocks' scans.
+    transitions: u64,
+    /// Time spent folding.
+    compose: Duration,
+    /// Claimants waiting on [`Pipeline::freed`] for a slot.
+    waiting: usize,
+}
+
+impl<CA, R> Pipeline<'_, CA, R>
+where
+    CA: ChunkAutomaton,
+    R: Read + Send,
+{
+    /// One claimant's part of the stream: claim and fill a block, scan
+    /// it, fold what it completes, until the stream ends or halts.
+    fn claim_loop(&self, scratch: &mut CA::Scratch) {
+        let _halt = HaltOnUnwind(self);
+        while let Some((block, data, len)) = self.claim() {
+            let at = self.slot(block);
+            let tally = AtomicU64::new(0);
+            recognizer::scan_task(
+                self.ca,
+                || (&data[..len], block == 0),
+                scratch,
+                &mut lock(&self.mappings[at]),
+                self.probe,
+                Some(&tally),
+            );
+            drop(data);
+            if self.probe.is_some_and(|p| p.status().is_some()) {
+                // The scan was abandoned: its mapping must not be folded.
+                self.halt();
                 return;
             }
+            let mut fold = lock(&self.fold);
+            fold.scanned[at] = Scanned {
+                block,
+                len,
+                transitions: tally.into_inner(),
+            };
+            let before = fold.folded;
+            let dead = fold.fold_scanned(self.ca, self.mappings);
+            let wake = fold.waiting > 0 && fold.folded > before;
+            drop(fold);
+            if dead {
+                self.halt();
+            } else if wake {
+                self.freed.notify_all();
+            }
         }
+    }
+
+    /// Claims the next block and fills its slot, under the reader lock:
+    /// returns the block's number, its locked buffer and its length, or
+    /// `None` once the stream has ended or halted.
+    fn claim(&self) -> Option<(u64, MutexGuard<'_, Vec<u8>>, usize)> {
+        let mut feed = lock(&self.feed);
+        if self.halted.load(Ordering::Relaxed) || feed.end.is_some() {
+            return None;
+        }
+        if self.probe.is_some_and(|p| p.should_stop()) {
+            self.halt();
+            return None;
+        }
+        let block = feed.claimed;
+        // The slot's previous block must be folded before it is refilled.
+        let ring = self.blocks.len() as u64;
+        let mut fold = lock(&self.fold);
+        while fold.folded + ring <= block {
+            if self.halted.load(Ordering::Relaxed) {
+                return None;
+            }
+            fold.waiting += 1;
+            fold = self
+                .freed
+                .wait(fold)
+                .unwrap_or_else(PoisonError::into_inner);
+            fold.waiting -= 1;
+        }
+        drop(fold);
+        let mut data = lock(&self.blocks[self.slot(block)]);
+        match feed.fill(&mut data) {
+            Ok((0, _)) => {
+                feed.end = Some(block);
+                None
+            }
+            Ok((len, last)) => {
+                feed.claimed += 1;
+                if last {
+                    feed.end = Some(feed.claimed);
+                }
+                Some((block, data, len))
+            }
+            Err(e) => {
+                feed.error = Some(e);
+                self.halt();
+                None
+            }
+        }
+    }
+
+    /// The ring slot of `block`.
+    fn slot(&self, block: u64) -> usize {
+        (block % self.blocks.len() as u64) as usize
+    }
+
+    /// Stops further claims and wakes every claimant waiting for a slot.
+    /// The caller must not hold the fold lock.
+    fn halt(&self) {
+        self.halted.store(true, Ordering::Relaxed);
+        // Taking the fold lock orders the flag before the wake-up: a
+        // claimant checks it under that lock before it waits.
+        drop(lock(&self.fold));
+        self.freed.notify_all();
+    }
+}
+
+/// Halts its claimant's pipeline if the claimant unwinds, so no other
+/// claimant waits for a slot whose block will never be folded.
+struct HaltOnUnwind<'p, 'a, CA: ChunkAutomaton, R: Read + Send>(&'p Pipeline<'a, CA, R>);
+
+impl<CA: ChunkAutomaton, R: Read + Send> Drop for HaltOnUnwind<'_, '_, CA, R> {
+    fn drop(&mut self) {
+        if std::thread::panicking() {
+            self.0.halt();
+        }
+    }
+}
+
+impl<M, C> Fold<'_, M, C> {
+    /// Folds every scanned block that continues the prefix onto it, in
+    /// stream order, freeing their slots, and stops at a dead prefix.
+    /// Returns whether the prefix is dead.
+    fn fold_scanned<CA>(&mut self, ca: &CA, mappings: &[Mutex<M>]) -> bool
+    where
+        CA: ChunkAutomaton<Mapping = M, ComposeScratch = C>,
+    {
+        let start = Instant::now();
+        let ring = self.scanned.len() as u64;
+        while !self.join.is_dead() {
+            let at = (self.folded % ring) as usize;
+            let scanned = self.scanned[at];
+            if scanned.block != self.folded {
+                break;
+            }
+            self.join.push(ca, &mut lock(&mappings[at]));
+            self.bytes += scanned.len as u64;
+            self.transitions += scanned.transitions;
+            self.folded += 1;
+        }
+        self.compose += start.elapsed();
+        self.join.is_dead()
+    }
+}
+
+impl<R: Read> Feed<'_, R> {
+    /// Fills `block` with the stream's next block: the carry the previous
+    /// block's separator snap left, topped up from the reader. Returns
+    /// the block's length (0 once the stream has ended) and whether the
+    /// reader ran dry filling it, which makes it the final block.
+    ///
+    /// The final block is detected from the *raw* read (the reader could
+    /// not fill the remainder) — a snapped block is legitimately short
+    /// without being the last one — and is emitted whole. A full block is
+    /// snapped back to its last separator (when one is configured and
+    /// present), the severed tail becoming the next block's carry; with
+    /// no separator in the whole block it is emitted unsnapped.
+    fn fill(&mut self, block: &mut [u8]) -> io::Result<(usize, bool)> {
+        let seed = self.carry.len();
+        debug_assert!(seed < block.len(), "carry is always < one block");
+        block[..seed].copy_from_slice(self.carry);
+        self.carry.clear();
+        let n = read_full(&mut self.reader, &mut block[seed..])?;
+        if n < block.len() - seed {
+            return Ok((seed + n, true));
+        }
+        if let Some(sep) = self.separator {
+            if let Some(pos) = block.iter().rposition(|&b| b == sep) {
+                self.carry.extend_from_slice(&block[pos + 1..]);
+                return Ok((pos + 1, false));
+            }
+        }
+        Ok((block.len(), false))
     }
 }
 
 /// Reads until `buf` is full or EOF, retrying
 /// [`Interrupted`](io::ErrorKind::Interrupted) and accepting arbitrarily
 /// short reads (1-byte readers, block-misaligned pipes).
-fn fill_block(reader: &mut impl Read, buf: &mut [u8]) -> io::Result<usize> {
+fn read_full(reader: &mut impl Read, buf: &mut [u8]) -> io::Result<usize> {
     let mut filled = 0;
     while filled < buf.len() {
         match reader.read(&mut buf[filled..]) {
@@ -507,6 +695,13 @@ fn fill_block(reader: &mut impl Read, buf: &mut [u8]) -> io::Result<usize> {
         }
     }
     Ok(filled)
+}
+
+/// Locks `mutex`, ignoring poison: a claimant that unwound leaves a
+/// block buffer, a mapping slot or the pipeline state half-written, and
+/// the next stream rewrites all of them before reading them.
+fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
+    mutex.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 #[cfg(test)]
@@ -634,69 +829,67 @@ mod tests {
         assert_eq!(session.buffer_bytes(), expected, "carry is not ring memory");
     }
 
-    #[test]
-    fn fill_wave_snaps_full_blocks_at_separators() {
-        let text = b"aaa bb cccc d eeee ff";
-        let mut reader = Cursor::new(&text[..]);
-        let mut blocks: Vec<Block> = (0..4)
-            .map(|_| Block {
-                data: vec![0u8; 8],
-                len: 0,
-            })
-            .collect();
+    /// Fills consecutive `size`-byte blocks from `text` until the stream
+    /// ends, as the claimants do; returns each block's bytes and whether
+    /// it was flagged final, and the carry left behind.
+    fn fill_all(
+        text: &[u8],
+        size: usize,
+        separator: Option<u8>,
+    ) -> (Vec<(Vec<u8>, bool)>, Vec<u8>) {
         let mut carry = Vec::new();
-        let mut ra = ReadAhead {
-            reader: &mut reader,
-            blocks: &mut blocks,
-            separator: Some(b' '),
+        let mut feed = Feed {
+            reader: Cursor::new(text),
+            separator,
             carry: &mut carry,
-            filled: 0,
-            eof: false,
+            claimed: 0,
+            end: None,
             error: None,
         };
-        fill_wave(&mut ra);
-        assert!(ra.eof);
-        assert_eq!(ra.filled, 3);
-        // Every full (non-final) block ends exactly at a separator…
-        assert_eq!(&blocks[0].data[..blocks[0].len], b"aaa bb ");
-        assert_eq!(&blocks[1].data[..blocks[1].len], b"cccc d ");
-        // …the final block keeps the unsnapped remainder…
-        assert_eq!(&blocks[2].data[..blocks[2].len], b"eeee ff");
+        let mut block = vec![0u8; size];
+        let mut blocks = Vec::new();
+        loop {
+            let (len, last) = feed.fill(&mut block).unwrap();
+            if len == 0 {
+                break;
+            }
+            blocks.push((block[..len].to_vec(), last));
+            if last {
+                break;
+            }
+        }
+        (blocks, carry)
+    }
+
+    #[test]
+    fn fill_block_snaps_full_blocks_at_separators() {
+        let text = b"aaa bb cccc d eeee ff";
+        let (blocks, carry) = fill_all(text, 8, Some(b' '));
+        // Every full (non-final) block ends exactly at a separator, and
+        // the final block keeps the unsnapped remainder…
+        assert_eq!(
+            blocks,
+            [
+                (b"aaa bb ".to_vec(), false),
+                (b"cccc d ".to_vec(), false),
+                (b"eeee ff".to_vec(), true),
+            ]
+        );
         // …and no byte is lost or duplicated.
-        let total: Vec<u8> = blocks[..3]
-            .iter()
-            .flat_map(|b| b.data[..b.len].iter().copied())
-            .collect();
+        let total: Vec<u8> = blocks.iter().flat_map(|(b, _)| b.clone()).collect();
         assert_eq!(total, text);
         assert!(carry.is_empty());
     }
 
     #[test]
-    fn fill_wave_without_separator_in_block_emits_unsnapped() {
+    fn fill_block_without_separator_emits_unsnapped() {
         // No separator anywhere: blocks stay full-length, carry stays
         // empty — the degenerate case must not stall or shrink blocks.
+        // The reader's end shows on the read after the last full block.
         let text = b"aaaaaaaaaaaaaaaa"; // 2 × 8 bytes
-        let mut reader = Cursor::new(&text[..]);
-        let mut blocks: Vec<Block> = (0..3)
-            .map(|_| Block {
-                data: vec![0u8; 8],
-                len: 0,
-            })
-            .collect();
-        let mut carry = Vec::new();
-        let mut ra = ReadAhead {
-            reader: &mut reader,
-            blocks: &mut blocks,
-            separator: Some(b'\n'),
-            carry: &mut carry,
-            filled: 0,
-            eof: false,
-            error: None,
-        };
-        fill_wave(&mut ra);
-        assert_eq!(ra.filled, 2);
-        assert_eq!(blocks[0].len, 8);
-        assert_eq!(blocks[1].len, 8);
+        let (blocks, carry) = fill_all(text, 8, Some(b'\n'));
+        assert_eq!(blocks.len(), 2);
+        assert!(blocks.iter().all(|(b, last)| b.len() == 8 && !last));
         assert!(carry.is_empty());
     }
 

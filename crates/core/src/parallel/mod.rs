@@ -16,13 +16,16 @@
 //! and the free [`recognize`](crate::csdpa::recognize) functions build a
 //! throwaway session sized by their [`Executor`](crate::csdpa::Executor).
 //!
-//! Every pooled scan — a session's reach, batch and tree join, a stream
-//! wave, the registry's pooled lane — claims its work through
+//! Every pooled scan of a text — a session's reach, batch and tree join,
+//! the registry's pooled lane — claims its work through
 //! [`invoke_each`](pool::ThreadPool::invoke_each): task `i` of a batch
 //! gets `&mut slots[i]` of one exclusively borrowed slot slice, claimed
 //! by index through the batch's atomic counter, so callers write their
-//! outputs through plain `&mut` and need no `unsafe`. The pool's scope
-//! protocol and that slot hand-out are the only `unsafe` code behind it.
+//! outputs through plain `&mut` and need no `unsafe`. A stream runs one
+//! [`invoke_all_scoped`](pool::ThreadPool::invoke_all_scoped) batch of
+//! one claim loop per claimant, whose blocks and mapping slots sit behind
+//! locks of their own. The pool's scope protocol and that slot hand-out
+//! are the only `unsafe` code behind either.
 
 pub mod pool;
 

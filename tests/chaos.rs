@@ -155,8 +155,8 @@ fn workers_killed_between_calls_are_respawned_by_every_entry_point() {
     );
     assert_healed(session.health(), 9);
 
-    // A stream's waves are reach phases of its session: the first wave
-    // of every stream heals the pool, the empty stream's included.
+    // A stream is one batch on its session's pool, whose head heals the
+    // pool — the empty stream's included.
     let mut stream = StreamSession::new(4, 64);
     let mut kills = 0;
     for (text, &expected) in texts.iter().zip(&expected) {
@@ -177,7 +177,7 @@ fn expired_deadlines_and_cancellations_are_deterministic_and_leave_streams_reusa
     let ring = stream.buffer_bytes();
 
     for _ in 0..chaos_iters(2) {
-        // Pre-expired deadline: fails before composing a single wave.
+        // Pre-expired deadline: fails before reading a single block.
         let err = stream
             .recognize_stream_budgeted(
                 &ca,

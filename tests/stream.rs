@@ -3,16 +3,20 @@
 //! partial reads, `Interrupted` retries) must agree with one-shot
 //! `recognize` for all six chunk automata across block sizes and worker
 //! counts, every stream, block and counted lane must agree over the
-//! edge cuts of a wave — and a ≥ 256 MiB generated record stream must
-//! be recognized with buffer memory provably independent of stream
-//! length.
+//! edge cuts of the block ring, the pipelined claimants must reach the
+//! serial outcome however far they read ahead — and a ≥ 256 MiB
+//! generated record stream must be recognized with buffer memory
+//! provably independent of stream length.
 
 use std::io::{self, Cursor, Read};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::time::{Duration, Instant};
 
+use ridfa::automata::counter::Counter;
 use ridfa::automata::dfa::{minimize, powerset};
 use ridfa::core::csdpa::{
-    recognize, recognize_counted, DfaCa, EnginePlan, Executor, FeasibleTable, Kernel, NfaCa,
-    PatternRegistry, RegistryConfig, RidCa, Session, StreamScan, StreamSession,
+    recognize, recognize_counted, ChunkAutomaton, DfaCa, EnginePlan, Executor, FeasibleTable,
+    Kernel, NfaCa, PatternRegistry, RegistryConfig, RidCa, Session, StreamScan, StreamSession,
 };
 use ridfa::core::ridfa::RiDfa;
 use ridfa::core::sfa::{Sfa, SfaCa};
@@ -195,19 +199,23 @@ fn mid_stream_io_faults_leave_sessions_reusable_for_all_six_cas() {
     check!(&SfaCa::new(&sfa), "sfa");
 }
 
-/// The cuts where a stream's special cases used to live — no block, a
-/// block shorter than its size, exactly one block, exactly one wave, and
-/// a prefix that dies in the first block, in the last block of the first
-/// wave or in the first block of the second wave — fed through every
-/// lane over the same cuts: `StreamSession`, the registry's stream,
-/// `scan_block`, `scan_block_pooled` + `finish_scan`, and the counted
-/// one-shot and session paths, for the RID with `Auto`, the RID with
-/// feasible-start pruning, the DFA with `Auto`, the NFA and the SFA.
+/// The cuts where a stream's special cases live — no block, a block
+/// shorter than its size, exactly one block, exactly one ring, and a
+/// prefix that dies in the first block, in the last block of the first
+/// pass around the ring, in the first block of the second, in the last
+/// full block of the stream or in its final partial block — fed through
+/// every lane over the same cuts: `StreamSession`, the registry's
+/// stream, `scan_block`, `scan_block_pooled` + `finish_scan`, and the
+/// counted one-shot and session paths, for the RID with `Auto`, the RID
+/// with feasible-start pruning, the DFA with `Auto`, the NFA and the
+/// SFA. A stream counts the blocks through the one its prefix died in,
+/// however far its claimants read ahead, and is rejected early only when
+/// input remains past that block.
 #[test]
 fn edge_cuts_agree_across_stream_block_and_counted_lanes() {
     const BLOCK: usize = 64;
     const WORKERS: usize = 2;
-    const WAVE: usize = WORKERS + 1;
+    const RING: usize = 2 * (WORKERS + 1);
     let pattern = "[ab]*a[ab]{4}";
     let nfa =
         ridfa::automata::nfa::glushkov::build(&ridfa::automata::regex::parse(pattern).unwrap())
@@ -232,31 +240,46 @@ fn edge_cuts_agree_across_stream_block_and_counted_lanes() {
         t[at] = b'z';
         t
     };
-    let long = 3 * WAVE * BLOCK;
+    let long = 2 * RING * BLOCK;
+    let blocks = |len: usize| len.div_ceil(BLOCK) as u64;
     // (row, text, blocks composed, rejected early)
     let rows: Vec<(&str, Vec<u8>, u64, bool)> = vec![
         ("empty", Vec::new(), 0, false),
         ("shorter than one block", member(BLOCK - 7), 1, false),
         ("exactly one block", member(BLOCK), 1, false),
-        ("exactly one wave", member(WAVE * BLOCK), WAVE as u64, false),
+        ("exactly one ring", member(RING * BLOCK), RING as u64, false),
         (
             "rejected at EOF, never dead",
-            vec![b'b'; 2 * WAVE * BLOCK],
-            2 * WAVE as u64,
+            vec![b'b'; 2 * RING * BLOCK],
+            2 * RING as u64,
             false,
         ),
-        ("dies in block 0", killed(long, 5), WAVE as u64, true),
+        ("dies in block 0", killed(long, 5), 1, true),
         (
-            "dies in the last block of wave 1",
-            killed(long, (WAVE - 1) * BLOCK + 10),
-            WAVE as u64,
+            "dies in the last block of the first ring pass",
+            killed(long, (RING - 1) * BLOCK + 10),
+            RING as u64,
             true,
         ),
         (
-            "dies in the first block of wave 2",
-            killed(long, WAVE * BLOCK + 10),
-            2 * WAVE as u64,
+            "dies in the first block of the second ring pass",
+            killed(long, RING * BLOCK + 10),
+            RING as u64 + 1,
             true,
+        ),
+        (
+            "dies in the last full block, nothing after",
+            killed(long, long - 3),
+            blocks(long),
+            false,
+        ),
+        // One byte short of a block, so balanced one-shot chunks cut the
+        // text where the stream's blocks end.
+        (
+            "dies in the final partial block",
+            killed(long + BLOCK - 1, long + 2),
+            blocks(long + BLOCK - 1),
+            false,
         ),
     ];
 
@@ -332,6 +355,291 @@ fn edge_cuts_agree_across_stream_block_and_counted_lanes() {
     }
 }
 
+/// A chunk automaton whose scan of a chunk holding `marker` first waits
+/// until `ahead` scans (first chunks included) have started — so the
+/// other claimants read and scan ahead into every other ring slot — and
+/// then, if `panics`, panics.
+struct HoldCa<CA> {
+    inner: CA,
+    marker: u8,
+    ahead: usize,
+    panics: bool,
+    started: AtomicUsize,
+}
+
+impl<CA> HoldCa<CA> {
+    fn new(inner: CA, marker: u8, ahead: usize, panics: bool) -> HoldCa<CA> {
+        HoldCa {
+            inner,
+            marker,
+            ahead,
+            panics,
+            started: AtomicUsize::new(0),
+        }
+    }
+
+    /// Counts a scan of `chunk`, holding it if it carries the marker.
+    fn start(&self, chunk: &[u8]) {
+        self.started.fetch_add(1, Ordering::SeqCst);
+        if !chunk.contains(&self.marker) {
+            return;
+        }
+        let give_up = Instant::now() + Duration::from_secs(10);
+        while self.started.load(Ordering::SeqCst) < self.ahead && Instant::now() < give_up {
+            std::thread::sleep(Duration::from_micros(200));
+        }
+        assert!(!self.panics, "injected fault in the marked block");
+    }
+}
+
+impl<CA: ChunkAutomaton> ChunkAutomaton for HoldCa<CA> {
+    type Mapping = CA::Mapping;
+    type Scratch = CA::Scratch;
+    type ComposeScratch = CA::ComposeScratch;
+
+    fn scan_into(
+        &self,
+        chunk: &[u8],
+        scratch: &mut Self::Scratch,
+        counter: &mut impl Counter,
+        out: &mut Self::Mapping,
+    ) {
+        self.start(chunk);
+        self.inner.scan_into(chunk, scratch, counter, out)
+    }
+
+    fn scan_first_into(&self, chunk: &[u8], counter: &mut impl Counter, out: &mut Self::Mapping) {
+        self.start(chunk);
+        self.inner.scan_first_into(chunk, counter, out)
+    }
+
+    fn compose_into(
+        &self,
+        left: &Self::Mapping,
+        right: &Self::Mapping,
+        scratch: &mut Self::ComposeScratch,
+        out: &mut Self::Mapping,
+    ) {
+        self.inner.compose_into(left, right, scratch, out)
+    }
+
+    fn accepts_mapping(&self, mapping: &Self::Mapping) -> bool {
+        self.inner.accepts_mapping(mapping)
+    }
+
+    fn mapping_is_dead(&self, mapping: &Self::Mapping) -> bool {
+        self.inner.mapping_is_dead(mapping)
+    }
+
+    fn accepts_serial(&self, text: &[u8], counter: &mut impl Counter) -> bool {
+        self.inner.accepts_serial(text, counter)
+    }
+
+    fn num_speculative_starts(&self) -> usize {
+        self.inner.num_speculative_starts()
+    }
+
+    fn effective_kernel(&self, chunk_len: usize) -> Option<Kernel> {
+        self.inner.effective_kernel(chunk_len)
+    }
+
+    fn name(&self) -> &'static str {
+        "hold"
+    }
+}
+
+/// A reader that hands out one byte per call.
+struct OneByteReader<'a>(&'a [u8]);
+
+impl Read for OneByteReader<'_> {
+    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+        match (self.0.split_first(), buf.first_mut()) {
+            (Some((&byte, rest)), Some(slot)) => {
+                *slot = byte;
+                self.0 = rest;
+                Ok(1)
+            }
+            _ => Ok(0),
+        }
+    }
+}
+
+/// The machine of the pipeline tests: members end in `a` and four more
+/// of `[ab]`, and any other byte (`z`) kills every run.
+fn pipeline_machine() -> (ridfa::automata::dfa::Dfa, RiDfa) {
+    let ast = ridfa::automata::regex::parse("[ab\n]*a[ab]{4}").unwrap();
+    let nfa = ridfa::automata::nfa::glushkov::build(&ast).unwrap();
+    let dfa = minimize::minimize(&powerset::determinize(&nfa));
+    (dfa, RiDfa::from_nfa(&nfa).minimized())
+}
+
+/// A prefix that dies in block `d`, while the other claimants have read
+/// and scanned ahead into every other ring slot, for `d` at each slot
+/// position of the first and the second pass around the ring: the
+/// outcome counts exactly the blocks through `d`, as the serial DFA and
+/// the counted one-shot recognition of those blocks say.
+#[test]
+fn a_prefix_dying_behind_a_full_ring_counts_only_its_own_blocks() {
+    const BLOCK: usize = 256;
+    const WORKERS: usize = 3;
+    let (dfa, rid) = pipeline_machine();
+    let ca = RidCa::new(&rid).with_kernel(Kernel::Auto);
+    let mut session = StreamSession::new(WORKERS, BLOCK);
+    let ring = session.ring_blocks();
+    assert_eq!(ring, 2 * (WORKERS + 1));
+    let len = 4 * ring * BLOCK;
+    for d in 0..2 * ring {
+        let mut text = b"ab".repeat(len / 2);
+        text[d * BLOCK + BLOCK / 2] = b'z';
+        // Blocks 0..d + ring fill every slot: the marked block holds
+        // until all of them have started.
+        let held = HoldCa::new(
+            RidCa::new(&rid).with_kernel(Kernel::Auto),
+            b'z',
+            d + ring,
+            false,
+        );
+        let out = session.recognize_stream(&held, Cursor::new(&text)).unwrap();
+        assert!(!dfa.accepts(&text));
+        let blocks = d as u64 + 1;
+        let got = (out.accepted, out.bytes, out.blocks, out.rejected_early);
+        assert_eq!(got, (false, blocks * BLOCK as u64, blocks, true), "d = {d}");
+        assert!(
+            held.started.load(Ordering::SeqCst) >= d + ring,
+            "d = {d}: the ring was not read ahead"
+        );
+        let prefix = &text[..(d + 1) * BLOCK];
+        let counted = recognize_counted(&ca, prefix, d + 1, Executor::Serial);
+        assert_eq!(out.transitions, counted.transitions, "d = {d}");
+    }
+}
+
+/// A stream that wraps the ring several times under separator snapping,
+/// with records longer than a block (blocks with no separator at all):
+/// the verdict is the serial DFA's, every byte is counted once, and the
+/// outcome — block cuts and transitions included — equals that of a
+/// session whose caller reads and scans every block alone.
+#[test]
+fn snapped_streams_wrap_the_ring_with_the_serial_outcome() {
+    const BLOCK: usize = 64;
+    let (dfa, rid) = pipeline_machine();
+    let ca = RidCa::new(&rid).with_kernel(Kernel::Auto);
+    let mut rng = StdRng::seed_from_u64(0x5EA9);
+    let mut text = Vec::new();
+    for record in 0..200 {
+        // Every 25th record runs past two blocks.
+        let len = if record % 25 == 7 {
+            3 * BLOCK
+        } else {
+            rng.gen_range(1..40)
+        };
+        text.extend((0..len).map(|_| if rng.gen_ratio(1, 2) { b'a' } else { b'b' }));
+        text.push(b'\n');
+    }
+    text.extend_from_slice(b"abbab");
+    let mut pooled = StreamSession::new(3, BLOCK);
+    let mut serial = StreamSession::new(0, BLOCK);
+    for session in [&mut pooled, &mut serial] {
+        session.set_separator(Some(b'\n'));
+    }
+    assert!(
+        text.len() > 5 * pooled.ring_blocks() * BLOCK,
+        "wraps the ring"
+    );
+    let mut killed = text.clone();
+    killed[text.len() / 2] = b'z';
+    let mut rejected = text.clone();
+    rejected.truncate(text.len() - 4);
+    for (row, text) in [
+        ("member", &text),
+        ("killed", &killed),
+        ("rejected", &rejected),
+    ] {
+        let out = pooled.recognize_stream(&ca, Cursor::new(text)).unwrap();
+        let alone = serial.recognize_stream(&ca, Cursor::new(text)).unwrap();
+        assert_eq!(out.accepted, dfa.accepts(text), "{row}");
+        assert_eq!(
+            (out.bytes, out.blocks, out.transitions, out.rejected_early),
+            (
+                alone.bytes,
+                alone.blocks,
+                alone.transitions,
+                alone.rejected_early
+            ),
+            "{row}"
+        );
+        if !out.rejected_early {
+            assert_eq!(out.bytes, text.len() as u64, "{row}");
+        }
+        // Snapping only shortens blocks.
+        assert!(out.blocks >= out.bytes.div_ceil(BLOCK as u64), "{row}");
+    }
+    assert!(
+        pooled
+            .recognize_stream(&ca, Cursor::new(&killed))
+            .unwrap()
+            .rejected_early
+    );
+}
+
+/// A reader that gives one byte per read feeds the same blocks, verdict
+/// and counts as an in-memory one.
+#[test]
+fn a_one_byte_reader_streams_like_an_in_memory_one() {
+    let (dfa, rid) = pipeline_machine();
+    let ca = RidCa::new(&rid).with_kernel(Kernel::Auto);
+    let mut session = StreamSession::new(2, 100);
+    for text in [b"abbab".repeat(300), b"ab".repeat(700)] {
+        let slow = session.recognize_stream(&ca, OneByteReader(&text)).unwrap();
+        let fast = session.recognize_stream(&ca, Cursor::new(&text)).unwrap();
+        assert_eq!(slow.accepted, dfa.accepts(&text));
+        assert_eq!(
+            (slow.accepted, slow.bytes, slow.blocks, slow.transitions),
+            (fast.accepted, fast.bytes, fast.blocks, fast.transitions)
+        );
+        assert_eq!(slow.bytes, text.len() as u64);
+    }
+}
+
+/// An unbudgeted stream whose chunk automaton panics in a chosen block —
+/// after the other claimants have filled the ring and wait for its slot
+/// — unwinds to the caller instead of hanging, and the same session then
+/// streams a member correctly with every worker alive.
+#[test]
+fn a_panicking_block_reaches_the_caller_and_the_session_recovers() {
+    const BLOCK: usize = 128;
+    let (dfa, mut rid) = pipeline_machine();
+    let mut session = StreamSession::new(2, BLOCK);
+    let ring = session.ring_blocks();
+    let member = b"abbab".repeat(ring * BLOCK);
+    assert!(dfa.accepts(&member));
+    for d in [0, 1, ring - 1, ring + 2] {
+        let mut text = member.clone();
+        text[d * BLOCK + 3] = b'\n';
+        let (done, result) = std::sync::mpsc::channel();
+        let worker = std::thread::spawn(move || {
+            let ca = RidCa::new(&rid).with_kernel(Kernel::Auto);
+            let faulty = HoldCa::new(ca, b'\n', d + ring, true);
+            let unwound = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                session.recognize_stream(&faulty, Cursor::new(&text))
+            }));
+            let _ = done.send(unwound.is_err());
+            (session, rid)
+        });
+        let panicked = result
+            .recv_timeout(Duration::from_secs(60))
+            .expect("the stream hung after a claimant panicked");
+        assert!(panicked, "block {d}: the panic did not reach the caller");
+        (session, rid) = worker.join().unwrap();
+        let ca = RidCa::new(&rid).with_kernel(Kernel::Auto);
+        let out = session.recognize_stream(&ca, Cursor::new(&member)).unwrap();
+        assert!(out.accepted, "block {d}");
+        assert_eq!(out.bytes, member.len() as u64);
+        let health = session.health();
+        assert_eq!(health.live, health.configured, "block {d}");
+    }
+}
+
 #[test]
 fn stream_traffic_pipe_accepts_and_rejects() {
     let rid = RiDfa::from_nfa(&traffic::nfa()).minimized();
@@ -395,9 +703,8 @@ fn quarter_gib_stream_runs_in_bounded_memory() {
     let ring_bytes = session.ring_blocks() * BLOCK;
     assert_eq!(session.buffer_bytes(), ring_bytes);
     let live_mappings = session.live_mappings();
-    // One mapping slot per block of a wave (half the ring) plus the
-    // join fold's two.
-    assert_eq!(live_mappings, session.ring_blocks() / 2 + 2);
+    // One mapping slot per ring block plus the join fold's two.
+    assert_eq!(live_mappings, session.ring_blocks() + 2);
 
     let out = session
         .recognize_stream(&ca, traffic::RecordSource::new(TARGET, 42))
